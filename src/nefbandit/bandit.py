@@ -26,14 +26,14 @@ algorithm; a certificate supremum can be passed instead.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .distributions import BaseDistribution, NefFamily, gamma_ratio
 from .errors import ConfigError, DomainError, InvalidArgumentError, OptimizationError
-from .glm import fit_mle, gradient_map, hessian
+from .glm import cholesky_solve, fit_mle, gradient_map, hessian
 from .rng import replicate_stream
 
 __all__ = [
@@ -57,16 +57,7 @@ __all__ = [
 _GRID = 513
 
 
-class _View:
-    """Zero-copy dataset view over the growing round buffers."""
-
-    __slots__ = ("arms", "rewards", "n", "d")
-
-    def __init__(self, arms: np.ndarray, rewards: np.ndarray, n: int):
-        self.arms = arms[:n]
-        self.rewards = rewards[:n]
-        self.n = n
-        self.d = arms.shape[1]
+_View = namedtuple("_View", "arms rewards n d")  # zero-copy view of the first n rounds
 
 
 @dataclass(frozen=True)
@@ -189,6 +180,7 @@ class ConfidenceState:
     t: int
     theta_hat: np.ndarray
     hessian_at_hat: np.ndarray
+    gradient_map_at_hat: np.ndarray
     lambda_T: float
     gamma_t: float
     delta: float
@@ -223,21 +215,14 @@ def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
         * _log_term(inst.L, inst.d, t, delta)
 
 
-def _solve_norm_sq(H: np.ndarray, w: np.ndarray) -> float:
-    c, low = linalg.cho_factor(H, lower=True)
-    return float(w @ linalg.cho_solve((c, low), w))
-
-
 def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> bool:
     """theta in C_t: the gradient-map gap measured in the inverse Hessian at theta."""
     theta = np.asarray(theta, dtype=float).ravel()
     if np.linalg.norm(theta) > inst.S0 + 1e-12:
         return False
-    lam = state.lambda_T
-    w = gradient_map(inst.family, data, lam, theta) \
-        - gradient_map(inst.family, data, lam, state.theta_hat)
-    H = hessian(inst.family, data, lam, theta)
-    return _solve_norm_sq(H, w) <= state.gamma_t**2
+    w = gradient_map(inst.family, data, state.lambda_T, theta) - state.gradient_map_at_hat
+    H = hessian(inst.family, data, state.lambda_T, theta)
+    return float(w @ cholesky_solve(H, w)) <= state.gamma_t**2
 
 
 def relaxed_membership(inst: GlbInstance, state: ConfidenceState, theta) -> bool:
@@ -249,8 +234,7 @@ def relaxed_membership(inst: GlbInstance, state: ConfidenceState, theta) -> bool
 
 def optimistic_choice(inst: GlbInstance, state: ConfidenceState) -> tuple[int, float]:
     """Arm with the largest optimistic index; ties go to the lowest index."""
-    c, low = linalg.cho_factor(state.hessian_at_hat, lower=True)
-    sol = linalg.cho_solve((c, low), inst.arms.T)
+    sol = cholesky_solve(state.hessian_at_hat, inst.arms.T)
     bonus_sq = np.einsum("ij,ji->i", inst.arms, sol)
     idx_vals = inst.arms @ state.theta_hat \
         + inst.diameter_factor * state.gamma_t * np.sqrt(np.maximum(bonus_sq, 0.0))
@@ -311,11 +295,11 @@ def run_ofu_glb(inst: GlbInstance, T: int, delta: float, seed: int = 0,
     degenerate = inst.K == 0.0 and float(base.dmean_at(0.0)) == 0.0
 
     for t in range(1, T + 1):
-        data = _View(X, y, t - 1)
+        data = _View(X[:t - 1], y[:t - 1], t - 1, d)
         if degenerate:
             # point-mass rewards: every arm shares one mean, regret is zero
             theta_hat = np.zeros(d)
-            H_hat = lam * np.eye(d)
+            H_hat, g_hat = lam * np.eye(d), gradient_map(inst.family, data, lam, theta_hat)
         else:
             try:
                 try:
@@ -328,11 +312,10 @@ def run_ofu_glb(inst: GlbInstance, T: int, delta: float, seed: int = 0,
             except (OptimizationError, DomainError) as exc:
                 return RunResult(rounds=tuple(logs), aborted=True,
                                  abort_reason=f"round {t}: {exc}")
-            theta_hat = fit.theta_hat
-            H_hat = hessian(inst.family, data, lam, theta_hat)
+            theta_hat, H_hat, g_hat = fit.theta_hat, fit.hessian_at_hat, fit.gradient_map_at_hat
         state = ConfidenceState(t=t, theta_hat=theta_hat, hessian_at_hat=H_hat,
-                                lambda_T=lam, gamma_t=confidence_radius(inst, t, T, delta,
-                                                                        lam=lam),
+                                gradient_map_at_hat=g_hat, lambda_T=lam,
+                                gamma_t=confidence_radius(inst, t, T, delta, lam=lam),
                                 delta=delta)
         arm, index_value = optimistic_choice(inst, state)
         reward = float(base.sample_tilted(float(arm_inner[arm]), rng))

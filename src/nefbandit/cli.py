@@ -9,6 +9,7 @@ forced with the NEF_BANDIT_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import RunResult, run_ofu_glb, theoretical_regret_bound
+from .bandit import GlbInstance, RunResult, run_ofu_glb, theoretical_regret_bound
 from .config import ExperimentConfig, build_instance, load_config, parse_config
 from .distributions import NefFamily, parse_distribution
 from .errors import NefBanditError, ParseError
@@ -91,8 +92,16 @@ def _default_interval(cert: StretchCertificate) -> tuple[float, float]:
     return (-0.8 * cert.tail.c2, 0.8 * cert.tail.c1)
 
 
+def _grid_base(ns):
+    """The base distribution of a verify/tails command, once its grid is known nonempty."""
+    if ns.grid_n < 1:
+        raise ParseError(f"--grid-n must be a positive integer, got {ns.grid_n}",
+                         pointer="/grid-n")
+    return parse_distribution(_load_dist(ns.dist))
+
+
 def cmd_verify(ns) -> int:
-    base = parse_distribution(_load_dist(ns.dist))
+    base = _grid_base(ns)
     cert = build_certificate(base, c1=ns.c1, c2=ns.c2)
     lo, hi = _default_interval(cert)
     lo = ns.grid_lo if ns.grid_lo is not None else lo
@@ -107,7 +116,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_tails(ns) -> int:
-    base = parse_distribution(_load_dist(ns.dist))
+    base = _grid_base(ns)
     interval = None
     if ns.grid_lo is not None and ns.grid_hi is not None:
         interval = (ns.grid_lo, ns.grid_hi)
@@ -152,22 +161,20 @@ def cmd_fit(ns) -> int:
 # bandit run / bound / coverage
 # ---------------------------------------------------------------------------
 
-def _run_one(payload: tuple) -> RunResult:
-    raw, T, delta, seed, k, lam = payload
-    inst = build_instance(parse_config(raw))
-    return run_ofu_glb(inst, T, delta, seed=seed, replicate=k, lam_override=lam)
-
-
-def _run_replicates(cfg: ExperimentConfig, seed: int, workers: int) -> list[RunResult]:
-    jobs = [(cfg.to_dict(), cfg.horizon, cfg.delta, seed, k, cfg.lam)
-            for k in range(cfg.replicates)]
+def _run_replicates(cfg: ExperimentConfig, inst: GlbInstance, seed: int,
+                    workers: int) -> list[RunResult]:
+    """Run every replicate of one built instance, on at most os.cpu_count() processes."""
+    run = functools.partial(run_ofu_glb, inst, cfg.horizon, cfg.delta, seed,
+                            lam_override=cfg.lam)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.replicates == 1:
-        return [_run_one(j) for j in jobs]
+        return [run(k) for k in range(cfg.replicates)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs))
+        return list(pool.map(run, range(cfg.replicates)))
 
 
-def _summary(cfg: ExperimentConfig, results: list[RunResult], seed: int) -> dict:
+def _summary(cfg: ExperimentConfig, inst: GlbInstance, results: list[RunResult],
+             seed: int) -> dict:
     finals = [r.cum_regret for r in results if not r.aborted]
     covered = sum(1 for r in results if not r.aborted and r.all_rounds_covered)
     aborted = sum(1 for r in results if r.aborted)
@@ -180,7 +187,6 @@ def _summary(cfg: ExperimentConfig, results: list[RunResult], seed: int) -> dict
               "q75": float(np.quantile(arr, 0.75)),
               "max": float(arr.max()),
               "mean": float(arr.mean())}
-    inst = build_instance(cfg)
     bound = theoretical_regret_bound(inst, cfg.horizon, cfg.delta, lam=cfg.lam)
     return {
         "schema": 1,
@@ -195,6 +201,19 @@ def _summary(cfg: ExperimentConfig, results: list[RunResult], seed: int) -> dict
     }
 
 
+def _write_runs(out: Path, cfg: ExperimentConfig, seed: int, workers: int) -> list[RunResult]:
+    """Run the replicates and write their rounds CSVs and summary.json into ``out``."""
+    inst = build_instance(cfg)
+    results = _run_replicates(cfg, inst, seed, workers)
+    if cfg.replicates == 1:
+        (out / "rounds.csv").write_text(rounds_to_csv(results[0].rounds))
+    else:
+        for k, res in enumerate(results):
+            (out / f"rounds_rep{k:03d}.csv").write_text(rounds_to_csv(res.rounds))
+    _emit(_summary(cfg, inst, results, seed), out / "summary.json")
+    return results
+
+
 def cmd_bandit_run(ns) -> int:
     cfg = load_config(ns.config)
     seed = ns.seed if ns.seed is not None else cfg.seed
@@ -203,13 +222,7 @@ def cmd_bandit_run(ns) -> int:
     if out is None:
         raise ParseError("bandit run needs an output directory (--out, config field, "
                          f"or ${_OUT_ENV})", pointer="/out")
-    results = _run_replicates(cfg, seed, workers)
-    if cfg.replicates == 1:
-        (out / "rounds.csv").write_text(rounds_to_csv(results[0].rounds))
-    else:
-        for k, res in enumerate(results):
-            (out / f"rounds_rep{k:03d}.csv").write_text(rounds_to_csv(res.rounds))
-    _emit(_summary(cfg, results, seed), out / "summary.json")
+    results = _write_runs(out, cfg, seed, workers)
     aborted = [r.abort_reason for r in results if r.aborted]
     if aborted:
         print(f"{len(aborted)} replicate(s) aborted; first: {aborted[0]}", file=sys.stderr)
@@ -220,7 +233,7 @@ def cmd_bound(ns) -> int:
     cfg = load_config(ns.config)
     inst = build_instance(cfg)
     bound = theoretical_regret_bound(inst, cfg.horizon, cfg.delta, lam=cfg.lam)
-    _emit(bound.as_dict(), Path(ns.report) if getattr(ns, "report", None) else None)
+    _emit(bound.as_dict(), Path(ns.report) if ns.report else None)
     return 0
 
 
@@ -230,7 +243,7 @@ def cmd_coverage(ns) -> int:
         cfg = parse_config({**cfg.to_dict(), "replicates": ns.replicates})
     seed = ns.seed if ns.seed is not None else cfg.seed
     workers = ns.workers if ns.workers is not None else cfg.workers
-    results = _run_replicates(cfg, seed, workers)
+    results = _run_replicates(cfg, build_instance(cfg), seed, workers)
     aborted = sum(1 for r in results if r.aborted)
     done = [r for r in results if not r.aborted]
     covered = sum(1 for r in done if r.all_rounds_covered)
@@ -260,6 +273,14 @@ def _add_grid_flags(p):
     p.add_argument("--c1", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
     p.add_argument("--report", default=None, help="write the JSON report here")
+
+
+def _add_bound_parser(sub) -> None:
+    """``bound``, registered both at the top level and as ``bandit bound``."""
+    p = sub.add_parser("bound", help="print the three regret bound terms")
+    p.add_argument("--config", required=True)
+    p.add_argument("--report", default=None)
+    p.set_defaults(func=cmd_bound)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,15 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", default=None)
     pr.add_argument("--workers", type=int, default=None)
     pr.set_defaults(func=cmd_bandit_run)
-    pb = bsub.add_parser("bound", help="print the three regret bound terms")
-    pb.add_argument("--config", required=True)
-    pb.add_argument("--report", default=None)
-    pb.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("bound", help="print the three regret bound terms")
-    p.add_argument("--config", required=True)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_bound)
+    _add_bound_parser(bsub)
+    _add_bound_parser(sub)
 
     p = sub.add_parser("coverage", help="Monte-Carlo coverage of the exact confidence set")
     p.add_argument("--config", required=True)
@@ -329,24 +343,15 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
         lo = cfg.grid.get("lo", lo)
         hi = cfg.grid.get("hi", hi)
     n = int(cfg.grid.get("n", 200)) if cfg.grid else 200
-    status = 0
     payload = dominance_report(base, NefFamily(base, lo, hi), cert, n)
     _emit(payload, out / "verify.json")
-    status = max(status, 0 if payload["ok"] else 1)
     certs = run_tail_suite(base, interval=(lo, hi))
-    _emit({"schema": 1, "certificates": [c.as_dict() for c in certs],
-           "ok": all(c.ok for c in certs)}, out / "tails.json")
-    status = max(status, 0 if all(c.ok for c in certs) else 1)
-    if cfg.has_instance:
-        results = _run_replicates(cfg, cfg.seed, cfg.workers)
-        if cfg.replicates == 1:
-            (out / "rounds.csv").write_text(rounds_to_csv(results[0].rounds))
-        else:
-            for k, res in enumerate(results):
-                (out / f"rounds_rep{k:03d}.csv").write_text(rounds_to_csv(res.rounds))
-        _emit(_summary(cfg, results, cfg.seed), out / "summary.json")
-        status = max(status, 1 if any(r.aborted for r in results) else 0)
-    return status
+    tails_ok = all(c.ok for c in certs)
+    _emit({"schema": 1, "certificates": [c.as_dict() for c in certs], "ok": tails_ok},
+          out / "tails.json")
+    aborted = cfg.has_instance and any(
+        r.aborted for r in _write_runs(out, cfg, cfg.seed, cfg.workers))
+    return 0 if payload["ok"] and tails_ok and not aborted else 1
 
 
 def main(argv=None) -> int:

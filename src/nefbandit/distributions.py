@@ -420,14 +420,15 @@ class Poisson(BaseDistribution):
             return 0.0
         return float(special.pdtr(math.floor(y), self.nu))
 
-    def _cdf_grid(self, m: float):
+    def _grid(self, m: float):
+        """Atoms 0..kmax of the Poisson(m) law with their pmf and cdf."""
         kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
         ks = np.arange(kmax + 1)
-        logpmf = ks * math.log(m) - m - special.gammaln(ks + 1)
-        return ks, np.cumsum(np.exp(logpmf))
+        pmf = np.exp(ks * math.log(m) - m - special.gammaln(ks + 1))
+        return ks, pmf, np.cumsum(pmf)
 
     def quantile(self, p):
-        ks, cum = self._cdf_grid(self.nu)
+        ks, _, cum = self._grid(self.nu)
         idx = int(np.searchsorted(cum, p - 1e-15, side="left"))
         return float(min(idx, ks[-1]))
 
@@ -462,7 +463,7 @@ class Poisson(BaseDistribution):
 
     def sample_tilted(self, u, rng, size=None):
         m = self.nu * math.exp(float(u))
-        ks, cum = self._cdf_grid(m)
+        ks, _, cum = self._grid(m)
         us = np.atleast_1d(rng.random(size))
         idx = np.minimum(np.searchsorted(cum, us, side="left"), ks[-1])
         out = idx.astype(float)
@@ -470,10 +471,7 @@ class Poisson(BaseDistribution):
 
     def moment_report(self, u):
         m = self.nu * math.exp(float(u))
-        kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
-        ks = np.arange(kmax + 1)
-        logpmf = ks * math.log(m) - m - special.gammaln(ks + 1)
-        pmf = np.exp(logpmf)
+        ks, pmf, _ = self._grid(m)
         third_abs = float(np.sum(pmf * np.abs(ks - m) ** 3))
         return _analytic_report(self, u, third_abs, err=1e-12)
 
@@ -685,6 +683,14 @@ def _logsumexp(logs: np.ndarray) -> float:
     return float(m + math.log(np.sum(np.exp(logs - m))))
 
 
+def _per_tilt(fn, u):
+    """fn of one float tilt, over a scalar or elementwise over an array of tilts."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        return fn(float(u))
+    return np.array([fn(float(v)) for v in u.ravel()]).reshape(u.shape)
+
+
 class _AtomMixin:
     """Shared machinery for finite atom sets held as (locations, log-weights)."""
 
@@ -699,10 +705,7 @@ class _AtomMixin:
         return (float(self._locs.min()), float(self._locs.max()))
 
     def log_mgf(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return _logsumexp(self._logw + float(u) * self._locs)
-        return np.array([_logsumexp(self._logw + v * self._locs) for v in u.ravel()]).reshape(u.shape)
+        return _per_tilt(lambda v: _logsumexp(self._logw + v * self._locs), u)
 
     def _tilted_weights(self, u):
         logq = self._logw + float(u) * self._locs
@@ -711,11 +714,7 @@ class _AtomMixin:
         return q / q.sum()
 
     def mean_at(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return float(np.dot(self._tilted_weights(u), self._locs))
-        return np.array([float(np.dot(self._tilted_weights(v), self._locs))
-                         for v in u.ravel()]).reshape(u.shape)
+        return _per_tilt(lambda v: float(np.dot(self._tilted_weights(v), self._locs)), u)
 
     def _central(self, u, k):
         q = self._tilted_weights(u)
@@ -723,16 +722,10 @@ class _AtomMixin:
         return float(np.dot(q, (self._locs - m) ** k))
 
     def dmean_at(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return self._central(u, 2)
-        return np.array([self._central(v, 2) for v in u.ravel()]).reshape(u.shape)
+        return _per_tilt(lambda v: self._central(v, 2), u)
 
     def d2mean_at(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return self._central(u, 3)
-        return np.array([self._central(v, 3) for v in u.ravel()]).reshape(u.shape)
+        return _per_tilt(lambda v: self._central(v, 3), u)
 
     def cdf(self, y):
         w = np.exp(self._logw)
@@ -1056,21 +1049,9 @@ def parse_distribution(obj: dict, *, pointer: str = "/distribution") -> BaseDist
 
 def distribution_config(base: BaseDistribution) -> dict:
     """Inverse of parse_distribution for the public kinds."""
-    if isinstance(base, Bernoulli):
-        return {"kind": "bernoulli", "p": base.p}
-    if isinstance(base, Gaussian):
-        return {"kind": "gaussian", "sigma": base.sigma}
-    if isinstance(base, Exponential):
-        return {"kind": "exponential", "rate": base.rate}
-    if isinstance(base, Poisson):
-        return {"kind": "poisson", "nu": base.nu}
-    if isinstance(base, Laplace):
-        return {"kind": "laplace", "scale": base.scale}
-    if isinstance(base, Gamma):
-        return {"kind": "gamma", "shape": base.shape, "scale": base.scale}
     if isinstance(base, DiscreteAtoms):
         return {"kind": "atoms", "atoms": [[float(l), float(math.exp(w))]
                                            for l, w in zip(base._locs, base._logw)]}
-    if isinstance(base, CounterexampleSubgaussian):
-        return {"kind": "counterexample", "i_max": base.i_max}
-    raise InvalidArgumentError(f"kind {base.kind!r} has no config form")
+    if base.kind not in _SCHEMAS:
+        raise InvalidArgumentError(f"kind {base.kind!r} has no config form")
+    return {"kind": base.kind, **{f: getattr(base, f) for f in _SCHEMAS[base.kind]["fields"]}}

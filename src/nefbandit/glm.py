@@ -35,6 +35,7 @@ __all__ = [
     "gradient_map",
     "full_gradient",
     "hessian",
+    "cholesky_solve",
     "difference_quotient_matrix",
     "fit_mle",
 ]
@@ -43,6 +44,7 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _GRAD_TOL = 1e-8
 _ALPHA_COINCIDENCE = 1e-8
+_POTRF, _POTRS = linalg.get_lapack_funcs(("potrf", "potrs"), (np.eye(1),))
 
 
 @dataclass(frozen=True)
@@ -97,17 +99,20 @@ def _inner_products(family: NefFamily, data: Dataset, theta: np.ndarray,
     return inner
 
 
-def _feasible(family: NefFamily, data: Dataset, theta: np.ndarray) -> bool:
-    if data.n == 0:
-        return True
-    inner = data.arms @ np.asarray(theta, dtype=float).ravel()
-    lo, hi = family.base.mgf_domain
-    m = family.base.domain_margin()
-    if math.isfinite(hi) and inner.max() > hi - m:
-        return False
-    if math.isfinite(lo) and inner.min() < lo + m:
-        return False
-    return True
+def _gradient_map_at(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray,
+                     inner: np.ndarray) -> np.ndarray:
+    g = lam * theta
+    if data.n:
+        g = g + data.arms.T @ np.asarray(family.base.mean_at(inner), dtype=float)
+    return g
+
+
+def _hessian_at(family: NefFamily, data: Dataset, lam_eye: np.ndarray,
+                inner: np.ndarray) -> np.ndarray:
+    if not data.n:
+        return lam_eye
+    w = np.asarray(family.base.dmean_at(inner), dtype=float)
+    return lam_eye + (data.arms * w[:, None]).T @ data.arms
 
 
 def loss(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> float:
@@ -126,11 +131,7 @@ def gradient_map(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray
     """g(theta) = sum_i mu(x_i' theta) x_i + lam theta (reward terms excluded)."""
     theta = np.asarray(theta, dtype=float).ravel()
     inner = _inner_products(family, data, theta, op="gradient_map")
-    g = lam * theta
-    if data.n:
-        mu = np.asarray(family.base.mean_at(inner), dtype=float)
-        g = g + data.arms.T @ mu
-    return g
+    return _gradient_map_at(family, data, lam, theta, inner)
 
 
 def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
@@ -143,12 +144,22 @@ def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarra
 def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).ravel()
     inner = _inner_products(family, data, theta, op="hessian")
-    d = theta.shape[0]
-    H = lam * np.eye(d)
-    if data.n:
-        w = np.asarray(family.base.dmean_at(inner), dtype=float)
-        H = H + (data.arms * w[:, None]).T @ data.arms
-    return H
+    return _hessian_at(family, data, lam * np.eye(theta.shape[0]), inner)
+
+
+def cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b with LAPACK potrf/potrs on the lower triangle of H: scipy's
+    ``cho_factor(H, lower=True)`` + ``cho_solve`` bit for bit, minus their wrapper cost.
+    Raises ValueError on non-finite input, LinAlgError if H is not positive definite."""
+    if not (np.isfinite(H).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _POTRF(H, lower=1, overwrite_a=0, clean=0)
+    if info > 0:
+        raise linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    x, solve_info = _POTRS(c, b, lower=1, overwrite_b=0)
+    if info or solve_info:
+        raise ValueError(f"LAPACK reported an illegal argument ({info}, {solve_info})")
+    return x
 
 
 def _alpha(family: NefFamily, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -184,10 +195,26 @@ class FitResult:
     inner_lo: float
     inner_hi: float
     outside_admissible: bool   # any x_i' theta_hat outside [param_lo, param_hi]
+    hessian_at_hat: np.ndarray       # hessian(..., theta_hat), bit for bit
+    gradient_map_at_hat: np.ndarray  # gradient_map(..., theta_hat), bit for bit
 
     def __post_init__(self):
         if self.converged and self.gradient_norm > _GRAD_TOL:
             raise InvalidArgumentError("converged fit must have gradient norm <= 1e-8")
+
+
+def _evaluate(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray,
+              reward_map: np.ndarray):
+    """(inner products, loss, gradient map, full gradient) at theta, None if infeasible;
+    bit for bit ``loss``/``gradient_map``/``full_gradient``, reward_map being X' y."""
+    try:
+        inner = _inner_products(family, data, theta, op="fit_mle")
+    except DomainError:
+        return None
+    psi = np.asarray(family.base.log_mgf(inner), dtype=float)
+    f = 0.5 * lam * float(theta @ theta) + float(np.sum(psi - data.rewards * inner))
+    g = _gradient_map_at(family, data, lam, theta, inner)
+    return inner, f, g, g - reward_map
 
 
 def fit_mle(family: NefFamily, data: Dataset, lam: float,
@@ -196,54 +223,55 @@ def fit_mle(family: NefFamily, data: Dataset, lam: float,
     if lam <= 0:
         raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
     d = data.d if data.n else (len(np.asarray(init).ravel()) if init is not None else data.d)
-    theta = np.zeros(d) if init is None else np.asarray(init, dtype=float).ravel().copy()
+    lam_eye = lam * np.eye(d)
     if data.n == 0:
         return FitResult(theta_hat=np.zeros(d), gradient_norm=0.0, newton_iters=0,
                          converged=True, inner_lo=0.0, inner_hi=0.0,
-                         outside_admissible=False)
-    if not _feasible(family, data, theta):
+                         outside_admissible=False, hessian_at_hat=lam_eye,
+                         gradient_map_at_hat=lam * np.zeros(d))
+    theta = np.zeros(d) if init is None else np.asarray(init, dtype=float).ravel().copy()
+    reward_map = data.arms.T @ data.rewards
+    point = _evaluate(family, data, lam, theta, reward_map)
+    if point is None:
         raise DomainError("initial point is infeasible for the data",
                           value=None, interval=family.base.mgf_domain)
-
-    f = loss(family, data, lam, theta)
+    inner, f, g, grad = point
+    gnorm = float(np.linalg.norm(grad))
     iters = 0
-    gnorm = float(np.linalg.norm(full_gradient(family, data, lam, theta)))
     while gnorm > _GRAD_TOL and iters < max_iters:
-        grad = full_gradient(family, data, lam, theta)
-        H = hessian(family, data, lam, theta)
         try:
-            c, low = linalg.cho_factor(H, lower=True)
-            step = -linalg.cho_solve((c, low), grad)
+            step = -cholesky_solve(_hessian_at(family, data, lam_eye, inner), grad)
         except linalg.LinAlgError as exc:
             raise OptimizationError(f"Hessian factorization failed: {exc}",
                                     diagnostics={"iter": iters, "theta": theta.tolist()})
         slope = float(grad @ step)
-        t = 1.0
-        while t > 1e-16 and not _feasible(family, data, theta + t * step):
-            t *= _BACKTRACK
         # near the optimum the Newton decrement drops below the floating
         # resolution of the loss; sufficient-decrease tests are pure noise
         # there, so take the (feasibility-clipped) full step instead
         fp_noise = 1e-13 * (1.0 + abs(f))
-        if -slope > fp_noise:
-            while t > 1e-16:
-                trial = theta + t * step
-                if loss(family, data, lam, trial) <= f + _ARMIJO * t * slope + fp_noise:
-                    break
-                t *= _BACKTRACK
+        armijo = -slope > fp_noise
+        t = 1.0
+        while t > 1e-16:
+            trial = theta + t * step
+            point = _evaluate(family, data, lam, trial, reward_map)
+            if point is not None and (
+                    not armijo or point[1] <= f + _ARMIJO * t * slope + fp_noise):
+                break
+            t *= _BACKTRACK
         if t <= 1e-16:
             raise OptimizationError(
                 "no domain-feasible descent step found",
                 diagnostics={"iter": iters, "gradient_norm": gnorm,
                              "theta": theta.tolist(), "step": step.tolist()})
-        theta = theta + t * step
-        f = loss(family, data, lam, theta)
-        gnorm = float(np.linalg.norm(full_gradient(family, data, lam, theta)))
+        theta = trial
+        inner, f, g, grad = point
+        gnorm = float(np.linalg.norm(grad))
         iters += 1
 
-    inner = data.arms @ theta
-    lo_i, hi_i = (float(inner.min()), float(inner.max())) if data.n else (0.0, 0.0)
+    lo_i, hi_i = float(inner.min()), float(inner.max())
     outside = bool(lo_i < family.param_lo - 1e-12 or hi_i > family.param_hi + 1e-12)
     return FitResult(theta_hat=theta, gradient_norm=gnorm, newton_iters=iters,
                      converged=bool(gnorm <= _GRAD_TOL), inner_lo=lo_i, inner_hi=hi_i,
-                     outside_admissible=outside)
+                     outside_admissible=outside,
+                     hessian_at_hat=_hessian_at(family, data, lam_eye, inner),
+                     gradient_map_at_hat=g)

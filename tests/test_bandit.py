@@ -1,6 +1,7 @@
 """Instance construction, confidence machinery, the round loop, bound terms."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,8 +144,11 @@ def test_confidence_radius_formula_and_monotonicity():
 
 def _state(inst, t, lam, gamma, theta_hat=None, H=None):
     d = inst.d
-    return ConfidenceState(t=t, theta_hat=np.zeros(d) if theta_hat is None else theta_hat,
+    theta_hat = np.zeros(d) if theta_hat is None else theta_hat
+    # the gradient map at theta_hat on empty data is lam * theta_hat
+    return ConfidenceState(t=t, theta_hat=theta_hat,
                            hessian_at_hat=lam * np.eye(d) if H is None else H,
+                           gradient_map_at_hat=lam * theta_hat,
                            lambda_T=lam, gamma_t=gamma, delta=0.1)
 
 
@@ -212,9 +216,8 @@ def test_exact_set_pairs_obey_diameter_cap():
     from nefbandit.glm import fit_mle, hessian
     fit = fit_mle(inst.family, data, lam)
     gamma = confidence_radius(inst, T, T, delta)
-    state = ConfidenceState(t=T, theta_hat=fit.theta_hat,
-                            hessian_at_hat=hessian(inst.family, data, lam, fit.theta_hat),
-                            lambda_T=lam, gamma_t=gamma, delta=delta)
+    state = ConfidenceState(t=T, theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
+                            gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam, gamma_t=gamma, delta=delta)
     rng = replicate_stream(77, 0)
     members = []
     for _ in range(200):
@@ -281,6 +284,20 @@ def test_run_exponential_regret_curve_flattens():
         r500 += res.cum_regret_at(500)
         r2000 += res.cum_regret
     assert r2000 / 2000.0 < r500 / 500.0
+
+
+@pytest.mark.slow
+def test_golden_replicate_zero_is_pinned():
+    # pins every float of the round loop: any change to the fit, the
+    # Cholesky solves or the order of a floating-point sum moves these
+    from nefbandit.config import build_instance, load_config
+    cfg = load_config(Path(__file__).parent / "data" / "golden_config.json")
+    res = run_ofu_glb(build_instance(cfg), cfg.horizon, cfg.delta, seed=cfg.seed,
+                      replicate=0, lam_override=cfg.lam)
+    assert cfg.seed == 20240 and cfg.horizon == 2000 and not res.aborted
+    counts = np.bincount([r.arm for r in res.rounds], minlength=10)
+    assert counts.tolist() == [3, 594, 574, 0, 0, 0, 0, 0, 20, 809]
+    assert res.cum_regret == 935.4130886010116
 
 
 # ---------------------------------------------------------------------------

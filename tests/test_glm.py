@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from nefbandit.distributions import (
     Bernoulli,
@@ -15,6 +16,7 @@ from nefbandit.distributions import (
 from nefbandit.errors import DomainError, InvalidArgumentError
 from nefbandit.glm import (
     Dataset,
+    cholesky_solve,
     difference_quotient_matrix,
     fit_mle,
     full_gradient,
@@ -305,6 +307,42 @@ def test_fit_warm_start_is_fast():
     res = fit_mle(BERN, data, 1.0)
     warm = fit_mle(BERN, data, 1.0, init=res.theta_hat)
     assert warm.newton_iters <= 1
+
+
+@pytest.mark.parametrize("family,seed", [(EXP, 86), (BERN, 87)])
+def test_fit_returns_hessian_and_gradient_map_at_theta_hat(family, seed):
+    data, _ = random_instance(seed, family, n=120, d=3)
+    for init in (None, np.full(3, 0.05)):
+        res = fit_mle(family, data, 1.5, init=init)
+        assert res.converged
+        assert np.array_equal(res.hessian_at_hat, hessian(family, data, 1.5, res.theta_hat))
+        assert np.array_equal(res.gradient_map_at_hat,
+                              gradient_map(family, data, 1.5, res.theta_hat))
+    empty = Dataset(np.zeros((0, 3)), np.zeros(0))
+    res = fit_mle(family, empty, 1.5)
+    assert np.array_equal(res.hessian_at_hat, hessian(family, empty, 1.5, res.theta_hat))
+    assert np.array_equal(res.gradient_map_at_hat, gradient_map(family, empty, 1.5, res.theta_hat))
+
+
+def test_cholesky_solve_matches_scipy_bit_for_bit():
+    rng = replicate_stream(88, 0)
+    for d in (1, 2, 3, 5):
+        A = rng.standard_normal((d, d))
+        H = A @ A.T + 0.1 * np.eye(d)
+        H[0, -1] += 1e-3  # the upper triangle is never read
+        for b in (rng.standard_normal(d), rng.standard_normal((d, 4)),
+                  np.asfortranarray(rng.standard_normal((4, d))).T):
+            expected = linalg.cho_solve(linalg.cho_factor(H, lower=True), b)
+            assert np.array_equal(cholesky_solve(H, b), expected)
+
+
+def test_cholesky_solve_errors():
+    with pytest.raises(linalg.LinAlgError):
+        cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError):
+        cholesky_solve(np.array([[1.0, 0.0], [0.0, np.nan]]), np.ones(2))
+    with pytest.raises(ValueError):
+        cholesky_solve(np.eye(2), np.array([1.0, np.inf]))
 
 
 def test_dataset_validation():

@@ -104,6 +104,12 @@ def test_circle_generator_validation():
         parse_config({**SMALL_RUN, "arms": {"circle": {"n": 4, "radius": 1.5}}})
 
 
+def test_config_rejects_empty_grid():
+    for n in (0, -3, 2.5):
+        with pytest.raises(ParseError, match="/grid/n"):
+            parse_config({**MINIMAL, "grid": {"n": n}})
+
+
 def test_load_config_missing_file():
     with pytest.raises(ParseError, match="does not exist"):
         load_config("/nonexistent/cfg.json")
@@ -231,6 +237,45 @@ def test_cli_worker_pool_matches_serial(tmp_path):
     for k in range(4):
         name = f"rounds_rep{k:03d}.csv"
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_workers_capped_at_cpu_count(tmp_path, monkeypatch):
+    import nefbandit.cli as cli
+
+    requested = []
+
+    class InlinePool:
+        # records the pool size and maps in-process: no worker is ever started
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "replicates": 3, "horizon": 10})
+    rc = main(["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--workers", "64"])
+    assert rc == 0 and requested == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert main(["coverage", "--config", str(cfg), "--workers", "64"]) == 0
+    assert requested == [2]  # one usable core: the replicates run serially
+
+
+@pytest.mark.parametrize("command", ["verify", "tails"])
+@pytest.mark.parametrize("grid_n", ["0", "-3"])
+def test_cli_empty_grid_is_a_usage_error(command, grid_n, capsys):
+    rc = main([command, "--dist", '{"kind": "exponential", "rate": 1.0}', "--grid-n", grid_n])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "/grid-n" in captured.err and captured.out == ""
 
 
 def test_cli_out_env_override(tmp_path, monkeypatch):
