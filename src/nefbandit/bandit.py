@@ -67,7 +67,7 @@ class GlbInstance:
     Invariants: arms in the closed unit ball, every x' theta_star inside
     [S2, S1] strictly inside the natural parameter interval with
     -c2 < S2 <= S1 < c1, L at least the variance supremum on [S2, S1]
-    and at least 1, and M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).
+    and at least 1, K >= 0, and M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).
     """
 
     arms: np.ndarray
@@ -100,6 +100,8 @@ class GlbInstance:
             raise ConfigError("x' theta_star must lie in [S2, S1] for every arm")
         if self.L < 1.0:
             raise ConfigError(f"variance cap L must be at least 1, got {self.L}")
+        if not self.K >= 0.0:
+            raise ConfigError(f"stretch constant K must be nonnegative, got {self.K}")
         grid_sup = float(np.max(self.family.base.dmean_at(np.linspace(self.S2, self.S1, _GRID))))
         if self.L < grid_sup * (1 - 1e-9):
             raise ConfigError(f"L={self.L} is below the variance supremum {grid_sup:.6g} on [S2, S1]")
@@ -164,7 +166,7 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     if L is None:
         L = max(1.0, float(np.max(base.dmean_at(grid))))
     if K is None:
-        K = float(max(gamma_ratio(family, float(u)) for u in grid))
+        K = float(np.max(gamma_ratio(family, grid)))
     M = max(K / math.log(2.0), 1.0 / (c1 - S1), 1.0 / (c2 + S2))
     return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
                        S1=S1, S2=S2, L=float(L), K=float(K), M=float(M),

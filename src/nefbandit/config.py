@@ -139,7 +139,8 @@ def _expand_arms(obj, pointer: str) -> np.ndarray:
     raise ParseError("arms must be a list of vectors or a generator object", pointer=pointer)
 
 
-def _check_number(raw, key, pointer, *, integer=False, positive=False, nullable=False):
+def _check_number(raw, key, pointer, *, integer=False, positive=False, nonnegative=False,
+                  nullable=False):
     if key not in raw:
         return
     v = raw[key]
@@ -150,9 +151,11 @@ def _check_number(raw, key, pointer, *, integer=False, positive=False, nullable=
         ok = float(v).is_integer()
     if ok and positive:
         ok = v > 0
+    if ok and nonnegative:
+        ok = v >= 0
     if not ok:
-        raise ParseError(f"field {key!r} must be a "
-                         f"{'positive ' if positive else ''}{'integer' if integer else 'number'}",
+        sign = "positive " if positive else "nonnegative " if nonnegative else ""
+        raise ParseError(f"field {key!r} must be a {sign}{'integer' if integer else 'number'}",
                          pointer=f"{pointer}/{key}")
 
 
@@ -178,7 +181,7 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
                       ("workers", {"integer": True, "positive": True}),
                       ("S0", {"positive": True}), ("c1", {"positive": True}),
                       ("c2", {"positive": True}), ("L", {"positive": True}),
-                      ("K", {})):
+                      ("K", {"nonnegative": True})):
         _check_number(raw, key, pointer, **opts)
     if not 0.0 < raw["delta"] <= 1.0:
         raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}",

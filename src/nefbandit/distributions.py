@@ -9,10 +9,10 @@ moment.
 
 Every supported base ships closed forms for ``log M``, ``mu``, ``mu'``
 and ``mu''`` (vectorised over the tilt), plus CDF/quantile/tail helpers
-and a deterministic tilted sampler driven by uniforms.  High-accuracy
-moment reports go through ``moments``: analytic where a closed form is
-exact, adaptive quadrature for the Laplace density, log-domain series
-for atom sets.
+and a deterministic tilted sampler driven by uniforms; ``gamma_ratio``,
+the ratio ``|mu''|/mu'`` behind K, uses them alone.  ``moments`` reports,
+their test reference, are analytic where a closed form is exact, adaptive
+quadrature for the Laplace density, log-domain series for atom sets.
 """
 
 from __future__ import annotations
@@ -676,25 +676,29 @@ class Gamma(BaseDistribution):
 # Atom kinds: log-domain weighted sums throughout
 # ---------------------------------------------------------------------------
 
-def _logsumexp(logs: np.ndarray) -> float:
-    m = np.max(logs)
-    if not math.isfinite(m):
-        return float(m)
-    return float(m + math.log(np.sum(np.exp(logs - m))))
-
-
-def _per_tilt(fn, u):
-    """fn of one float tilt, over a scalar or elementwise over an array of tilts."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        return fn(float(u))
-    return np.array([fn(float(v)) for v in u.ravel()]).reshape(u.shape)
+def _logsumexp(logs: np.ndarray):  # over the last axis
+    m = logs.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return (m + np.log(np.exp(logs - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 class _AtomMixin:
-    """Shared machinery for finite atom sets held as (locations, log-weights)."""
+    """Shared machinery for finite atom sets held as (locations, log-weights).
+
+    Tilts are vectorised: one log-softmax over a (tilts x atoms) matrix.
+    """
 
     # subclasses provide: self._locs (ndarray), self._logw (ndarray, normalised)
+
+    @property
+    def log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atom locations and their normalised log-weights (read-only arrays)."""
+        return self._locs, self._logw
+
+    def _set_atoms(self, locs: np.ndarray, logw: np.ndarray) -> None:
+        for name, arr in (("_locs", locs), ("_logw", logw)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def mgf_domain(self):
@@ -704,28 +708,30 @@ class _AtomMixin:
     def support_bounds(self):
         return (float(self._locs.min()), float(self._locs.max()))
 
+    def _exponents(self, u):  # log w + u * loc: a row per tilt, a column per atom
+        return self._logw + np.multiply.outer(np.asarray(u, dtype=float), self._locs)
+
     def log_mgf(self, u):
-        return _per_tilt(lambda v: _logsumexp(self._logw + v * self._locs), u)
+        return _logsumexp(self._exponents(u))
 
     def _tilted_weights(self, u):
-        logq = self._logw + float(u) * self._locs
-        logq = logq - np.max(logq)
-        q = np.exp(logq)
-        return q / q.sum()
+        logq = self._exponents(u)
+        q = np.exp(logq - logq.max(axis=-1, keepdims=True))
+        return q / q.sum(axis=-1, keepdims=True)
 
     def mean_at(self, u):
-        return _per_tilt(lambda v: float(np.dot(self._tilted_weights(v), self._locs)), u)
+        return (self._tilted_weights(u) * self._locs).sum(axis=-1)
 
     def _central(self, u, k):
         q = self._tilted_weights(u)
-        m = float(np.dot(q, self._locs))
-        return float(np.dot(q, (self._locs - m) ** k))
+        d = self._locs - (q * self._locs).sum(axis=-1, keepdims=True)
+        return (q * d**k).sum(axis=-1)
 
     def dmean_at(self, u):
-        return _per_tilt(lambda v: self._central(v, 2), u)
+        return self._central(u, 2)
 
     def d2mean_at(self, u):
-        return _per_tilt(lambda v: self._central(v, 3), u)
+        return self._central(u, 3)
 
     def cdf(self, y):
         w = np.exp(self._logw)
@@ -789,8 +795,7 @@ class DiscreteAtoms(_AtomMixin, BaseDistribution):
             raise InvalidArgumentError(f"atom weights must sum to 1 within {_ATOM_WEIGHT_TOL}, "
                                        f"got {w.sum()!r}")
         keep = w > 0
-        object.__setattr__(self, "_locs", locs[keep])
-        object.__setattr__(self, "_logw", np.log(w[keep] / w[keep].sum()))
+        self._set_atoms(locs[keep], np.log(w[keep] / w[keep].sum()))
 
     @property
     def support(self):
@@ -822,9 +827,8 @@ class CounterexampleSubgaussian(_AtomMixin, BaseDistribution):
         locs = np.power(2.0, ks)
         raw = np.where(ks % 2 == 0, -np.power(4.0, ks),
                        math.log(0.25) - 3.0 * np.power(4.0, ks - 1))
-        norm = _logsumexp(raw)
-        object.__setattr__(self, "_locs", locs)
-        object.__setattr__(self, "_logw", raw - norm)
+        norm = float(_logsumexp(raw))
+        self._set_atoms(locs, raw - norm)
         object.__setattr__(self, "_log_norm", norm)
 
     @property
@@ -921,8 +925,8 @@ def reflected(base: BaseDistribution) -> BaseDistribution:
     if isinstance(base, Bernoulli):
         return DiscreteAtoms(((-1.0, base.p), (0.0, 1.0 - base.p)))
     if isinstance(base, (DiscreteAtoms, CounterexampleSubgaussian)):
-        w = np.exp(base._logw)
-        return DiscreteAtoms(tuple((float(-l), float(p)) for l, p in zip(base._locs, w)))
+        locs, logw = base.log_atoms
+        return DiscreteAtoms(tuple((float(-l), float(p)) for l, p in zip(locs, np.exp(logw))))
     if isinstance(base, Shifted):
         return Shifted(reflected(base.base), -base.offset)
     raise InvalidArgumentError(f"reflection of kind {base.kind!r} is not representable")
@@ -989,12 +993,19 @@ def moments(dist, u: float) -> MomentReport:
     return base.moment_report(u)
 
 
-def gamma_ratio(dist, u: float) -> float:
-    """|third central| / variance of Q_u; 0 for point masses."""
-    rep = moments(dist, u)
-    if rep.variance == 0.0:
-        return 0.0
-    return abs(rep.third_central) / rep.variance
+def gamma_ratio(dist, u):
+    """|mu''(u)| / mu'(u) from the closed forms; 0 where mu' is 0.
+
+    Elementwise over an array of tilts, a float for a float tilt.
+    """
+    base = _base_of(dist)
+    grid = np.atleast_1d(np.asarray(u, dtype=float))  # scalars would take other bits
+    for extreme in (grid.min(), grid.max()):  # the interval is convex; NaN propagates
+        base.require_interior(extreme, op="gamma_ratio")
+    var = base.dmean_at(grid)
+    ratio = np.divide(np.abs(base.d2mean_at(grid)), var, out=np.zeros_like(var),
+                      where=var != 0.0)
+    return float(ratio[0]) if np.ndim(u) == 0 else ratio
 
 
 def sample_tilted(dist, u: float, rng: np.random.Generator, size: int | None = None):
@@ -1051,7 +1062,7 @@ def distribution_config(base: BaseDistribution) -> dict:
     """Inverse of parse_distribution for the public kinds."""
     if isinstance(base, DiscreteAtoms):
         return {"kind": "atoms", "atoms": [[float(l), float(math.exp(w))]
-                                           for l, w in zip(base._locs, base._logw)]}
+                                           for l, w in zip(*base.log_atoms)]}
     if base.kind not in _SCHEMAS:
         raise InvalidArgumentError(f"kind {base.kind!r} has no config form")
     return {"kind": base.kind, **{f: getattr(base, f) for f in _SCHEMAS[base.kind]["fields"]}}

@@ -198,15 +198,16 @@ def _quantile_toward_tail(base: BaseDistribution, level: float, side: str) -> fl
         return float(base.quantile(level))
     if isinstance(base, Shifted):
         return base.offset + _quantile_toward_tail(base.base, level, side)
-    if hasattr(base, "_locs"):
-        order = np.argsort(np.asarray(base._locs))[::-1]
-        w = np.exp(np.asarray(base._logw))
+    if isinstance(base, (DiscreteAtoms, CounterexampleSubgaussian)):
+        locs, logw = base.log_atoms
+        order = np.argsort(locs)[::-1]
+        w = np.exp(logw)
         acc = 0.0
         for i in order:
             acc += w[i]
             if acc >= level - 1e-15:
-                return float(base._locs[i])
-        return float(base._locs[order[-1]])
+                return float(locs[i])
+        return float(locs[order[-1]])
     if isinstance(base, Bernoulli):
         return 1.0 if base.p >= level - 1e-15 else 0.0
     return float(base.quantile(1.0 - level))
@@ -445,14 +446,12 @@ class DominanceReport:
 
 def verify_dominance(cert: StretchCertificate, family: NefFamily,
                      grid_n: int = 200) -> DominanceReport:
-    """Check bound >= measured ratio on an even grid over the tilt range."""
-    lo, hi = family.interval
-    pts = []
-    bad = 0
-    for u in np.linspace(lo, hi, grid_n):
-        ratio = gamma_ratio(family, float(u))
-        bound = stretch_bound(cert, float(u))
-        ok = bool(bound >= ratio)
-        bad += 0 if ok else 1
-        pts.append({"u": float(u), "ratio": ratio, "bound": bound, "ok": ok})
-    return DominanceReport(points=tuple(pts), violations=bad)
+    """Check bound >= measured ratio on an even grid of grid_n >= 1 tilts."""
+    if grid_n < 1:
+        raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
+    us = np.linspace(*family.interval, grid_n)
+    ratios = gamma_ratio(family, us)
+    bounds = [stretch_bound(cert, u) for u in us]
+    pts = tuple({"u": float(u), "ratio": float(r), "bound": b, "ok": bool(b >= r)}
+                for u, r, b in zip(us, ratios, bounds))
+    return DominanceReport(points=pts, violations=sum(not p["ok"] for p in pts))

@@ -19,6 +19,8 @@ from scipy import integrate
 
 from .distributions import (
     BaseDistribution,
+    CounterexampleSubgaussian,
+    DiscreteAtoms,
     Laplace,
     NefFamily,
     Shifted,
@@ -190,9 +192,11 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
     """
     inner = base.base if isinstance(base, Shifted) else base
     offset = base.offset if isinstance(base, Shifted) else 0.0
-    if hasattr(inner, "_locs"):
-        q = inner._tilted_weights(u)
-        return float(np.dot(q, np.exp(eps * (inner._locs + offset))))
+    if isinstance(inner, (DiscreteAtoms, CounterexampleSubgaussian)):
+        locs, logw = inner.log_atoms
+        logq = logw + u * locs
+        q = np.exp(logq - np.max(logq))
+        return float(np.dot(q / q.sum(), np.exp(eps * (locs + offset))))
     try:
         t = base.tilted(u)
     except InvalidArgumentError:
@@ -216,10 +220,12 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _cert(name, side, rate, scale, checked_on, slacks) -> TailCertificate:
-    worst = float(max(slacks)) if len(slacks) else -math.inf
+    """Certificate over a nonempty grid; a non-finite slack anywhere fails it."""
+    slacks = np.asarray(slacks, dtype=float)
+    worst = float(np.max(slacks))
     return TailCertificate(name=name, side=side, rate=rate, scale=scale,
                            checked_on=checked_on, max_slack=worst,
-                           ok=bool(worst <= SLACK))
+                           ok=bool(np.isfinite(slacks).all() and worst <= SLACK))
 
 
 def run_tail_suite(base: BaseDistribution, c1: float | None = None,
@@ -231,6 +237,8 @@ def run_tail_suite(base: BaseDistribution, c1: float | None = None,
     Chernoff fit at 90% of the distance to each finite domain endpoint
     (rate 1 on infinite sides).
     """
+    if grid_n < 1:
+        raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
     cb = centered(base)
     d1, d2 = default_tail_rates(cb)
     c1 = d1 if c1 is None else c1
@@ -260,8 +268,7 @@ def run_tail_suite(base: BaseDistribution, c1: float | None = None,
                        f"t in [0, 5], {grid_n} points", sl_l))
 
     # Quadratic CGF cap for tilts in the admissible range
-    K = max(gamma_ratio(cb, float(u)) for u in np.linspace(*interval, 65))
-    K = max(K, 1e-9)
+    K = max(float(np.max(gamma_ratio(cb, np.linspace(*interval, 65)))), 1e-9)
     lo, hi = _admissible_shift_box(fam, K)
     slacks = []
     for u in np.linspace(*interval, 9):

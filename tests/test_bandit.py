@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from nefbandit.bandit import (
     ConfidenceState,
@@ -27,6 +28,7 @@ from nefbandit.distributions import (
     Gaussian,
     NefFamily,
     gamma_ratio,
+    parse_distribution,
 )
 from nefbandit.errors import ConfigError, DomainError, InvalidArgumentError
 from nefbandit.glm import Dataset
@@ -86,6 +88,30 @@ def test_instance_validation_errors():
         GlbInstance(arms=inst.arms, theta_star=inst.theta_star, family=inst.family,
                     S0=inst.S0, S1=inst.S1, S2=inst.S2, L=inst.L, K=inst.K,
                     M=1.0, c1=inst.c1, c2=inst.c2)
+    for K in (-1.0, math.nan):
+        with pytest.raises(ConfigError, match="K must be nonnegative"):
+            make_instance(Bernoulli(0.5), ARMS3, THETA3, K=K)
+
+
+README_KINDS = [
+    {"kind": "bernoulli", "p": 0.5}, {"kind": "gaussian", "sigma": 1.0},
+    {"kind": "exponential", "rate": 1.0}, {"kind": "poisson", "nu": 2.0},
+    {"kind": "laplace", "scale": 1.0}, {"kind": "gamma", "shape": 2.0, "scale": 1.0},
+    {"kind": "atoms", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
+    {"kind": "counterexample", "i_max": 24},
+]
+
+
+@pytest.mark.parametrize("spec", README_KINDS, ids=lambda s: s["kind"])
+def test_make_instance_K_from_closed_forms_only(spec, monkeypatch):
+    base = parse_distribution(spec)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("make_instance reached scipy.integrate.quad")
+
+    monkeypatch.setattr(integrate, "quad", no_quadrature)
+    inst = make_instance(base, circle_arms(), np.array([0.5, 0.0]))
+    assert inst.K == max(gamma_ratio(base, float(u)) for u in np.linspace(inst.S2, inst.S1, 513))
 
 
 # ---------------------------------------------------------------------------

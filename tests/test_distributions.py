@@ -58,7 +58,7 @@ def tilted_total_mass(base, u):
     if isinstance(base, Bernoulli):
         return float(np.exp(np.array([math.log1p(-base.p), math.log(base.p) + u]) - logm).sum())
     if isinstance(base, (DiscreteAtoms, CounterexampleSubgaussian)):
-        locs, logw = base._locs, base._logw
+        locs, logw = base.log_atoms
         return float(np.exp(logw + u * locs - logm).sum())
     if isinstance(base, Poisson):
         ks = np.arange(0, 200)
@@ -201,6 +201,8 @@ def test_moments_point_mass_degenerates_to_zero():
     assert rep.variance == 0.0
     assert rep.third_central == 0.0
     assert gamma_ratio(DiscreteAtoms(((3.0, 1.0),)), 2.0) == 0.0
+    np.testing.assert_array_equal(
+        gamma_ratio(DiscreteAtoms(((3.0, 1.0),)), np.linspace(-2.0, 2.0, 5)), np.zeros(5))
 
 
 def test_moments_laplace_quadrature_vs_closed_forms():
@@ -256,6 +258,73 @@ def test_gamma_ratio_laplace_closed_form():
     lam, u = 1.0, 0.5
     expected = 2 * abs(u) * (3 * lam**2 + u**2) / ((lam - u) * (lam + u) * (lam**2 + u**2))
     assert gamma_ratio(Laplace(1.0), u) == pytest.approx(expected, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# closed-form ratio path over whole tilt grids
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_BASES = ALL_BASES + [
+    CounterexampleSubgaussian(24),
+    Shifted(Laplace(0.5), 1.5),
+    Shifted(DiscreteAtoms(((0.0, 0.3), (1.0, 0.7))), -0.7),
+]
+ATOM_BASES = [DiscreteAtoms(((-2.0, 0.1), (0.0, 0.6), (3.5, 0.3))),
+              DiscreteAtoms(((5.0, 1.0),)), CounterexampleSubgaussian(24)]
+
+
+def _kind_id(base):
+    return base.kind if not isinstance(base, Shifted) else f"shifted-{base.base.kind}"
+
+
+@pytest.mark.parametrize("base", CLOSED_FORM_BASES, ids=_kind_id)
+def test_gamma_ratio_grid_equals_scalar_calls_bitwise(base):
+    us = interior_grid(base, n=41, frac=0.9)
+    grid = gamma_ratio(base, us)
+    assert isinstance(grid, np.ndarray) and grid.shape == us.shape
+    scalars = [gamma_ratio(base, float(u)) for u in us]
+    assert all(type(r) is float for r in scalars)
+    np.testing.assert_array_equal(grid, scalars)
+    np.testing.assert_array_equal(gamma_ratio(base, us.reshape(-1, 1)), np.c_[scalars])
+
+
+@pytest.mark.parametrize("base", ATOM_BASES, ids=lambda b: f"{b.kind}{len(b.log_atoms[0])}")
+@pytest.mark.parametrize("method", ["log_mgf", "mean_at", "dmean_at", "d2mean_at"])
+def test_atom_methods_over_a_grid_equal_per_tilt_values(base, method):
+    us = np.linspace(-3.0, 3.0, 25)
+    grid = getattr(base, method)(us)
+    assert grid.shape == us.shape
+    np.testing.assert_array_equal(grid, [getattr(base, method)(float(u)) for u in us])
+    np.testing.assert_array_equal(getattr(base, method)(us.reshape(5, 5)), grid.reshape(5, 5))
+
+
+@pytest.mark.parametrize("base", CLOSED_FORM_BASES, ids=_kind_id)
+def test_closed_form_variance_and_third_moment_match_moment_reports(base):
+    us = interior_grid(base, n=9)
+    reps = [moments(base, float(u)) for u in us]
+    np.testing.assert_allclose(base.dmean_at(us), [r.variance for r in reps],
+                               rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(base.d2mean_at(us), [r.third_central for r in reps],
+                               rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad,err", [
+    (1.0, DomainError), (1.5, DomainError), (math.nan, InvalidArgumentError),
+    (-math.inf, InvalidArgumentError)])
+def test_gamma_ratio_rejects_any_bad_tilt_in_a_grid(bad, err):
+    us = np.array([-0.5, 0.0, bad, 0.25])
+    with pytest.raises(err):
+        gamma_ratio(Exponential(1.0), us)
+    with pytest.raises(err):
+        gamma_ratio(NefFamily(Exponential(1.0), -0.5, 0.5), us.reshape(2, 2))
+
+
+def test_log_atoms_is_read_only():
+    locs, logw = DiscreteAtoms(((0.0, 0.25), (2.0, 0.75))).log_atoms
+    np.testing.assert_array_equal(locs, [0.0, 2.0])
+    np.testing.assert_allclose(np.exp(logw), [0.25, 0.75], rtol=1e-15)
+    with pytest.raises(ValueError):
+        locs[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

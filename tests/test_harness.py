@@ -104,6 +104,16 @@ def test_circle_generator_validation():
         parse_config({**SMALL_RUN, "arms": {"circle": {"n": 4, "radius": 1.5}}})
 
 
+def test_config_rejects_negative_K(tmp_path, capsys):
+    with pytest.raises(ParseError, match="/K"):
+        parse_config({**SMALL_RUN, "K": -1})
+    assert parse_config({**SMALL_RUN, "K": 0}).raw["K"] == 0
+    rc = main(["bound", "--config", str(_write_cfg(tmp_path, {**SMALL_RUN, "K": -1}))])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "/K" in captured.err and captured.out == ""
+
+
 def test_config_rejects_empty_grid():
     for n in (0, -3, 2.5):
         with pytest.raises(ParseError, match="/grid/n"):
@@ -276,6 +286,15 @@ def test_cli_empty_grid_is_a_usage_error(command, grid_n, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert "/grid-n" in captured.err and captured.out == ""
+
+
+def test_cli_tails_non_finite_slack_exits_1(capsys):
+    rc = main(["tails", "--dist", '{"kind": "counterexample", "i_max": 24}'])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert [c["name"] for c in payload["certificates"] if not c["ok"]] == \
+        ["tilted_mgf_ratio_identity"]
 
 
 def test_cli_out_env_override(tmp_path, monkeypatch):

@@ -258,6 +258,29 @@ def test_verify_dominance_no_violations(base, interval):
     assert len(report.points) == 50
 
 
+def test_verify_dominance_rejects_an_empty_grid():
+    base = Exponential(1.0)
+    cert = build_certificate(base)
+    for n in (0, -3):
+        with pytest.raises(InvalidArgumentError, match="grid_n"):
+            verify_dominance(cert, NefFamily(base, -0.5, 0.5), grid_n=n)
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("the ratio path reached scipy.integrate.quad")
+
+
+@pytest.mark.parametrize("base", [Laplace(1.0), Gamma(2.0, 1.0), MIX4], ids=lambda b: b.kind)
+def test_verify_dominance_uses_closed_forms_only(base, monkeypatch):
+    cert = build_certificate(base)
+    fam = NefFamily(base, -0.8 * cert.tail.c2, 0.8 * cert.tail.c1)
+    expected = [gamma_ratio(base, float(u)) for u in np.linspace(*fam.interval, 200)]
+    monkeypatch.setattr(integrate, "quad", _no_quadrature)
+    report = verify_dominance(cert, fam)
+    assert report.all_ok
+    assert [p["ratio"] for p in report.points] == expected
+
+
 # ---------------------------------------------------------------------------
 # subgaussian envelope
 # ---------------------------------------------------------------------------
@@ -300,8 +323,9 @@ def test_subgaussian_envelope_rejects_bad_proxy():
 
 def test_counterexample_three_atoms_weight_ratios():
     base = counterexample_distribution(3)
-    assert list(base._locs) == [2.0, 4.0, 8.0]
-    w = np.exp(base._logw)
+    locs, logw = base.log_atoms
+    assert list(locs) == [2.0, 4.0, 8.0]
+    w = np.exp(logw)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     raw = np.array([0.25 * math.exp(-3.0), math.exp(-16.0), 0.25 * math.exp(-48.0)])
     np.testing.assert_allclose(w, raw / raw.sum(), rtol=1e-13)

@@ -8,6 +8,7 @@ from scipy import integrate, special
 
 from nefbandit.distributions import (
     Bernoulli,
+    CounterexampleSubgaussian,
     DiscreteAtoms,
     Exponential,
     Gamma,
@@ -29,6 +30,7 @@ from nefbandit.selfconcordance import (
     stretch_supremum,
 )
 from nefbandit.tailbounds import (
+    _cert,
     measured_tilted_mgf,
     mgf_from_tail_bound,
     run_tail_suite,
@@ -261,3 +263,24 @@ def test_run_tail_suite_all_certificates_pass(base):
     for c in certs:
         assert c.ok, f"{c.name}: max slack {c.max_slack}"
         assert c.max_slack <= 1e-10
+
+
+def test_run_tail_suite_rejects_an_empty_grid():
+    for n in (0, -3):
+        with pytest.raises(InvalidArgumentError, match="grid_n"):
+            run_tail_suite(Exponential(1.0), grid_n=n)
+
+
+def test_non_finite_slack_fails_its_certificate():
+    # the atom series overflows to inf * 0 = nan at the far atoms, after finite slacks
+    certs = {c.name: c for c in run_tail_suite(CounterexampleSubgaussian(24))}
+    ident = certs["tilted_mgf_ratio_identity"]
+    assert math.isnan(ident.max_slack)
+    assert not ident.ok
+    assert [n for n, c in certs.items() if not c.ok] == ["tilted_mgf_ratio_identity"]
+
+
+@pytest.mark.parametrize("slacks", [[-1.0, math.nan, -2.0], [-1.0, math.inf], [-math.inf, -1.0]])
+def test_certificate_with_a_non_finite_slack_fails(slacks):
+    assert not _cert("c", "both", 0.0, 0.0, "grid", slacks).ok
+    assert _cert("c", "both", 0.0, 0.0, "grid", [-1.0, -2.0]).ok
