@@ -294,37 +294,30 @@ def run_ofu_glb(inst: GlbInstance, T: int, delta: float, seed: int = 0,
     theta_hat = np.zeros(d)
     logs: list[RoundLog] = []
     cum = 0.0
-    degenerate = inst.K == 0.0 and float(base.dmean_at(0.0)) == 0.0
 
     for t in range(1, T + 1):
         data = _View(X[:t - 1], y[:t - 1], t - 1, d)
-        if degenerate:
-            # point-mass rewards: every arm shares one mean, regret is zero
-            theta_hat = np.zeros(d)
-            H_hat, g_hat = lam * np.eye(d), gradient_map(inst.family, data, lam, theta_hat)
-        else:
+        try:
             try:
-                try:
-                    fit = fit_mle(inst.family, data, lam, init=theta_hat) if data.n \
-                        else fit_mle(inst.family, data, lam)
-                except DomainError:
-                    # the newest row can make the warm start infeasible;
-                    # the origin never is (zero inner products)
-                    fit = fit_mle(inst.family, data, lam)
-            except (OptimizationError, DomainError) as exc:
-                return RunResult(rounds=tuple(logs), aborted=True,
-                                 abort_reason=f"round {t}: {exc}")
-            theta_hat, H_hat, g_hat = fit.theta_hat, fit.hessian_at_hat, fit.gradient_map_at_hat
-        state = ConfidenceState(t=t, theta_hat=theta_hat, hessian_at_hat=H_hat,
-                                gradient_map_at_hat=g_hat, lambda_T=lam,
+                fit = fit_mle(inst.family, data, lam, init=theta_hat)
+            except DomainError:
+                # the newest row can make the warm start infeasible;
+                # the origin never is (zero inner products)
+                fit = fit_mle(inst.family, data, lam)
+        except (OptimizationError, DomainError) as exc:
+            return RunResult(rounds=tuple(logs), aborted=True,
+                             abort_reason=f"round {t}: {exc}")
+        theta_hat = fit.theta_hat
+        state = ConfidenceState(t=t, theta_hat=theta_hat, hessian_at_hat=fit.hessian_at_hat,
+                                gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam,
                                 gamma_t=confidence_radius(inst, t, T, delta, lam=lam),
                                 delta=delta)
         arm, index_value = optimistic_choice(inst, state)
         reward = float(base.sample_tilted(float(arm_inner[arm]), rng))
         inst_regret = star_mean - float(arm_means[arm])
         cum += inst_regret
-        exact = True if degenerate else exact_membership(inst, state, data, inst.theta_star)
-        relaxed = True if degenerate else relaxed_membership(inst, state, inst.theta_star)
+        exact = exact_membership(inst, state, data, inst.theta_star)
+        relaxed = relaxed_membership(inst, state, inst.theta_star)
         logs.append(RoundLog(t=t, arm=arm, index=index_value, reward=reward,
                              inst_regret=inst_regret, cum_regret=cum,
                              exact_cover=bool(exact), relaxed_cover=bool(relaxed)))

@@ -22,7 +22,7 @@ import numpy as np
 from .bandit import GlbInstance, RunResult, run_ofu_glb, theoretical_regret_bound
 from .config import ExperimentConfig, build_instance, load_config, parse_config
 from .distributions import NefFamily, parse_distribution
-from .errors import NefBanditError, ParseError
+from .errors import InvalidArgumentError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
 from .selfconcordance import StretchCertificate, build_certificate, verify_dominance
 from .tailbounds import run_tail_suite
@@ -54,8 +54,19 @@ def _resolve_out(explicit: str | None, cfg_out=None) -> Path | None:
     return out
 
 
+def _strict(obj):
+    """The payload with every non-finite float as None, so it serialises as strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict, path: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -145,7 +156,11 @@ def cmd_fit(ns) -> int:
     plo = ns.param_lo if ns.param_lo is not None else (0.9 * lo if math.isfinite(lo) else -1e9)
     phi = ns.param_hi if ns.param_hi is not None else (0.9 * hi if math.isfinite(hi) else 1e9)
     family = NefFamily(base, plo, phi)
-    result = fit_mle(family, Dataset(X, y), ns.lam)
+    try:
+        data = Dataset(X, y)
+    except InvalidArgumentError as exc:
+        raise ParseError(str(exc), pointer="/data")
+    result = fit_mle(family, data, ns.lam)
     _emit({
         "theta_hat": result.theta_hat.tolist(),
         "gradient_norm": result.gradient_norm,

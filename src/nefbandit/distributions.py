@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import (
-    DegenerateDistributionError,
     DomainError,
     InvalidArgumentError,
     NumericError,
@@ -69,19 +67,22 @@ def _require_finite(u, name: str = "u") -> float:
 
 
 class BaseDistribution:
-    """Common interface for base measures Q."""
+    """Common interface for base measures Q.
+
+    Each kind supplies:
+
+    - ``mgf_domain``: the open interval on which M is finite;
+    - ``support_bounds``: essential infimum and supremum of the support;
+    - ``log_mgf``, ``mean_at``, ``dmean_at`` (variance of Q_u) and
+      ``d2mean_at`` (third central moment of Q_u), vectorised over u;
+    - ``quantile(p)``, and ``cdf(y)`` or its own ``interval_mass``;
+    - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
+      ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t));
+    - ``sample_tilted(u, rng, size)`` and ``moment_report(u)``;
+    - optionally ``tilted(u)``, an exact conjugate form of Q_u.
+    """
 
     kind: str = ""
-
-    # -- natural parameter interval -------------------------------------
-    @property
-    def mgf_domain(self) -> tuple[float, float]:
-        """Open interval on which M is finite."""
-        raise NotImplementedError
-
-    @property
-    def support(self) -> str:
-        raise NotImplementedError
 
     def domain_margin(self) -> float:
         """Guard band near finite domain endpoints; M and mu' blow up there."""
@@ -99,55 +100,13 @@ class BaseDistribution:
                               value=u, interval=(lo, hi))
         return u
 
-    # -- closed forms, vectorised over u --------------------------------
-    def log_mgf(self, u):
-        raise NotImplementedError
-
-    def mean_at(self, u):
-        raise NotImplementedError
-
-    def dmean_at(self, u):
-        """Variance of Q_u."""
-        raise NotImplementedError
-
-    def d2mean_at(self, u):
-        """Third central moment of Q_u."""
-        raise NotImplementedError
-
-    # -- probability helpers ---------------------------------------------
-    def cdf(self, y: float) -> float:
-        raise NotImplementedError
-
-    def quantile(self, p: float) -> float:
-        raise NotImplementedError
-
     def interval_mass(self, lo: float, hi: float) -> float:
         """Q([lo, hi]), endpoints included for atom kinds."""
-        raise NotImplementedError
+        return max(self.cdf(hi) - self.cdf(lo), 0.0)
 
-    @property
-    def support_bounds(self) -> tuple[float, float]:
-        """Essential infimum and supremum of the support."""
-        raise NotImplementedError
-
-    def tilted_upper_tail(self, u: float, t: float) -> float:
-        """Q_u((t, ∞))."""
-        raise NotImplementedError
-
-    def tilted_lower_tail(self, u: float, t: float) -> float:
-        """Q_u((-∞, -t))."""
-        raise NotImplementedError
-
-    # -- optional structure -----------------------------------------------
     def tilted(self, u: float) -> "BaseDistribution":
         """Exact conjugate representation of Q_u, where one exists."""
         raise InvalidArgumentError(f"{self.kind} has no closed tilted form among supported kinds")
-
-    def sample_tilted(self, u: float, rng: np.random.Generator, size: int | None = None):
-        raise NotImplementedError
-
-    def moment_report(self, u: float) -> "MomentReport":
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -196,10 +155,6 @@ class Bernoulli(BaseDistribution):
         return (-math.inf, math.inf)
 
     @property
-    def support(self):
-        return "atoms {0, 1}"
-
-    @property
     def support_bounds(self):
         return (0.0, 1.0)
 
@@ -218,9 +173,6 @@ class Bernoulli(BaseDistribution):
     def d2mean_at(self, u):
         m = self.mean_at(u)
         return m * (1.0 - m) * (1.0 - 2.0 * m)
-
-    def cdf(self, y):
-        return 0.0 if y < 0 else (1.0 - self.p if y < 1 else 1.0)
 
     def quantile(self, p):
         return 0.0 if p <= 1.0 - self.p else 1.0
@@ -277,10 +229,6 @@ class Gaussian(BaseDistribution):
         return (-math.inf, math.inf)
 
     @property
-    def support(self):
-        return "reals"
-
-    @property
     def support_bounds(self):
         return (-math.inf, math.inf)
 
@@ -301,9 +249,6 @@ class Gaussian(BaseDistribution):
 
     def quantile(self, p):
         return float(self.sigma * special.ndtri(p))
-
-    def interval_mass(self, lo, hi):
-        return self.cdf(hi) - self.cdf(lo)
 
     def tilted(self, u):
         return Shifted(Gaussian(self.sigma), self.sigma**2 * float(u))
@@ -336,10 +281,6 @@ class Exponential(BaseDistribution):
         return (-math.inf, self.rate)
 
     @property
-    def support(self):
-        return "interval [0, ∞)"
-
-    @property
     def support_bounds(self):
         return (0.0, math.inf)
 
@@ -360,9 +301,6 @@ class Exponential(BaseDistribution):
 
     def quantile(self, p):
         return -math.log1p(-p) / self.rate
-
-    def interval_mass(self, lo, hi):
-        return max(self.cdf(hi) - self.cdf(lo), 0.0)
 
     def tilted(self, u):
         return Exponential(self.rate - float(u))
@@ -399,10 +337,6 @@ class Poisson(BaseDistribution):
         return (-math.inf, math.inf)
 
     @property
-    def support(self):
-        return "atoms {0, 1, 2, ...}"
-
-    @property
     def support_bounds(self):
         return (0.0, math.inf)
 
@@ -414,11 +348,6 @@ class Poisson(BaseDistribution):
 
     dmean_at = mean_at
     d2mean_at = mean_at
-
-    def cdf(self, y):
-        if y < 0:
-            return 0.0
-        return float(special.pdtr(math.floor(y), self.nu))
 
     def _grid(self, m: float):
         """Atoms 0..kmax of the Poisson(m) law with their pmf and cdf."""
@@ -493,10 +422,6 @@ class Laplace(BaseDistribution):
         return (-lam, lam)
 
     @property
-    def support(self):
-        return "reals"
-
-    @property
     def support_bounds(self):
         return (-math.inf, math.inf)
 
@@ -528,9 +453,6 @@ class Laplace(BaseDistribution):
         if p < 0.5:
             return self.scale * math.log(2.0 * p)
         return -self.scale * math.log(2.0 * (1.0 - p))
-
-    def interval_mass(self, lo, hi):
-        return self.cdf(hi) - self.cdf(lo)
 
     def _tilted_pieces(self, u):
         # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0
@@ -607,10 +529,6 @@ class Gamma(BaseDistribution):
         return (-math.inf, 1.0 / self.scale)
 
     @property
-    def support(self):
-        return "interval [0, ∞)"
-
-    @property
     def support_bounds(self):
         return (0.0, math.inf)
 
@@ -633,9 +551,6 @@ class Gamma(BaseDistribution):
 
     def quantile(self, p):
         return float(self.scale * special.gammaincinv(self.shape, p))
-
-    def interval_mass(self, lo, hi):
-        return self.cdf(hi) - self.cdf(lo)
 
     def _tilted_scale(self, u):
         return self.scale / (1.0 - self.scale * u)
@@ -733,10 +648,6 @@ class _AtomMixin:
     def d2mean_at(self, u):
         return self._central(u, 3)
 
-    def cdf(self, y):
-        w = np.exp(self._logw)
-        return float(w[self._locs <= y].sum())
-
     def quantile(self, p):
         order = np.argsort(self._locs)
         acc = 0.0
@@ -797,10 +708,6 @@ class DiscreteAtoms(_AtomMixin, BaseDistribution):
         keep = w > 0
         self._set_atoms(locs[keep], np.log(w[keep] / w[keep].sum()))
 
-    @property
-    def support(self):
-        return f"atoms ({len(self._locs)} points)"
-
     def tilted(self, u):
         q = self._tilted_weights(float(u))
         return DiscreteAtoms(tuple((float(l), float(p)) for l, p in zip(self._locs, q)))
@@ -827,18 +734,7 @@ class CounterexampleSubgaussian(_AtomMixin, BaseDistribution):
         locs = np.power(2.0, ks)
         raw = np.where(ks % 2 == 0, -np.power(4.0, ks),
                        math.log(0.25) - 3.0 * np.power(4.0, ks - 1))
-        norm = float(_logsumexp(raw))
-        self._set_atoms(locs, raw - norm)
-        object.__setattr__(self, "_log_norm", norm)
-
-    @property
-    def support(self):
-        return f"atoms {{2^i : 1 <= i <= {self.i_max}}}"
-
-    @property
-    def normalizing_constant(self) -> float:
-        """C with weights p_i = C * exp(raw_i)."""
-        return math.exp(-self._log_norm)
+        self._set_atoms(locs, raw - float(_logsumexp(raw)))
 
 
 @dataclass(frozen=True)
@@ -864,10 +760,6 @@ class Shifted(BaseDistribution):
         return self.base.mgf_domain
 
     @property
-    def support(self):
-        return f"{self.base.support} shifted by {self.offset}"
-
-    @property
     def support_bounds(self):
         lo, hi = self.base.support_bounds
         return (lo + self.offset, hi + self.offset)
@@ -883,9 +775,6 @@ class Shifted(BaseDistribution):
 
     def d2mean_at(self, u):
         return self.base.d2mean_at(u)
-
-    def cdf(self, y):
-        return self.base.cdf(y - self.offset)
 
     def quantile(self, p):
         return self.base.quantile(p) + self.offset

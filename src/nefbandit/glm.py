@@ -43,6 +43,7 @@ __all__ = [
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _GRAD_TOL = 1e-8
+_MAX_ITERS = 60
 _ALPHA_COINCIDENCE = 1e-8
 _POTRF, _POTRS = linalg.get_lapack_funcs(("potrf", "potrs"), (np.eye(1),))
 
@@ -62,6 +63,8 @@ class Dataset:
         if arms.shape[0] != rewards.shape[0]:
             raise InvalidArgumentError(
                 f"got {arms.shape[0]} arms but {rewards.shape[0]} rewards")
+        if not (np.isfinite(arms).all() and np.isfinite(rewards).all()):
+            raise InvalidArgumentError("arms and rewards must be finite")
         norms = np.linalg.norm(arms, axis=1) if arms.size else np.zeros(0)
         if arms.size and norms.max(initial=0.0) > 1.0 + 1e-12:
             raise InvalidArgumentError(
@@ -218,7 +221,7 @@ def _evaluate(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray,
 
 
 def fit_mle(family: NefFamily, data: Dataset, lam: float,
-            init: np.ndarray | None = None, max_iters: int = 60) -> FitResult:
+            init: np.ndarray | None = None) -> FitResult:
     """Damped Newton minimizer of the ridge-regularized negative log-likelihood."""
     if lam <= 0:
         raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
@@ -238,7 +241,7 @@ def fit_mle(family: NefFamily, data: Dataset, lam: float,
     inner, f, g, grad = point
     gnorm = float(np.linalg.norm(grad))
     iters = 0
-    while gnorm > _GRAD_TOL and iters < max_iters:
+    while gnorm > _GRAD_TOL and iters < _MAX_ITERS:
         try:
             step = -cholesky_solve(_hessian_at(family, data, lam_eye, inner), grad)
         except linalg.LinAlgError as exc:

@@ -176,7 +176,10 @@ def fit_tail_constants(base: BaseDistribution, c1: float, c2: float) -> TailCons
 
 def witness_mass(base: BaseDistribution, a: float, b: float, side: str = "below") -> float:
     """Mass of the candidate interval, measured on the uncentered base."""
-    m = float(base.mean_at(0.0))
+    return _mass_beside(base, float(base.mean_at(0.0)), a, b, side)
+
+
+def _mass_beside(base: BaseDistribution, m: float, a: float, b: float, side: str) -> float:
     if side == "below":
         return base.interval_mass(m - b, m - a)
     return base.interval_mass(m + a, m + b)
@@ -237,22 +240,22 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
     if math.isfinite(edge):
         b_candidates.append(float(edge))
 
+    for q in _WITNESS_B_LEVELS:
+        xb = _quantile_toward_tail(base, q * beta, side)
+        b = (m - xb) if side == "below" else (xb - m)
+        if math.isfinite(b):
+            b_candidates.append(float(b))
+
     candidates = []
     for p in _WITNESS_A_LEVELS:
         x = _quantile_toward_tail(base, p * beta, side)
         a = (m - x) if side == "below" else (x - m)
         if not a > 0:
             continue
-        bs = list(b_candidates)
-        for q in _WITNESS_B_LEVELS:
-            xb = _quantile_toward_tail(base, q * beta, side)
-            b = (m - xb) if side == "below" else (xb - m)
-            if math.isfinite(b) and b >= a:
-                bs.append(float(b))
-        for b in bs:
+        for b in b_candidates:
             if b < a:
                 continue
-            eta = witness_mass(base, a, b, side)
+            eta = _mass_beside(base, m, a, b, side)
             if eta > 1e-12:
                 candidates.append((a * a * eta, a, b, eta))
     if not candidates:

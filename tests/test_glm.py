@@ -350,3 +350,7 @@ def test_dataset_validation():
         Dataset(np.array([[1.5, 0.0]]), np.array([1.0]))
     with pytest.raises(InvalidArgumentError):
         Dataset(np.array([[0.5, 0.0]]), np.array([1.0, 2.0]))
+    for arms, rewards in (([[0.5, 0.0]], [math.nan]), ([[0.5, 0.0]], [math.inf]),
+                          ([[0.5, math.nan]], [1.0]), ([[-math.inf, 0.0]], [1.0])):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Dataset(np.array(arms), np.array(rewards))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nefbandit.cli import (
+    _emit,
     dominance_report,
     main,
     rounds_to_csv,
@@ -288,13 +289,34 @@ def test_cli_empty_grid_is_a_usage_error(command, grid_n, capsys):
     assert "/grid-n" in captured.err and captured.out == ""
 
 
-def test_cli_tails_non_finite_slack_exits_1(capsys):
+def test_cli_tails_counterexample_is_a_finite_pass(capsys):
     rc = main(["tails", "--dist", '{"kind": "counterexample", "i_max": 24}'])
-    assert rc == 1
+    assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is False
-    assert [c["name"] for c in payload["certificates"] if not c["ok"]] == \
-        ["tilted_mgf_ratio_identity"]
+    assert payload["ok"] is True
+    for c in payload["certificates"]:
+        assert c["ok"] is True and math.isfinite(c["max_slack"]), c
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_emit_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "out.json"
+    _emit({"a": math.nan, "b": [1.5, math.inf, {"c": -math.inf}], "d": (np.float64("nan"), 2)},
+          path)
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload == {"a": None, "b": [1.5, None, {"c": None}], "d": [None, 2]}
+
+
+def test_cli_fit_rejects_a_non_finite_reward(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    data.write_text("0.5,0.0,1.0\n0.0,0.5,nan\n")
+    rc = main(["fit", "--data", str(data), "--dist", '{"kind": "bernoulli", "p": 0.5}'])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "/data" in captured.err and captured.out == ""
 
 
 def test_cli_out_env_override(tmp_path, monkeypatch):

@@ -115,6 +115,21 @@ def test_find_support_witness_mass_is_measured(base, side):
     assert witness_mass(base, w.a, w.b, side) == pytest.approx(w.eta, abs=1e-9)
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_find_support_witness_takes_the_mean_once_per_scan(side, monkeypatch):
+    calls = []
+    mean_at = DiscreteAtoms.mean_at
+
+    def counting(self, u):
+        calls.append(u)
+        return mean_at(self, u)
+
+    monkeypatch.setattr(DiscreteAtoms, "mean_at", counting)
+    w = find_support_witness(MIX4, side=side)
+    assert len(calls) == 1
+    assert witness_mass(MIX4, w.a, w.b, side) == w.eta
+
+
 def test_find_support_witness_degenerate_base_errors():
     with pytest.raises(DegenerateDistributionError):
         find_support_witness(DiscreteAtoms(((3.0, 1.0),)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from nefbandit import tailbounds
 from nefbandit.distributions import (
     Bernoulli,
     CounterexampleSubgaussian,
@@ -256,7 +257,9 @@ def test_tilted_mgf_ratio_identity(base):
             assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
 
 
-@pytest.mark.parametrize("base", SUITE_BASES, ids=lambda b: b.kind)
+# the counterexample's far atoms need the log-domain series of the tilted MGF
+@pytest.mark.parametrize("base", SUITE_BASES + [CounterexampleSubgaussian(24)],
+                         ids=lambda b: b.kind)
 def test_run_tail_suite_all_certificates_pass(base):
     certs = run_tail_suite(base)
     assert len(certs) >= 10
@@ -271,13 +274,29 @@ def test_run_tail_suite_rejects_an_empty_grid():
             run_tail_suite(Exponential(1.0), grid_n=n)
 
 
-def test_non_finite_slack_fails_its_certificate():
-    # the atom series overflows to inf * 0 = nan at the far atoms, after finite slacks
-    certs = {c.name: c for c in run_tail_suite(CounterexampleSubgaussian(24))}
+def test_non_finite_slack_fails_its_certificate(monkeypatch):
+    # a NaN measured after finite slacks must fail the certificate, not vanish in the max
+    calls = []
+
+    def nan_after_three(*args):
+        calls.append(args)
+        return measured_tilted_mgf(*args) if len(calls) <= 3 else math.nan
+
+    monkeypatch.setattr(tailbounds, "measured_tilted_mgf", nan_after_three)
+    certs = {c.name: c for c in run_tail_suite(Exponential(1.0))}
     ident = certs["tilted_mgf_ratio_identity"]
     assert math.isnan(ident.max_slack)
     assert not ident.ok
     assert [n for n, c in certs.items() if not c.ok] == ["tilted_mgf_ratio_identity"]
+
+
+def test_tail_suite_needs_no_quadrature_for_gamma(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the tail suite reached scipy.integrate.quad")
+
+    monkeypatch.setattr(integrate, "quad", no_quadrature)
+    certs = run_tail_suite(Gamma(2.0, 1.0))
+    assert all(c.ok for c in certs)
 
 
 @pytest.mark.parametrize("slacks", [[-1.0, math.nan, -2.0], [-1.0, math.inf], [-math.inf, -1.0]])
