@@ -13,6 +13,7 @@ from .bandit import (
     optimistic_choice,
     regularizer_schedule,
     run_ofu_glb,
+    run_replicates,
     self_bounding_check,
     theoretical_regret_bound,
 )

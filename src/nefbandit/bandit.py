@@ -21,19 +21,24 @@ K defaults to the supremum of the measured ratio |mu''|/mu' over the
 admissible tilt range: any stretch-function supremum is admissible in
 the radius formulas and the smallest one gives the least conservative
 algorithm; a certificate supremum can be passed instead.
+
+``run_replicates`` plays R replicates in lockstep as one array program over
+(R, T, d) histories, each replicate with its own stream, fit and abort; each
+stacked kernel makes the one-replicate BLAS/LAPACK call per replicate, so a
+replicate's bytes do not depend on its batch.  ``run_ofu_glb`` is R = 1.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, gamma_ratio
-from .errors import ConfigError, DomainError, InvalidArgumentError, OptimizationError
-from .glm import cholesky_solve, fit_mle, gradient_map, hessian
+from .errors import ConfigError, DomainError, InvalidArgumentError
+from .glm import _cholesky_solves, _fit_stack, _gradient_maps, _hessians, _inner_products
 from .rng import replicate_stream
 
 __all__ = [
@@ -49,15 +54,13 @@ __all__ = [
     "relaxed_membership",
     "optimistic_choice",
     "run_ofu_glb",
+    "run_replicates",
     "theoretical_regret_bound",
     "elliptical_potential_check",
     "self_bounding_check",
 ]
 
 _GRID = 513
-
-
-_View = namedtuple("_View", "arms rewards n d")  # zero-copy view of the first n rounds
 
 
 @dataclass(frozen=True)
@@ -217,29 +220,58 @@ def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
         * _log_term(inst.L, inst.d, t, delta)
 
 
+# Stacked forms: row r of theta_hat (R, d), H (R, d, d), g_hat (R, d) and the
+# history X (R, n, d) belongs to replicate r; the public functions are their R = 1 calls.
+
+def _exact_norms_sq(family: NefFamily, X, lam: float, lam_eye, theta, inner, g_hat):
+    """||g(theta) - g_hat||^2 in the inverse Hessian at theta, per replicate."""
+    w = _gradient_maps(family, X, lam, theta, inner) - g_hat
+    sol = np.empty_like(w)
+    for exc in _cholesky_solves(_hessians(family, X, lam_eye, inner), w, sol).values():
+        raise exc
+    return np.vecdot(w, sol)
+
+
+def _relaxed_norms_sq(theta, theta_hat, H):
+    """||theta - theta_hat||^2 in H, per replicate."""
+    gap = theta - theta_hat
+    return np.vecdot(np.vecmat(gap, H), gap)
+
+
+def _optimistic_indices(inst: GlbInstance, theta_hat, H, gamma: float) -> np.ndarray:
+    """x' theta_hat + c gamma ||x||_{H^-1} for every replicate (row) and arm (column)."""
+    sol_t = np.empty((len(H), inst.n_arms, inst.d))  # replicate r's potrs solution, transposed
+    for exc in _cholesky_solves(H, inst.arms.T[None], sol_t.mT).values():
+        raise exc
+    bonus_sq = np.einsum("ij,rij->ri", inst.arms, sol_t)
+    return np.matvec(inst.arms, theta_hat) \
+        + inst.diameter_factor * gamma * np.sqrt(np.maximum(bonus_sq, 0.0))
+
+
 def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> bool:
     """theta in C_t: the gradient-map gap measured in the inverse Hessian at theta."""
     theta = np.asarray(theta, dtype=float).ravel()
     if np.linalg.norm(theta) > inst.S0 + 1e-12:
         return False
-    w = gradient_map(inst.family, data, state.lambda_T, theta) - state.gradient_map_at_hat
-    H = hessian(inst.family, data, state.lambda_T, theta)
-    return float(w @ cholesky_solve(H, w)) <= state.gamma_t**2
+    theta, inner = _inner_products(inst.family, data, theta, op="exact_membership")
+    lam = state.lambda_T
+    q = _exact_norms_sq(inst.family, data.arms[None], lam, lam * np.eye(theta.shape[1]),
+                        theta, inner, state.gradient_map_at_hat[None])
+    return float(q[0]) <= state.gamma_t**2
 
 
 def relaxed_membership(inst: GlbInstance, state: ConfidenceState, theta) -> bool:
     """theta in E_t: Hessian-at-estimate ellipsoid of radius c gamma_t."""
-    gap = np.asarray(theta, dtype=float).ravel() - state.theta_hat
+    q = _relaxed_norms_sq(np.asarray(theta, dtype=float).reshape(1, -1),
+                          state.theta_hat[None], state.hessian_at_hat[None])
     r = inst.diameter_factor * state.gamma_t
-    return float(gap @ state.hessian_at_hat @ gap) <= r * r
+    return float(q[0]) <= r * r
 
 
 def optimistic_choice(inst: GlbInstance, state: ConfidenceState) -> tuple[int, float]:
     """Arm with the largest optimistic index; ties go to the lowest index."""
-    sol = cholesky_solve(state.hessian_at_hat, inst.arms.T)
-    bonus_sq = np.einsum("ij,ji->i", inst.arms, sol)
-    idx_vals = inst.arms @ state.theta_hat \
-        + inst.diameter_factor * state.gamma_t * np.sqrt(np.maximum(bonus_sq, 0.0))
+    idx_vals = _optimistic_indices(inst, state.theta_hat[None], state.hessian_at_hat[None],
+                                   state.gamma_t)[0]
     best = int(np.argmax(idx_vals))
     return best, float(idx_vals[best])
 
@@ -248,8 +280,7 @@ def optimistic_choice(inst: GlbInstance, state: ConfidenceState) -> tuple[int, f
 # The round loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundLog:
+class RoundLog(NamedTuple):
     t: int
     arm: int
     index: float
@@ -281,49 +312,63 @@ class RunResult:
 def run_ofu_glb(inst: GlbInstance, T: int, delta: float, seed: int = 0,
                 replicate: int = 0, lam_override: float | None = None) -> RunResult:
     """Play T rounds; returns per-round logs, deterministic given (seed, replicate)."""
-    rng = replicate_stream(seed, replicate)
+    return run_replicates(inst, T, delta, seed, [replicate], lam_override)[0]
+
+
+def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicates,
+                   lam_override: float | None = None) -> list[RunResult]:
+    """Play T rounds of every listed replicate in lockstep, as one array program.
+
+    Result k is a pure function of (seed, replicates[k]): each replicate draws from
+    its own stream and keeps its own fit, so it gets the same bytes in any batch.
+    A replicate whose fit fails stops there with the reason ``round t: ...``.
+    """
+    rngs = [replicate_stream(seed, k) for k in replicates]
     lam = regularizer_schedule(inst, T, delta) if lam_override is None else float(lam_override)
-    base = inst.family.base
-    d = inst.d
-    star_idx, star_mean = inst.best_arm()
-    arm_means = np.asarray(base.mean_at(inst.arms @ inst.theta_star), dtype=float)
-    arm_inner = inst.arms @ inst.theta_star
-
-    X = np.zeros((T, d))
-    y = np.zeros(T)
-    theta_hat = np.zeros(d)
-    logs: list[RoundLog] = []
-    cum = 0.0
-
+    family, arms, d = inst.family, inst.arms, inst.d
+    _, star_mean = inst.best_arm()
+    arm_inner = arms @ inst.theta_star
+    arm_means, arm_inner = family.base.mean_at(arm_inner).tolist(), arm_inner.tolist()
+    lam_eye = lam * np.eye(d)
+    R = len(rngs)
+    logs: list[list] = [[] for _ in range(R)]  # RoundLog fields after t, a tuple per round
+    reasons: dict[int, str] = {}  # abort reasons by replicate position
+    live = list(range(R))  # positions of the replicates still running
+    X, y = np.zeros((R, T, d)), np.zeros((R, T))
+    theta, cum = np.zeros((R, d)), [0.0] * R
+    star = np.repeat(inst.theta_star[None], R, axis=0)
     for t in range(1, T + 1):
-        data = _View(X[:t - 1], y[:t - 1], t - 1, d)
-        try:
-            try:
-                fit = fit_mle(inst.family, data, lam, init=theta_hat)
-            except DomainError:
-                # the newest row can make the warm start infeasible;
-                # the origin never is (zero inner products)
-                fit = fit_mle(inst.family, data, lam)
-        except (OptimizationError, DomainError) as exc:
-            return RunResult(rounds=tuple(logs), aborted=True,
-                             abort_reason=f"round {t}: {exc}")
-        theta_hat = fit.theta_hat
-        state = ConfidenceState(t=t, theta_hat=theta_hat, hessian_at_hat=fit.hessian_at_hat,
-                                gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam,
-                                gamma_t=confidence_radius(inst, t, T, delta, lam=lam),
-                                delta=delta)
-        arm, index_value = optimistic_choice(inst, state)
-        reward = float(base.sample_tilted(float(arm_inner[arm]), rng))
-        inst_regret = star_mean - float(arm_means[arm])
-        cum += inst_regret
-        exact = exact_membership(inst, state, data, inst.theta_star)
-        relaxed = relaxed_membership(inst, state, inst.theta_star)
-        logs.append(RoundLog(t=t, arm=arm, index=index_value, reward=reward,
-                             inst_regret=inst_regret, cum_regret=cum,
-                             exact_cover=bool(exact), relaxed_cover=bool(relaxed)))
-        X[t - 1] = inst.arms[arm]
-        y[t - 1] = reward
-    return RunResult(rounds=tuple(logs))
+        n = t - 1
+        fit = _fit_stack(family, X[:, :n], y[:, :n], lam, lam_eye, theta)
+        theta, H, g_hat = fit.theta, fit.H, fit.g
+        if fit.errors:
+            reasons.update({live[i]: f"round {t}: {exc}" for i, exc in fit.errors.items()})
+            keep = [i not in fit.errors for i in range(len(live))]
+            live, rngs, cum = ([v for v, k in zip(a, keep) if k] for a in (live, rngs, cum))
+            X, y, theta, H, g_hat, star = (a[keep] for a in (X, y, theta, H, g_hat, star))
+            if not live:
+                break
+        Xn = X[:, :n]
+        gamma = confidence_radius(inst, t, T, delta, lam=lam)
+        idx_vals = _optimistic_indices(inst, theta, H, gamma)
+        r = inst.diameter_factor * gamma
+        exact = _exact_norms_sq(family, Xn, lam, lam_eye, star, np.matvec(Xn, star), g_hat)
+        relaxed = _relaxed_norms_sq(star, theta, H)
+        chosen = idx_vals.argmax(axis=1).tolist()
+        rewards = []
+        for i, (k, a, vals, rng, ex, rel) in enumerate(zip(
+                live, chosen, idx_vals.tolist(), rngs, (exact <= gamma**2).tolist(),
+                (relaxed <= r * r).tolist())):
+            reward = float(family.base.sample_tilted(arm_inner[a], rng))
+            inst_regret = star_mean - arm_means[a]
+            cum[i] += inst_regret
+            logs[k].append((a, vals[a], reward, inst_regret, cum[i], ex, rel))
+            rewards.append(reward)
+        X[:, n] = arms[chosen]
+        y[:, n] = rewards
+    return [RunResult(rounds=tuple(RoundLog(t, *row) for t, row in enumerate(log, 1)),
+                      aborted=k in reasons, abort_reason=reasons.get(k, ""))
+            for k, log in enumerate(logs)]
 
 
 # ---------------------------------------------------------------------------

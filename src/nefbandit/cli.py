@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import GlbInstance, RunResult, run_ofu_glb, theoretical_regret_bound
-from .config import ExperimentConfig, build_instance, load_config, parse_config
+from .bandit import GlbInstance, RunResult, run_replicates, theoretical_regret_bound
+from .config import ExperimentConfig, build_instance, load_config
 from .distributions import NefFamily, parse_distribution
 from .errors import InvalidArgumentError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
@@ -75,9 +75,9 @@ def _emit(payload: dict, path: Path | None) -> None:
 
 def rounds_to_csv(rounds) -> str:
     lines = [ROUNDS_HEADER]
-    for r in rounds:
-        lines.append(f"{r.t},{r.arm},{r.index!r},{r.reward!r},{r.inst_regret!r},"
-                     f"{r.cum_regret!r},{int(r.exact_cover)},{int(r.relaxed_cover)}")
+    for t, arm, index, reward, inst_regret, cum_regret, exact, relaxed in rounds:
+        lines.append(f"{t},{arm},{index!r},{reward!r},{inst_regret!r},{cum_regret!r},"
+                     f"{int(exact)},{int(relaxed)}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,16 +176,19 @@ def cmd_fit(ns) -> int:
 # bandit run / bound / coverage
 # ---------------------------------------------------------------------------
 
-def _run_replicates(cfg: ExperimentConfig, inst: GlbInstance, seed: int,
-                    workers: int) -> list[RunResult]:
-    """Run every replicate of one built instance, on at most os.cpu_count() processes."""
-    run = functools.partial(run_ofu_glb, inst, cfg.horizon, cfg.delta, seed,
+def _run_replicates(cfg: ExperimentConfig, inst: GlbInstance, seed: int, workers: int,
+                    replicates: int) -> list[RunResult]:
+    """Run replicates 0..replicates-1 of one built instance in lockstep; with more than one
+    usable worker (at most os.cpu_count()), each process runs a contiguous range."""
+    run = functools.partial(run_replicates, inst, cfg.horizon, cfg.delta, seed,
                             lam_override=cfg.lam)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or cfg.replicates == 1:
-        return [run(k) for k in range(cfg.replicates)]
+    workers = min(workers, os.cpu_count() or 1, replicates)
+    if workers <= 1:
+        return run(range(replicates))
+    cuts = [replicates * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(cfg.replicates)))
+        parts = pool.map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+        return [res for part in parts for res in part]
 
 
 def _summary(cfg: ExperimentConfig, inst: GlbInstance, results: list[RunResult],
@@ -219,7 +222,7 @@ def _summary(cfg: ExperimentConfig, inst: GlbInstance, results: list[RunResult],
 def _write_runs(out: Path, cfg: ExperimentConfig, seed: int, workers: int) -> list[RunResult]:
     """Run the replicates and write their rounds CSVs and summary.json into ``out``."""
     inst = build_instance(cfg)
-    results = _run_replicates(cfg, inst, seed, workers)
+    results = _run_replicates(cfg, inst, seed, workers, cfg.replicates)
     if cfg.replicates == 1:
         (out / "rounds.csv").write_text(rounds_to_csv(results[0].rounds))
     else:
@@ -254,17 +257,19 @@ def cmd_bound(ns) -> int:
 
 def cmd_coverage(ns) -> int:
     cfg = load_config(ns.config)
-    if ns.replicates is not None:
-        cfg = parse_config({**cfg.to_dict(), "replicates": ns.replicates})
+    replicates = ns.replicates if ns.replicates is not None else cfg.replicates
+    if replicates < 1:
+        raise ParseError(f"--replicates must be a positive integer, got {replicates}",
+                         pointer="/replicates")
     seed = ns.seed if ns.seed is not None else cfg.seed
     workers = ns.workers if ns.workers is not None else cfg.workers
-    results = _run_replicates(cfg, build_instance(cfg), seed, workers)
+    results = _run_replicates(cfg, build_instance(cfg), seed, workers, replicates)
     aborted = sum(1 for r in results if r.aborted)
     done = [r for r in results if not r.aborted]
     covered = sum(1 for r in done if r.all_rounds_covered)
     payload = {
         "schema": 1,
-        "replicates": cfg.replicates,
+        "replicates": replicates,
         "aborted": aborted,
         "covered": covered,
         "coverage_rate": covered / max(len(done), 1),

@@ -60,6 +60,8 @@ class ExperimentConfig:
 
     raw: dict = field(repr=False)
     distribution: dict = field(default_factory=dict)
+    # the instance parse_config built while checking it, so a command builds it once
+    instance: GlbInstance | None = field(default=None, repr=False, compare=False)
 
     @property
     def schema(self) -> int:
@@ -135,6 +137,8 @@ def _expand_arms(obj, pointer: str) -> np.ndarray:
         if arms.ndim != 2:
             raise ParseError("arms must be a list of equal-length numeric vectors",
                              pointer=pointer)
+        if not np.isfinite(arms).all():
+            raise ParseError("arm entries must be finite numbers", pointer=pointer)
         return arms
     raise ParseError("arms must be a list of vectors or a generator object", pointer=pointer)
 
@@ -194,10 +198,19 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
         _check_number(g, "n", f"{pointer}/grid", integer=True, positive=True)
     if ("arms" in raw) != ("theta_star" in raw):
         raise ParseError("arms and theta_star must be given together", pointer=pointer)
-    cfg = ExperimentConfig(raw=raw, distribution=raw["distribution"])
-    if cfg.has_instance:
-        build_instance(cfg)  # instance invariants checked eagerly
-    return cfg
+    instance = None
+    if "arms" in raw:  # instance invariants checked eagerly; commands reuse the instance
+        arms = _expand_arms(raw["arms"], "/arms")
+        theta = np.asarray(raw["theta_star"], dtype=float).ravel()
+        if not np.isfinite(theta).all():
+            raise ParseError("theta_star entries must be finite numbers", pointer="/theta_star")
+        if arms.shape[1] != theta.shape[0]:
+            raise ParseError(f"theta_star has dim {theta.shape[0]} but arms have dim "
+                             f"{arms.shape[1]}", pointer="/theta_star")
+        instance = make_instance(base, arms, theta, S0=raw.get("S0"), S1=raw.get("S1"),
+                                 S2=raw.get("S2"), c1=raw.get("c1"), c2=raw.get("c2"),
+                                 L=raw.get("L"), K=raw.get("K"))
+    return ExperimentConfig(raw=raw, distribution=raw["distribution"], instance=instance)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -212,16 +225,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_instance(cfg: ExperimentConfig) -> GlbInstance:
-    """Construct the validated instance from a config with arm data."""
-    if not cfg.has_instance:
+    """The validated instance of a config with arm data, as parse_config built it."""
+    if cfg.instance is None:
         raise ConfigError("config carries no arm set / true parameter")
-    raw = cfg.raw
-    arms = _expand_arms(raw["arms"], "/arms")
-    theta = np.asarray(raw["theta_star"], dtype=float).ravel()
-    if arms.shape[1] != theta.shape[0]:
-        raise ParseError(f"theta_star has dim {theta.shape[0]} but arms have dim "
-                         f"{arms.shape[1]}", pointer="/theta_star")
-    return make_instance(cfg.base(), arms, theta,
-                         S0=raw.get("S0"), S1=raw.get("S1"), S2=raw.get("S2"),
-                         c1=raw.get("c1"), c2=raw.get("c2"),
-                         L=raw.get("L"), K=raw.get("K"))
+    return cfg.instance
+

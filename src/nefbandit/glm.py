@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -85,83 +86,117 @@ class Dataset:
         return self.arms.shape[1]
 
 
-def _inner_products(family: NefFamily, data: Dataset, theta: np.ndarray,
-                    *, op: str) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).ravel()
-    if data.n and theta.shape[0] != data.d:
-        raise InvalidArgumentError(f"theta has dim {theta.shape[0]}, data has dim {data.d}")
-    inner = data.arms @ theta if data.n else np.zeros(0)
+# Stacked kernels over R replicates: rows X (R, n, d), rewards y (R, n), theta (R, d),
+# inner products (R, n).  np.matvec/vecmat/vecdot/matmul make one BLAS call per
+# replicate with the shapes of the 2-D call (X @ theta, X.T @ v, a @ b, A.T @ B), so
+# each slice has the one-replicate bits; the public functions are the R = 1 calls.
+
+def _guard(family: NefFamily) -> tuple[float, float]:
+    """The interval that inner products must not leave: the domain less its margin."""
     lo, hi = family.base.mgf_domain
     m = family.base.domain_margin()
-    bad_hi = math.isfinite(hi) and inner.size and inner.max() > hi - m
-    bad_lo = math.isfinite(lo) and inner.size and inner.min() < lo + m
-    if bad_hi or bad_lo:
-        idx = int(np.argmax(inner) if bad_hi else np.argmin(inner))
-        raise DomainError(f"{op}: inner product of row {idx} leaves the natural "
-                          f"parameter interval", value=float(inner[idx]), interval=(lo, hi))
-    return inner
+    return lo + m, hi - m
 
 
-def _gradient_map_at(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray,
-                     inner: np.ndarray) -> np.ndarray:
+def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:
+    """Mask of the replicates with an inner product outside the guard interval."""
+    lo, hi = guard
+    if not inner.shape[1] or (hi == math.inf and lo == -math.inf):
+        return np.zeros(inner.shape[0], dtype=bool)
+    if lo == -math.inf:
+        return np.maximum.reduce(inner, axis=1) > hi
+    if hi == math.inf:
+        return np.minimum.reduce(inner, axis=1) < lo
+    return (np.maximum.reduce(inner, axis=1) > hi) | (np.minimum.reduce(inner, axis=1) < lo)
+
+
+def _losses(family: NefFamily, y, lam: float, theta, inner) -> np.ndarray:
+    return 0.5 * lam * np.vecdot(theta, theta) \
+        + np.add.reduce(family.base.log_mgf(inner) - y * inner, axis=1)
+
+
+def _gradient_maps(family: NefFamily, X, lam: float, theta, inner) -> np.ndarray:
     g = lam * theta
-    if data.n:
-        g = g + data.arms.T @ np.asarray(family.base.mean_at(inner), dtype=float)
+    if X.shape[1]:
+        g = g + np.vecmat(family.base.mean_at(inner), X)
     return g
 
 
-def _hessian_at(family: NefFamily, data: Dataset, lam_eye: np.ndarray,
-                inner: np.ndarray) -> np.ndarray:
+def _hessians(family: NefFamily, X, lam_eye: np.ndarray, inner) -> np.ndarray:
+    return lam_eye + np.matmul((X * family.base.dmean_at(inner)[:, :, None]).mT, X)
+
+
+def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
+    """Write H_r^{-1} B_r into out[r] by LAPACK potrf/potrs on the lower triangle of each
+    H_r (scipy's cho_factor(lower=True) + cho_solve bit for bit); a one-row B serves every
+    H_r.  Returns {r: LinAlgError} for each H_r not positive definite; ValueError on
+    non-finite input."""
+    if not (np.isfinite(H).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    failed = {}
+    shared = B.shape[0] == 1
+    for r in range(H.shape[0]):
+        c, info = _POTRF(H[r], lower=1, overwrite_a=0, clean=0)
+        if info > 0:
+            failed[r] = linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+            continue
+        out[r], solve_info = _POTRS(c, B[0] if shared else B[r], lower=1, overwrite_b=0)
+        if info or solve_info:
+            raise ValueError(f"LAPACK reported an illegal argument ({info}, {solve_info})")
+    return failed
+
+
+def _inner_products(family: NefFamily, data: Dataset, theta, *, op: str):
+    """theta and its inner products with the rows, as one-replicate stacks, after
+    the domain check."""
+    theta = np.asarray(theta, dtype=float).reshape(1, -1)
     if not data.n:
-        return lam_eye
-    w = np.asarray(family.base.dmean_at(inner), dtype=float)
-    return lam_eye + (data.arms * w[:, None]).T @ data.arms
+        return theta, np.zeros((1, 0))
+    if theta.shape[1] != data.d:
+        raise InvalidArgumentError(f"theta has dim {theta.shape[1]}, data has dim {data.d}")
+    inner = np.matvec(data.arms[None], theta)
+    guard = _guard(family)
+    if _outside(guard, inner)[0]:
+        row = inner[0]
+        idx = int(np.argmax(row) if row.max() > guard[1] else np.argmin(row))
+        raise DomainError(f"{op}: inner product of row {idx} leaves the natural parameter "
+                          f"interval", value=float(row[idx]), interval=family.base.mgf_domain)
+    return theta, inner
 
 
 def loss(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> float:
     if lam <= 0:
         raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
-    theta = np.asarray(theta, dtype=float).ravel()
-    inner = _inner_products(family, data, theta, op="loss")
-    reg = 0.5 * lam * float(theta @ theta)
-    if data.n == 0:
-        return reg
-    psi = np.asarray(family.base.log_mgf(inner), dtype=float)
-    return reg + float(np.sum(psi - data.rewards * inner))
+    theta, inner = _inner_products(family, data, theta, op="loss")
+    return float(_losses(family, data.rewards[None], lam, theta, inner)[0])
 
 
 def gradient_map(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
     """g(theta) = sum_i mu(x_i' theta) x_i + lam theta (reward terms excluded)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    inner = _inner_products(family, data, theta, op="gradient_map")
-    return _gradient_map_at(family, data, lam, theta, inner)
+    theta, inner = _inner_products(family, data, theta, op="gradient_map")
+    return _gradient_maps(family, data.arms[None], lam, theta, inner)[0]
 
 
 def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
     g = gradient_map(family, data, lam, theta)
     if data.n:
-        g = g - data.arms.T @ data.rewards
+        g = g - np.vecmat(data.rewards[None], data.arms[None])[0]
     return g
 
 
 def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).ravel()
-    inner = _inner_products(family, data, theta, op="hessian")
-    return _hessian_at(family, data, lam * np.eye(theta.shape[0]), inner)
+    theta, inner = _inner_products(family, data, theta, op="hessian")
+    return _hessians(family, data.arms[None], lam * np.eye(theta.shape[1]), inner)[0]
 
 
 def cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H x = b with LAPACK potrf/potrs on the lower triangle of H: scipy's
-    ``cho_factor(H, lower=True)`` + ``cho_solve`` bit for bit, minus their wrapper cost.
-    Raises ValueError on non-finite input, LinAlgError if H is not positive definite."""
-    if not (np.isfinite(H).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    c, info = _POTRF(H, lower=1, overwrite_a=0, clean=0)
-    if info > 0:
-        raise linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    x, solve_info = _POTRS(c, b, lower=1, overwrite_b=0)
-    if info or solve_info:
-        raise ValueError(f"LAPACK reported an illegal argument ({info}, {solve_info})")
+    """Solve H x = b (see ``_cholesky_solves``); LinAlgError if H is not positive definite."""
+    b = np.asarray(b, dtype=float)
+    x = np.empty_like(b)
+    failed = _cholesky_solves(np.asarray(H, dtype=float)[None], b[None], x[None])
+    if failed:
+        raise failed[0]
     return x
 
 
@@ -179,12 +214,12 @@ def _alpha(family: NefFamily, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def difference_quotient_matrix(family: NefFamily, data: Dataset, lam: float,
                                theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
-    inner1 = _inner_products(family, data, theta1, op="difference_quotient_matrix")
-    inner2 = _inner_products(family, data, theta2, op="difference_quotient_matrix")
+    _, inner1 = _inner_products(family, data, theta1, op="difference_quotient_matrix")
+    _, inner2 = _inner_products(family, data, theta2, op="difference_quotient_matrix")
     d = np.asarray(theta1, dtype=float).ravel().shape[0]
     G = lam * np.eye(d)
     if data.n:
-        a = _alpha(family, inner1, inner2)
+        a = _alpha(family, inner1[0], inner2[0])
         G = G + (data.arms * a[:, None]).T @ data.arms
     return G
 
@@ -206,75 +241,133 @@ class FitResult:
             raise InvalidArgumentError("converged fit must have gradient norm <= 1e-8")
 
 
-def _evaluate(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray,
-              reward_map: np.ndarray):
-    """(inner products, loss, gradient map, full gradient) at theta, None if infeasible;
-    bit for bit ``loss``/``gradient_map``/``full_gradient``, reward_map being X' y."""
-    try:
-        inner = _inner_products(family, data, theta, op="fit_mle")
-    except DomainError:
-        return None
-    psi = np.asarray(family.base.log_mgf(inner), dtype=float)
-    f = 0.5 * lam * float(theta @ theta) + float(np.sum(psi - data.rewards * inner))
-    g = _gradient_map_at(family, data, lam, theta, inner)
-    return inner, f, g, g - reward_map
+class _Fits(NamedTuple):  # a stacked fit, row r for replicate r
+    theta: np.ndarray     # (R, d) estimates
+    inner: np.ndarray     # (R, n) inner products at theta
+    g: np.ndarray         # (R, d) gradient maps at theta
+    H: np.ndarray         # (R, d, d) Hessians at theta
+    gnorm: list           # full-gradient norms
+    iters: list           # Newton iterations
+    fallback: list        # the start was infeasible and the fit began at the origin
+    errors: dict          # {r: OptimizationError} for the replicates whose fit failed
+
+
+def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
+               lam_eye: np.ndarray, init: np.ndarray) -> _Fits:
+    """Damped Newton for R ridge-regularized likelihoods at once (lam_eye = lam I), each
+    replicate with its own convergence test, Armijo step length and failure; a
+    replicate whose start is infeasible begins at the origin, which never is (zero
+    inner products)."""
+    R, n, d = X.shape
+    if n == 0:
+        return _Fits(np.zeros((R, d)), np.zeros((R, 0)), lam * np.zeros((R, d)),
+                     _hessians(family, X, lam_eye, np.zeros((R, 0))), [0.0] * R, [0] * R,
+                     [False] * R, {})
+    guard = _guard(family)
+    reward_map = np.vecmat(y, X)
+
+    def evaluate(sel, theta):
+        """Outside flags, inner products, losses, gradient maps, gradients, their norms."""
+        Xs = X[sel]
+        inner = np.matvec(Xs, theta)
+        bad = _outside(guard, inner)
+        out = bad.tolist()
+        if True in out:
+            inner[bad] = 0.0  # stand-ins, so no kind is evaluated off its domain
+        g = _gradient_maps(family, Xs, lam, theta, inner)
+        grad = g - reward_map[sel]
+        return (out, inner, _losses(family, y[sel], lam, theta, inner).tolist(), g, grad,
+                np.sqrt(np.vecdot(grad, grad)).tolist())
+
+    theta = np.array(init, dtype=float)
+    fallback, inner, f, g, grad, gnorm = evaluate(slice(None), theta)
+    if True in fallback:
+        theta[fallback] = 0.0
+        _, inner, f, g, grad, gnorm = evaluate(slice(None), theta)
+    iters = [0] * R
+    errors: dict = {}
+    while True:
+        act = [r for r in range(R)
+               if gnorm[r] > _GRAD_TOL and iters[r] < _MAX_ITERS and r not in errors]
+        if not act:
+            break
+        sel = slice(None) if len(act) == R else act
+        step = np.zeros((len(act), d))  # a failed replicate keeps a zero step: its fit is over
+        failed = _cholesky_solves(_hessians(family, X[sel], lam_eye, inner[sel]), grad[sel], step)
+        for i, exc in failed.items():
+            errors[act[i]] = OptimizationError(f"Hessian factorization failed: {exc}",
+                                               diagnostics={"iter": iters[act[i]],
+                                                            "theta": theta[act[i]].tolist()})
+        step = -step
+        slope = np.vecdot(grad[sel], step).tolist()
+        t = [1.0] * len(act)
+        search = list(range(len(act)))
+        trial = theta[sel] + step
+        while search:
+            rows = [act[i] for i in search]
+            out, inner_t, f_t, g_t, grad_t, gnorm_t = evaluate(
+                slice(None) if len(rows) == R else rows, trial)
+            accept, retry = [], []
+            for j, i in enumerate(search):
+                r = act[i]
+                # near the optimum the Newton decrement drops below the floating
+                # resolution of the loss; sufficient-decrease tests are pure noise
+                # there, so take the (feasibility-clipped) full step instead
+                fp_noise = 1e-13 * (1.0 + abs(f[r]))
+                if not out[j] and (not -slope[i] > fp_noise or
+                                   f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
+                    accept.append(j)
+                    f[r], gnorm[r] = f_t[j], gnorm_t[j]
+                    iters[r] += 1
+                else:
+                    retry.append(j)
+            if len(accept) == R:
+                theta, inner, g, grad = trial, inner_t, g_t, grad_t
+            elif accept:
+                a = [rows[j] for j in accept]
+                theta[a], inner[a], g[a], grad[a] = (
+                    trial[accept], inner_t[accept], g_t[accept], grad_t[accept])
+            tried, search = search, []
+            for j in retry:
+                i = tried[j]
+                t[i] *= _BACKTRACK
+                if t[i] > 1e-16:
+                    search.append(i)
+                    continue
+                r = act[i]
+                errors[r] = OptimizationError(
+                    "no domain-feasible descent step found",
+                    diagnostics={"iter": iters[r], "gradient_norm": gnorm[r],
+                                 "theta": theta[r].tolist(), "step": step[i].tolist()})
+            if search:
+                trial = theta[[act[i] for i in search]] \
+                    + np.array([t[i] for i in search])[:, None] * step[search]
+    return _Fits(theta, inner, g, _hessians(family, X, lam_eye, inner), gnorm, iters,
+                 fallback, errors)
 
 
 def fit_mle(family: NefFamily, data: Dataset, lam: float,
             init: np.ndarray | None = None) -> FitResult:
-    """Damped Newton minimizer of the ridge-regularized negative log-likelihood."""
+    """Damped Newton minimizer of the ridge-regularized negative log-likelihood:
+    the one-replicate call of the stacked solver."""
     if lam <= 0:
         raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
-    d = data.d if data.n else (len(np.asarray(init).ravel()) if init is not None else data.d)
-    lam_eye = lam * np.eye(d)
-    if data.n == 0:
-        return FitResult(theta_hat=np.zeros(d), gradient_norm=0.0, newton_iters=0,
-                         converged=True, inner_lo=0.0, inner_hi=0.0,
-                         outside_admissible=False, hessian_at_hat=lam_eye,
-                         gradient_map_at_hat=lam * np.zeros(d))
-    theta = np.zeros(d) if init is None else np.asarray(init, dtype=float).ravel().copy()
-    reward_map = data.arms.T @ data.rewards
-    point = _evaluate(family, data, lam, theta, reward_map)
-    if point is None:
+    theta = np.zeros((1, data.d)) if init is None else np.asarray(init, dtype=float).reshape(1, -1)
+    d = theta.shape[1]
+    if data.n and d != data.d:
+        raise InvalidArgumentError(f"theta has dim {d}, data has dim {data.d}")
+    X = data.arms[None] if data.n else np.zeros((1, 0, d))
+    fit = _fit_stack(family, X, data.rewards[None], lam, lam * np.eye(d), theta)
+    if fit.fallback[0]:
         raise DomainError("initial point is infeasible for the data",
                           value=None, interval=family.base.mgf_domain)
-    inner, f, g, grad = point
-    gnorm = float(np.linalg.norm(grad))
-    iters = 0
-    while gnorm > _GRAD_TOL and iters < _MAX_ITERS:
-        try:
-            step = -cholesky_solve(_hessian_at(family, data, lam_eye, inner), grad)
-        except linalg.LinAlgError as exc:
-            raise OptimizationError(f"Hessian factorization failed: {exc}",
-                                    diagnostics={"iter": iters, "theta": theta.tolist()})
-        slope = float(grad @ step)
-        # near the optimum the Newton decrement drops below the floating
-        # resolution of the loss; sufficient-decrease tests are pure noise
-        # there, so take the (feasibility-clipped) full step instead
-        fp_noise = 1e-13 * (1.0 + abs(f))
-        armijo = -slope > fp_noise
-        t = 1.0
-        while t > 1e-16:
-            trial = theta + t * step
-            point = _evaluate(family, data, lam, trial, reward_map)
-            if point is not None and (
-                    not armijo or point[1] <= f + _ARMIJO * t * slope + fp_noise):
-                break
-            t *= _BACKTRACK
-        if t <= 1e-16:
-            raise OptimizationError(
-                "no domain-feasible descent step found",
-                diagnostics={"iter": iters, "gradient_norm": gnorm,
-                             "theta": theta.tolist(), "step": step.tolist()})
-        theta = trial
-        inner, f, g, grad = point
-        gnorm = float(np.linalg.norm(grad))
-        iters += 1
-
-    lo_i, hi_i = float(inner.min()), float(inner.max())
+    if fit.errors:
+        raise fit.errors[0]
+    inner = fit.inner[0]
+    lo_i, hi_i = (float(inner.min()), float(inner.max())) if data.n else (0.0, 0.0)
     outside = bool(lo_i < family.param_lo - 1e-12 or hi_i > family.param_hi + 1e-12)
-    return FitResult(theta_hat=theta, gradient_norm=gnorm, newton_iters=iters,
-                     converged=bool(gnorm <= _GRAD_TOL), inner_lo=lo_i, inner_hi=hi_i,
-                     outside_admissible=outside,
-                     hessian_at_hat=_hessian_at(family, data, lam_eye, inner),
-                     gradient_map_at_hat=g)
+    gnorm = fit.gnorm[0]
+    return FitResult(theta_hat=fit.theta[0], gradient_norm=gnorm,
+                     newton_iters=fit.iters[0], converged=bool(gnorm <= _GRAD_TOL),
+                     inner_lo=lo_i, inner_hi=hi_i, outside_admissible=outside,
+                     hessian_at_hat=fit.H[0], gradient_map_at_hat=fit.g[0])

@@ -26,7 +26,7 @@ import pytest
 
 from nefbandit.bandit import (
     elliptical_potential_check,
-    run_ofu_glb,
+    run_replicates,
     self_bounding_check,
     theoretical_regret_bound,
 )
@@ -253,8 +253,7 @@ def test_criterion_6_coverage():
     inst = build_instance(cfg)
     n_rep = cfg.replicates
     covered = 0
-    for k in range(n_rep):
-        res = run_ofu_glb(inst, cfg.horizon, cfg.delta, seed=cfg.seed, replicate=k)
+    for res in run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, range(n_rep)):
         assert not res.aborted
         covered += res.all_rounds_covered
     rate = covered / n_rep
@@ -275,8 +274,7 @@ def test_criterion_7_regret():
     inst = build_instance(cfg)
     bound_total = theoretical_regret_bound(inst, cfg.horizon, cfg.delta).total
     r500, r2000, dominated, covered = [], [], 0, 0
-    for k in range(cfg.replicates):
-        res = run_ofu_glb(inst, cfg.horizon, cfg.delta, seed=cfg.seed, replicate=k)
+    for res in run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, range(cfg.replicates)):
         assert not res.aborted
         r500.append(res.cum_regret_at(500))
         r2000.append(res.cum_regret)

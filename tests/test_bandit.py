@@ -1,6 +1,7 @@
 """Instance construction, confidence machinery, the round loop, bound terms."""
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,19 @@ from nefbandit.bandit import (
     regularizer_schedule,
     relaxed_membership,
     run_ofu_glb,
+    run_replicates,
     self_bounding_check,
     theoretical_regret_bound,
 )
+from nefbandit.cli import rounds_to_csv
 from nefbandit.distributions import (
     Bernoulli,
     DiscreteAtoms,
     Exponential,
+    Gamma,
     Gaussian,
     NefFamily,
+    Poisson,
     gamma_ratio,
     parse_distribution,
 )
@@ -324,6 +329,90 @@ def test_golden_replicate_zero_is_pinned():
     counts = np.bincount([r.arm for r in res.rounds], minlength=10)
     assert counts.tolist() == [3, 594, 574, 0, 0, 0, 0, 0, 20, 809]
     assert res.cum_regret == 935.4130886010116
+
+
+# ---------------------------------------------------------------------------
+# lockstep replicates: every replicate's bytes are independent of its batch
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Walled(Gaussian):
+    """N(u, 1) whose loss term is +inf from u = 1 on while its mean map knows no wall,
+    and whose sampler sometimes returns 20: the fit then creeps up to the wall until
+    no step length stays finite, so that replicate aborts mid-run."""
+
+    def log_mgf(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < 1.0, super().log_mgf(u), np.inf)
+
+    def sample_tilted(self, u, rng, size=None):
+        return 20.0 if rng.random() < 0.02 else super().sample_tilted(u, rng)
+
+
+@dataclass(frozen=True)
+class _Heavy(Exponential):
+    """Exponential with frequent large rewards: warm starts leave the domain."""
+
+    def sample_tilted(self, u, rng, size=None):
+        return 100.0 if rng.random() < 0.3 else super().sample_tilted(u, rng)
+
+
+BATCH_CASES = {
+    "bernoulli": (Bernoulli(0.5), ARMS3, THETA3),
+    "gaussian": (Gaussian(1.0), circle_arms(6), [0.3, 0.2]),
+    "exponential": (Exponential(1.0), circle_arms(), [0.5, 0.0]),
+    "poisson": (Poisson(2.0), 0.8 * circle_arms(5), [0.2, 0.4]),
+    "gamma": (Gamma(2.0, 1.0), circle_arms(7), [0.25, -0.1]),
+    "atoms": (DiscreteAtoms(((0.0, 0.3), (1.0, 0.5), (2.5, 0.2))), circle_arms(4), [0.5, 0.5]),
+    "point_mass": (DiscreteAtoms(((2.0, 1.0),)), circle_arms(5), [0.3, 0.1]),
+}
+
+
+def _assert_batch_invariant(inst, T, seed, lam=None, replicates=range(5)):
+    batch = run_replicates(inst, T, 0.1, seed, replicates, lam_override=lam)
+    for k, res in zip(replicates, batch):
+        alone = run_ofu_glb(inst, T, 0.1, seed=seed, replicate=k, lam_override=lam)
+        assert rounds_to_csv(res.rounds) == rounds_to_csv(alone.rounds)
+        assert res == alone
+    return batch
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_CASES))
+def test_run_replicates_matches_replicate_by_replicate_runs(kind):
+    base, arms, theta = BATCH_CASES[kind]
+    batch = _assert_batch_invariant(make_instance(base, arms, np.array(theta)), 60, 3)
+    assert all(len(r.rounds) == 60 and not r.aborted for r in batch)
+
+
+def test_run_replicates_abort_keeps_its_reason_and_spares_the_others():
+    inst = make_instance(_Walled(1.0), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
+                         np.array([0.2, 0.1]), S0=0.5)
+    batch = _assert_batch_invariant(inst, 12, 1, lam=1.0, replicates=range(8))
+    assert [(k, len(r.rounds), r.abort_reason) for k, r in enumerate(batch) if r.aborted] == [
+        (2, 3, "round 4: no domain-feasible descent step found"),
+        (4, 5, "round 6: no domain-feasible descent step found"),
+        (7, 2, "round 3: no domain-feasible descent step found")]
+    spared = [0, 1, 3, 5, 6]
+    survivors = run_replicates(inst, 12, 0.1, 1, spared, lam_override=1.0)
+    assert [rounds_to_csv(r.rounds) for r in survivors] == \
+        [rounds_to_csv(batch[k].rounds) for k in spared]
+
+
+def test_run_replicates_warm_start_falls_back_per_replicate(monkeypatch):
+    import nefbandit.bandit as bandit
+
+    fell_back = []
+    real = bandit._fit_stack
+
+    def recording(*args):
+        fits = real(*args)
+        fell_back.append(sum(fits.fallback))
+        return fits
+
+    monkeypatch.setattr(bandit, "_fit_stack", recording)
+    inst = make_instance(_Heavy(1.0), circle_arms(8), np.array([0.3, 0.1]))
+    _assert_batch_invariant(inst, 60, 4, lam=1.0, replicates=range(6))
+    assert sum(fell_back) > 0
 
 
 # ---------------------------------------------------------------------------

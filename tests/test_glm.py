@@ -1,6 +1,7 @@
 """Loss/gradient/Hessian identities and the damped Newton fitter."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from nefbandit.distributions import (
 from nefbandit.errors import DomainError, InvalidArgumentError
 from nefbandit.glm import (
     Dataset,
+    _cholesky_solves,
+    _fit_stack,
+    _gradient_maps,
+    _hessians,
+    _losses,
     cholesky_solve,
     difference_quotient_matrix,
     fit_mle,
@@ -334,6 +340,61 @@ def test_cholesky_solve_matches_scipy_bit_for_bit():
                   np.asfortranarray(rng.standard_normal((4, d))).T):
             expected = linalg.cho_solve(linalg.cho_factor(H, lower=True), b)
             assert np.array_equal(cholesky_solve(H, b), expected)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_stacked_kernels_match_the_two_dimensional_calls_bit_for_bit(R):
+    # the lockstep engine rests on this: slice r of every stacked kernel has the
+    # bits of the one-replicate 2-D expression, whatever R
+    rng = replicate_stream(89, R)
+    n, d, lam = 41, 3, 1.5
+    X = 0.5 * ball_points(rng, R * 60, d).reshape(R, 60, d)[:, :n]  # a history prefix
+    y = rng.exponential(1.0, (R, 60))[:, :n]
+    theta = 0.3 * rng.standard_normal((R, d))
+    lam_eye = lam * np.eye(d)
+    inner = np.matvec(X, theta)
+    g = _gradient_maps(EXP, X, lam, theta, inner)
+    H = _hessians(EXP, X, lam_eye, inner)
+    f = _losses(EXP, y, lam, theta, inner)
+    rhs = rng.standard_normal((R, d, 4))
+    sol, shared = np.empty_like(rhs), np.empty_like(rhs)
+    assert _cholesky_solves(H, rhs, sol) == {}
+    assert _cholesky_solves(H, rhs[:1], shared) == {}
+    for r in range(R):
+        Xr, yr, th = X[r], y[r], theta[r]
+        inner_r = Xr @ th
+        assert np.array_equal(inner[r], inner_r)
+        assert np.array_equal(np.vecmat(y, X)[r], Xr.T @ yr)
+        assert np.vecdot(theta, theta)[r] == float(th @ th)
+        mu, w = EXP.base.mean_at(inner_r), EXP.base.dmean_at(inner_r)
+        assert np.array_equal(g[r], lam * th + Xr.T @ mu)
+        assert np.array_equal(H[r], lam_eye + (Xr * w[:, None]).T @ Xr)
+        psi = EXP.base.log_mgf(inner_r)
+        assert f[r] == 0.5 * lam * float(th @ th) + float(np.sum(psi - yr * inner_r))
+        cho = linalg.cho_factor(H[r], lower=True)
+        assert np.array_equal(sol[r], linalg.cho_solve(cho, rhs[r]))
+        assert np.array_equal(shared[r], linalg.cho_solve(cho, rhs[0]))
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_stacked_fit_rows_are_the_one_replicate_fits(R):
+    rng = replicate_stream(90, R)
+    n, d, lam = 50, 2, 1.0
+    X = ball_points(rng, R * n, d).reshape(R, n, d)
+    y = rng.exponential(1.5, (R, n))
+    init = np.zeros((R, d))
+    init[-1] = [5.0, 5.0]  # infeasible for Exponential(1): that replicate starts at the origin
+    fits = _fit_stack(EXP, X, y, lam, lam * np.eye(d), init)
+    assert fits.fallback == [False] * (R - 1) + [True] and fits.errors == {}
+    for r in range(R):
+        data = Dataset(X[r], y[r])
+        with pytest.raises(DomainError) if fits.fallback[r] else nullcontext():
+            fit_mle(EXP, data, lam, init=init[r])
+        ref = fit_mle(EXP, data, lam) if fits.fallback[r] else fit_mle(EXP, data, lam, init=init[r])
+        assert np.array_equal(fits.theta[r], ref.theta_hat)
+        assert np.array_equal(fits.H[r], ref.hessian_at_hat)
+        assert np.array_equal(fits.g[r], ref.gradient_map_at_hat)
+        assert (fits.gnorm[r], fits.iters[r]) == (ref.gradient_norm, ref.newton_iters)
 
 
 def test_cholesky_solve_errors():

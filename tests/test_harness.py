@@ -349,6 +349,52 @@ def test_cli_coverage_small(tmp_path, capsys):
     assert 0.0 <= out["coverage_rate"] <= 1.0
 
 
+def test_commands_build_their_instance_once(tmp_path, monkeypatch):
+    import nefbandit.config as config
+
+    builds = []
+    real = config.make_instance
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(config, "make_instance", counting)
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "replicates": 2, "horizon": 5})
+    with_override = ["coverage", "--config", str(cfg), "--replicates", "3"]
+    for argv in (with_override, ["coverage", "--config", str(cfg)],
+                 ["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                 ["bound", "--config", str(cfg)]):
+        builds.clear()
+        assert main(argv) == 0
+        assert len(builds) == 1, argv
+
+
+@pytest.mark.parametrize("replicates", ["0", "-2"])
+def test_cli_coverage_rejects_nonpositive_replicates(tmp_path, capsys, replicates):
+    cfg = _write_cfg(tmp_path, SMALL_RUN)
+    rc = main(["coverage", "--config", str(cfg), "--replicates", replicates])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "/replicates" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["bound", "coverage"])
+@pytest.mark.parametrize("field,value,pointer", [
+    ("theta_star", [math.nan, -0.3], "/theta_star"),
+    ("theta_star", [0.4, math.inf], "/theta_star"),
+    ("arms", [[1.0, 0.0], [math.nan, 1.0], [0.6, 0.64]], "/arms"),
+    ("arms", [[1.0, 0.0], [0.0, -math.inf], [0.6, 0.64]], "/arms"),
+])
+def test_cli_non_finite_config_entry_is_a_usage_error(tmp_path, capsys, command, field, value,
+                                                      pointer):
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, field: value})  # json writes NaN/Infinity tokens
+    rc = main([command, "--config", str(cfg)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert pointer in captured.err and captured.out == ""
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"schema": 1})
     rc = main(["bound", "--config", str(cfg)])
