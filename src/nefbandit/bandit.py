@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import BaseDistribution, NefFamily, gamma_ratio
+from .distributions import BaseDistribution, NefFamily, _freeze, gamma_ratio
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .glm import _cholesky_solves, _fit_stack, _gradient_maps, _hessians, _inner_products
+from .glm import _cholesky_solves, _fit_stack, _inner_products
 from .rng import replicate_stream
 
 __all__ = [
@@ -113,12 +113,7 @@ class GlbInstance:
         if self.M < m_floor * (1 - 1e-9):
             raise ConfigError(f"M={self.M} violates M >= max(K/log 2, 1/(c1-S1), 1/(c2+S2)) "
                               f"= {m_floor:.6g}")
-        arms = arms.copy()
-        theta = theta.copy()
-        arms.flags.writeable = False
-        theta.flags.writeable = False
-        object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "theta_star", theta)
+        _freeze(self, arms=arms, theta_star=theta)
 
     @property
     def d(self) -> int:
@@ -221,13 +216,16 @@ def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
 
 
 # Stacked forms: row r of theta_hat (R, d), H (R, d, d), g_hat (R, d) and the
-# history X (R, n, d) belongs to replicate r; the public functions are their R = 1 calls.
+# row counts (R, m) belongs to replicate r; the public functions are their R = 1 calls.
 
-def _exact_norms_sq(family: NefFamily, X, lam: float, lam_eye, theta, inner, g_hat):
-    """||g(theta) - g_hat||^2 in the inverse Hessian at theta, per replicate."""
-    w = _gradient_maps(family, X, lam, theta, inner) - g_hat
+def _exact_norms_sq(rows, counts, mu, dmu, lam: float, lam_eye, theta, g_hat):
+    """||g(theta) - g_hat||^2 in the inverse Hessian at theta, per replicate, from rows x_a
+    (m, d) played n_a times (counts (R, m)) with mean mu_a and derivative dmu_a (m,) at
+    x_a' theta: g = lam theta + sum_a n_a mu_a x_a, H = lam I + sum_a n_a dmu_a x_a x_a'."""
+    w = lam * theta + np.vecmat(counts * mu, rows) - g_hat
+    H = lam_eye + np.matmul(rows.T * (counts * dmu)[:, None, :], rows)
     sol = np.empty_like(w)
-    for exc in _cholesky_solves(_hessians(family, X, lam_eye, inner), w, sol).values():
+    for exc in _cholesky_solves(H, w, sol).values():
         raise exc
     return np.vecdot(w, sol)
 
@@ -240,7 +238,7 @@ def _relaxed_norms_sq(theta, theta_hat, H):
 
 def _optimistic_indices(inst: GlbInstance, theta_hat, H, gamma: float) -> np.ndarray:
     """x' theta_hat + c gamma ||x||_{H^-1} for every replicate (row) and arm (column)."""
-    sol_t = np.empty((len(H), inst.n_arms, inst.d))  # replicate r's potrs solution, transposed
+    sol_t = np.empty((len(H), inst.n_arms, inst.d))  # replicate r's posv solution, transposed
     for exc in _cholesky_solves(H, inst.arms.T[None], sol_t.mT).values():
         raise exc
     bonus_sq = np.einsum("ij,rij->ri", inst.arms, sol_t)
@@ -254,9 +252,10 @@ def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> 
     if np.linalg.norm(theta) > inst.S0 + 1e-12:
         return False
     theta, inner = _inner_products(inst.family, data, theta, op="exact_membership")
-    lam = state.lambda_T
-    q = _exact_norms_sq(inst.family, data.arms[None], lam, lam * np.eye(theta.shape[1]),
-                        theta, inner, state.gradient_map_at_hat[None])
+    rows, first, counts = np.unique(data.arms, axis=0, return_index=True, return_counts=True)
+    base, lam, u = inst.family.base, state.lambda_T, inner[0, first]
+    q = _exact_norms_sq(rows, counts[None], base.mean_at(u), base.dmean_at(u), lam,
+                        lam * np.eye(theta.shape[1]), theta[0], state.gradient_map_at_hat[None])
     return float(q[0]) <= state.gamma_t**2
 
 
@@ -323,52 +322,56 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     its own stream and keeps its own fit, so it gets the same bytes in any batch.
     A replicate whose fit fails stops there with the reason ``round t: ...``.
     """
-    rngs = [replicate_stream(seed, k) for k in replicates]
+    streams = [replicate_stream(seed, k).random(T) for k in replicates]  # a uniform per round
+    R = len(streams)
+    uniforms = np.array(streams).reshape(R, T).T.copy()  # row n: round n + 1, contiguous
     lam = regularizer_schedule(inst, T, delta) if lam_override is None else float(lam_override)
-    family, arms, d = inst.family, inst.arms, inst.d
+    family, base, arms, d = inst.family, inst.family.base, inst.arms, inst.d
     _, star_mean = inst.best_arm()
     arm_inner = arms @ inst.theta_star
-    arm_means, arm_inner = family.base.mean_at(arm_inner).tolist(), arm_inner.tolist()
+    arm_mu, arm_dmu = base.mean_at(arm_inner), base.dmean_at(arm_inner)
     lam_eye = lam * np.eye(d)
-    R = len(rngs)
-    logs: list[list] = [[] for _ in range(R)]  # RoundLog fields after t, a tuple per round
+    # per replicate and round: arm, index, reward, exact and relaxed cover
+    arm_col, index_col, reward_col, exact_col, relaxed_col = np.zeros((5, R, T))
+    played = np.full(R, T)  # rounds logged: a replicate's columns end there
     reasons: dict[int, str] = {}  # abort reasons by replicate position
-    live = list(range(R))  # positions of the replicates still running
+    live = np.arange(R)  # positions of the replicates still running
     X, y = np.zeros((R, T, d)), np.zeros((R, T))
-    theta, cum = np.zeros((R, d)), [0.0] * R
-    star = np.repeat(inst.theta_star[None], R, axis=0)
+    counts, theta = np.zeros((R, inst.n_arms)), np.zeros((R, d))  # plays per arm, estimates
     for t in range(1, T + 1):
         n = t - 1
         fit = _fit_stack(family, X[:, :n], y[:, :n], lam, lam_eye, theta)
         theta, H, g_hat = fit.theta, fit.H, fit.g
         if fit.errors:
-            reasons.update({live[i]: f"round {t}: {exc}" for i, exc in fit.errors.items()})
+            reasons.update({int(live[i]): f"round {t}: {exc}" for i, exc in fit.errors.items()})
+            played[live[list(fit.errors)]] = n
             keep = [i not in fit.errors for i in range(len(live))]
-            live, rngs, cum = ([v for v, k in zip(a, keep) if k] for a in (live, rngs, cum))
-            X, y, theta, H, g_hat, star = (a[keep] for a in (X, y, theta, H, g_hat, star))
-            if not live:
+            live, X, y, counts, theta, H, g_hat = (
+                a[keep] for a in (live, X, y, counts, theta, H, g_hat))
+            if not live.size:
                 break
-        Xn = X[:, :n]
         gamma = confidence_radius(inst, t, T, delta, lam=lam)
         idx_vals = _optimistic_indices(inst, theta, H, gamma)
         r = inst.diameter_factor * gamma
-        exact = _exact_norms_sq(family, Xn, lam, lam_eye, star, np.matvec(Xn, star), g_hat)
-        relaxed = _relaxed_norms_sq(star, theta, H)
-        chosen = idx_vals.argmax(axis=1).tolist()
-        rewards = []
-        for i, (k, a, vals, rng, ex, rel) in enumerate(zip(
-                live, chosen, idx_vals.tolist(), rngs, (exact <= gamma**2).tolist(),
-                (relaxed <= r * r).tolist())):
-            reward = float(family.base.sample_tilted(arm_inner[a], rng))
-            inst_regret = star_mean - arm_means[a]
-            cum[i] += inst_regret
-            logs[k].append((a, vals[a], reward, inst_regret, cum[i], ex, rel))
-            rewards.append(reward)
+        exact_col[live, n] = _exact_norms_sq(arms, counts, arm_mu, arm_dmu, lam, lam_eye,
+                                             inst.theta_star, g_hat) <= gamma**2
+        relaxed_col[live, n] = _relaxed_norms_sq(inst.theta_star, theta, H) <= r * r
+        chosen = idx_vals.argmax(axis=1)
+        rows = np.arange(len(live))
+        arm_col[live, n] = chosen
+        index_col[live, n] = idx_vals[rows, chosen]
+        y[:, n] = reward_col[live, n] = base.tilted_inverse_cdf(arm_inner[chosen],
+                                                                uniforms[n, live])
         X[:, n] = arms[chosen]
-        y[:, n] = rewards
-    return [RunResult(rounds=tuple(RoundLog(t, *row) for t, row in enumerate(log, 1)),
+        counts[rows, chosen] += 1.0
+    regret_col = (star_mean - arm_mu)[arm_col.astype(int)]
+    cum_col = np.cumsum(regret_col, axis=1) + 0.0  # a running sum from 0.0 never reads -0.0
+    cols = (arm_col.astype(int), index_col, reward_col, regret_col, cum_col, exact_col > 0,
+            relaxed_col > 0)
+    return [RunResult(rounds=tuple(map(RoundLog, range(1, n + 1),
+                                       *(c[k, :n].tolist() for c in cols))),
                       aborted=k in reasons, abort_reason=reasons.get(k, ""))
-            for k, log in enumerate(logs)]
+            for k, n in enumerate(played.tolist())]
 
 
 # ---------------------------------------------------------------------------

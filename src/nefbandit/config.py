@@ -201,7 +201,10 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
     instance = None
     if "arms" in raw:  # instance invariants checked eagerly; commands reuse the instance
         arms = _expand_arms(raw["arms"], "/arms")
-        theta = np.asarray(raw["theta_star"], dtype=float).ravel()
+        try:
+            theta = np.asarray(raw["theta_star"], dtype=float).ravel()
+        except (TypeError, ValueError):
+            raise ParseError("theta_star must be a list of numbers", pointer="/theta_star")
         if not np.isfinite(theta).all():
             raise ParseError("theta_star entries must be finite numbers", pointer="/theta_star")
         if arms.shape[1] != theta.shape[0]:

@@ -9,7 +9,7 @@ moment.
 
 Every supported base ships closed forms for ``log M``, ``mu``, ``mu'``
 and ``mu''`` (vectorised over the tilt), plus CDF/quantile/tail helpers
-and a deterministic tilted sampler driven by uniforms; ``gamma_ratio``,
+and a tilted sampler, one transform per uniform; ``gamma_ratio``,
 the ratio ``|mu''|/mu'`` behind K, uses them alone.  ``moments`` reports,
 their test reference, are analytic where a closed form is exact, adaptive
 quadrature for the Laplace density, log-domain series for atom sets.
@@ -59,6 +59,14 @@ _ATOM_WEIGHT_TOL = 1e-12
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 
+def _freeze(obj, **arrays) -> None:
+    """Set each array, as a read-only C-ordered float copy, on a frozen dataclass."""
+    for name, arr in arrays.items():
+        arr = np.array(arr, dtype=float, order="C")
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def _require_finite(u, name: str = "u") -> float:
     u = float(u)
     if not math.isfinite(u):
@@ -78,7 +86,7 @@ class BaseDistribution:
     - ``quantile(p)``, and ``cdf(y)`` or its own ``interval_mass``;
     - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
       ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t));
-    - ``sample_tilted(u, rng, size)`` and ``moment_report(u)``;
+    - ``tilted_inverse_cdf(u, p)`` or ``_draw(tilt, p)``, and ``moment_report(u)``;
     - optionally ``tilted(u)``, an exact conjugate form of Q_u.
     """
 
@@ -107,6 +115,21 @@ class BaseDistribution:
     def tilted(self, u: float) -> "BaseDistribution":
         """Exact conjugate representation of Q_u, where one exists."""
         raise InvalidArgumentError(f"{self.kind} has no closed tilted form among supported kinds")
+
+    def tilted_inverse_cdf(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Draws of Q_u from uniforms p, elementwise; by default ``_draw`` per distinct tilt."""
+        out = np.empty(p.shape)
+        tilts, which = np.unique(u, return_inverse=True)
+        for i, tilt in enumerate(tilts.tolist()):
+            sel = which == i
+            out[sel] = self._draw(tilt, p[sel])
+        return out
+
+    def sample_tilted(self, u: float, rng: np.random.Generator, size: int | None = None):
+        """``size`` draws of Q_u (a float if None), one uniform of ``rng`` each."""
+        p = np.atleast_1d(rng.random(size))
+        out = self.tilted_inverse_cdf(np.full(p.shape, float(u)), p)
+        return out if size is not None else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -201,11 +224,8 @@ class Bernoulli(BaseDistribution):
             return 1.0 - m
         return 0.0
 
-    def sample_tilted(self, u, rng, size=None):
-        m = float(self.mean_at(u))
-        if size is None:
-            return 1.0 if rng.random() < m else 0.0
-        return (rng.random(size) < m).astype(float)
+    def tilted_inverse_cdf(self, u, p):
+        return (p < self.mean_at(u)).astype(float)
 
     def moment_report(self, u):
         m = float(self.mean_at(u))
@@ -259,8 +279,8 @@ class Gaussian(BaseDistribution):
     def tilted_lower_tail(self, u, t):
         return float(special.ndtr((-t - self.sigma**2 * u) / self.sigma))
 
-    def sample_tilted(self, u, rng, size=None):
-        return self.sigma**2 * float(u) + self.sigma * special.ndtri(rng.random(size))
+    def tilted_inverse_cdf(self, u, p):
+        return self.sigma**2 * u + self.sigma * special.ndtri(p)
 
     def moment_report(self, u):
         third_abs = self.sigma**3 * math.sqrt(8.0 / math.pi)
@@ -314,8 +334,8 @@ class Exponential(BaseDistribution):
             return 0.0
         return -math.expm1(-(self.rate - u) * (-t))
 
-    def sample_tilted(self, u, rng, size=None):
-        return -np.log1p(-rng.random(size)) / (self.rate - float(u))
+    def tilted_inverse_cdf(self, u, p):
+        return -np.log1p(-p) / (self.rate - u)
 
     def moment_report(self, u):
         r = self.rate - float(u)
@@ -357,9 +377,7 @@ class Poisson(BaseDistribution):
         return ks, pmf, np.cumsum(pmf)
 
     def quantile(self, p):
-        ks, _, cum = self._grid(self.nu)
-        idx = int(np.searchsorted(cum, p - 1e-15, side="left"))
-        return float(min(idx, ks[-1]))
+        return float(self._draw(0.0, p - 1e-15))
 
     def interval_mass(self, lo, hi):
         if hi < 0:
@@ -390,13 +408,9 @@ class Poisson(BaseDistribution):
             return 0.0
         return float(special.pdtr(k, m))
 
-    def sample_tilted(self, u, rng, size=None):
-        m = self.nu * math.exp(float(u))
-        ks, _, cum = self._grid(m)
-        us = np.atleast_1d(rng.random(size))
-        idx = np.minimum(np.searchsorted(cum, us, side="left"), ks[-1])
-        out = idx.astype(float)
-        return out if size is not None else float(out[0])
+    def _draw(self, tilt, p):
+        ks, _, cum = self._grid(self.nu * math.exp(tilt))
+        return np.minimum(np.searchsorted(cum, p, side="left"), ks[-1])
 
     def moment_report(self, u):
         m = self.nu * math.exp(float(u))
@@ -477,14 +491,10 @@ class Laplace(BaseDistribution):
             return (c / rm) * math.exp(rm * y)
         return mass_neg + (c / rp) * -math.expm1(-rp * y)
 
-    def sample_tilted(self, u, rng, size=None):
-        rp, rm, c, mass_neg, mass_pos = self._tilted_pieces(float(u))
-        us = np.atleast_1d(rng.random(size)).astype(float)
-        out = np.empty_like(us)
-        neg = us <= mass_neg
-        out[neg] = np.log(us[neg] * rm / c) / rm
-        out[~neg] = -np.log1p(-(us[~neg] - mass_neg) * rp / c) / rp
-        return out if size is not None else float(out[0])
+    def _draw(self, tilt, p):
+        rp, rm, c, mass_neg, _ = self._tilted_pieces(tilt)
+        return np.where(p <= mass_neg, np.log(p * rm / c) / rm,
+                        -np.log1p(-(p - mass_neg) * rp / c) / rp)
 
     def _truncation(self, u):
         rp, rm, *_ = self._tilted_pieces(u)
@@ -568,9 +578,8 @@ class Gamma(BaseDistribution):
             return 0.0
         return float(special.gammainc(self.shape, -t / self._tilted_scale(u)))
 
-    def sample_tilted(self, u, rng, size=None):
-        th = self._tilted_scale(float(u))
-        return th * special.gammaincinv(self.shape, rng.random(size))
+    def tilted_inverse_cdf(self, u, p):
+        return self._tilted_scale(u) * special.gammaincinv(self.shape, p)
 
     def moment_report(self, u):
         u = float(u)
@@ -609,11 +618,6 @@ class _AtomMixin:
     def log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Atom locations and their normalised log-weights (read-only arrays)."""
         return self._locs, self._logw
-
-    def _set_atoms(self, locs: np.ndarray, logw: np.ndarray) -> None:
-        for name, arr in (("_locs", locs), ("_logw", logw)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def mgf_domain(self):
@@ -670,15 +674,10 @@ class _AtomMixin:
         q = self._tilted_weights(u)
         return float(q[self._locs < -t].sum())
 
-    def sample_tilted(self, u, rng, size=None):
-        q = self._tilted_weights(float(u))
+    def _draw(self, tilt, p):
         order = np.argsort(self._locs)
-        cum = np.cumsum(q[order])
-        us = np.atleast_1d(rng.random(size))
-        idx = np.searchsorted(cum, us, side="left")
-        idx = np.clip(idx, 0, len(order) - 1)
-        out = self._locs[order][idx].astype(float)
-        return out if size is not None else float(out[0])
+        cum = np.cumsum(self._tilted_weights(tilt)[order])
+        return self._locs[order][np.minimum(np.searchsorted(cum, p, side="left"), len(cum) - 1)]
 
     def moment_report(self, u):
         q = self._tilted_weights(u)
@@ -706,7 +705,7 @@ class DiscreteAtoms(_AtomMixin, BaseDistribution):
             raise InvalidArgumentError(f"atom weights must sum to 1 within {_ATOM_WEIGHT_TOL}, "
                                        f"got {w.sum()!r}")
         keep = w > 0
-        self._set_atoms(locs[keep], np.log(w[keep] / w[keep].sum()))
+        _freeze(self, _locs=locs[keep], _logw=np.log(w[keep] / w[keep].sum()))
 
     def tilted(self, u):
         q = self._tilted_weights(float(u))
@@ -734,7 +733,7 @@ class CounterexampleSubgaussian(_AtomMixin, BaseDistribution):
         locs = np.power(2.0, ks)
         raw = np.where(ks % 2 == 0, -np.power(4.0, ks),
                        math.log(0.25) - 3.0 * np.power(4.0, ks - 1))
-        self._set_atoms(locs, raw - float(_logsumexp(raw)))
+        _freeze(self, _locs=locs, _logw=raw - float(_logsumexp(raw)))
 
 
 @dataclass(frozen=True)
@@ -791,8 +790,8 @@ class Shifted(BaseDistribution):
     def tilted_lower_tail(self, u, t):
         return self.base.tilted_lower_tail(u, t + self.offset)
 
-    def sample_tilted(self, u, rng, size=None):
-        return self.base.sample_tilted(u, rng, size) + self.offset
+    def tilted_inverse_cdf(self, u, p):
+        return self.base.tilted_inverse_cdf(u, p) + self.offset
 
     def moment_report(self, u):
         r = self.base.moment_report(u)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import linalg
 
-from .distributions import NefFamily
+from .distributions import NefFamily, _freeze
 from .errors import DomainError, InvalidArgumentError, OptimizationError
 
 __all__ = [
@@ -46,7 +46,7 @@ _BACKTRACK = 0.5
 _GRAD_TOL = 1e-8
 _MAX_ITERS = 60
 _ALPHA_COINCIDENCE = 1e-8
-_POTRF, _POTRS = linalg.get_lapack_funcs(("potrf", "potrs"), (np.eye(1),))
+_POSV = linalg.get_lapack_funcs("posv", (np.eye(1),))
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,7 @@ class Dataset:
         if arms.size and norms.max(initial=0.0) > 1.0 + 1e-12:
             raise InvalidArgumentError(
                 f"arm rows must lie in the closed unit ball; max norm {norms.max():.6g}")
-        arms = arms.copy()
-        rewards = rewards.copy()
-        arms.flags.writeable = False
-        rewards.flags.writeable = False
-        object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "rewards", rewards)
+        _freeze(self, arms=arms, rewards=rewards)
 
     @property
     def n(self) -> int:
@@ -127,23 +122,23 @@ def _hessians(family: NefFamily, X, lam_eye: np.ndarray, inner) -> np.ndarray:
 
 
 def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
-    """Write H_r^{-1} B_r into out[r] by LAPACK potrf/potrs on the lower triangle of each
-    H_r (scipy's cho_factor(lower=True) + cho_solve bit for bit); a one-row B serves every
-    H_r.  Returns {r: LinAlgError} for each H_r not positive definite; ValueError on
-    non-finite input."""
+    """Write H_r^{-1} B_r into out[r] by one LAPACK posv call on the lower triangle of
+    each H_r (its potrf + potrs: scipy's cho_factor(lower=True) + cho_solve bit for bit);
+    a one-row B serves every H_r.  Returns {r: LinAlgError} for each H_r not positive
+    definite, leaving out[r] as it was; ValueError on non-finite input."""
     if not (np.isfinite(H).all() and np.isfinite(B).all()):
         raise ValueError("array must not contain infs or NaNs")
     failed = {}
     shared = B.shape[0] == 1
     for r in range(H.shape[0]):
-        c, info = _POTRF(H[r], lower=1, overwrite_a=0, clean=0)
+        _, x, info = _POSV(H[r], B[0] if shared else B[r], lower=1)
         if info > 0:
             failed[r] = linalg.LinAlgError(
                 f"{info}-th leading minor of the array is not positive definite")
-            continue
-        out[r], solve_info = _POTRS(c, B[0] if shared else B[r], lower=1, overwrite_b=0)
-        if info or solve_info:
-            raise ValueError(f"LAPACK reported an illegal argument ({info}, {solve_info})")
+        elif info:
+            raise ValueError(f"LAPACK reported an illegal argument ({info})")
+        else:
+            out[r] = x
     return failed
 
 
@@ -258,11 +253,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     replicate with its own convergence test, Armijo step length and failure; a
     replicate whose start is infeasible begins at the origin, which never is (zero
     inner products)."""
-    R, n, d = X.shape
-    if n == 0:
-        return _Fits(np.zeros((R, d)), np.zeros((R, 0)), lam * np.zeros((R, d)),
-                     _hessians(family, X, lam_eye, np.zeros((R, 0))), [0.0] * R, [0] * R,
-                     [False] * R, {})
+    R, _, d = X.shape
     guard = _guard(family)
     reward_map = np.vecmat(y, X)
 

@@ -9,10 +9,10 @@ implementation of Philox can reproduce runs bit-for-bit):
 
 where ``k`` is the replicate index.  Replicate streams are therefore pure
 functions of ``(seed, k)`` and independent of execution order or worker
-count.  Downstream draws consume only ``random()`` uniforms in a fixed
-order; every distribution sampler is an explicit transform of those
-uniforms (inverse CDF or categorical inversion), never an opaque
-rejection loop.
+count.  Downstream draws consume exactly one ``random()`` uniform per
+reward, in order: every sampler is an explicit transform of it (inverse
+CDF or categorical inversion), never a rejection loop, so T rounds may
+draw their uniforms as one block, ``stream.random(T)``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Instance construction, confidence machinery, the round loop, bound terms."""
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +13,7 @@ from scipy import integrate
 from nefbandit.bandit import (
     ConfidenceState,
     GlbInstance,
+    _exact_norms_sq,
     confidence_radius,
     elliptical_potential_check,
     exact_membership,
@@ -204,6 +207,60 @@ def test_exact_membership_rejects_theta_outside_ball():
     assert not exact_membership(inst, state, data, np.array([3.0, 0.0]))
 
 
+def _weighted_rows(seed, R):
+    rng = replicate_stream(seed, R)
+    inst = exp_instance()
+    theta = 0.5 * rng.random() * np.array([0.6, -0.8])
+    counts = rng.integers(0, 40, (R, inst.n_arms)).astype(float)
+    counts[:, 3] = 0.0  # an arm never played
+    return inst, theta, counts, 3.0 * rng.standard_normal((R, inst.d))
+
+
+def _kernel(inst, lam, theta, counts, g_hat):
+    u = inst.arms @ theta
+    base = inst.family.base
+    return _exact_norms_sq(inst.arms, counts, base.mean_at(u), base.dmean_at(u), lam,
+                           lam * np.eye(inst.d), theta, g_hat)
+
+
+def test_exact_norms_sq_slices_are_the_one_replicate_calls():
+    inst, theta, counts, g_hat = _weighted_rows(61, 3)
+    q = _kernel(inst, 2.5, theta, counts, g_hat)
+    for r in range(3):
+        assert q[r] == _kernel(inst, 2.5, theta, counts[r:r + 1], g_hat[r:r + 1])[0]
+
+
+def test_exact_membership_from_counts_agrees_with_the_row_sums():
+    # the per-arm form reorders the sums of the row form, so it agrees to rounding
+    lam = 2.5
+    inst, theta, counts, g_hat = _weighted_rows(62, 4)
+    base = inst.family.base
+    q = _kernel(inst, lam, theta, counts, g_hat)
+    for r in range(4):
+        X = np.repeat(inst.arms, counts[r].astype(int), axis=0)
+        X = X[replicate_stream(63, r).permutation(len(X))]  # a history with repeated rows
+        u = X @ theta
+        w = lam * theta + X.T @ base.mean_at(u) - g_hat[r]
+        H = lam * np.eye(inst.d) + (X * base.dmean_at(u)[:, None]).T @ X
+        direct = float(w @ np.linalg.solve(H, w))
+        assert q[r] == pytest.approx(direct, rel=1e-10)
+        data = Dataset(X, np.ones(len(X)))
+        for scale, inside in ((1 + 1e-9, True), (1 - 1e-9, False)):
+            state = ConfidenceState(t=len(X) + 1, theta_hat=np.zeros(inst.d),
+                                    hessian_at_hat=H, gradient_map_at_hat=g_hat[r],
+                                    lambda_T=lam, gamma_t=math.sqrt(direct * scale), delta=0.1)
+            assert exact_membership(inst, state, data, theta) is inside
+
+
+def test_exact_membership_names_the_data_row_off_the_domain():
+    inst = make_instance(Exponential(1.0), circle_arms(), np.array([0.5, 0.0]), S0=2.0,
+                         S1=0.5, S2=-0.5)
+    data = Dataset(inst.arms[[3, 0, 0, 3]], np.ones(4))
+    state = _state(inst, 5, 2.0, gamma=1.0)
+    with pytest.raises(DomainError, match="row 1 leaves"):
+        exact_membership(inst, state, data, np.array([1.5, 0.0]))
+
+
 def test_optimistic_choice_single_arm():
     inst = make_instance(Bernoulli(0.5), np.array([[0.4, 0.2]]), THETA3)
     arm, value = optimistic_choice(inst, _state(inst, 1, 2.0, gamma=1.0))
@@ -331,6 +388,22 @@ def test_golden_replicate_zero_is_pinned():
     assert res.cum_regret == 935.4130886010116
 
 
+@pytest.mark.slow
+def test_golden_rounds_csv_match_the_benchmark_reference():
+    # reads the benchmark's pinned sha256 values, so byte drift shows without a benchmark run
+    from nefbandit.config import build_instance, load_config
+    tests = Path(__file__).parent
+    expected = json.loads((tests.parent / "perfbench" / "reference.json").read_text())["golden"]
+    cfg = load_config(tests / "data" / "golden_config.json")
+    inst, picked = build_instance(cfg), [0, 7, 49]
+    batch = run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, picked, cfg.lam)
+    for k, together in zip(picked, batch):
+        alone = run_ofu_glb(inst, cfg.horizon, cfg.delta, seed=cfg.seed, replicate=k,
+                            lam_override=cfg.lam)
+        for res in (alone, together):
+            assert hashlib.sha256(rounds_to_csv(res.rounds).encode()).hexdigest() == expected[k]
+
+
 # ---------------------------------------------------------------------------
 # lockstep replicates: every replicate's bytes are independent of its batch
 # ---------------------------------------------------------------------------
@@ -338,23 +411,24 @@ def test_golden_replicate_zero_is_pinned():
 @dataclass(frozen=True)
 class _Walled(Gaussian):
     """N(u, 1) whose loss term is +inf from u = 1 on while its mean map knows no wall,
-    and whose sampler sometimes returns 20: the fit then creeps up to the wall until
-    no step length stays finite, so that replicate aborts mid-run."""
+    and whose draw is 20 for its lowest 2% of uniforms: the fit then creeps up to the
+    wall until no step length stays finite, so that replicate aborts mid-run."""
 
     def log_mgf(self, u):
         u = np.asarray(u, dtype=float)
         return np.where(u < 1.0, super().log_mgf(u), np.inf)
 
-    def sample_tilted(self, u, rng, size=None):
-        return 20.0 if rng.random() < 0.02 else super().sample_tilted(u, rng)
+    def tilted_inverse_cdf(self, u, p):  # one uniform per reward, as every kind
+        return np.where(p < 0.02, 20.0, super().tilted_inverse_cdf(u, p))
 
 
 @dataclass(frozen=True)
 class _Heavy(Exponential):
-    """Exponential with frequent large rewards: warm starts leave the domain."""
+    """Exponential whose draw is 100 for its lowest 30% of uniforms: warm starts leave
+    the domain."""
 
-    def sample_tilted(self, u, rng, size=None):
-        return 100.0 if rng.random() < 0.3 else super().sample_tilted(u, rng)
+    def tilted_inverse_cdf(self, u, p):
+        return np.where(p < 0.3, 100.0, super().tilted_inverse_cdf(u, p))
 
 
 BATCH_CASES = {
@@ -389,10 +463,12 @@ def test_run_replicates_abort_keeps_its_reason_and_spares_the_others():
                          np.array([0.2, 0.1]), S0=0.5)
     batch = _assert_batch_invariant(inst, 12, 1, lam=1.0, replicates=range(8))
     assert [(k, len(r.rounds), r.abort_reason) for k, r in enumerate(batch) if r.aborted] == [
-        (2, 3, "round 4: no domain-feasible descent step found"),
-        (4, 5, "round 6: no domain-feasible descent step found"),
-        (7, 2, "round 3: no domain-feasible descent step found")]
-    spared = [0, 1, 3, 5, 6]
+        (1, 11, "round 12: no domain-feasible descent step found"),
+        (2, 5, "round 6: no domain-feasible descent step found"),
+        (3, 4, "round 5: no domain-feasible descent step found"),
+        (4, 9, "round 10: no domain-feasible descent step found"),
+        (7, 3, "round 4: no domain-feasible descent step found")]
+    spared = [0, 5, 6]
     survivors = run_replicates(inst, 12, 0.1, 1, spared, lam_override=1.0)
     assert [rounds_to_csv(r.rounds) for r in survivors] == \
         [rounds_to_csv(batch[k].rounds) for k in spared]

@@ -421,6 +421,34 @@ def test_sample_tilted_agrees_with_mean(base):
     assert abs(draws.mean() - rep.mean) < 4 * sd + 1e-9
 
 
+SAMPLER_BASES = [parse_distribution(spec) for spec in (
+    {"kind": "bernoulli", "p": 0.5}, {"kind": "gaussian", "sigma": 1.0},
+    {"kind": "exponential", "rate": 1.0}, {"kind": "poisson", "nu": 2.0},
+    {"kind": "laplace", "scale": 1.0}, {"kind": "gamma", "shape": 2.0, "scale": 1.0},
+    {"kind": "atoms", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
+    {"kind": "counterexample", "i_max": 24},
+)] + [Shifted(Gamma(2.0, 1.0), -1.5)]
+
+
+@pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
+def test_tilted_inverse_cdf_over_arrays_is_the_per_draw_sampler(base):
+    # the round loop draws a round of replicates, each at its own arm's tilt, in one
+    # call: every draw must keep the bits of the one-draw path
+    n = 20_000
+    tilts = interior_grid(base, n=5)[replicate_stream(3, 1).integers(0, 5, n)]
+    draws = base.tilted_inverse_cdf(tilts, replicate_stream(3, 0).random(n))
+    rng = replicate_stream(3, 0)
+    assert np.array_equal(draws, [base.sample_tilted(float(u), rng) for u in tilts])
+
+
+def test_replicate_stream_block_is_the_single_draws():
+    # a replicate draws its T uniforms as one block: the same numbers, in order
+    for k in range(200):
+        rng = replicate_stream(2024, k)
+        singles = [rng.random() for _ in range(333)]
+        assert replicate_stream(2024, k).random(333).tolist() == singles
+
+
 # ---------------------------------------------------------------------------
 # family wrapper and config schema
 # ---------------------------------------------------------------------------

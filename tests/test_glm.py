@@ -397,6 +397,20 @@ def test_stacked_fit_rows_are_the_one_replicate_fits(R):
         assert (fits.gnorm[r], fits.iters[r]) == (ref.gradient_norm, ref.newton_iters)
 
 
+def test_cholesky_solves_fail_only_the_replicate_not_positive_definite():
+    rng = replicate_stream(91, 0)
+    H = np.stack([A @ A.T + 0.1 * np.eye(3) for A in rng.standard_normal((3, 3, 3))])
+    H[1] = np.diag([1.0, -2.0, 1.0])
+    for rhs in (rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 4))):
+        sol = np.full_like(rhs, 7.0)
+        failed = _cholesky_solves(H, rhs, sol)
+        assert list(failed) == [1] and isinstance(failed[1], linalg.LinAlgError)
+        assert (sol[1] == 7.0).all()  # a failed replicate's output is left alone
+        for r in (0, 2):
+            assert np.array_equal(sol[r], linalg.cho_solve(linalg.cho_factor(H[r], lower=True),
+                                                           rhs[r]))
+
+
 def test_cholesky_solve_errors():
     with pytest.raises(linalg.LinAlgError):
         cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))

@@ -385,6 +385,8 @@ def test_cli_coverage_rejects_nonpositive_replicates(tmp_path, capsys, replicate
     ("theta_star", [0.4, math.inf], "/theta_star"),
     ("arms", [[1.0, 0.0], [math.nan, 1.0], [0.6, 0.64]], "/arms"),
     ("arms", [[1.0, 0.0], [0.0, -math.inf], [0.6, 0.64]], "/arms"),
+    ("theta_star", ["x", 0.1], "/theta_star"),
+    ("theta_star", [[0.4], [-0.3, 0.1]], "/theta_star"),
 ])
 def test_cli_non_finite_config_entry_is_a_usage_error(tmp_path, capsys, command, field, value,
                                                       pointer):
