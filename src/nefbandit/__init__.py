@@ -27,7 +27,6 @@ from .distributions import (
     Gamma,
     Gaussian,
     Laplace,
-    MomentReport,
     NefFamily,
     Poisson,
     Shifted,
@@ -36,7 +35,6 @@ from .distributions import (
     gamma_ratio,
     mean_fn,
     mgf,
-    moments,
     parse_distribution,
     reflected,
     sample_tilted,

@@ -10,9 +10,7 @@ moment.
 Every supported base ships closed forms for ``log M``, ``mu``, ``mu'``
 and ``mu''`` (vectorised over the tilt), plus CDF/quantile/tail helpers
 and a tilted sampler, one transform per uniform; ``gamma_ratio``,
-the ratio ``|mu''|/mu'`` behind K, uses them alone.  ``moments`` reports,
-their test reference, are analytic where a closed form is exact, adaptive
-quadrature for the Laplace density, log-domain series for atom sets.
+the ratio ``|mu''|/mu'`` behind K, uses them alone.
 """
 
 from __future__ import annotations
@@ -21,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
+from scipy import integrate  # noqa: F401 -- uncalled; perfbench/tracing.py counts quad through it
 
 from .errors import (
     DomainError,
     InvalidArgumentError,
-    NumericError,
     ParseError,
 )
 
@@ -42,11 +40,9 @@ __all__ = [
     "CounterexampleSubgaussian",
     "Shifted",
     "NefFamily",
-    "MomentReport",
     "mgf",
     "cgf",
     "mean_fn",
-    "moments",
     "gamma_ratio",
     "sample_tilted",
     "centered",
@@ -56,7 +52,6 @@ __all__ = [
 ]
 
 _ATOM_WEIGHT_TOL = 1e-12
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 
 def _freeze(obj, **arrays) -> None:
@@ -86,7 +81,7 @@ class BaseDistribution:
     - ``quantile(p)``, and ``cdf(y)`` or its own ``interval_mass``;
     - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
       ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t));
-    - ``tilted_inverse_cdf(u, p)`` or ``_draw(tilt, p)``, and ``moment_report(u)``;
+    - ``tilted_inverse_cdf(u, p)`` or ``_draw(tilt, p)``;
     - optionally ``tilted(u)``, an exact conjugate form of Q_u.
     """
 
@@ -130,34 +125,6 @@ class BaseDistribution:
         p = np.atleast_1d(rng.random(size))
         out = self.tilted_inverse_cdf(np.full(p.shape, float(u)), p)
         return out if size is not None else float(out[0])
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Mean, variance and third central/absolute moments of one tilt."""
-
-    u: float
-    mean: float
-    variance: float
-    third_central: float
-    third_absolute: float
-    method: str
-    abs_error_estimate: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise NumericError("negative variance in moment report", residual=self.variance)
-        if self.third_absolute < abs(self.third_central) - 1e-9 * (1 + abs(self.third_central)):
-            raise NumericError("third absolute moment below |third central|")
-
-
-def _analytic_report(base: BaseDistribution, u: float, third_abs: float,
-                     method: str = "analytic", err: float = 1e-14) -> MomentReport:
-    return MomentReport(u=float(u), mean=float(base.mean_at(u)),
-                        variance=float(base.dmean_at(u)),
-                        third_central=float(base.d2mean_at(u)),
-                        third_absolute=float(third_abs), method=method,
-                        abs_error_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +194,6 @@ class Bernoulli(BaseDistribution):
     def tilted_inverse_cdf(self, u, p):
         return (p < self.mean_at(u)).astype(float)
 
-    def moment_report(self, u):
-        m = float(self.mean_at(u))
-        third_abs = (1.0 - m) * m**3 + m * (1.0 - m) ** 3
-        return _analytic_report(self, u, third_abs)
-
 
 @dataclass(frozen=True)
 class Gaussian(BaseDistribution):
@@ -281,10 +243,6 @@ class Gaussian(BaseDistribution):
 
     def tilted_inverse_cdf(self, u, p):
         return self.sigma**2 * u + self.sigma * special.ndtri(p)
-
-    def moment_report(self, u):
-        third_abs = self.sigma**3 * math.sqrt(8.0 / math.pi)
-        return _analytic_report(self, u, third_abs)
 
 
 @dataclass(frozen=True)
@@ -336,11 +294,6 @@ class Exponential(BaseDistribution):
 
     def tilted_inverse_cdf(self, u, p):
         return -np.log1p(-p) / (self.rate - u)
-
-    def moment_report(self, u):
-        r = self.rate - float(u)
-        third_abs = (12.0 / math.e - 2.0) / r**3
-        return _analytic_report(self, u, third_abs)
 
 
 @dataclass(frozen=True)
@@ -411,12 +364,6 @@ class Poisson(BaseDistribution):
     def _draw(self, tilt, p):
         ks, _, cum = self._grid(self.nu * math.exp(tilt))
         return np.minimum(np.searchsorted(cum, p, side="left"), ks[-1])
-
-    def moment_report(self, u):
-        m = self.nu * math.exp(float(u))
-        ks, pmf, _ = self._grid(m)
-        third_abs = float(np.sum(pmf * np.abs(ks - m) ** 3))
-        return _analytic_report(self, u, third_abs, err=1e-12)
 
 
 @dataclass(frozen=True)
@@ -496,32 +443,6 @@ class Laplace(BaseDistribution):
         return np.where(p <= mass_neg, np.log(p * rm / c) / rm,
                         -np.log1p(-(p - mass_neg) * rp / c) / rp)
 
-    def _truncation(self, u):
-        rp, rm, *_ = self._tilted_pieces(u)
-        return (-90.0 / rm - 4.0 * self.scale, 90.0 / rp + 4.0 * self.scale)
-
-    def moment_report(self, u):
-        u = float(u)
-        lo, hi = self._truncation(u)
-        logm = float(self.log_mgf(u))
-
-        def dens(y):
-            return math.exp(u * y - logm - abs(y) / self.scale) / (2.0 * self.scale)
-
-        mean, e0 = integrate.quad(lambda y: y * dens(y), lo, hi, points=[0.0], **_QUAD_OPTS)
-        var, e1 = integrate.quad(lambda y: (y - mean) ** 2 * dens(y), lo, hi,
-                                 points=[0.0, mean], **_QUAD_OPTS)
-        third, e2 = integrate.quad(lambda y: (y - mean) ** 3 * dens(y), lo, hi,
-                                   points=[0.0, mean], **_QUAD_OPTS)
-        third_abs, e3 = integrate.quad(lambda y: abs(y - mean) ** 3 * dens(y), lo, hi,
-                                       points=[0.0, mean], **_QUAD_OPTS)
-        err = e0 + e1 + e2 + e3
-        if err > 1e-8 * (1.0 + abs(third_abs)):
-            raise NumericError("tilted Laplace moment quadrature did not converge", residual=err)
-        return MomentReport(u=u, mean=mean, variance=var, third_central=third,
-                            third_absolute=third_abs, method="quadrature",
-                            abs_error_estimate=err)
-
 
 @dataclass(frozen=True)
 class Gamma(BaseDistribution):
@@ -580,20 +501,6 @@ class Gamma(BaseDistribution):
 
     def tilted_inverse_cdf(self, u, p):
         return self._tilted_scale(u) * special.gammaincinv(self.shape, p)
-
-    def moment_report(self, u):
-        u = float(u)
-        th = self._tilted_scale(u)
-        mean = self.shape * th
-        hi = th * float(special.gammaincinv(self.shape, 1.0 - 1e-16))
-
-        def dens(y):
-            return math.exp((self.shape - 1.0) * math.log(y) - y / th
-                            - special.gammaln(self.shape) - self.shape * math.log(th))
-
-        third_abs, err = integrate.quad(lambda y: abs(y - mean) ** 3 * dens(y),
-                                        1e-300, hi, points=[mean], **_QUAD_OPTS)
-        return _analytic_report(self, u, third_abs, err=err)
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +585,6 @@ class _AtomMixin:
         order = np.argsort(self._locs)
         cum = np.cumsum(self._tilted_weights(tilt)[order])
         return self._locs[order][np.minimum(np.searchsorted(cum, p, side="left"), len(cum) - 1)]
-
-    def moment_report(self, u):
-        q = self._tilted_weights(u)
-        m = float(np.dot(q, self._locs))
-        d = self._locs - m
-        return MomentReport(u=float(u), mean=m, variance=float(np.dot(q, d**2)),
-                            third_central=float(np.dot(q, d**3)),
-                            third_absolute=float(np.dot(q, np.abs(d) ** 3)),
-                            method="series", abs_error_estimate=1e-14)
 
 
 @dataclass(frozen=True)
@@ -793,12 +691,6 @@ class Shifted(BaseDistribution):
     def tilted_inverse_cdf(self, u, p):
         return self.base.tilted_inverse_cdf(u, p) + self.offset
 
-    def moment_report(self, u):
-        r = self.base.moment_report(u)
-        return MomentReport(u=r.u, mean=r.mean + self.offset, variance=r.variance,
-                            third_central=r.third_central, third_absolute=r.third_absolute,
-                            method=r.method, abs_error_estimate=r.abs_error_estimate)
-
 
 def centered(base: BaseDistribution) -> BaseDistribution:
     """Shift the base to zero mean."""
@@ -873,12 +765,6 @@ def mean_fn(dist, u: float) -> float:
     base = _base_of(dist)
     u = base.require_interior(u, op="mean_fn")
     return float(base.mean_at(u))
-
-
-def moments(dist, u: float) -> MomentReport:
-    base = _base_of(dist)
-    u = base.require_interior(u, op="moments")
-    return base.moment_report(u)
 
 
 def gamma_ratio(dist, u):

@@ -33,7 +33,7 @@ class DegenerateDistributionError(NefBanditError):
 
 
 class NumericError(NefBanditError, ArithmeticError):
-    """Quadrature or series evaluation failed to reach the requested accuracy."""
+    """A numeric evaluation failed to reach the requested accuracy."""
 
     def __init__(self, message: str, *, residual: float | None = None):
         if residual is not None:

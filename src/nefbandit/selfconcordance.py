@@ -31,7 +31,6 @@ from .distributions import (
     NefFamily,
     Shifted,
     gamma_ratio,
-    moments,
 )
 from .errors import (
     DegenerateDistributionError,
@@ -385,6 +384,11 @@ def subgaussian_stretch_bound(sigma_proxy: float, witness: SupportWitness, u: fl
 # Linear-growth counterexample
 # ---------------------------------------------------------------------------
 
+# spacing of float64 log-weights of size u^2 = 4^(i+1) beyond which the tilted
+# ratio drifts (5e-7 relative at i = 16 against a 200-digit evaluation)
+_LOG_WEIGHT_ULP_MAX = 1e-6
+
+
 def counterexample_distribution(i_max: int) -> CounterexampleSubgaussian:
     return CounterexampleSubgaussian(i_max)
 
@@ -411,24 +415,30 @@ def verify_lower_bound(i: int, i_max: int | None = None) -> LowerBoundReport:
     """Tilted mean and moment ratio of the atom construction at u = 2^(i+1).
 
     Checks the mean against [1.24, 1.26] * 2^i and the ratio against
-    0.038 * u.  All weight arithmetic runs in log domain.
+    0.038 * u.  All weight arithmetic runs in log domain, where the
+    log-weights near the tilted mass are of size u^2; past
+    ``_LOG_WEIGHT_ULP_MAX`` (from i = 16 on) float64 cannot resolve them,
+    and a ``PrecisionError`` is raised instead of a wrong report.
     """
     if not isinstance(i, (int, np.integer)) or i % 2 != 0 or i < 4:
         raise InvalidArgumentError(f"i must be an even integer >= 4, got {i!r}")
     i_max = int(i + 20) if i_max is None else int(i_max)
     if i_max < i + 20:
         raise InvalidArgumentError(f"series truncation i_max must be >= i + 20, got {i_max}")
-    base = counterexample_distribution(i_max)
     u = float(2 ** (i + 1))
-    rep = moments(base, u)
-    if not all(map(math.isfinite, (rep.mean, rep.variance, rep.third_central))):
+    if math.ulp(u * u) > _LOG_WEIGHT_ULP_MAX:
+        raise PrecisionError(f"float64 log-weights cannot resolve the construction at i = {i}: "
+                             f"ulp(u^2) = {math.ulp(u * u):.3g} exceeds {_LOG_WEIGHT_ULP_MAX:g}")
+    base = counterexample_distribution(i_max)
+    mean, var, third = (float(f(u)) for f in (base.mean_at, base.dmean_at, base.d2mean_at))
+    if not all(map(math.isfinite, (mean, var, third))):
         raise PrecisionError("moment evaluation overflowed; log-domain path is mandatory here")
-    ratio = abs(rep.third_central) / rep.variance
+    ratio = abs(third) / var
     mean_lo, mean_hi = 1.24 * 2**i, 1.26 * 2**i
     return LowerBoundReport(
-        i=i, i_max=i_max, u=u, mean=rep.mean, ratio=ratio,
+        i=i, i_max=i_max, u=u, mean=mean, ratio=ratio,
         mean_lo=mean_lo, mean_hi=mean_hi, ratio_threshold=0.038 * u,
-        mean_ok=bool(mean_lo <= rep.mean <= mean_hi),
+        mean_ok=bool(mean_lo <= mean <= mean_hi),
         ratio_ok=bool(ratio >= 0.038 * u),
     )
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .distributions import (
     BaseDistribution,
@@ -187,7 +187,8 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
     """MGF of Q_u at eps, measured without the ratio identity.
 
     Uses the conjugate closed form when one exists, an exact log-domain
-    series for atom kinds, quadrature against the tilted density otherwise.
+    series for atom kinds, and for Laplace the sum over the two exponential
+    pieces of the tilted density.
     """
     inner = base.base if isinstance(base, Shifted) else base
     offset = base.offset if isinstance(base, Shifted) else 0.0
@@ -203,14 +204,11 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
     if t is not None:
         return float(np.exp(t.log_mgf(eps)))
     if isinstance(inner, Laplace):
-        s, logm = inner.scale, float(inner.log_mgf(u))
-        lo, hi = inner._truncation(u)
-
-        def f(y):
-            return math.exp(eps * (y + offset) + u * y - logm - abs(y) / s) / (2.0 * s)
-
-        val, _ = integrate.quad(f, lo, hi, points=[0.0], limit=200)
-        return val
+        # density c exp(-rp y) on y > 0 and c exp(rm y) on y < 0
+        rp, rm, c, _, _ = inner._tilted_pieces(u)
+        if not -rm < eps < rp:
+            return math.inf
+        return math.exp(eps * offset) * (c / (rp - eps) + c / (rm + eps))
     raise InvalidArgumentError(f"no independent tilted-MGF route for kind {base.kind!r}")
 
 

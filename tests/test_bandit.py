@@ -14,6 +14,7 @@ from nefbandit.bandit import (
     ConfidenceState,
     GlbInstance,
     _exact_norms_sq,
+    _optimistic_indices,
     confidence_radius,
     elliptical_potential_check,
     exact_membership,
@@ -283,6 +284,30 @@ def test_optimistic_choice_exploit_term_breaks_symmetry():
     state = _state(inst, 3, 2.0, gamma=1.0, theta_hat=np.array([3.0, 0.0]))
     arm, _ = optimistic_choice(inst, state)
     assert arm == 0
+
+
+TIED_ARMS = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.64], [1.0, 0.0]])  # arm 3 repeats arm 1
+
+
+@pytest.mark.parametrize("base", [Bernoulli(0.5), Exponential(1.0)], ids=lambda b: b.kind)
+def test_an_exact_index_tie_goes_to_the_lowest_arm(base):
+    # arms 1 and 3 are the same best arm: their indices tie bit for bit, and the
+    # lowest-index rule, part of the rounds.csv byte contract, never plays arm 3
+    inst = make_instance(base, TIED_ARMS, THETA3)
+    rng = replicate_stream(71, 0)
+    theta_hat = THETA3 + 0.05 * rng.standard_normal((20, 2))
+    A = rng.standard_normal((20, 2, 2))
+    H = A @ A.mT + 2.0 * np.eye(2)
+    idx = _optimistic_indices(inst, theta_hat, H, 0.1)
+    assert idx[:, 1].tobytes() == idx[:, 3].tobytes()
+    assert (idx.argmax(axis=1) == 1).all()
+    for r in range(20):
+        state = _state(inst, 5, 2.0, gamma=0.1, theta_hat=theta_hat[r], H=H[r])
+        assert optimistic_choice(inst, state) == (1, float(idx[r, 1]))
+    runs = run_replicates(inst, 200, 0.1, 0, range(20))
+    assert not any(res.aborted for res in runs)
+    arms_played = np.array([[r.arm for r in res.rounds] for res in runs])
+    assert (arms_played == 1).any() and not (arms_played == 3).any()
 
 
 def test_relaxed_contains_exact_on_logged_rounds():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from nefbandit.distributions import (
@@ -23,13 +25,13 @@ from nefbandit.distributions import (
     gamma_ratio,
     mean_fn,
     mgf,
-    moments,
     parse_distribution,
     reflected,
     sample_tilted,
 )
 from nefbandit.errors import DomainError, InvalidArgumentError, ParseError
 from nefbandit.rng import replicate_stream
+from oracle import moments
 
 ALL_BASES = [
     Bernoulli(0.5),
@@ -439,6 +441,20 @@ def test_tilted_inverse_cdf_over_arrays_is_the_per_draw_sampler(base):
     draws = base.tilted_inverse_cdf(tilts, replicate_stream(3, 0).random(n))
     rng = replicate_stream(3, 0)
     assert np.array_equal(draws, [base.sample_tilted(float(u), rng) for u in tilts])
+
+
+@pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(frac=st.floats(0.0, 1.0))
+def test_closed_form_derivatives_match_central_differences(base, frac):
+    # mu' and mu'' of every kind are their own closed forms: check each against a
+    # central difference of the one below it, anywhere on the interior grid
+    lo, hi = interior_grid(base, n=2, frac=0.9)
+    u, h = lo + frac * (hi - lo), 1e-5
+    for fn, deriv in ((base.mean_at, base.dmean_at), (base.dmean_at, base.d2mean_at)):
+        fd = (float(fn(u + h)) - float(fn(u - h))) / (2.0 * h)
+        exact = float(deriv(u))
+        assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
 
 def test_replicate_stream_block_is_the_single_draws():

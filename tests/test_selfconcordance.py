@@ -16,13 +16,13 @@ from nefbandit.distributions import (
     NefFamily,
     gamma_ratio,
     mean_fn,
-    moments,
     reflected,
 )
 from nefbandit.errors import (
     DegenerateDistributionError,
     DomainError,
     InvalidArgumentError,
+    PrecisionError,
 )
 from nefbandit.selfconcordance import (
     SupportWitness,
@@ -40,6 +40,7 @@ from nefbandit.selfconcordance import (
     verify_lower_bound,
     witness_mass,
 )
+from oracle import moments
 
 MIX4 = DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)))
 
@@ -382,6 +383,15 @@ def test_verify_lower_bound_large_indices_stay_finite():
         rep = verify_lower_bound(i)
         assert math.isfinite(rep.mean) and math.isfinite(rep.ratio)
         assert rep.ratio_ok
+
+
+def test_verify_lower_bound_fails_loud_past_float64_resolution():
+    # the log-weights are about u^2 = 4^(i+1): from i = 16 their float64 spacing
+    # drifts the ratio (0.27 relative at i = 26), and from i = 28 it reads 0.0
+    assert verify_lower_bound(14).ratio_ok
+    for i in (16, 28):
+        with pytest.raises(PrecisionError, match=f"i = {i}"):
+            verify_lower_bound(i)
 
 
 def test_verify_lower_bound_argument_validation():

@@ -19,7 +19,6 @@ from nefbandit.distributions import (
     centered,
     gamma_ratio,
     mean_fn,
-    moments,
 )
 from nefbandit.errors import DomainError, InvalidArgumentError
 from nefbandit.selfconcordance import (
@@ -40,6 +39,7 @@ from nefbandit.tailbounds import (
     tilted_tail_bounds,
     variance_lower_bound,
 )
+from oracle import moments
 
 SUITE_BASES = [Exponential(1.0), Laplace(1.0), Bernoulli(0.5), Gamma(2.0, 1.0),
                DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)))]
@@ -290,13 +290,22 @@ def test_non_finite_slack_fails_its_certificate(monkeypatch):
     assert [n for n, c in certs.items() if not c.ok] == ["tilted_mgf_ratio_identity"]
 
 
-def test_tail_suite_needs_no_quadrature_for_gamma(monkeypatch):
+@pytest.mark.parametrize("base", SUITE_BASES + [CounterexampleSubgaussian(24)],
+                         ids=lambda b: b.kind)
+def test_tail_suite_needs_no_quadrature(base, monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the tail suite reached scipy.integrate.quad")
 
     monkeypatch.setattr(integrate, "quad", no_quadrature)
-    certs = run_tail_suite(Gamma(2.0, 1.0))
+    certs = run_tail_suite(base)
     assert all(c.ok for c in certs)
+
+
+def test_measured_tilted_mgf_of_laplace_is_infinite_past_its_domain():
+    # Q_u of Laplace(1) has a finite MGF exactly on -(1 + u) < eps < 1 - u
+    assert measured_tilted_mgf(Laplace(1.0), 0.5, 0.49) < math.inf
+    assert measured_tilted_mgf(Laplace(1.0), 0.5, 0.5) == math.inf
+    assert measured_tilted_mgf(Laplace(1.0), 0.5, -1.6) == math.inf
 
 
 @pytest.mark.parametrize("slacks", [[-1.0, math.nan, -2.0], [-1.0, math.inf], [-math.inf, -1.0]])
