@@ -141,9 +141,10 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     """Derive the missing constants for a well-posed instance.
 
     Defaults: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm; tail
-    rates at 90% of the distance to a finite domain endpoint and
-    max(1, 1.25 |S|) on infinite sides; L and K as grid suprema of mu'
-    and |mu''|/mu' on [S2, S1]; M at its floor.
+    rates halfway from the tilt range to a finite domain endpoint
+    (c1 = (S1 + hi)/2, c2 = -(S2 + lo)/2) and max(1, 1.25 |S|) on infinite
+    sides; L and K as grid suprema of mu' and |mu''|/mu' on [S2, S1]; M at
+    its floor.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     theta_star = np.asarray(theta_star, dtype=float).ravel()

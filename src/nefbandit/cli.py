@@ -128,10 +128,8 @@ def cmd_verify(ns) -> int:
 
 def cmd_tails(ns) -> int:
     base = _grid_base(ns)
-    interval = None
-    if ns.grid_lo is not None and ns.grid_hi is not None:
-        interval = (ns.grid_lo, ns.grid_hi)
-    certs = run_tail_suite(base, c1=ns.c1, c2=ns.c2, interval=interval, grid_n=ns.grid_n)
+    certs = run_tail_suite(base, c1=ns.c1, c2=ns.c2, interval=(ns.grid_lo, ns.grid_hi),
+                           grid_n=ns.grid_n)
     payload = {
         "schema": 1,
         "distribution": base.kind,

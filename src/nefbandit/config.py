@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import GlbInstance, make_instance
-from .distributions import BaseDistribution, parse_distribution
+from .distributions import parse_distribution
 from .errors import ConfigError, ParseError
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "build_instance"]
@@ -102,9 +102,6 @@ class ExperimentConfig:
     @property
     def has_instance(self) -> bool:
         return "arms" in self.raw and "theta_star" in self.raw
-
-    def base(self) -> BaseDistribution:
-        return parse_distribution(self.distribution)
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))

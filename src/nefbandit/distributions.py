@@ -8,9 +8,10 @@ mean function ``mu(u)`` of ``Q_u`` equals ``psi'(u)``; its derivative
 moment.
 
 Every supported base ships closed forms for ``log M``, ``mu``, ``mu'``
-and ``mu''`` (vectorised over the tilt), plus CDF/quantile/tail helpers
-and a tilted sampler, one transform per uniform; ``gamma_ratio``,
-the ratio ``|mu''|/mu'`` behind K, uses them alone.
+and ``mu''`` (vectorised over the tilt), one draw transform of Q_u (one
+uniform per draw) and the two tails of Q_u; the quantiles and interval
+masses of Q itself are these at u = 0.  ``gamma_ratio``, the ratio
+``|mu''|/mu'`` behind K, uses the closed forms alone.
 """
 
 from __future__ import annotations
@@ -78,11 +79,14 @@ class BaseDistribution:
     - ``support_bounds``: essential infimum and supremum of the support;
     - ``log_mgf``, ``mean_at``, ``dmean_at`` (variance of Q_u) and
       ``d2mean_at`` (third central moment of Q_u), vectorised over u;
-    - ``quantile(p)``, and ``cdf(y)`` or its own ``interval_mass``;
     - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
       ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t));
     - ``tilted_inverse_cdf(u, p)`` or ``_draw(tilt, p)``;
     - optionally ``tilted(u)``, an exact conjugate form of Q_u.
+
+    ``quantile``, ``upper_quantile`` and ``interval_mass`` of Q are derived
+    at u = 0; a kind overrides them only where its draw or its tails do not
+    give them exactly.
     """
 
     kind: str = ""
@@ -103,9 +107,17 @@ class BaseDistribution:
                               value=u, interval=(lo, hi))
         return u
 
+    def quantile(self, p: np.ndarray) -> np.ndarray:
+        """Least y with Q((-∞, y]) >= p, elementwise: the draw of Q at uniforms p."""
+        return self.tilted_inverse_cdf(np.zeros(p.shape), p)
+
+    def upper_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Elementwise, a point with at least mass p at or above it."""
+        return self.quantile(1.0 - p)
+
     def interval_mass(self, lo: float, hi: float) -> float:
         """Q([lo, hi]), endpoints included for atom kinds."""
-        return max(self.cdf(hi) - self.cdf(lo), 0.0)
+        return max(self.tilted_lower_tail(0.0, -hi) - self.tilted_lower_tail(0.0, -lo), 0.0)
 
     def tilted(self, u: float) -> "BaseDistribution":
         """Exact conjugate representation of Q_u, where one exists."""
@@ -119,12 +131,6 @@ class BaseDistribution:
             sel = which == i
             out[sel] = self._draw(tilt, p[sel])
         return out
-
-    def sample_tilted(self, u: float, rng: np.random.Generator, size: int | None = None):
-        """``size`` draws of Q_u (a float if None), one uniform of ``rng`` each."""
-        p = np.atleast_1d(rng.random(size))
-        out = self.tilted_inverse_cdf(np.full(p.shape, float(u)), p)
-        return out if size is not None else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +170,12 @@ class Bernoulli(BaseDistribution):
         m = self.mean_at(u)
         return m * (1.0 - m) * (1.0 - 2.0 * m)
 
+    # the draw maps p < mean to 1, so it inverts the survival function
     def quantile(self, p):
-        return 0.0 if p <= 1.0 - self.p else 1.0
+        return self.tilted_inverse_cdf(np.zeros(p.shape), 1.0 - p)
+
+    def upper_quantile(self, p):
+        return self.tilted_inverse_cdf(np.zeros(p.shape), p)
 
     def interval_mass(self, lo, hi):
         mass = 0.0
@@ -226,12 +236,6 @@ class Gaussian(BaseDistribution):
     def d2mean_at(self, u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
-    def cdf(self, y):
-        return float(special.ndtr(y / self.sigma))
-
-    def quantile(self, p):
-        return float(self.sigma * special.ndtri(p))
-
     def tilted(self, u):
         return Shifted(Gaussian(self.sigma), self.sigma**2 * float(u))
 
@@ -273,12 +277,6 @@ class Exponential(BaseDistribution):
 
     def d2mean_at(self, u):
         return 2.0 / (self.rate - np.asarray(u, dtype=float)) ** 3
-
-    def cdf(self, y):
-        return 0.0 if y < 0 else -math.expm1(-self.rate * y)
-
-    def quantile(self, p):
-        return -math.log1p(-p) / self.rate
 
     def tilted(self, u):
         return Exponential(self.rate - float(u))
@@ -328,9 +326,6 @@ class Poisson(BaseDistribution):
         ks = np.arange(kmax + 1)
         pmf = np.exp(ks * math.log(m) - m - special.gammaln(ks + 1))
         return ks, pmf, np.cumsum(pmf)
-
-    def quantile(self, p):
-        return float(self._draw(0.0, p - 1e-15))
 
     def interval_mass(self, lo, hi):
         if hi < 0:
@@ -405,15 +400,12 @@ class Laplace(BaseDistribution):
         u = np.asarray(u, dtype=float)
         return 2.0 / (lam - u) ** 3 - 2.0 / (lam + u) ** 3
 
-    def cdf(self, y):
-        if y < 0:
-            return 0.5 * math.exp(y / self.scale)
-        return 1.0 - 0.5 * math.exp(-y / self.scale)
-
-    def quantile(self, p):
-        if p < 0.5:
-            return self.scale * math.log(2.0 * p)
-        return -self.scale * math.log(2.0 * (1.0 - p))
+    def interval_mass(self, lo, hi):
+        # closed form: the u = 0 tails would pay an exp of the log-MGF per call
+        s = self.scale
+        below_hi = 0.5 * math.exp(hi / s) if hi < 0 else 1.0 - 0.5 * math.exp(-hi / s)
+        below_lo = 0.5 * math.exp(lo / s) if lo < 0 else 1.0 - 0.5 * math.exp(-lo / s)
+        return max(below_hi - below_lo, 0.0)
 
     def _tilted_pieces(self, u):
         # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0
@@ -474,14 +466,6 @@ class Gamma(BaseDistribution):
 
     def d2mean_at(self, u):
         return 2.0 * self.shape * self.scale**3 / (1.0 - self.scale * np.asarray(u, dtype=float)) ** 3
-
-    def cdf(self, y):
-        if y <= 0:
-            return 0.0
-        return float(special.gammainc(self.shape, y / self.scale))
-
-    def quantile(self, p):
-        return float(self.scale * special.gammaincinv(self.shape, p))
 
     def _tilted_scale(self, u):
         return self.scale / (1.0 - self.scale * u)
@@ -559,14 +543,11 @@ class _AtomMixin:
     def d2mean_at(self, u):
         return self._central(u, 3)
 
-    def quantile(self, p):
-        order = np.argsort(self._locs)
-        acc = 0.0
-        for i in order:
-            acc += math.exp(self._logw[i])
-            if acc >= p - 1e-15:
-                return float(self._locs[i])
-        return float(self._locs[order[-1]])
+    def upper_quantile(self, p):
+        order = np.argsort(self._locs)[::-1]
+        cum = np.cumsum(np.exp(self._logw)[order])
+        return self._locs[order][np.minimum(np.searchsorted(cum, p - 1e-15, side="left"),
+                                            len(cum) - 1)]
 
     def interval_mass(self, lo, hi):
         w = np.exp(self._logw)
@@ -676,6 +657,9 @@ class Shifted(BaseDistribution):
     def quantile(self, p):
         return self.base.quantile(p) + self.offset
 
+    def upper_quantile(self, p):
+        return self.base.upper_quantile(p) + self.offset
+
     def interval_mass(self, lo, hi):
         return self.base.interval_mass(lo - self.offset, hi - self.offset)
 
@@ -783,9 +767,12 @@ def gamma_ratio(dist, u):
 
 
 def sample_tilted(dist, u: float, rng: np.random.Generator, size: int | None = None):
+    """``size`` draws of Q_u (a float if None), one uniform of ``rng`` each."""
     base = _base_of(dist)
     u = base.require_interior(u, op="sample_tilted")
-    return base.sample_tilted(u, rng, size)
+    p = np.atleast_1d(rng.random(size))
+    out = base.tilted_inverse_cdf(np.full(p.shape, u), p)
+    return out if size is not None else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,8 @@ import numpy as np
 
 from .distributions import (
     BaseDistribution,
-    Bernoulli,
     CounterexampleSubgaussian,
-    DiscreteAtoms,
     NefFamily,
-    Shifted,
     gamma_ratio,
 )
 from .errors import (
@@ -184,37 +181,6 @@ def _mass_beside(base: BaseDistribution, m: float, a: float, b: float, side: str
     return base.interval_mass(m + a, m + b)
 
 
-def _side_mass(base: BaseDistribution, m: float, side: str) -> float:
-    if side == "below":
-        lo = base.support_bounds[0]
-        return base.interval_mass(lo if math.isfinite(lo) else -1e308, m) \
-            - base.interval_mass(m, m)
-    hi = base.support_bounds[1]
-    return base.interval_mass(m, hi if math.isfinite(hi) else 1e308) \
-        - base.interval_mass(m, m)
-
-
-def _quantile_toward_tail(base: BaseDistribution, level: float, side: str) -> float:
-    """Point with at least ``level`` mass at or beyond it, on the given side."""
-    if side == "below":
-        return float(base.quantile(level))
-    if isinstance(base, Shifted):
-        return base.offset + _quantile_toward_tail(base.base, level, side)
-    if isinstance(base, (DiscreteAtoms, CounterexampleSubgaussian)):
-        locs, logw = base.log_atoms
-        order = np.argsort(locs)[::-1]
-        w = np.exp(logw)
-        acc = 0.0
-        for i in order:
-            acc += w[i]
-            if acc >= level - 1e-15:
-                return float(locs[i])
-        return float(locs[order[-1]])
-    if isinstance(base, Bernoulli):
-        return 1.0 if base.p >= level - 1e-15 else 0.0
-    return float(base.quantile(1.0 - level))
-
-
 def find_support_witness(base: BaseDistribution, side: str = "below") -> SupportWitness:
     """Scan sidewise quantiles for the witness maximizing a^2 * eta.
 
@@ -229,7 +195,11 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
         raise DegenerateDistributionError(
             "point-mass base has no support witness; the zero stretch function applies")
     m = float(base.mean_at(0.0))
-    beta = _side_mass(base, m, side)
+    # beta = Q(Y < m) or Q(Y > m), from the u = 0 tails
+    if side == "below":
+        beta = base.tilted_lower_tail(0.0, -m)
+    else:
+        beta = base.tilted_upper_tail(0.0, m)
     if beta <= 0.0:
         raise DegenerateDistributionError("no mass on the requested side of the mean")
 
@@ -239,16 +209,17 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
     if math.isfinite(edge):
         b_candidates.append(float(edge))
 
-    for q in _WITNESS_B_LEVELS:
-        xb = _quantile_toward_tail(base, q * beta, side)
-        b = (m - xb) if side == "below" else (xb - m)
-        if math.isfinite(b):
-            b_candidates.append(float(b))
+    # every level's point in one quantile call: distance from the mean toward the tail
+    levels = np.array(_WITNESS_B_LEVELS + _WITNESS_A_LEVELS) * beta
+    if side == "below":
+        dists = (m - base.quantile(levels)).tolist()
+    else:
+        dists = (base.upper_quantile(levels) - m).tolist()
+    nb = len(_WITNESS_B_LEVELS)
+    b_candidates += [b for b in dists[:nb] if math.isfinite(b)]
 
     candidates = []
-    for p in _WITNESS_A_LEVELS:
-        x = _quantile_toward_tail(base, p * beta, side)
-        a = (m - x) if side == "below" else (x - m)
+    for a in dists[nb:]:
         if not a > 0:
             continue
         for b in b_candidates:

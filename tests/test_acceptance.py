@@ -41,6 +41,7 @@ from nefbandit.distributions import (
     Laplace,
     NefFamily,
     gamma_ratio,
+    sample_tilted,
 )
 from nefbandit.glm import (
     Dataset,
@@ -207,7 +208,7 @@ def test_criterion_5_glm_correctness():
         X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-9) * 1.01
         X *= rng.random((n, 1)) ** (1.0 / d)
         theta0 = 0.25 * rng.standard_normal(d) / math.sqrt(d)
-        y = np.array([fam.base.sample_tilted(float(x @ theta0), rng) for x in X])
+        y = np.array([sample_tilted(fam, float(x @ theta0), rng) for x in X])
         data = Dataset(X, y)
         theta = 0.25 * rng.standard_normal(d) / math.sqrt(d)
 

@@ -440,7 +440,29 @@ def test_tilted_inverse_cdf_over_arrays_is_the_per_draw_sampler(base):
     tilts = interior_grid(base, n=5)[replicate_stream(3, 1).integers(0, 5, n)]
     draws = base.tilted_inverse_cdf(tilts, replicate_stream(3, 0).random(n))
     rng = replicate_stream(3, 0)
-    assert np.array_equal(draws, [base.sample_tilted(float(u), rng) for u in tilts])
+    assert np.array_equal(draws, [sample_tilted(base, float(u), rng) for u in tilts])
+
+
+# off every cumulative mass of the discrete kinds below, where the two one-sided
+# inverses part: there Bernoulli's draw-based upper quantile takes the lower atom
+QUANTILE_LEVELS = np.array([1e-4, 0.013, 0.1, 0.27, 0.49, 0.51, 0.73, 0.9, 0.987, 0.9999])
+
+
+@pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
+def test_quantiles_agree_with_the_kinds_own_tails(base):
+    # quantile: F(q) >= p > F(q-); upper quantile: Q(Y >= q) >= p > Q(Y > q),
+    # with F(y) = 1 - Q(Y > y) and F(y-) = Q(Y < y) read off the u = 0 tails
+    below = lambda y: base.tilted_lower_tail(0.0, -y)  # Q(Y < y)
+    above = lambda y: base.tilted_upper_tail(0.0, y)   # Q(Y > y)
+    qs, uqs = base.quantile(QUANTILE_LEVELS), base.upper_quantile(QUANTILE_LEVELS)
+    assert qs.shape == uqs.shape == QUANTILE_LEVELS.shape
+    for p, q, uq in zip(QUANTILE_LEVELS.tolist(), qs.tolist(), uqs.tolist()):
+        if isinstance(base, (Bernoulli, Poisson, DiscreteAtoms, CounterexampleSubgaussian)):
+            assert 1.0 - above(q) >= p > below(q), (p, q)
+            assert 1.0 - below(uq) >= p > above(uq), (p, uq)
+        else:
+            assert 1.0 - above(q) == pytest.approx(p, rel=1e-9, abs=1e-13)
+            assert above(uq) == pytest.approx(p, rel=1e-9, abs=1e-13)
 
 
 @pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)

@@ -13,6 +13,7 @@ from nefbandit.distributions import (
     Gaussian,
     NefFamily,
     gamma_ratio,
+    sample_tilted,
 )
 from nefbandit.errors import DomainError, InvalidArgumentError
 from nefbandit.glm import (
@@ -48,7 +49,7 @@ def random_instance(seed, family, n=30, d=4, theta_scale=0.3):
     rng = replicate_stream(seed, 0)
     X = ball_points(rng, n, d)
     theta_true = theta_scale * rng.standard_normal(d) / math.sqrt(d)
-    y = np.array([family.base.sample_tilted(float(x @ theta_true), rng) for x in X])
+    y = np.array([sample_tilted(family, float(x @ theta_true), rng) for x in X])
     return Dataset(X, y), theta_true
 
 

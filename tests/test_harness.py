@@ -1,13 +1,17 @@
 """Config schema, CLI subcommands, determinism, exit-status contract."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nefbandit
 from nefbandit.cli import (
     _emit,
     dominance_report,
@@ -19,6 +23,7 @@ from nefbandit.config import build_instance, load_config, parse_config
 from nefbandit.distributions import NefFamily, parse_distribution
 from nefbandit.errors import ParseError
 from nefbandit.selfconcordance import build_certificate
+from nefbandit.tailbounds import run_tail_suite
 
 DATA = Path(__file__).parent / "data"
 
@@ -289,6 +294,20 @@ def test_cli_empty_grid_is_a_usage_error(command, grid_n, capsys):
     assert "/grid-n" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flags, interval", [
+    (["--grid-lo", "-0.3"], (-0.3, 0.8 * 0.9)),                 # default c1 = 0.9
+    (["--grid-hi", "0.5", "--c2", "0.5"], (-0.8 * 0.5, 0.5)),  # given c2
+])
+def test_cli_tails_honours_a_lone_grid_bound(flags, interval, capsys):
+    dist = {"kind": "exponential", "rate": 1.0}
+    rc = main(["tails", "--dist", json.dumps(dist), "--grid-n", "5", *flags])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    c2 = 0.5 if "--c2" in flags else None
+    expected = run_tail_suite(parse_distribution(dist), c2=c2, interval=interval, grid_n=5)
+    assert payload["certificates"] == [c.as_dict() for c in expected]
+
+
 def test_cli_tails_counterexample_is_a_finite_pass(capsys):
     rc = main(["tails", "--dist", '{"kind": "counterexample", "i_max": 24}'])
     assert rc == 0
@@ -429,3 +448,30 @@ def test_dominance_report_contains_certificate_constants():
     assert payload["ok"]
     for key in ("c1", "C1", "c2", "C2", "g_q_right", "g_q_left", "witness_right"):
         assert key in payload["certificate"]
+
+
+def test_benchmark_tracer_names_exist_and_are_restored(monkeypatch):
+    # perfbench/tracing.py wraps package names from outside; a deleted or renamed
+    # name must fail here, not only under a traced benchmark run
+    for info in pkgutil.iter_modules(nefbandit.__path__):
+        importlib.import_module(f"nefbandit.{info.name}")
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {n: m for n, m in sys.modules.items()
+               if n == "nefbandit" or n.startswith("nefbandit.")}
+    classes = [c for c in vars(nefbandit.distributions).values() if isinstance(c, type)]
+    before = ({n: dict(vars(m)) for n, m in modules.items()},
+              {c: dict(c.__dict__) for c in classes})
+    with tracing.Tracer():
+        for mod, fn in tracing.FUNCTIONS:
+            traced = getattr(modules[f"nefbandit.{mod}"], fn)
+            assert traced is not before[0][f"nefbandit.{mod}"][fn], f"{mod}.{fn}"
+    after = ({n: dict(vars(m)) for n, m in modules.items()},
+             {c: dict(c.__dict__) for c in classes})
+    for snap_before, snap_after in zip(before, after):
+        for owner, names in snap_before.items():
+            assert snap_after[owner].keys() == names.keys(), owner
+            assert all(snap_after[owner][k] is v for k, v in names.items()), owner

@@ -1,6 +1,8 @@
 """Stretch certificates: tail fitting, witness search, bound evaluation."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from nefbandit.distributions import (
     NefFamily,
     gamma_ratio,
     mean_fn,
+    parse_distribution,
     reflected,
 )
 from nefbandit.errors import (
@@ -169,6 +172,34 @@ def test_g_q_value_double_entry_oracle():
     got = g_q_value(M, M, 0.5, 10.0, w)
     ref = _g_reference(M, M, 0.5, 10.0, w.a, w.b, w.eta)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+README_KINDS = [
+    {"kind": "bernoulli", "p": 0.5}, {"kind": "gaussian", "sigma": 1.0},
+    {"kind": "exponential", "rate": 1.0}, {"kind": "poisson", "nu": 2.0},
+    {"kind": "laplace", "scale": 1.0}, {"kind": "gamma", "shape": 2.0, "scale": 1.0},
+    {"kind": "atoms", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
+    {"kind": "counterexample", "i_max": 24},
+]
+
+
+def _assert_close(ref, got, path=""):
+    if isinstance(ref, dict):
+        assert set(got) == set(ref), path
+        for key in ref:
+            _assert_close(ref[key], got[key], f"{path}/{key}")
+    else:
+        assert got == pytest.approx(ref, rel=1e-9), path
+
+
+@pytest.mark.parametrize("spec", README_KINDS, ids=lambda s: s["kind"])
+def test_certificate_constants_match_the_benchmark_reference(spec):
+    # reads the verify reports the benchmark pins, so a witness drift shows without a
+    # benchmark run, and at a tighter tolerance than its 1e-6
+    reference = Path(__file__).parent.parent / "perfbench" / "reference.json"
+    verify = json.loads(reference.read_text())["certify"][spec["kind"]]["verify"]
+    expected = verify["report"]["certificate"]
+    _assert_close(expected, build_certificate(parse_distribution(spec)).constants_dict())
 
 
 # ---------------------------------------------------------------------------
