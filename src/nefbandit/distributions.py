@@ -8,8 +8,8 @@ mean function ``mu(u)`` of ``Q_u`` equals ``psi'(u)``; its derivative
 moment.
 
 Every supported base ships closed forms for ``log M``, ``mu``, ``mu'``
-and ``mu''`` (vectorised over the tilt), one draw transform of Q_u (one
-uniform per draw) and the two tails of Q_u; the quantiles and interval
+and ``mu''``, one draw transform of Q_u (one uniform per draw) and the
+two tails of Q_u, all elementwise over arrays; the quantiles and interval
 masses of Q itself are these at u = 0.  ``gamma_ratio``, the ratio
 ``|mu''|/mu'`` behind K, uses the closed forms alone.
 """
@@ -80,32 +80,40 @@ class BaseDistribution:
     - ``log_mgf``, ``mean_at``, ``dmean_at`` (variance of Q_u) and
       ``d2mean_at`` (third central moment of Q_u), vectorised over u;
     - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
-      ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t));
+      ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t)), elementwise over
+      broadcast u and t;
     - ``tilted_inverse_cdf(u, p)`` or ``_draw(tilt, p)``;
     - optionally ``tilted(u)``, an exact conjugate form of Q_u.
 
     ``quantile``, ``upper_quantile`` and ``interval_mass`` of Q are derived
-    at u = 0; a kind overrides them only where its draw or its tails do not
-    give them exactly.
+    at u = 0, elementwise; a kind overrides them only where its draw or its
+    tails do not give them exactly.
     """
 
     kind: str = ""
 
-    def domain_margin(self) -> float:
-        """Guard band near finite domain endpoints; M and mu' blow up there."""
+    @property
+    def interior(self) -> tuple[float, float]:
+        """Admissible tilts: the domain less 1e-9 of its width (1e-9 if unbounded) per end."""
         lo, hi = self.mgf_domain
         width = hi - lo
-        return 1e-9 * (width if math.isfinite(width) else 1.0)
+        m = 1e-9 * (width if math.isfinite(width) else 1.0)
+        return lo + m, hi - m
 
-    def require_interior(self, u: float, *, op: str = "operation") -> float:
-        u = _require_finite(u)
-        lo, hi = self.mgf_domain
-        m = self.domain_margin()
-        if (math.isfinite(lo) and u < lo + m) or (math.isfinite(hi) and u > hi - m):
-            raise DomainError(f"{op} requires a tilt strictly inside the natural "
-                              f"parameter interval of {self.kind}",
-                              value=u, interval=(lo, hi))
-        return u
+    def require_interior(self, u, *, op: str = "operation"):
+        """u, a float or an array, once every tilt in it lies inside ``interior``; an array
+        is checked through its min and max (the interval is convex; a NaN reaches both)."""
+        grid = np.asarray(u, dtype=float)
+        if not grid.size:
+            raise InvalidArgumentError(f"{op} needs at least one tilt, got an empty array")
+        lo, hi = self.interior
+        for extreme in (grid.min(), grid.max()):
+            extreme = _require_finite(extreme)
+            if extreme < lo or extreme > hi:
+                raise DomainError(f"{op} requires a tilt strictly inside the natural "
+                                  f"parameter interval of {self.kind}",
+                                  value=extreme, interval=self.mgf_domain)
+        return float(grid) if grid.ndim == 0 else grid
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         """Least y with Q((-∞, y]) >= p, elementwise: the draw of Q at uniforms p."""
@@ -115,9 +123,10 @@ class BaseDistribution:
         """Elementwise, a point with at least mass p at or above it."""
         return self.quantile(1.0 - p)
 
-    def interval_mass(self, lo: float, hi: float) -> float:
-        """Q([lo, hi]), endpoints included for atom kinds."""
-        return max(self.tilted_lower_tail(0.0, -hi) - self.tilted_lower_tail(0.0, -lo), 0.0)
+    def interval_mass(self, lo, hi):
+        """Q([lo, hi]) elementwise over broadcast ends, endpoints included for atom kinds."""
+        return np.maximum(self.tilted_lower_tail(0.0, np.negative(hi))
+                          - self.tilted_lower_tail(0.0, np.negative(lo)), 0.0)
 
     def tilted(self, u: float) -> "BaseDistribution":
         """Exact conjugate representation of Q_u, where one exists."""
@@ -170,36 +179,25 @@ class Bernoulli(BaseDistribution):
         m = self.mean_at(u)
         return m * (1.0 - m) * (1.0 - 2.0 * m)
 
-    # the draw maps p < mean to 1, so it inverts the survival function
+    # against p itself: the draw compares with expit(logit(p)), which may round
     def quantile(self, p):
-        return self.tilted_inverse_cdf(np.zeros(p.shape), 1.0 - p)
+        return (p > 1.0 - self.p).astype(float)
 
     def upper_quantile(self, p):
-        return self.tilted_inverse_cdf(np.zeros(p.shape), p)
+        return (p <= self.p).astype(float)
 
     def interval_mass(self, lo, hi):
-        mass = 0.0
-        if lo <= 0.0 <= hi:
-            mass += 1.0 - self.p
-        if lo <= 1.0 <= hi:
-            mass += self.p
-        return mass
+        return (np.where((lo <= 0.0) & (0.0 <= hi), 1.0 - self.p, 0.0)
+                + np.where((lo <= 1.0) & (1.0 <= hi), self.p, 0.0))
 
     def tilted(self, u):
         return Bernoulli(float(self.mean_at(u)))
 
     def tilted_upper_tail(self, u, t):
-        m = float(self.mean_at(u))
-        return (1.0 if t < 0 else (m if t < 1 else 0.0))
+        return np.where(t < 0, 1.0, np.where(t < 1, self.mean_at(u), 0.0))
 
-    def tilted_lower_tail(self, u, t):
-        m = float(self.mean_at(u))
-        # mass strictly below -t
-        if -t > 1:
-            return 1.0
-        if -t > 0:
-            return 1.0 - m
-        return 0.0
+    def tilted_lower_tail(self, u, t):  # mass strictly below -t
+        return np.where(t < -1, 1.0, np.where(t < 0, 1.0 - self.mean_at(u), 0.0))
 
     def tilted_inverse_cdf(self, u, p):
         return (p < self.mean_at(u)).astype(float)
@@ -240,10 +238,10 @@ class Gaussian(BaseDistribution):
         return Shifted(Gaussian(self.sigma), self.sigma**2 * float(u))
 
     def tilted_upper_tail(self, u, t):
-        return float(special.ndtr((self.sigma**2 * u - t) / self.sigma))
+        return special.ndtr((self.sigma**2 * u - t) / self.sigma)
 
     def tilted_lower_tail(self, u, t):
-        return float(special.ndtr((-t - self.sigma**2 * u) / self.sigma))
+        return special.ndtr((-t - self.sigma**2 * u) / self.sigma)
 
     def tilted_inverse_cdf(self, u, p):
         return self.sigma**2 * u + self.sigma * special.ndtri(p)
@@ -282,13 +280,11 @@ class Exponential(BaseDistribution):
         return Exponential(self.rate - float(u))
 
     def tilted_upper_tail(self, u, t):
-        return math.exp(-(self.rate - u) * max(t, 0.0))
+        return np.exp(-(self.rate - u) * np.maximum(t, 0.0))
 
     def tilted_lower_tail(self, u, t):
         # support nonnegative: mass below -t is zero unless -t > 0
-        if -t <= 0:
-            return 0.0
-        return -math.expm1(-(self.rate - u) * (-t))
+        return np.where(t >= 0, 0.0, -np.expm1((self.rate - u) * t))
 
     def tilted_inverse_cdf(self, u, p):
         return -np.log1p(-p) / (self.rate - u)
@@ -328,33 +324,21 @@ class Poisson(BaseDistribution):
         return ks, pmf, np.cumsum(pmf)
 
     def interval_mass(self, lo, hi):
-        if hi < 0:
-            return 0.0
-        lo_k = max(0, math.ceil(lo - 1e-12))
-        hi_k = math.floor(hi + 1e-12)
-        if hi_k < lo_k:
-            return 0.0
-        upper = float(special.pdtr(hi_k, self.nu))
-        lower = float(special.pdtr(lo_k - 1, self.nu)) if lo_k > 0 else 0.0
-        return upper - lower
+        lo_k = np.maximum(0.0, np.ceil(np.asarray(lo) - 1e-12))
+        hi_k = np.floor(np.asarray(hi) + 1e-12)
+        upper = special.pdtr(hi_k, self.nu)
+        lower = np.where(lo_k > 0, special.pdtr(lo_k - 1, self.nu), 0.0)
+        return np.where((hi < 0) | (hi_k < lo_k), 0.0, upper - lower)
 
     def tilted(self, u):
         return Poisson(self.nu * math.exp(float(u)))
 
     def tilted_upper_tail(self, u, t):
-        m = self.nu * math.exp(u)
-        if t < 0:
-            return 1.0
-        return float(special.pdtrc(math.floor(t), m))
+        return np.where(t < 0, 1.0, special.pdtrc(np.floor(t), self.nu * np.exp(u)))
 
     def tilted_lower_tail(self, u, t):
-        if -t <= 0:
-            return 0.0
-        m = self.nu * math.exp(u)
-        k = math.ceil(-t) - 1  # largest atom strictly below -t
-        if k < 0:
-            return 0.0
-        return float(special.pdtr(k, m))
+        k = np.ceil(np.negative(t)) - 1  # largest atom strictly below -t
+        return np.where(k < 0, 0.0, special.pdtr(k, self.nu * np.exp(u)))
 
     def _draw(self, tilt, p):
         ks, _, cum = self._grid(self.nu * math.exp(tilt))
@@ -400,35 +384,29 @@ class Laplace(BaseDistribution):
         u = np.asarray(u, dtype=float)
         return 2.0 / (lam - u) ** 3 - 2.0 / (lam + u) ** 3
 
-    def interval_mass(self, lo, hi):
-        # closed form: the u = 0 tails would pay an exp of the log-MGF per call
-        s = self.scale
-        below_hi = 0.5 * math.exp(hi / s) if hi < 0 else 1.0 - 0.5 * math.exp(-hi / s)
-        below_lo = 0.5 * math.exp(lo / s) if lo < 0 else 1.0 - 0.5 * math.exp(-lo / s)
-        return max(below_hi - below_lo, 0.0)
-
     def _tilted_pieces(self, u):
-        # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0
+        # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0; a
+        # scalar tilt keeps math.exp, whose bits the draws were pinned with
         lam = 1.0 / self.scale
         rp, rm = lam - u, lam + u
-        m = math.exp(self.log_mgf(u))
+        log_m = self.log_mgf(u)
+        m = math.exp(log_m) if np.ndim(u) == 0 else np.exp(log_m)
         c = 1.0 / (2.0 * self.scale * m)  # common density scale at y = 0
         mass_neg = c / rm
         mass_pos = c / rp
         return rp, rm, c, mass_neg, mass_pos
 
+    # each branch sees only its own side of 0, so the other never overflows
     def tilted_upper_tail(self, u, t):
         rp, rm, c, mass_neg, mass_pos = self._tilted_pieces(u)
-        if t >= 0:
-            return (c / rp) * math.exp(-rp * t)
-        return mass_pos + (c / rm) * -math.expm1(rm * t)
+        return np.where(t >= 0, mass_pos * np.exp(-rp * np.maximum(t, 0.0)),
+                        mass_pos + mass_neg * -np.expm1(rm * np.minimum(t, 0.0)))
 
     def tilted_lower_tail(self, u, t):
         rp, rm, c, mass_neg, mass_pos = self._tilted_pieces(u)
-        y = -t
-        if y <= 0:
-            return (c / rm) * math.exp(rm * y)
-        return mass_neg + (c / rp) * -math.expm1(-rp * y)
+        y = np.negative(t)
+        return np.where(y <= 0, mass_neg * np.exp(rm * np.minimum(y, 0.0)),
+                        mass_neg + mass_pos * -np.expm1(-rp * np.maximum(y, 0.0)))
 
     def _draw(self, tilt, p):
         rp, rm, c, mass_neg, _ = self._tilted_pieces(tilt)
@@ -474,14 +452,10 @@ class Gamma(BaseDistribution):
         return Gamma(self.shape, self._tilted_scale(float(u)))
 
     def tilted_upper_tail(self, u, t):
-        if t <= 0:
-            return 1.0
-        return float(special.gammaincc(self.shape, t / self._tilted_scale(u)))
+        return np.where(t <= 0, 1.0, special.gammaincc(self.shape, t / self._tilted_scale(u)))
 
     def tilted_lower_tail(self, u, t):
-        if -t <= 0:
-            return 0.0
-        return float(special.gammainc(self.shape, -t / self._tilted_scale(u)))
+        return np.where(t >= 0, 0.0, special.gammainc(self.shape, -t / self._tilted_scale(u)))
 
     def tilted_inverse_cdf(self, u, p):
         return self._tilted_scale(u) * special.gammaincinv(self.shape, p)
@@ -549,18 +523,20 @@ class _AtomMixin:
         return self._locs[order][np.minimum(np.searchsorted(cum, p - 1e-15, side="left"),
                                             len(cum) - 1)]
 
+    @staticmethod
+    def _mass(q, inside):  # the weights q of the atoms inside, summed per row
+        return np.where(inside, q, 0.0).sum(axis=-1)
+
     def interval_mass(self, lo, hi):
-        w = np.exp(self._logw)
-        sel = (self._locs >= lo - 1e-12) & (self._locs <= hi + 1e-12)
-        return float(w[sel].sum())
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+        return self._mass(np.exp(self._logw),
+                          (self._locs >= lo - 1e-12) & (self._locs <= hi + 1e-12))
 
     def tilted_upper_tail(self, u, t):
-        q = self._tilted_weights(u)
-        return float(q[self._locs > t].sum())
+        return self._mass(self._tilted_weights(u), self._locs > np.asarray(t)[..., None])
 
     def tilted_lower_tail(self, u, t):
-        q = self._tilted_weights(u)
-        return float(q[self._locs < -t].sum())
+        return self._mass(self._tilted_weights(u), self._locs < -np.asarray(t)[..., None])
 
     def _draw(self, tilt, p):
         order = np.argsort(self._locs)
@@ -709,16 +685,15 @@ class NefFamily:
     param_hi: float
 
     def __post_init__(self):
-        lo, hi = self.base.mgf_domain
-        m = self.base.domain_margin()
+        lo, hi = self.base.interior
         if not (self.param_lo <= self.param_hi):
             raise InvalidArgumentError(
                 f"param_lo must not exceed param_hi, got [{self.param_lo}, {self.param_hi}]")
-        if (math.isfinite(lo) and self.param_lo < lo + m) or \
-           (math.isfinite(hi) and self.param_hi > hi - m):
+        if self.param_lo < lo or self.param_hi > hi:
             raise DomainError("admissible tilt range must lie strictly inside the "
                               "natural parameter interval",
-                              value=(self.param_lo, self.param_hi), interval=(lo, hi))
+                              value=(self.param_lo, self.param_hi),
+                              interval=self.base.mgf_domain)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -757,9 +732,7 @@ def gamma_ratio(dist, u):
     Elementwise over an array of tilts, a float for a float tilt.
     """
     base = _base_of(dist)
-    grid = np.atleast_1d(np.asarray(u, dtype=float))  # scalars would take other bits
-    for extreme in (grid.min(), grid.max()):  # the interval is convex; NaN propagates
-        base.require_interior(extreme, op="gamma_ratio")
+    grid = base.require_interior(np.atleast_1d(u), op="gamma_ratio")  # scalars take other bits
     var = base.dmean_at(grid)
     ratio = np.divide(np.abs(base.d2mean_at(grid)), var, out=np.zeros_like(var),
                       where=var != 0.0)

@@ -86,13 +86,6 @@ class Dataset:
 # replicate with the shapes of the 2-D call (X @ theta, X.T @ v, a @ b, A.T @ B), so
 # each slice has the one-replicate bits; the public functions are the R = 1 calls.
 
-def _guard(family: NefFamily) -> tuple[float, float]:
-    """The interval that inner products must not leave: the domain less its margin."""
-    lo, hi = family.base.mgf_domain
-    m = family.base.domain_margin()
-    return lo + m, hi - m
-
-
 def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:
     """Mask of the replicates with an inner product outside the guard interval."""
     lo, hi = guard
@@ -151,7 +144,7 @@ def _inner_products(family: NefFamily, data: Dataset, theta, *, op: str):
     if theta.shape[1] != data.d:
         raise InvalidArgumentError(f"theta has dim {theta.shape[1]}, data has dim {data.d}")
     inner = np.matvec(data.arms[None], theta)
-    guard = _guard(family)
+    guard = family.base.interior
     if _outside(guard, inner)[0]:
         row = inner[0]
         idx = int(np.argmax(row) if row.max() > guard[1] else np.argmin(row))
@@ -254,7 +247,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     replicate whose start is infeasible begins at the origin, which never is (zero
     inner products)."""
     R, _, d = X.shape
-    guard = _guard(family)
+    guard = family.base.interior
     reward_map = np.vecmat(y, X)
 
     def evaluate(sel, theta):

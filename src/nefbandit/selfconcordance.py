@@ -153,13 +153,12 @@ def fit_tail_constants(base: BaseDistribution, c1: float, c2: float) -> TailCons
     bounds the centered right tail as ``C1 exp(-c1 t)``; symmetrically
     ``C2 = E exp(-c2 (Y - m)) = exp(c2 m) M(-c2)`` bounds the left tail.
     """
-    lo, hi = base.mgf_domain
-    margin = base.domain_margin()
+    lo, hi = base.interior
     if not (c1 > 0 and c2 > 0):
         raise InvalidArgumentError(f"tail rates must be positive, got c1={c1}, c2={c2}")
-    if (math.isfinite(hi) and c1 > hi - margin) or (math.isfinite(lo) and -c2 < lo + margin):
+    if c1 > hi or -c2 < lo:
         raise DomainError("candidate tail rates must lie strictly inside the natural "
-                          "parameter interval", value=(c1, -c2), interval=(lo, hi))
+                          "parameter interval", value=(c1, -c2), interval=base.mgf_domain)
     m = float(base.mean_at(0.0))
     C1 = math.exp(float(base.log_mgf(c1)) - c1 * m)
     C2 = math.exp(float(base.log_mgf(-c2)) + c2 * m)
@@ -170,12 +169,12 @@ def fit_tail_constants(base: BaseDistribution, c1: float, c2: float) -> TailCons
 # Support witness
 # ---------------------------------------------------------------------------
 
-def witness_mass(base: BaseDistribution, a: float, b: float, side: str = "below") -> float:
-    """Mass of the candidate interval, measured on the uncentered base."""
+def witness_mass(base: BaseDistribution, a, b, side: str = "below"):
+    """Mass of the candidate interval, measured on the uncentered base; elementwise."""
     return _mass_beside(base, float(base.mean_at(0.0)), a, b, side)
 
 
-def _mass_beside(base: BaseDistribution, m: float, a: float, b: float, side: str) -> float:
+def _mass_beside(base: BaseDistribution, m: float, a, b, side: str):
     if side == "below":
         return base.interval_mass(m - b, m - a)
     return base.interval_mass(m + a, m + b)
@@ -205,35 +204,29 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
 
     lo_sup, hi_sup = base.support_bounds
     edge = m - lo_sup if side == "below" else hi_sup - m
-    b_candidates = []
-    if math.isfinite(edge):
-        b_candidates.append(float(edge))
 
     # every level's point in one quantile call: distance from the mean toward the tail
     levels = np.array(_WITNESS_B_LEVELS + _WITNESS_A_LEVELS) * beta
     if side == "below":
-        dists = (m - base.quantile(levels)).tolist()
+        dists = m - base.quantile(levels)
     else:
-        dists = (base.upper_quantile(levels) - m).tolist()
+        dists = base.upper_quantile(levels) - m
     nb = len(_WITNESS_B_LEVELS)
-    b_candidates += [b for b in dists[:nb] if math.isfinite(b)]
+    bs = np.concatenate(([edge], dists[:nb]))
+    bs = bs[np.isfinite(bs)]
+    a_s = dists[nb:][dists[nb:] > 0]
 
-    candidates = []
-    for a in dists[nb:]:
-        if not a > 0:
-            continue
-        for b in b_candidates:
-            if b < a:
-                continue
-            eta = _mass_beside(base, m, a, b, side)
-            if eta > 1e-12:
-                candidates.append((a * a * eta, a, b, eta))
-    if not candidates:
+    # every (a, b) pair in one mass call, a-major as the ranking reads them
+    a_s, bs = np.meshgrid(a_s, bs, indexing="ij")
+    etas = _mass_beside(base, m, a_s, bs, side)
+    live = (bs >= a_s) & (etas > 1e-12)
+    if not live.any():
         raise DegenerateDistributionError("witness scan found no interval with positive mass")
-    best = max(c[0] for c in candidates)
-    score, a, b, eta = min((c for c in candidates if c[0] >= (1 - 1e-3) * best),
-                           key=lambda c: c[2])
-    return SupportWitness(a=a, b=b, eta=eta)
+    a_s, bs, etas = a_s[live], bs[live], etas[live]
+    scores = a_s * a_s * etas
+    near = np.flatnonzero(scores >= (1 - 1e-3) * scores.max())
+    i = near[np.argmin(bs[near])]  # the first of the smallest b
+    return SupportWitness(a=float(a_s[i]), b=float(bs[i]), eta=float(etas[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,9 @@ def _gamma(base: Gamma, u: float) -> MomentReport:
     third_abs, err = integrate.quad(lambda y: abs(y - mean) ** 3 * dens(y),
                                     1e-300, hi, points=[mean], **QUAD_OPTS)
     return _analytic(base, u, third_abs, err=err)
+
+
+# the eight README kinds at the benchmark's parameters, and a shifted Gamma
+README_BASES = [Bernoulli(0.5), Gaussian(1.0), Exponential(1.0), Poisson(2.0), Laplace(1.0),
+                Gamma(2.0, 1.0), DiscreteAtoms(((0.0, 0.5), (1.0, 0.5))),
+                CounterexampleSubgaussian(24), Shifted(Gamma(2.0, 1.0), -1.5)]

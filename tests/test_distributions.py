@@ -31,7 +31,7 @@ from nefbandit.distributions import (
 )
 from nefbandit.errors import DomainError, InvalidArgumentError, ParseError
 from nefbandit.rng import replicate_stream
-from oracle import moments
+from oracle import README_BASES, moments
 
 ALL_BASES = [
     Bernoulli(0.5),
@@ -321,6 +321,11 @@ def test_gamma_ratio_rejects_any_bad_tilt_in_a_grid(bad, err):
         gamma_ratio(NefFamily(Exponential(1.0), -0.5, 0.5), us.reshape(2, 2))
 
 
+def test_an_empty_tilt_grid_is_an_invalid_argument():
+    with pytest.raises(InvalidArgumentError, match="empty"):
+        gamma_ratio(Exponential(1.0), np.array([]))
+
+
 def test_log_atoms_is_read_only():
     locs, logw = DiscreteAtoms(((0.0, 0.25), (2.0, 0.75))).log_atoms
     np.testing.assert_array_equal(locs, [0.0, 2.0])
@@ -423,13 +428,7 @@ def test_sample_tilted_agrees_with_mean(base):
     assert abs(draws.mean() - rep.mean) < 4 * sd + 1e-9
 
 
-SAMPLER_BASES = [parse_distribution(spec) for spec in (
-    {"kind": "bernoulli", "p": 0.5}, {"kind": "gaussian", "sigma": 1.0},
-    {"kind": "exponential", "rate": 1.0}, {"kind": "poisson", "nu": 2.0},
-    {"kind": "laplace", "scale": 1.0}, {"kind": "gamma", "shape": 2.0, "scale": 1.0},
-    {"kind": "atoms", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
-    {"kind": "counterexample", "i_max": 24},
-)] + [Shifted(Gamma(2.0, 1.0), -1.5)]
+SAMPLER_BASES = README_BASES
 
 
 @pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
@@ -443,8 +442,8 @@ def test_tilted_inverse_cdf_over_arrays_is_the_per_draw_sampler(base):
     assert np.array_equal(draws, [sample_tilted(base, float(u), rng) for u in tilts])
 
 
-# off every cumulative mass of the discrete kinds below, where the two one-sided
-# inverses part: there Bernoulli's draw-based upper quantile takes the lower atom
+# off every cumulative mass of the discrete kinds below: there the atom kinds' draw
+# meets its rounded weights (see the exact-mass Bernoulli test below)
 QUANTILE_LEVELS = np.array([1e-4, 0.013, 0.1, 0.27, 0.49, 0.51, 0.73, 0.9, 0.987, 0.9999])
 
 
@@ -463,6 +462,33 @@ def test_quantiles_agree_with_the_kinds_own_tails(base):
         else:
             assert 1.0 - above(q) == pytest.approx(p, rel=1e-9, abs=1e-13)
             assert above(uq) == pytest.approx(p, rel=1e-9, abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
+def test_bernoulli_quantiles_at_its_exact_masses(p):
+    # F(0) = 1 - p and Q(Y >= 1) = p: the quantile at 1 - p is 0 and the upper quantile
+    # at p is 1, as for the same law held as two atoms; one ulp past either mass moves them
+    base, atoms = Bernoulli(p), DiscreteAtoms(((0.0, 1.0 - p), (1.0, p)))
+    assert base.quantile(np.array([1.0 - p, np.nextafter(1.0 - p, 2.0)])).tolist() == [0.0, 1.0]
+    assert base.upper_quantile(np.array([p, np.nextafter(p, 2.0)])).tolist() == [1.0, 0.0]
+    assert base.upper_quantile(np.array([p])) == atoms.upper_quantile(np.array([p]))
+
+
+@pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       ts=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+def test_tails_and_interval_masses_over_grids_are_the_per_point_values(base, fracs, ts):
+    # one call over a (tilt x threshold) grid, or over every (lo, hi) pair, gives what a
+    # call per point gives
+    lo, hi = interior_grid(base, n=2, frac=0.9)
+    us, ts = lo + (hi - lo) * np.array(fracs)[:, None], np.array(ts)
+    for fn, u_s in ((base.tilted_upper_tail, us), (base.tilted_lower_tail, us),
+                    (base.interval_mass, ts[:, None])):
+        grid = fn(u_s, ts)
+        assert grid.shape == (len(u_s), len(ts))
+        points = [[float(fn(float(u), float(t))) for t in ts] for u in u_s[:, 0]]
+        np.testing.assert_allclose(grid, points, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)

@@ -5,6 +5,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from nefbandit.distributions import (
@@ -32,6 +34,7 @@ from nefbandit.glm import (
     loss,
 )
 from nefbandit.rng import replicate_stream
+from oracle import README_BASES
 
 BERN = NefFamily(Bernoulli(0.5), -3.0, 3.0)
 EXP = NefFamily(Exponential(1.0), -0.5, 0.5)
@@ -204,6 +207,26 @@ def test_mean_value_identity(family, seed):
     lhs = gradient_map(family, data, 1.0, t1) - gradient_map(family, data, 1.0, t2)
     rhs = G @ (t1 - t2)
     assert np.linalg.norm(lhs - rhs) <= 1e-8
+
+
+@pytest.mark.parametrize("base", README_BASES, ids=lambda b: b.kind)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.9))
+def test_gradient_and_secant_map_hold_for_every_kind(base, seed, frac):
+    # grad L against central differences of L, and g(t1) - g(t2) = G(t1, t2)(t1 - t2),
+    # with every inner product a fraction frac of the way to the domain's edge (or to 1)
+    lo, hi = base.mgf_domain
+    r = frac * min(-lo, hi, 1.0)
+    fam = NefFamily(base, -r, r)
+    rng = replicate_stream(seed, 0)
+    data = Dataset(ball_points(rng, 12, 3), sample_tilted(base, 0.0, rng, 12))
+    t1, t2 = r * ball_points(rng, 2, 3)
+    g = full_gradient(fam, data, 1.0, t1)
+    g_fd = numeric_gradient(lambda th: loss(fam, data, 1.0, th), t1)
+    np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-7)
+    G = difference_quotient_matrix(fam, data, 1.0, t1, t2)
+    gap = gradient_map(fam, data, 1.0, t1) - gradient_map(fam, data, 1.0, t2)
+    np.testing.assert_allclose(gap, G @ (t1 - t2), rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

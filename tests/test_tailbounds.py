@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from nefbandit import tailbounds
@@ -25,6 +27,7 @@ from nefbandit.selfconcordance import (
     SupportWitness,
     TailConstants,
     build_certificate,
+    default_tail_rates,
     find_support_witness,
     fit_tail_constants,
     stretch_supremum,
@@ -39,7 +42,7 @@ from nefbandit.tailbounds import (
     tilted_tail_bounds,
     variance_lower_bound,
 )
-from oracle import moments
+from oracle import README_BASES, moments
 
 SUITE_BASES = [Exponential(1.0), Laplace(1.0), Bernoulli(0.5), Gamma(2.0, 1.0),
                DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)))]
@@ -320,3 +323,68 @@ def test_measured_tilted_mgf_of_laplace_is_infinite_past_its_domain():
 def test_certificate_with_a_non_finite_slack_fails(slacks):
     assert not _cert("c", "both", 0.0, 0.0, "grid", slacks).ok
     assert _cert("c", "both", 0.0, 0.0, "grid", [-1.0, -2.0]).ok
+
+
+# ---------------------------------------------------------------------------
+# Caps over grids
+# ---------------------------------------------------------------------------
+
+def assert_grid_is_pointwise(fn, *axes):
+    """fn on the open grid of the axes equals fn called once per grid point."""
+    points = np.vectorize(lambda *p: float(fn(*map(float, p))))(
+        *np.meshgrid(*axes, indexing="ij"))
+    whole = np.broadcast_to(fn(*np.ix_(*axes)), points.shape)
+    np.testing.assert_allclose(whole, points, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("base", README_BASES, ids=lambda b: b.kind)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_caps_over_grids_are_the_per_point_values(base, xs, ys):
+    # the suite calls each cap once on its whole grid: that must be the per-point caps
+    cb = centered(base)
+    c1, c2 = default_tail_rates(cb)
+    tail = fit_tail_constants(cb, c1, c2)
+    fam = NefFamily(cb, -0.8 * c2, 0.8 * c1)
+    K = max(float(np.max(gamma_ratio(cb, np.linspace(*fam.interval, 65)))), 1e-9)
+    s_lo, s_hi = tailbounds._admissible_shift_box(fam, K)
+    w = find_support_witness(cb)
+    xs, ys = np.array(xs), np.array(ys)
+    us, ts = 0.9 * c1 * xs, 6.0 * ys  # 0 <= u < c1, t >= 0
+    assert_grid_is_pointwise(lambda lam: mgf_from_tail_bound(c1, tail.C1, lam), 0.95 * c1 * xs)
+    assert_grid_is_pointwise(lambda c, t: tail_from_mgf(1.5, c, t), 0.1 + xs, ts)
+    for key in ("lhs", "rhs", "ok"):
+        assert_grid_is_pointwise(lambda u, s: tilted_cgf_quadratic_bound(fam, u, s, K)[key],
+                                 fam.param_lo + (fam.param_hi - fam.param_lo) * xs,
+                                 s_lo + (s_hi - s_lo) * ys)
+    for key in ("upper_bound_right", "upper_bound_left", "mean_bound"):
+        assert_grid_is_pointwise(lambda u, t: tilted_tail_bounds(cb, tail, u, t)[key], us, ts)
+    assert_grid_is_pointwise(lambda u: variance_lower_bound(cb, w, u), us)
+
+
+def test_cap_checks_cover_every_grid_point():
+    # one bad point anywhere in a grid fails the call, named in the error
+    cb = centered(Exponential(1.0))
+    tc = fit_tail_constants(Exponential(1.0), 0.9, 1.0)
+    w = find_support_witness(cb)
+    with pytest.raises(DomainError) as err:
+        mgf_from_tail_bound(1.0, 1.0, np.array([0.0, 0.5, 1.0, 0.2]))
+    assert err.value.value == 1.0
+    with pytest.raises(InvalidArgumentError):
+        tail_from_mgf(1.0, 1.0, np.array([0.0, -1.0]))
+    with pytest.raises(DomainError):
+        tilted_tail_bounds(cb, tc, np.array([[0.1], [0.95]]), np.array([0.0, 1.0]))
+    with pytest.raises(InvalidArgumentError):
+        tilted_tail_bounds(cb, tc, 0.1, np.array([0.0, math.nan, -1.0]))
+    with pytest.raises(DomainError):
+        variance_lower_bound(cb, w, np.array([0.0, 0.3, -0.1]))
+    with pytest.raises(DomainError):  # inside u >= 0 but past the natural parameter interval
+        variance_lower_bound(cb, w, np.array([0.0, 1.0]))
+    with pytest.raises(InvalidArgumentError, match="empty"):
+        variance_lower_bound(cb, w, np.array([]))
+    fam = NefFamily(cb, -0.5, 0.5)
+    with pytest.raises(DomainError):
+        tilted_cgf_quadratic_bound(fam, np.array([0.25, 0.6]), 0.0, K=4.0)
+    with pytest.raises(DomainError):
+        tilted_cgf_quadratic_bound(fam, 0.25, np.array([0.0, 0.1, -1.0]), K=1.0)
