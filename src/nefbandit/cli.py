@@ -24,7 +24,8 @@ from .config import ExperimentConfig, build_instance, load_config
 from .distributions import NefFamily, parse_distribution
 from .errors import InvalidArgumentError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
-from .selfconcordance import StretchCertificate, build_certificate, verify_dominance
+from .selfconcordance import (StretchCertificate, build_certificate, default_tail_rates,
+                              fit_tail_constants, verify_dominance)
 from .tailbounds import run_tail_suite
 
 ROUNDS_HEADER = "t,arm,index,reward,inst_regret,cum_regret,exact_cover,relaxed_cover"
@@ -99,24 +100,29 @@ def dominance_report(base, family: NefFamily, cert: StretchCertificate,
     }
 
 
-def _default_interval(cert: StretchCertificate) -> tuple[float, float]:
-    return (-0.8 * cert.tail.c2, 0.8 * cert.tail.c1)
-
-
-def _grid_base(ns):
-    """The base distribution of a verify/tails command, once its grid is known nonempty."""
+def _grid(ns):
+    """Base distribution and tilt range of a verify/tails command: a nonempty grid, and each
+    end of the range (a missing one at 0.8 of its tail rate) strictly inside (-c2, c1), where
+    the stretch bound is finite and each tilt leaves room for the ratio identity's shifts."""
     if ns.grid_n < 1:
         raise ParseError(f"--grid-n must be a positive integer, got {ns.grid_n}",
                          pointer="/grid-n")
-    return parse_distribution(_load_dist(ns.dist))
+    base = parse_distribution(_load_dist(ns.dist))
+    d1, d2 = default_tail_rates(base)
+    tail = fit_tail_constants(base, d1 if ns.c1 is None else ns.c1,
+                              d2 if ns.c2 is None else ns.c2)  # rates positive, in the domain
+    ends = {"grid-lo": -0.8 * tail.c2 if ns.grid_lo is None else ns.grid_lo,
+            "grid-hi": 0.8 * tail.c1 if ns.grid_hi is None else ns.grid_hi}
+    for flag, u in ends.items():
+        if not -tail.c2 < u < tail.c1:
+            raise ParseError(f"--{flag} {u} is not strictly inside (-c2, c1) = "
+                             f"({-tail.c2}, {tail.c1})", pointer=f"/{flag}")
+    return base, (ends["grid-lo"], ends["grid-hi"])
 
 
 def cmd_verify(ns) -> int:
-    base = _grid_base(ns)
+    base, (lo, hi) = _grid(ns)
     cert = build_certificate(base, c1=ns.c1, c2=ns.c2)
-    lo, hi = _default_interval(cert)
-    lo = ns.grid_lo if ns.grid_lo is not None else lo
-    hi = ns.grid_hi if ns.grid_hi is not None else hi
     payload = dominance_report(base, NefFamily(base, lo, hi), cert, ns.grid_n)
     _emit(payload, Path(ns.report) if ns.report else None)
     if not payload["ok"]:
@@ -127,9 +133,8 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_tails(ns) -> int:
-    base = _grid_base(ns)
-    certs = run_tail_suite(base, c1=ns.c1, c2=ns.c2, interval=(ns.grid_lo, ns.grid_hi),
-                           grid_n=ns.grid_n)
+    base, interval = _grid(ns)
+    certs = run_tail_suite(base, c1=ns.c1, c2=ns.c2, interval=interval, grid_n=ns.grid_n)
     payload = {
         "schema": 1,
         "distribution": base.kind,
@@ -301,7 +306,9 @@ def _add_bound_parser(sub) -> None:
     p.set_defaults(func=cmd_bound)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nef-bandit`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="nef-bandit",
                                      description="exponential-family bandit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,11 +363,9 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     base = parse_distribution(cfg.distribution)
     cert = build_certificate(base)
-    lo, hi = _default_interval(cert)
-    if cfg.grid:
-        lo = cfg.grid.get("lo", lo)
-        hi = cfg.grid.get("hi", hi)
-    n = int(cfg.grid.get("n", 200)) if cfg.grid else 200
+    grid = cfg.grid or {}
+    lo, hi = grid.get("lo", -0.8 * cert.tail.c2), grid.get("hi", 0.8 * cert.tail.c1)
+    n = int(grid.get("n", 200))
     payload = dominance_report(base, NefFamily(base, lo, hi), cert, n)
     _emit(payload, out / "verify.json")
     certs = run_tail_suite(base, interval=(lo, hi))

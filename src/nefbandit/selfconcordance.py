@@ -267,21 +267,23 @@ def build_certificate(base: BaseDistribution, c1: float | None = None,
     )
 
 
-def stretch_bound(cert: StretchCertificate, u: float) -> float:
-    """Two-branch upper bound on |mu''|/mu' at tilt u.
+def stretch_bound(cert: StretchCertificate, u):
+    """Two-branch upper bound on |mu''|/mu' at tilt u, elementwise (a float for a float).
 
     Nondecreasing on [0, c1), nonincreasing on (-c2, 0].
     """
     c1, C1, c2, C2 = cert.tail.c1, cert.tail.C1, cert.tail.c2, cert.tail.C2
-    u = float(u)
-    if not (-c2 < u < c1):
+    u = np.asarray(u, dtype=float)
+    bad = u[~((-c2 < u) & (u < c1))]
+    if bad.size:
         raise DomainError("stretch bound is defined on (-c2, c1)",
-                          value=u, interval=(-c2, c1))
-    if u >= 0.0:
-        return 1.5 * (2.0 * _E * C1 * c1 / (c1 - u) ** 2
-                      + u * cert.witness.b / (c1 - u)) + cert.g_q_right
-    return 1.5 * (2.0 * _E * c2 * C2 / (c2 + u) ** 2
+                          value=float(bad[0]), interval=(-c2, c1))
+    right = 1.5 * (2.0 * _E * C1 * c1 / (c1 - u) ** 2
+                   + u * cert.witness.b / (c1 - u)) + cert.g_q_right
+    left = 1.5 * (2.0 * _E * c2 * C2 / (c2 + u) ** 2
                   + (-u) * cert.witness_left.b / (c2 + u)) + cert.g_q_left
+    bound = np.where(u >= 0.0, right, left)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def stretch_supremum(cert: StretchCertificate, family) -> float:
@@ -427,8 +429,7 @@ def verify_dominance(cert: StretchCertificate, family: NefFamily,
     if grid_n < 1:
         raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
     us = np.linspace(*family.interval, grid_n)
-    ratios = gamma_ratio(family, us)
-    bounds = [stretch_bound(cert, u) for u in us]
-    pts = tuple({"u": float(u), "ratio": float(r), "bound": b, "ok": bool(b >= r)}
-                for u, r, b in zip(us, ratios, bounds))
+    pts = tuple({"u": u, "ratio": r, "bound": b, "ok": b >= r}
+                for u, r, b in zip(us.tolist(), gamma_ratio(family, us).tolist(),
+                                   stretch_bound(cert, us).tolist()))
     return DominanceReport(points=pts, violations=sum(not p["ok"] for p in pts))

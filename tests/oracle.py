@@ -1,4 +1,4 @@
-"""Independent moment reports for the tests: the package's closed forms are checked here.
+"""Independent references for the tests: the package's closed forms and grids are checked here.
 
 ``moments(base, u)`` gives the mean, variance, third central and third
 absolute moments of the tilt Q_u by a route of its own where one exists:
@@ -7,6 +7,10 @@ absolute moment, a truncated series for Poisson's, log-domain weighted sums
 for the atom kinds, and the textbook third absolute moments of Bernoulli,
 the Gaussian and the Exponential.  Mean, variance and third central moment
 of the kinds with an exact conjugate form are read back from the package.
+
+``logsumexp_tilted_mgf`` measures an atom kind's tilted MGF through
+``scipy.special.logsumexp``, and ``ratio_block_slacks`` is the tail suite's
+ratio-identity block as a loop over single (u, eps) points.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from nefbandit.distributions import (
     Shifted,
 )
 from nefbandit.errors import NumericError
+from nefbandit.selfconcordance import default_tail_rates
+from nefbandit.tailbounds import measured_tilted_mgf
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
@@ -139,3 +145,37 @@ def _gamma(base: Gamma, u: float) -> MomentReport:
 README_BASES = [Bernoulli(0.5), Gaussian(1.0), Exponential(1.0), Poisson(2.0), Laplace(1.0),
                 Gamma(2.0, 1.0), DiscreteAtoms(((0.0, 0.5), (1.0, 0.5))),
                 CounterexampleSubgaussian(24), Shifted(Gamma(2.0, 1.0), -1.5)]
+
+
+def logsumexp_tilted_mgf(base, u: float, eps: float) -> float:
+    """MGF at eps of the tilt Q_u of an atom kind (or a shifted one), by scipy's logsumexp."""
+    inner, offset = (base.base, base.offset) if isinstance(base, Shifted) else (base, 0.0)
+    locs, logw = inner.log_atoms
+    logq = logw + u * locs
+    logq = logq - special.logsumexp(logq)
+    return float(np.exp(special.logsumexp(logq + eps * (locs + offset))))
+
+
+def ratio_block_slacks(cb) -> dict[str, list[float]]:
+    """Slacks of the ratio identity and of the Chernoff tails of each tilt of the centered
+    base ``cb``, one (u, eps) point at a time, at the tail suite's default points."""
+    c1, c2 = default_tail_rates(cb)
+    interval = (-0.8 * c2, 0.8 * c1)
+    out = {"tilted_mgf_ratio_identity": [], "tilt_chernoff_right": [], "tilt_chernoff_left": []}
+    ts = np.linspace(0.0, 4.0, 5)
+    for u in np.linspace(*interval, 7).tolist():
+        m = float(cb.log_mgf(u))
+        mu_u = float(cb.mean_at(u))
+        for eps_frac in (-0.5, -0.25, 0.25, 0.5):
+            eps = eps_frac * min(c1 - max(u, 0.0), c2 + min(u, 0.0))
+            rhs = math.exp(float(cb.log_mgf(u + eps)) - m)
+            out["tilted_mgf_ratio_identity"].append(abs(measured_tilted_mgf(cb, u, eps) - rhs))
+            scale = math.exp(float(cb.log_mgf(u + eps)) - m - eps * mu_u)
+            for t in ts.tolist():
+                if eps > 0:
+                    out["tilt_chernoff_right"].append(
+                        float(cb.tilted_upper_tail(u, mu_u + t)) - scale * math.exp(-eps * t))
+                else:
+                    out["tilt_chernoff_left"].append(
+                        float(cb.tilted_lower_tail(u, t - mu_u)) - scale * math.exp(eps * t))
+    return out

@@ -4,7 +4,9 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 import nefbandit
 from nefbandit.cli import (
     _emit,
+    build_parser,
     dominance_report,
     main,
     rounds_to_csv,
@@ -306,6 +309,53 @@ def test_cli_tails_honours_a_lone_grid_bound(flags, interval, capsys):
     c2 = 0.5 if "--c2" in flags else None
     expected = run_tail_suite(parse_distribution(dist), c2=c2, interval=interval, grid_n=5)
     assert payload["certificates"] == [c.as_dict() for c in expected]
+
+
+@pytest.mark.parametrize("command, flags, pointer", [
+    ("tails", ["--grid-lo", "0.9", "--grid-hi", "0.9"], "/grid-lo"),  # u = c1: every eps is 0
+    ("tails", ["--grid-hi", "0.9"], "/grid-hi"),
+    ("tails", ["--grid-hi", "0.95"], "/grid-hi"),
+    ("tails", ["--grid-lo", "-1.0"], "/grid-lo"),
+    ("verify", ["--grid-hi", "0.95"], "/grid-hi"),
+    ("verify", ["--grid-lo", "-1.2", "--grid-hi", "0.5"], "/grid-lo"),
+    ("verify", ["--grid-lo", "nan"], "/grid-lo"),
+])
+def test_cli_tilt_range_outside_the_tail_rates_is_a_usage_error(command, flags, pointer, capsys):
+    # exponential(1): c1 = 0.9 and c2 = 1 by default, so tilts must lie in (-1, 0.9)
+    rc = main([command, "--dist", '{"kind": "exponential", "rate": 1.0}', *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert pointer in captured.err and captured.out == ""
+
+
+def _fresh_process(argv):
+    """Exit status, stdout and stderr of ``nef-bandit argv`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(nefbandit.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+    env.pop("NEF_BANDIT_OUT", None)
+    done = subprocess.run([sys.executable, "-c", "import sys; from nefbandit.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cached_parser_gives_fresh_process_outputs(capsys, monkeypatch):
+    # one parser serves every call in a process; no option may carry over between calls
+    monkeypatch.delenv("NEF_BANDIT_OUT", raising=False)
+    dist = ["--dist", '{"kind": "laplace", "scale": 1.0}']
+    calls = [["verify", *dist, "--grid-n", "9"],
+             ["tails", *dist, "--grid-lo", "-0.3"],
+             ["tails", *dist, "--grid-hi", "0.2", "--grid-n", "many"],  # argparse rejects it
+             ["verify", *dist, "--grid-hi", "1.5"],                     # exit 2, /grid-hi
+             ["tails", *dist]]
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == _fresh_process(argv), argv
+    assert build_parser() is build_parser()
 
 
 def test_cli_tails_counterexample_is_a_finite_pass(capsys):

@@ -43,7 +43,7 @@ from nefbandit.selfconcordance import (
     verify_lower_bound,
     witness_mass,
 )
-from oracle import moments
+from oracle import README_BASES, moments
 
 MIX4 = DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)))
 
@@ -247,6 +247,29 @@ def test_stretch_bound_domain_error():
         stretch_bound(cert, cert.tail.c1)
     with pytest.raises(DomainError):
         stretch_bound(cert, -cert.tail.c2 - 0.1)
+
+
+@pytest.mark.parametrize("base", README_BASES, ids=lambda b: b.kind)
+def test_stretch_bound_over_a_grid_is_the_per_point_bound(base):
+    # verify takes the bound of its whole grid in one call: a float gives a float, an
+    # array an array of the per-point bounds, on both branches
+    cert = build_certificate(base)
+    us = np.linspace(-0.99 * cert.tail.c2, 0.99 * cert.tail.c1, 41).reshape(41, 1)
+    whole = stretch_bound(cert, us)
+    assert isinstance(whole, np.ndarray) and whole.shape == (41, 1)
+    points = [stretch_bound(cert, u) for u in us.ravel().tolist()]
+    assert all(type(b) is float for b in points)
+    np.testing.assert_allclose(whole.ravel(), points, rtol=1e-15, atol=0.0)
+
+
+def test_stretch_bound_checks_every_grid_point():
+    cert = build_certificate(Exponential(1.0))
+    for bad in (cert.tail.c1, -cert.tail.c2, math.inf):
+        with pytest.raises(DomainError) as err:
+            stretch_bound(cert, np.array([0.0, 0.3, bad, -0.2]))
+        assert err.value.value == bad
+    with pytest.raises(DomainError):
+        stretch_bound(cert, np.array([[0.1], [math.nan]]))
 
 
 @pytest.mark.parametrize("base", [Exponential(1.0), Laplace(1.0), MIX4, Bernoulli(0.4)])

@@ -42,7 +42,7 @@ from nefbandit.tailbounds import (
     tilted_tail_bounds,
     variance_lower_bound,
 )
-from oracle import README_BASES, moments
+from oracle import README_BASES, logsumexp_tilted_mgf, moments, ratio_block_slacks
 
 SUITE_BASES = [Exponential(1.0), Laplace(1.0), Bernoulli(0.5), Gamma(2.0, 1.0),
                DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)))]
@@ -317,6 +317,52 @@ def test_measured_tilted_mgf_of_laplace_is_infinite_past_its_domain():
     assert measured_tilted_mgf(Laplace(1.0), 0.5, 0.49) < math.inf
     assert measured_tilted_mgf(Laplace(1.0), 0.5, 0.5) == math.inf
     assert measured_tilted_mgf(Laplace(1.0), 0.5, -1.6) == math.inf
+
+
+ATOM_BASES = [DiscreteAtoms(((0.0, 0.5), (1.0, 0.5))), SUITE_BASES[-1],
+              DiscreteAtoms(((-1.0, 0.2), (0.5, 0.3), (3.0, 0.5))), CounterexampleSubgaussian(24)]
+
+
+@pytest.mark.parametrize("base", ATOM_BASES, ids=lambda b: b.kind)
+def test_atom_tilted_mgf_matches_scipy_logsumexp_on_the_suite_grid(base):
+    # the suite's 7 tilts by 4 shifts, on the centered base it measures and on the raw one
+    for b in (base, centered(base)):
+        c1, c2 = default_tail_rates(b)
+        for u in np.linspace(-0.8 * c2, 0.8 * c1, 7).tolist():
+            for frac in (-0.5, -0.25, 0.25, 0.5):
+                eps = frac * min(c1 - max(u, 0.0), c2 + min(u, 0.0))
+                assert measured_tilted_mgf(b, u, eps) == pytest.approx(
+                    logsumexp_tilted_mgf(b, u, eps), rel=1e-14, abs=0.0)
+
+
+def test_counterexample_tilted_mgf_matches_scipy_logsumexp_at_large_tilts():
+    # at u = ±2^(i+1) the tilt sits on atoms near 2^i; shifts of a few units over 2^i
+    base = CounterexampleSubgaussian(24)
+    for i in range(2, 16, 2):
+        u = 2.0 ** (i + 1)
+        for tilt in (u, -u):
+            for eps in (-4.0 / u, -0.5 / u, 0.5 / u, 4.0 / u):
+                got = measured_tilted_mgf(base, tilt, eps)
+                assert math.isfinite(got)
+                assert got == pytest.approx(logsumexp_tilted_mgf(base, tilt, eps),
+                                            rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("base", README_BASES, ids=lambda b: b.kind)
+def test_ratio_block_on_the_grid_matches_the_per_point_loop(base):
+    # the suite's last three certificates against the same points taken one at a time
+    certs = {c.name: c for c in run_tail_suite(base)}
+    for name, slacks in ratio_block_slacks(centered(base)).items():
+        ref = _cert(name, "both", 0.0, 0.0, "", slacks)
+        assert certs[name].ok == ref.ok, name
+        assert certs[name].max_slack == pytest.approx(ref.max_slack, rel=0.0, abs=1e-12), name
+
+
+def test_run_tail_suite_rejects_a_tilt_range_reaching_a_rate():
+    # at u = c1 every shift of the ratio identity is 0: no tilt range may reach (-c2, c1)'s ends
+    for interval in ((0.9, 0.9), (-0.3, 0.95), (-1.0, 0.5), (math.nan, 0.5)):
+        with pytest.raises(DomainError, match=r"strictly inside \(-c2, c1\)"):
+            run_tail_suite(Exponential(1.0), interval=interval)
 
 
 @pytest.mark.parametrize("slacks", [[-1.0, math.nan, -2.0], [-1.0, math.inf], [-math.inf, -1.0]])
