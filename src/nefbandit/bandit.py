@@ -31,12 +31,12 @@ replicate's bytes do not depend on its batch.  ``run_ofu_glb`` is R = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import BaseDistribution, NefFamily, _freeze, gamma_ratio
+from .distributions import BaseDistribution, NefFamily, _freeze, _ratio_given_variance
 from .errors import ConfigError, DomainError, InvalidArgumentError
 from .glm import _cholesky_solves, _fit_stack, _inner_products
 from .rng import replicate_stream
@@ -84,8 +84,9 @@ class GlbInstance:
     M: float
     c1: float
     c2: float
+    variance_sup: InitVar[float | None] = None  # max of mu' on L's check grid, if known
 
-    def __post_init__(self):
+    def __post_init__(self, variance_sup):
         arms = np.atleast_2d(np.asarray(self.arms, dtype=float))
         theta = np.asarray(self.theta_star, dtype=float).ravel()
         if arms.shape[0] == 0:
@@ -105,9 +106,10 @@ class GlbInstance:
             raise ConfigError(f"variance cap L must be at least 1, got {self.L}")
         if not self.K >= 0.0:
             raise ConfigError(f"stretch constant K must be nonnegative, got {self.K}")
-        grid_sup = float(np.max(self.family.base.dmean_at(np.linspace(self.S2, self.S1, _GRID))))
-        if self.L < grid_sup * (1 - 1e-9):
-            raise ConfigError(f"L={self.L} is below the variance supremum {grid_sup:.6g} on [S2, S1]")
+        sup = variance_sup if variance_sup is not None else \
+            float(np.max(self.family.base.dmean_at(np.linspace(self.S2, self.S1, _GRID))))
+        if self.L < sup * (1 - 1e-9):
+            raise ConfigError(f"L={self.L} is below the variance supremum {sup:.6g} on [S2, S1]")
         m_floor = max(self.K / math.log(2.0), 1.0 / (self.c1 - self.S1),
                       1.0 / (self.c2 + self.S2))
         if self.M < m_floor * (1 - 1e-9):
@@ -161,15 +163,16 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     if c2 is None:
         c2 = 0.5 * (-S2 - lo) if math.isfinite(lo) else max(1.0, 1.25 * abs(S2))
     family = NefFamily(base, S2, S1)
-    grid = np.linspace(S2, S1, _GRID)
-    if L is None:
-        L = max(1.0, float(np.max(base.dmean_at(grid))))
+    grid = np.linspace(S2, S1, _GRID)  # interior: NefFamily checked [S2, S1]
+    var = base.dmean_at(grid)
+    var_sup = float(np.max(var))
+    L = max(1.0, var_sup) if L is None else L
     if K is None:
-        K = float(np.max(gamma_ratio(family, grid)))
+        K = float(np.max(_ratio_given_variance(base, grid, var)))
     M = max(K / math.log(2.0), 1.0 / (c1 - S1), 1.0 / (c2 + S2))
     return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
                        S1=S1, S2=S2, L=float(L), K=float(K), M=float(M),
-                       c1=float(c1), c2=float(c2))
+                       c1=float(c1), c2=float(c2), variance_sup=var_sup)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .config import ExperimentConfig, build_instance, load_config
 from .distributions import NefFamily, parse_distribution
 from .errors import InvalidArgumentError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
-from .selfconcordance import (StretchCertificate, build_certificate, default_tail_rates,
-                              fit_tail_constants, verify_dominance)
+from .selfconcordance import (DominanceReport, StretchCertificate, build_certificate,
+                              default_tail_rates, fit_tail_constants, verify_dominance)
 from .tailbounds import run_tail_suite
 
 ROUNDS_HEADER = "t,arm,index,reward,inst_regret,cum_regret,exact_cover,relaxed_cover"
@@ -34,10 +34,10 @@ _OUT_ENV = "NEF_BANDIT_OUT"
 
 def _load_dist(arg: str) -> dict:
     """Accept a path to a JSON file or an inline JSON object."""
-    text = arg
-    p = Path(arg)
-    if p.exists():
-        text = p.read_text()
+    try:
+        text = Path(arg).read_text()
+    except OSError:  # no such file, or a name too long for one (a long inline object)
+        text = arg
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -67,7 +67,21 @@ def _strict(obj):
 
 
 def _emit(payload: dict, path: Path | None) -> None:
-    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Write ``payload`` as indented, key-sorted strict JSON (non-finite floats as null).
+
+    A ``DominanceReport`` under ``points`` is written from its columns, one f-string per
+    point, in the bytes ``json.dumps`` gives the same points as dicts."""
+    cols = payload.get("points")
+    columnar = isinstance(cols, DominanceReport)
+    text = json.dumps(_strict({**payload, "points": []} if columnar else payload), indent=2,
+                      sort_keys=True, allow_nan=False) + "\n"
+    if columnar:
+        us, rs, bs = ([repr(x) if math.isfinite(x) else "null" for x in col]
+                      for col in (cols.u, cols.ratio, cols.bound))
+        points = ",\n".join(f'    {{\n      "bound": {b},\n      "ok": {"true" if ok else "false"},'
+                             f'\n      "ratio": {r},\n      "u": {u}\n    }}'
+                             for u, r, b, ok in zip(us, rs, bs, cols.ok))
+        text = text.replace('\n  "points": []', f'\n  "points": [\n{points}\n  ]', 1)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -88,13 +102,14 @@ def rounds_to_csv(rounds) -> str:
 
 def dominance_report(base, family: NefFamily, cert: StretchCertificate,
                      grid_n: int) -> dict:
+    """The verify report; its ``points`` stay the ``DominanceReport`` columns for ``_emit``."""
     report = verify_dominance(cert, family, grid_n=grid_n)
     return {
         "schema": 1,
         "distribution": base.kind,
         "grid": {"lo": family.param_lo, "hi": family.param_hi, "n": grid_n},
         "certificate": cert.constants_dict(),
-        "points": list(report.points),
+        "points": report,
         "violations": report.violations,
         "ok": report.all_ok,
     }
@@ -126,8 +141,9 @@ def cmd_verify(ns) -> int:
     payload = dominance_report(base, NefFamily(base, lo, hi), cert, ns.grid_n)
     _emit(payload, Path(ns.report) if ns.report else None)
     if not payload["ok"]:
-        first = next(p for p in payload["points"] if not p["ok"])
-        print(f"violation at u={first['u']}: ratio {first['ratio']} > bound {first['bound']}",
+        cols = payload["points"]
+        j = cols.ok.index(False)
+        print(f"violation at u={cols.u[j]}: ratio {cols.ratio[j]} > bound {cols.bound[j]}",
               file=sys.stderr)
     return 0 if payload["ok"] else 1
 

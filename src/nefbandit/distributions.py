@@ -150,18 +150,12 @@ class BaseDistribution:
 class Bernoulli(BaseDistribution):
     p: float
     kind: str = "bernoulli"
+    mgf_domain = (-math.inf, math.inf)
+    support_bounds = (0.0, 1.0)
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise InvalidArgumentError(f"Bernoulli p must lie in (0, 1), got {self.p}")
-
-    @property
-    def mgf_domain(self):
-        return (-math.inf, math.inf)
-
-    @property
-    def support_bounds(self):
-        return (0.0, 1.0)
 
     def log_mgf(self, u):
         return np.logaddexp(math.log1p(-self.p), math.log(self.p) + np.asarray(u, dtype=float))
@@ -209,18 +203,12 @@ class Gaussian(BaseDistribution):
 
     sigma: float
     kind: str = "gaussian"
+    mgf_domain = (-math.inf, math.inf)
+    support_bounds = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise InvalidArgumentError(f"Gaussian sigma must be positive, got {self.sigma}")
-
-    @property
-    def mgf_domain(self):
-        return (-math.inf, math.inf)
-
-    @property
-    def support_bounds(self):
-        return (-math.inf, math.inf)
 
     def log_mgf(self, u):
         return 0.5 * (self.sigma * np.asarray(u, dtype=float)) ** 2
@@ -251,6 +239,7 @@ class Gaussian(BaseDistribution):
 class Exponential(BaseDistribution):
     rate: float
     kind: str = "exponential"
+    support_bounds = (0.0, math.inf)
 
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
@@ -259,10 +248,6 @@ class Exponential(BaseDistribution):
     @property
     def mgf_domain(self):
         return (-math.inf, self.rate)
-
-    @property
-    def support_bounds(self):
-        return (0.0, math.inf)
 
     def log_mgf(self, u):
         return math.log(self.rate) - np.log(self.rate - np.asarray(u, dtype=float))
@@ -294,18 +279,12 @@ class Exponential(BaseDistribution):
 class Poisson(BaseDistribution):
     nu: float
     kind: str = "poisson"
+    mgf_domain = (-math.inf, math.inf)
+    support_bounds = (0.0, math.inf)
 
     def __post_init__(self):
         if not (self.nu > 0 and math.isfinite(self.nu)):
             raise InvalidArgumentError(f"Poisson nu must be positive, got {self.nu}")
-
-    @property
-    def mgf_domain(self):
-        return (-math.inf, math.inf)
-
-    @property
-    def support_bounds(self):
-        return (0.0, math.inf)
 
     def log_mgf(self, u):
         return self.nu * np.expm1(np.asarray(u, dtype=float))
@@ -351,6 +330,7 @@ class Laplace(BaseDistribution):
 
     scale: float
     kind: str = "laplace"
+    support_bounds = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not (self.scale > 0 and math.isfinite(self.scale)):
@@ -360,10 +340,6 @@ class Laplace(BaseDistribution):
     def mgf_domain(self):
         lam = 1.0 / self.scale
         return (-lam, lam)
-
-    @property
-    def support_bounds(self):
-        return (-math.inf, math.inf)
 
     def log_mgf(self, u):
         s2 = self.scale**2
@@ -419,6 +395,7 @@ class Gamma(BaseDistribution):
     shape: float
     scale: float
     kind: str = "gamma"
+    support_bounds = (0.0, math.inf)
 
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):
@@ -428,10 +405,6 @@ class Gamma(BaseDistribution):
     @property
     def mgf_domain(self):
         return (-math.inf, 1.0 / self.scale)
-
-    @property
-    def support_bounds(self):
-        return (0.0, math.inf)
 
     def log_mgf(self, u):
         return -self.shape * np.log1p(-self.scale * np.asarray(u, dtype=float))
@@ -478,15 +451,12 @@ class _AtomMixin:
     """
 
     # subclasses provide: self._locs (ndarray), self._logw (ndarray, normalised)
+    mgf_domain = (-math.inf, math.inf)
 
     @property
     def log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Atom locations and their normalised log-weights (read-only arrays)."""
         return self._locs, self._logw
-
-    @property
-    def mgf_domain(self):
-        return (-math.inf, math.inf)
 
     @property
     def support_bounds(self):
@@ -733,10 +703,14 @@ def gamma_ratio(dist, u):
     """
     base = _base_of(dist)
     grid = base.require_interior(np.atleast_1d(u), op="gamma_ratio")  # scalars take other bits
-    var = base.dmean_at(grid)
-    ratio = np.divide(np.abs(base.d2mean_at(grid)), var, out=np.zeros_like(var),
-                      where=var != 0.0)
+    ratio = _ratio_given_variance(base, grid, base.dmean_at(grid))
     return float(ratio[0]) if np.ndim(u) == 0 else ratio
+
+
+def _ratio_given_variance(base, grid: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """``gamma_ratio`` on an interior grid whose mu' the caller already holds."""
+    return np.divide(np.abs(base.d2mean_at(grid)), var, out=np.zeros_like(var),
+                     where=var != 0.0)
 
 
 def sample_tilted(dist, u: float, rng: np.random.Generator, size: int | None = None):

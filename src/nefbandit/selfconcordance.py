@@ -415,8 +415,16 @@ def verify_lower_bound(i: int, i_max: int | None = None) -> LowerBoundReport:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    points: tuple[dict, ...]
-    violations: int
+    """Bound against measured ratio on a tilt grid, as columns: entry j belongs to tilt u[j]."""
+
+    u: list[float]
+    ratio: list[float]
+    bound: list[float]
+    ok: list[bool]
+
+    @property
+    def violations(self) -> int:
+        return self.ok.count(False)
 
     @property
     def all_ok(self) -> bool:
@@ -429,7 +437,6 @@ def verify_dominance(cert: StretchCertificate, family: NefFamily,
     if grid_n < 1:
         raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
     us = np.linspace(*family.interval, grid_n)
-    pts = tuple({"u": u, "ratio": r, "bound": b, "ok": b >= r}
-                for u, r, b in zip(us.tolist(), gamma_ratio(family, us).tolist(),
-                                   stretch_bound(cert, us).tolist()))
-    return DominanceReport(points=pts, violations=sum(not p["ok"] for p in pts))
+    ratio, bound = gamma_ratio(family, us), stretch_bound(cert, us)
+    return DominanceReport(u=us.tolist(), ratio=ratio.tolist(), bound=bound.tolist(),
+                           ok=(bound >= ratio).tolist())

@@ -11,10 +11,15 @@ of the kinds with an exact conjugate form are read back from the package.
 ``logsumexp_tilted_mgf`` measures an atom kind's tilted MGF through
 ``scipy.special.logsumexp``, and ``ratio_block_slacks`` is the tail suite's
 ratio-identity block as a loop over single (u, eps) points.
+
+``dominance_payload`` is the ``verify`` report as a dict of point dicts,
+and ``strict_json`` the text ``json.dumps`` gives a report: the reference
+for the CLI's column-by-column report writer.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,8 +37,9 @@ from nefbandit.distributions import (
     Poisson,
     Shifted,
 )
+from nefbandit.distributions import gamma_ratio
 from nefbandit.errors import NumericError
-from nefbandit.selfconcordance import default_tail_rates
+from nefbandit.selfconcordance import default_tail_rates, stretch_bound
 from nefbandit.tailbounds import measured_tilted_mgf
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -179,3 +185,33 @@ def ratio_block_slacks(cb) -> dict[str, list[float]]:
                     out["tilt_chernoff_left"].append(
                         float(cb.tilted_lower_tail(u, t - mu_u)) - scale * math.exp(eps * t))
     return out
+
+
+def _strict(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def strict_json(payload: dict) -> str:
+    """A report as ``json.dumps`` writes it: indented, key-sorted, non-finite floats as null."""
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def dominance_payload(base, cert, lo: float, hi: float, n: int,
+                      ratio=gamma_ratio, bound=stretch_bound) -> dict:
+    """The ``verify`` report of ``base`` on the even n-point tilt grid of [lo, hi], with one
+    ``{u, ratio, bound, ok}`` dict per tilt; ``ratio`` and ``bound`` default to the package's
+    closed-form ratio and stretch bound."""
+    us = np.linspace(lo, hi, n)
+    points = [{"u": u, "ratio": r, "bound": b, "ok": b >= r}
+              for u, r, b in zip(us.tolist(), ratio(base, us).tolist(),
+                                 bound(cert, us).tolist())]
+    violations = sum(not p["ok"] for p in points)
+    return {"schema": 1, "distribution": base.kind, "grid": {"lo": lo, "hi": hi, "n": n},
+            "certificate": cert.constants_dict(), "points": points,
+            "violations": violations, "ok": violations == 0}

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from nefbandit.bandit import (
@@ -40,7 +43,8 @@ from nefbandit.distributions import (
     parse_distribution,
 )
 from nefbandit.errors import ConfigError, DomainError, InvalidArgumentError
-from nefbandit.glm import Dataset
+from nefbandit.config import build_instance, load_config
+from nefbandit.glm import Dataset, fit_mle
 from nefbandit.rng import replicate_stream
 
 ARMS3 = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.64]])
@@ -121,6 +125,33 @@ def test_make_instance_K_from_closed_forms_only(spec, monkeypatch):
     monkeypatch.setattr(integrate, "quad", no_quadrature)
     inst = make_instance(base, circle_arms(), np.array([0.5, 0.0]))
     assert inst.K == max(gamma_ratio(base, float(u)) for u in np.linspace(inst.S2, inst.S1, 513))
+
+
+@pytest.mark.parametrize("spec", README_KINDS, ids=lambda s: s["kind"])
+def test_make_instance_evaluates_the_variance_grid_once(spec, monkeypatch):
+    # L, K and GlbInstance's check of L all read one mu' evaluation on the 513-point grid
+    base = parse_distribution(spec)
+    original, shapes = type(base).dmean_at, []
+
+    def counted(self, u):
+        shapes.append(np.shape(u))
+        return original(self, u)
+
+    monkeypatch.setattr(type(base), "dmean_at", counted)
+    inst = make_instance(base, circle_arms(), np.array([0.5, 0.0]))
+    assert shapes == [(513,)]
+    grid = np.linspace(inst.S2, inst.S1, 513)
+    assert inst.L == max(1.0, float(np.max(original(base, grid))))
+
+
+def test_glb_instance_built_directly_checks_L_against_the_variance_grid():
+    inst = exp_instance()  # mu' = 1/(1 - u)^2 reaches 4 at S1 = 0.5
+    fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    assert GlbInstance(**fields).L == inst.L == pytest.approx(4.0, rel=1e-12)
+    with pytest.raises(ConfigError, match="below the variance supremum 4 on"):
+        GlbInstance(**{**fields, "L": 2.0})
+    with pytest.raises(ConfigError, match="below the variance supremum"):
+        dataclasses.replace(inst, L=3.9)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +339,63 @@ def test_an_exact_index_tie_goes_to_the_lowest_arm(base):
     assert not any(res.aborted for res in runs)
     arms_played = np.array([[r.arm for r in res.rounds] for res in runs])
     assert (arms_played == 1).any() and not (arms_played == 3).any()
+
+
+# Properties over random per-arm data on the benchmark's two instances.  Hypothesis
+# draws the plays of each arm (at most T - 1 in all) and a seed; each reward is the
+# model's draw at x_a' theta_star from one uniform of that seed's stream.
+PROPERTY_CONFIGS = ["golden_config.json", "coverage_config.json"]
+_PROPERTY_INSTANCES = {}
+
+
+def _property_instance(name):
+    if name not in _PROPERTY_INSTANCES:
+        cfg = load_config(Path(__file__).parent / "data" / name)
+        _PROPERTY_INSTANCES[name] = cfg, build_instance(cfg)
+    return _PROPERTY_INSTANCES[name]
+
+
+def _per_arm_fit(name, draw):
+    """A drawn history of the named instance and the confidence state fitted on it."""
+    cfg, inst = _property_instance(name)
+    most = (cfg.horizon - 1) // inst.n_arms
+    counts = draw(st.lists(st.integers(0, most), min_size=inst.n_arms, max_size=inst.n_arms))
+    X = np.repeat(inst.arms, counts, axis=0)
+    uniforms = replicate_stream(draw(st.integers(0, 2**32 - 1))).random(len(X))
+    data = Dataset(X, inst.family.base.tilted_inverse_cdf(X @ inst.theta_star, uniforms))
+    lam, t = regularizer_schedule(inst, cfg.horizon, cfg.delta), len(X) + 1
+    fit = fit_mle(inst.family, data, lam)
+    state = ConfidenceState(t=t, theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
+                            gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam,
+                            gamma_t=confidence_radius(inst, t, cfg.horizon, cfg.delta, lam=lam),
+                            delta=cfg.delta)
+    return inst, data, state
+
+
+@pytest.mark.parametrize("name", PROPERTY_CONFIGS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(draw=st.data())
+def test_theta_hat_lies_in_its_own_exact_set(name, draw):
+    inst, data, state = _per_arm_fit(name, draw.draw)
+    if np.linalg.norm(state.theta_hat) <= inst.S0:
+        assert exact_membership(inst, state, data, state.theta_hat)
+
+
+@pytest.mark.parametrize("name", PROPERTY_CONFIGS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(draw=st.data())
+def test_relaxed_set_contains_the_exact_set_in_the_ball(name, draw):
+    # theta = (1 - s) theta_hat + s v for v anywhere in the S0 ball: s = 1 reaches the
+    # whole ball, small s the neighbourhood of theta_hat where the exact set lives
+    inst, data, state = _per_arm_fit(name, draw.draw)
+    assert inst.d == 2
+    for angle, radius, s in draw.draw(st.lists(
+            st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=1, max_size=50)):
+        v = inst.S0 * radius * np.array([math.cos(angle), math.sin(angle)])
+        theta = (1.0 - s) * state.theta_hat + s * v
+        if np.linalg.norm(theta) <= inst.S0 and exact_membership(inst, state, data, theta):
+            assert relaxed_membership(inst, state, theta)
 
 
 def test_relaxed_contains_exact_on_logged_rounds():

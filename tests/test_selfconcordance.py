@@ -325,7 +325,7 @@ def test_verify_dominance_no_violations(base, interval):
     fam = NefFamily(base, *interval)
     report = verify_dominance(cert, fam, grid_n=50)
     assert report.all_ok
-    assert len(report.points) == 50
+    assert len(report.u) == len(report.ratio) == len(report.bound) == len(report.ok) == 50
 
 
 def test_verify_dominance_rejects_an_empty_grid():
@@ -348,7 +348,7 @@ def test_verify_dominance_uses_closed_forms_only(base, monkeypatch):
     monkeypatch.setattr(integrate, "quad", _no_quadrature)
     report = verify_dominance(cert, fam)
     assert report.all_ok
-    assert [p["ratio"] for p in report.points] == expected
+    assert report.ratio == expected
 
 
 # ---------------------------------------------------------------------------
