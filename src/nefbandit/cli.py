@@ -22,11 +22,11 @@ import numpy as np
 from .bandit import GlbInstance, RunResult, run_replicates, theoretical_regret_bound
 from .config import ExperimentConfig, build_instance, load_config
 from .distributions import NefFamily, parse_distribution
-from .errors import InvalidArgumentError, NefBanditError, ParseError
+from .errors import DomainError, InvalidArgumentError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
 from .selfconcordance import (DominanceReport, StretchCertificate, build_certificate,
-                              default_tail_rates, fit_tail_constants, verify_dominance)
-from .tailbounds import run_tail_suite
+                              tilt_range, verify_dominance)
+from .tailbounds import TailCertificate, run_tail_suite
 
 ROUNDS_HEADER = "t,arm,index,reward,inst_regret,cum_regret,exact_cover,relaxed_cover"
 _OUT_ENV = "NEF_BANDIT_OUT"
@@ -115,30 +115,25 @@ def dominance_report(base, family: NefFamily, cert: StretchCertificate,
     }
 
 
-def _grid(ns):
-    """Base distribution and tilt range of a verify/tails command: a nonempty grid, and each
-    end of the range (a missing one at 0.8 of its tail rate) strictly inside (-c2, c1), where
-    the stretch bound is finite and each tilt leaves room for the ratio identity's shifts."""
+def tails_report(base, certs: list[TailCertificate]) -> dict:
+    """The tails report of the ``run_tail_suite`` certificates of ``base``."""
+    return {"schema": 1, "distribution": base.kind,
+            "certificates": [c.as_dict() for c in certs], "ok": all(c.ok for c in certs)}
+
+
+def _base(ns):
+    """Base distribution of a verify/tails command whose grid is nonempty."""
     if ns.grid_n < 1:
         raise ParseError(f"--grid-n must be a positive integer, got {ns.grid_n}",
                          pointer="/grid-n")
-    base = parse_distribution(_load_dist(ns.dist))
-    d1, d2 = default_tail_rates(base)
-    tail = fit_tail_constants(base, d1 if ns.c1 is None else ns.c1,
-                              d2 if ns.c2 is None else ns.c2)  # rates positive, in the domain
-    ends = {"grid-lo": -0.8 * tail.c2 if ns.grid_lo is None else ns.grid_lo,
-            "grid-hi": 0.8 * tail.c1 if ns.grid_hi is None else ns.grid_hi}
-    for flag, u in ends.items():
-        if not -tail.c2 < u < tail.c1:
-            raise ParseError(f"--{flag} {u} is not strictly inside (-c2, c1) = "
-                             f"({-tail.c2}, {tail.c1})", pointer=f"/{flag}")
-    return base, (ends["grid-lo"], ends["grid-hi"])
+    return parse_distribution(_load_dist(ns.dist))
 
 
 def cmd_verify(ns) -> int:
-    base, (lo, hi) = _grid(ns)
+    base = _base(ns)
     cert = build_certificate(base, c1=ns.c1, c2=ns.c2)
-    payload = dominance_report(base, NefFamily(base, lo, hi), cert, ns.grid_n)
+    family = NefFamily(base, *tilt_range(cert.tail, ns.grid_lo, ns.grid_hi))
+    payload = dominance_report(base, family, cert, ns.grid_n)
     _emit(payload, Path(ns.report) if ns.report else None)
     if not payload["ok"]:
         cols = payload["points"]
@@ -149,14 +144,9 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_tails(ns) -> int:
-    base, interval = _grid(ns)
-    certs = run_tail_suite(base, c1=ns.c1, c2=ns.c2, interval=interval, grid_n=ns.grid_n)
-    payload = {
-        "schema": 1,
-        "distribution": base.kind,
-        "certificates": [c.as_dict() for c in certs],
-        "ok": all(c.ok for c in certs),
-    }
+    base = _base(ns)
+    payload = tails_report(base, run_tail_suite(base, c1=ns.c1, c2=ns.c2, grid_n=ns.grid_n,
+                                                interval=(ns.grid_lo, ns.grid_hi)))
     _emit(payload, Path(ns.report) if ns.report else None)
     return 0 if payload["ok"] else 1
 
@@ -371,39 +361,43 @@ def build_parser() -> argparse.ArgumentParser:
 def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     """Dispatch every applicable check for one config; 0 iff all pass.
 
-    Writes verify/tails reports for the distribution, and when the
-    config carries an instance also the bandit rounds, the coverage
-    summary, and the bound terms.
+    Writes the verify and tails reports on the config's grid as the commands do (a bad end
+    is a ParseError at /grid/lo or /grid/hi), and when the config carries an instance also
+    the bandit rounds, the coverage summary, and the bound terms.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = parse_distribution(cfg.distribution)
     cert = build_certificate(base)
     grid = cfg.grid or {}
-    lo, hi = grid.get("lo", -0.8 * cert.tail.c2), grid.get("hi", 0.8 * cert.tail.c1)
     n = int(grid.get("n", 200))
-    payload = dominance_report(base, NefFamily(base, lo, hi), cert, n)
-    _emit(payload, out / "verify.json")
-    certs = run_tail_suite(base, interval=(lo, hi))
-    tails_ok = all(c.ok for c in certs)
-    _emit({"schema": 1, "certificates": [c.as_dict() for c in certs], "ok": tails_ok},
-          out / "tails.json")
+    try:
+        lo, hi = tilt_range(cert.tail, grid.get("lo"), grid.get("hi"))
+    except DomainError as exc:
+        raise ParseError(str(exc), pointer=f"/grid/{exc.name}") from exc
+    verify = dominance_report(base, NefFamily(base, lo, hi), cert, n)
+    _emit(verify, out / "verify.json")
+    tails = tails_report(base, run_tail_suite(base, interval=(lo, hi), grid_n=n))
+    _emit(tails, out / "tails.json")
     aborted = cfg.has_instance and any(
         r.aborted for r in _write_runs(out, cfg, cfg.seed, cfg.workers))
-    return 0 if payload["ok"] and tails_ok and not aborted else 1
+    return 0 if verify["ok"] and tails["ok"] and not aborted else 1
+
+
+_FLAG_POINTERS = {"lo": "/grid-lo", "hi": "/grid-hi", "c1": "/c1", "c2": "/c2"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NefBanditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except NefBanditError as exc:  # a named DomainError points at its verify/tails flag
+        pointer = _FLAG_POINTERS.get(getattr(exc, "name", None))
+        print(f"config error: {exc} (at {pointer})" if pointer else f"error: {exc}",
+              file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -192,7 +192,8 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
         if not isinstance(g, dict) or set(g) - {"lo", "hi", "n"}:
             raise ParseError("grid must be an object with fields lo, hi, n",
                              pointer=f"{pointer}/grid")
-        _check_number(g, "n", f"{pointer}/grid", integer=True, positive=True)
+        for key, opts in (("lo", {}), ("hi", {}), ("n", {"integer": True, "positive": True})):
+            _check_number(g, key, f"{pointer}/grid", **opts)
     if ("arms" in raw) != ("theta_star" in raw):
         raise ParseError("arms and theta_star must be given together", pointer=pointer)
     instance = None

@@ -269,7 +269,7 @@ class Exponential(BaseDistribution):
 
     def tilted_lower_tail(self, u, t):
         # support nonnegative: mass below -t is zero unless -t > 0
-        return np.where(t >= 0, 0.0, -np.expm1((self.rate - u) * t))
+        return np.where(t >= 0, 0.0, -np.expm1((self.rate - u) * np.minimum(t, 0.0)))
 
     def tilted_inverse_cdf(self, u, p):
         return -np.log1p(-p) / (self.rate - u)

@@ -17,15 +17,16 @@ class InvalidArgumentError(NefBanditError, ValueError):
 
 
 class DomainError(NefBanditError, ValueError):
-    """A tilt or rate parameter lies outside the admissible interval."""
+    """A tilt or rate parameter lies outside the admissible interval; ``name`` the argument."""
 
     def __init__(self, message: str, *, value: float | None = None,
-                 interval: tuple[float, float] | None = None):
+                 interval: tuple[float, float] | None = None, name: str | None = None):
         if interval is not None:
             message = f"{message} (value {value!r}, admissible interval {interval!r})"
         super().__init__(message)
         self.value = value
         self.interval = interval
+        self.name = name
 
 
 class DegenerateDistributionError(NefBanditError):

@@ -19,6 +19,7 @@ improvable).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ __all__ = [
     "StretchCertificate",
     "SubgaussianEnvelope",
     "fit_tail_constants",
-    "default_tail_rates",
+    "tilt_range",
     "find_support_witness",
     "witness_mass",
     "g_q_value",
@@ -113,56 +114,68 @@ class StretchCertificate:
     c0_left: float
 
     def __post_init__(self):
-        if not (self.g_q_right > 0 and math.isfinite(self.g_q_right)):
-            raise InvalidArgumentError(f"g_q_right must be positive and finite, got {self.g_q_right}")
-        if not (self.g_q_left > 0 and math.isfinite(self.g_q_left)):
-            raise InvalidArgumentError(f"g_q_left must be positive and finite, got {self.g_q_left}")
-
-    @property
-    def tilt_interval(self) -> tuple[float, float]:
-        return (-self.tail.c2, self.tail.c1)
+        for name in ("g_q_right", "g_q_left"):
+            v = getattr(self, name)
+            if not v > 0:
+                raise InvalidArgumentError(f"{name} must be positive, got {v}")
+            if not math.isfinite(v):  # G grows as C / c^3 per side: name the larger side
+                t = self.tail
+                right = math.log(t.C1) - 3 * math.log(t.c1) >= math.log(t.C2) - 3 * math.log(t.c2)
+                raise DomainError(f"tail rates c1 = {t.c1}, c2 = {t.c2} overflow {name}",
+                                  name="c1" if right else "c2")
 
     def constants_dict(self) -> dict:
-        return {
-            "c1": self.tail.c1, "C1": self.tail.C1,
-            "c2": self.tail.c2, "C2": self.tail.C2,
-            "witness_right": {"a": self.witness.a, "b": self.witness.b, "eta": self.witness.eta},
-            "witness_left": {"a": self.witness_left.a, "b": self.witness_left.b,
-                             "eta": self.witness_left.eta},
-            "g_q_right": self.g_q_right, "g_q_left": self.g_q_left,
-            "c0_right": self.c0_right, "c0_left": self.c0_left,
-        }
+        out = {**vars(self), **vars(self.tail), "witness_right": dict(vars(self.witness)),
+               "witness_left": dict(vars(self.witness_left))}
+        del out["tail"], out["witness"]
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Tail constants
 # ---------------------------------------------------------------------------
 
-def default_tail_rates(base: BaseDistribution) -> tuple[float, float]:
-    """Per side: 90% of the distance to a finite domain endpoint, else 1."""
-    lo, hi = base.mgf_domain
-    c1 = 0.9 * hi if math.isfinite(hi) else 1.0
-    c2 = -0.9 * lo if math.isfinite(lo) else 1.0
-    return c1, c2
-
-
-def fit_tail_constants(base: BaseDistribution, c1: float, c2: float) -> TailConstants:
+def fit_tail_constants(base: BaseDistribution, c1: float | None = None,
+                       c2: float | None = None) -> TailConstants:
     """Chernoff scales making the centered base a member of both tail classes.
 
-    With m the mean of the base, ``C1 = E exp(c1 (Y - m)) = exp(-c1 m) M(c1)``
-    bounds the centered right tail as ``C1 exp(-c1 t)``; symmetrically
-    ``C2 = E exp(-c2 (Y - m)) = exp(c2 m) M(-c2)`` bounds the left tail.
+    A missing rate is 90% of the distance to a finite domain end, else 1; a rate out of
+    range raises a ``DomainError`` naming it.  With m the mean of the base, ``C1 = E exp(c1
+    (Y - m)) = exp(-c1 m) M(c1)`` bounds the centered right tail as ``C1 exp(-c1 t)``;
+    symmetrically ``C2 = E exp(-c2 (Y - m)) = exp(c2 m) M(-c2)`` bounds the left tail.
     """
+    a, b = base.mgf_domain
+    c1 = (0.9 * b if math.isfinite(b) else 1.0) if c1 is None else float(c1)
+    c2 = (-0.9 * a if math.isfinite(a) else 1.0) if c2 is None else float(c2)
     lo, hi = base.interior
-    if not (c1 > 0 and c2 > 0):
-        raise InvalidArgumentError(f"tail rates must be positive, got c1={c1}, c2={c2}")
-    if c1 > hi or -c2 < lo:
-        raise DomainError("candidate tail rates must lie strictly inside the natural "
-                          "parameter interval", value=(c1, -c2), interval=base.mgf_domain)
     m = float(base.mean_at(0.0))
-    C1 = math.exp(float(base.log_mgf(c1)) - c1 * m)
-    C2 = math.exp(float(base.log_mgf(-c2)) + c2 * m)
-    return TailConstants(c1=c1, C1=C1, c2=c2, C2=C2)
+    scales = []
+    with np.errstate(over="ignore"):  # a log scale C that overflows is rejected below
+        for name, c, u, end in (("c1", c1, c1, hi), ("c2", c2, -c2, -lo)):
+            ok = 0.0 < c <= end and math.isfinite(c)
+            log_scale = float(base.log_mgf(u)) - u * m if ok else math.nan
+            if not log_scale <= math.log(sys.float_info.max):
+                raise DomainError(f"tail rate {name} is not finite, positive and in the domain "
+                                  "with a finite scale", value=c, interval=(0.0, end), name=name)
+            scales.append(math.exp(log_scale))
+    return TailConstants(c1=c1, C1=scales[0], c2=c2, C2=scales[1])
+
+
+def tilt_range(tail: TailConstants, lo: float | None = None,
+               hi: float | None = None) -> tuple[float, float]:
+    """Tilt range [lo, hi] of these tail constants, a missing end at 0.8 of its rate.
+
+    Each end must lie strictly inside (-c2, c1), where the stretch bound is finite and each
+    tilt leaves room for the ratio identity's shifts, with lo <= hi; else a ``DomainError``
+    names the failing end."""
+    ends = {"lo": -0.8 * tail.c2 if lo is None else lo, "hi": 0.8 * tail.c1 if hi is None else hi}
+    for name, u in ends.items():
+        if not -tail.c2 < u < tail.c1:  # NaN fails too; c1 and c2 are finite
+            raise DomainError(f"tilt range end {name} must lie strictly inside (-c2, c1)",
+                              value=u, interval=(-tail.c2, tail.c1), name=name)
+    if ends["lo"] > ends["hi"]:
+        raise DomainError(f"tilt range end lo {ends['lo']} exceeds hi {ends['hi']}", name="lo")
+    return ends["lo"], ends["hi"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +251,20 @@ def g_q_value(M1: float, M2: float, m1: float, m2: float, witness: SupportWitnes
     for name, v in (("M1", M1), ("M2", M2), ("m1", m1), ("m2", m2)):
         if not (v > 0 and math.isfinite(v)):
             raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
+    M1, M2, m1, m2 = map(np.float64, (M1, M2, m1, m2))
     a, b, eta = witness.a, witness.b, witness.eta
     e3 = _E**3
-    return 1.5 * b + (1.0 / (a * a * eta)) * (
-        204.0 / (e3 * m1**3 * M1**3)
-        + 6.0 * b * b / (e3 * m1 * M1**3)
-        + (81.0 * M2 + 9.0 * M2 * m1**2 * b * b) / m2**3
-    )
+    with np.errstate(all="ignore"):  # a G beyond float range is inf
+        return float(1.5 * b + (1.0 / (a * a * eta)) * (
+            204.0 / (e3 * m1**3 * M1**3)
+            + 6.0 * b * b / (e3 * m1 * M1**3)
+            + (81.0 * M2 + 9.0 * M2 * m1**2 * b * b) / m2**3
+        ))
 
 
 def build_certificate(base: BaseDistribution, c1: float | None = None,
                       c2: float | None = None) -> StretchCertificate:
     """Fit tail constants, find both witnesses, and freeze the bound constants."""
-    d1, d2 = default_tail_rates(base)
-    c1 = d1 if c1 is None else float(c1)
-    c2 = d2 if c2 is None else float(c2)
     tail = fit_tail_constants(base, c1, c2)
     w_right = find_support_witness(base, side="below")
     w_left = find_support_witness(base, side="above")
@@ -274,14 +286,13 @@ def stretch_bound(cert: StretchCertificate, u):
     """
     c1, C1, c2, C2 = cert.tail.c1, cert.tail.C1, cert.tail.c2, cert.tail.C2
     u = np.asarray(u, dtype=float)
-    bad = u[~((-c2 < u) & (u < c1))]
-    if bad.size:
-        raise DomainError("stretch bound is defined on (-c2, c1)",
-                          value=float(bad[0]), interval=(-c2, c1))
-    right = 1.5 * (2.0 * _E * C1 * c1 / (c1 - u) ** 2
-                   + u * cert.witness.b / (c1 - u)) + cert.g_q_right
-    left = 1.5 * (2.0 * _E * c2 * C2 / (c2 + u) ** 2
-                  + (-u) * cert.witness_left.b / (c2 + u)) + cert.g_q_left
+    if u.size:  # every tilt strictly inside (-c2, c1)
+        tilt_range(cert.tail, float(u.min()), float(u.max()))
+    with np.errstate(over="ignore"):  # a bound beyond float range is inf
+        right = 1.5 * (2.0 * _E * C1 * c1 / (c1 - u) ** 2
+                       + u * cert.witness.b / (c1 - u)) + cert.g_q_right
+        left = 1.5 * (2.0 * _E * c2 * C2 / (c2 + u) ** 2
+                      + (-u) * cert.witness_left.b / (c2 + u)) + cert.g_q_left
     bound = np.where(u >= 0.0, right, left)
     return float(bound) if bound.ndim == 0 else bound
 
@@ -291,12 +302,8 @@ def stretch_supremum(cert: StretchCertificate, family) -> float:
 
     Valid as the max of the endpoint values by branch monotonicity.
     """
-    lo, hi = family.interval if isinstance(family, NefFamily) else (float(family[0]), float(family[1]))
-    lo_ok, hi_ok = cert.tilt_interval
-    if not (lo_ok < lo <= hi < hi_ok):
-        raise DomainError("tilt range must sit strictly inside (-c2, c1)",
-                          value=(lo, hi), interval=(lo_ok, hi_ok))
-    return max(stretch_bound(cert, lo), stretch_bound(cert, hi))
+    ends = family.interval if isinstance(family, NefFamily) else map(float, family)
+    return max(stretch_bound(cert, u) for u in tilt_range(cert.tail, *ends))
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ from .errors import DegenerateDistributionError, DomainError, InvalidArgumentErr
 from .selfconcordance import (
     SupportWitness,
     TailConstants,
-    default_tail_rates,
     find_support_witness,
     fit_tail_constants,
+    tilt_range,
 )
 
 __all__ = [
@@ -71,9 +71,7 @@ class TailCertificate:
     ok: bool
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "side": self.side, "rate": self.rate,
-                "scale": self.scale, "checked_on": self.checked_on,
-                "max_slack": self.max_slack, "ok": self.ok}
+        return dict(vars(self))
 
 
 def mgf_from_tail_bound(c1: float, C1: float, lam):
@@ -85,7 +83,8 @@ def mgf_from_tail_bound(c1: float, C1: float, lam):
     if bad.size:
         raise DomainError("the MGF cap holds on 0 <= lam < c1", value=float(bad[0]),
                           interval=(0.0, c1))
-    return 1.0 + C1 * lam**2 / (c1 * (c1 - lam))
+    with np.errstate(all="ignore"):  # inf or NaN past float range
+        return 1.0 + C1 * lam**2 / (c1 * (c1 - lam))
 
 
 def tail_from_mgf(M_at_c, c, t):
@@ -163,9 +162,10 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
         raise DomainError("tilt must satisfy 0 <= u < c1", value=float(bad[0]),
                           interval=(0.0, tail.c1))
     M_u = np.exp(base.log_mgf(u))
-    right = (tail.C1 * math.e / M_u) * np.exp(-(tail.c1 - u) * t) * (1.0 + u / (tail.c1 - u))
-    left = (tail.C2 / M_u) * np.exp(-(u + tail.c2) * t)
-    mean_cap = tail.c1 * tail.C1 * math.e / (tail.c1 - u) ** 2
+    with np.errstate(all="ignore"):  # inf or NaN past float range
+        right = (tail.C1 * math.e / M_u) * np.exp(-(tail.c1 - u) * t) * (1.0 + u / (tail.c1 - u))
+        left = (tail.C2 / M_u) * np.exp(-(u + tail.c2) * t)
+        mean_cap = tail.c1 * tail.C1 * math.e / (tail.c1 - u) ** 2
     return {"upper_bound_right": right, "upper_bound_left": left, "mean_bound": mean_cap}
 
 
@@ -202,7 +202,10 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
         if not -rm < eps < rp:
             return math.inf
         return math.exp(eps * offset) * (c / (rp - eps) + c / (rm + eps))
-    return float(np.exp(base.tilted(u).log_mgf(eps)))
+    try:  # NaN where the conjugate has no float parameter (a Bernoulli p rounding to 1)
+        return float(np.exp(base.tilted(u).log_mgf(eps)))
+    except InvalidArgumentError:
+        return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +222,19 @@ def _cert(name, side, rate, scale, checked_on, slacks) -> TailCertificate:
 
 
 def run_tail_suite(base: BaseDistribution, c1: float | None = None, c2: float | None = None,
-                   interval: tuple[float, float] | None = None,
+                   interval: tuple[float | None, float | None] | None = None,
                    grid_n: int = 24) -> list[TailCertificate]:
     """Grid-check every tail inequality for one base; returns certificates.
 
-    The base is centered internally.  Tail constants default to the
-    Chernoff fit at 90% of the distance to each finite domain endpoint
-    (rate 1 on infinite sides); the tilt interval defaults to
-    (-0.8 c2, 0.8 c1) and must sit strictly inside (-c2, c1).
+    The base is centered internally; missing tail rates and tilt interval ends
+    take the ``fit_tail_constants`` and ``tilt_range`` defaults.
     """
     if grid_n < 1:
         raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
     cb = centered(base)
-    d1, d2 = default_tail_rates(cb)
-    c1 = d1 if c1 is None else c1
-    c2 = d2 if c2 is None else c2
     tail = fit_tail_constants(cb, c1, c2)
-    interval = (-0.8 * c2, 0.8 * c1) if interval is None else interval
-    if not (-c2 < interval[0] and interval[1] < c1):
-        raise DomainError("tilt interval must sit strictly inside (-c2, c1)",
-                          value=interval, interval=(-c2, c1))
+    c1, c2 = tail.c1, tail.c2
+    interval = tilt_range(tail, *(interval or (None, None)))
     fam = NefFamily(cb, *interval)
     certs: list[TailCertificate] = []
 

@@ -39,7 +39,7 @@ from nefbandit.distributions import (
 )
 from nefbandit.distributions import gamma_ratio
 from nefbandit.errors import NumericError
-from nefbandit.selfconcordance import default_tail_rates, stretch_bound
+from nefbandit.selfconcordance import stretch_bound
 from nefbandit.tailbounds import measured_tilted_mgf
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -160,6 +160,13 @@ def logsumexp_tilted_mgf(base, u: float, eps: float) -> float:
     logq = logw + u * locs
     logq = logq - special.logsumexp(logq)
     return float(np.exp(special.logsumexp(logq + eps * (locs + offset))))
+
+
+def default_tail_rates(base) -> tuple[float, float]:
+    """The tail rates ``fit_tail_constants`` defaults to: per side, 90% of the distance to a
+    finite end of the natural parameter interval, else 1."""
+    lo, hi = base.mgf_domain
+    return (0.9 * hi if math.isfinite(hi) else 1.0), (-0.9 * lo if math.isfinite(lo) else 1.0)
 
 
 def ratio_block_slacks(cb) -> dict[str, list[float]]:

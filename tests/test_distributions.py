@@ -545,3 +545,10 @@ def test_atom_weights_must_sum_to_one():
         DiscreteAtoms(((0.0, 0.5), (1.0, 0.6)))
     with pytest.raises(InvalidArgumentError):
         DiscreteAtoms(((0.0, -0.1), (1.0, 1.1)))
+
+
+def test_exponential_lower_tail_skips_the_branch_it_discards():
+    # at a far negative tilt, expm1 of (rate - u) * t overflows for t >= 0, where the tail is 0
+    t = np.array([-0.5, 0.0, 3.0])
+    got = Exponential(1.0).tilted_lower_tail(-800.0, t)
+    np.testing.assert_array_equal(got, [-math.expm1(801.0 * -0.5), 0.0, 0.0])

@@ -1,19 +1,26 @@
 """Config schema, CLI subcommands, determinism, exit-status contract."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nefbandit
+from nefbandit import cli, selfconcordance, tailbounds
 from nefbandit.cli import (
     _emit,
     build_parser,
@@ -127,6 +134,26 @@ def test_config_rejects_empty_grid():
     for n in (0, -3, 2.5):
         with pytest.raises(ParseError, match="/grid/n"):
             parse_config({**MINIMAL, "grid": {"n": n}})
+
+
+@pytest.mark.parametrize("grid, pointer", [
+    ({"lo": "x"}, "/grid/lo"), ({"hi": None}, "/grid/hi"), ({"lo": [1]}, "/grid/lo"),
+    ({"lo": math.nan}, "/grid/lo"), ({"hi": -math.inf}, "/grid/hi"), ({"hi": True}, "/grid/hi"),
+])
+def test_config_rejects_a_grid_end_that_is_not_a_finite_number(grid, pointer):
+    with pytest.raises(ParseError, match=re.escape(f"(at {pointer})")):
+        parse_config({**MINIMAL, "grid": grid})
+
+
+@pytest.mark.parametrize("grid, pointer", [
+    ({"lo": -0.5, "hi": 0.95}, "/grid/hi"), ({"lo": -1.5, "hi": 0.2}, "/grid/lo"),
+    ({"lo": 0.5, "hi": 0.2}, "/grid/lo"),  # reversed
+])
+def test_run_suite_grid_outside_the_tail_rates_is_a_parse_error(grid, pointer, tmp_path):
+    # exponential(1): c1 = 0.9 and c2 = 1 by default, so tilts must lie in (-1, 0.9)
+    cfg = parse_config({**MINIMAL, "grid": grid})
+    with pytest.raises(ParseError, match=re.escape(f"(at {pointer})")):
+        run_suite(cfg, tmp_path)
 
 
 def test_load_config_missing_file():
@@ -319,6 +346,8 @@ def test_cli_tails_honours_a_lone_grid_bound(flags, interval, capsys):
     ("verify", ["--grid-hi", "0.95"], "/grid-hi"),
     ("verify", ["--grid-lo", "-1.2", "--grid-hi", "0.5"], "/grid-lo"),
     ("verify", ["--grid-lo", "nan"], "/grid-lo"),
+    ("verify", ["--grid-lo", "0.5", "--grid-hi", "0.2"], "/grid-lo"),  # reversed
+    ("tails", ["--grid-lo", "0.5", "--grid-hi", "0.2"], "/grid-lo"),
 ])
 def test_cli_tilt_range_outside_the_tail_rates_is_a_usage_error(command, flags, pointer, capsys):
     # exponential(1): c1 = 0.9 and c2 = 1 by default, so tilts must lie in (-1, 0.9)
@@ -326,6 +355,104 @@ def test_cli_tilt_range_outside_the_tail_rates_is_a_usage_error(command, flags, 
     assert rc == 2
     captured = capsys.readouterr()
     assert pointer in captured.err and captured.out == ""
+
+
+EXPONENTIAL = {"kind": "exponential", "rate": 1.0}
+GAUSSIAN = {"kind": "gaussian", "sigma": 1.0}
+
+
+@pytest.mark.parametrize("command", ["verify", "tails"])
+@pytest.mark.parametrize("dist, flag, pointer", [
+    (EXPONENTIAL, "--c1=0", "/c1"), (EXPONENTIAL, "--c1=nan", "/c1"),
+    (EXPONENTIAL, "--c1=1.5", "/c1"), (EXPONENTIAL, "--c2=-1", "/c2"),
+    (GAUSSIAN, "--c1=inf", "/c1"), (GAUSSIAN, "--c2=inf", "/c2"),
+    (GAUSSIAN, "--c1=40", "/c1"),  # its Chernoff scale exp(800) is not a float
+], ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_cli_bad_tail_rate_is_a_usage_error(command, dist, flag, pointer, capsys):
+    rc = main([command, "--dist", json.dumps(dist), flag])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.endswith(f"(at {pointer})\n")
+
+
+@pytest.mark.parametrize("flag, pointer", [
+    ("--c1=1e-110", "/c1"), ("--c2=1e-110", "/c2"),  # G divides by c^3
+    ("--c1=37.6", "/c1"),  # a scale C1 near 1e307 in the numerator of G
+])
+def test_verify_names_the_rate_that_overflows_the_correction(flag, pointer, capsys):
+    rc = main(["verify", "--dist", json.dumps(GAUSSIAN), flag])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "overflow g_q_" in captured.err and captured.err.endswith(f"(at {pointer})\n")
+
+
+def test_tails_of_a_bernoulli_tilt_past_float_p_fails_its_ratio_identity(capsys):
+    # expit(0.8 * 100) rounds to 1: the tilt has no Bernoulli parameter to measure with
+    rc = main(["tails", "--dist", '{"kind": "bernoulli", "p": 0.5}', "--c1=100"])
+    certs = {c["name"]: c for c in json.loads(capsys.readouterr().out)["certificates"]}
+    assert rc == 1 and certs["tilted_mgf_ratio_identity"]["max_slack"] is None
+    assert not certs["tilted_mgf_ratio_identity"]["ok"]
+
+
+@pytest.mark.parametrize("command", ["verify", "tails"])
+def test_each_command_fits_the_tail_constants_once(command, monkeypatch, capsys):
+    fit, calls = selfconcordance.fit_tail_constants, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    for module in (cli, selfconcordance, tailbounds):
+        if hasattr(module, "fit_tail_constants"):
+            monkeypatch.setattr(module, "fit_tail_constants", counted)
+    assert main([command, "--dist", json.dumps(EXPONENTIAL), "--grid-n", "9"]) == 0
+    assert len(calls) == 1
+
+
+# the kinds a flag or grid fuzz runs on, and what each flag value may be
+FUZZ_DISTS = [EXPONENTIAL, {"kind": "gamma", "shape": 2.0, "scale": 1.0},
+              {"kind": "laplace", "scale": 1.0}, GAUSSIAN, {"kind": "bernoulli", "p": 0.5}]
+
+
+def _fuzz_values(spec):
+    """Absent, finite, 0, negative, infinite, NaN, or an end of the natural parameter interval."""
+    lo, hi = parse_distribution(spec).mgf_domain
+    return st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False), st.just(0.0),
+                     st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+                     st.sampled_from([math.inf, -math.inf, math.nan, lo, hi]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_tilt_range_and_rate_flags_give_a_report_or_a_pointer(data):
+    spec = data.draw(st.sampled_from(FUZZ_DISTS), label="dist")
+    command = data.draw(st.sampled_from(["verify", "tails"]), label="command")
+    flags = [f"--{name}={value!r}" for name in ("grid-lo", "grid-hi", "c1", "c2")
+             if (value := data.draw(_fuzz_values(spec), label=name)) is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--dist", json.dumps(spec), "--grid-n", "9", *flags])
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert re.search(r"\(at /(grid-lo|grid-hi|c1|c2)\)\n\Z", err.getvalue()), err.getvalue()
+    else:
+        assert rc in (0, 1) and json.loads(out.getvalue())["distribution"] == spec["kind"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_run_suite_grid_gives_reports_or_a_pointer(data):
+    spec = data.draw(st.sampled_from(FUZZ_DISTS), label="dist")
+    end = st.one_of(_fuzz_values(spec), st.sampled_from(["x", [1], True]))
+    n = st.one_of(st.integers(-2, 12), st.sampled_from([2.5, "x", None, True]))
+    grid = data.draw(st.fixed_dictionaries({}, optional={"lo": end, "hi": end, "n": n}))
+    try:
+        cfg = parse_config({"schema": 1, "distribution": spec, "grid": grid})
+        with tempfile.TemporaryDirectory() as out:
+            assert run_suite(cfg, out) in (0, 1)
+            for name in ("verify.json", "tails.json"):
+                assert json.loads(Path(out, name).read_text())["distribution"] == spec["kind"]
+    except ParseError as exc:
+        assert exc.pointer in ("/grid/lo", "/grid/hi", "/grid/n"), exc
 
 
 def _fresh_process(argv):

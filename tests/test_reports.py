@@ -11,10 +11,10 @@ from nefbandit import cli, selfconcordance
 from nefbandit.cli import _emit, dominance_report, main, run_suite
 from nefbandit.config import parse_config
 from nefbandit.distributions import Gamma, NefFamily, Shifted, gamma_ratio, parse_distribution
-from nefbandit.selfconcordance import (TailConstants, build_certificate, default_tail_rates,
-                                       stretch_bound)
+from nefbandit.selfconcordance import TailConstants, build_certificate, stretch_bound
+from nefbandit.tailbounds import run_tail_suite
 
-from oracle import dominance_payload, strict_json
+from oracle import default_tail_rates, dominance_payload, strict_json
 
 README_SPECS = [
     {"kind": "bernoulli", "p": 0.5}, {"kind": "gaussian", "sigma": 1.0},
@@ -56,19 +56,44 @@ def _expected(spec, flags) -> dict:
                              int(opts.get("--grid-n", 200)))
 
 
-@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: " ".join(f) or "default")
-@pytest.mark.parametrize("spec", README_SPECS + OTHER_SPECS, ids=_spec_id)
-def test_verify_report_bytes_are_the_json_dumps_bytes(spec, flags, tmp_path, capsys):
-    expected = _expected(spec, flags)
+def _expected_tails(spec, flags) -> dict:
+    """The oracle report of ``tails --dist spec *flags``: the suite's certificates on the
+    tilt range defaulted at 0.8 of each tail rate."""
+    opts = dict(zip(flags[::2], flags[1::2]))
+    base = parse_distribution(spec)
+    d1, d2 = default_tail_rates(base)
+    c1, c2 = float(opts.get("--c1", d1)), float(opts.get("--c2", d2))
+    interval = (float(opts.get("--grid-lo", -0.8 * c2)), float(opts.get("--grid-hi", 0.8 * c1)))
+    certs = run_tail_suite(base, c1=c1, c2=c2, interval=interval,
+                           grid_n=int(opts.get("--grid-n", 200)))
+    return {"schema": 1, "distribution": base.kind, "certificates": [c.as_dict() for c in certs],
+            "ok": all(c.ok for c in certs)}
+
+
+def _assert_report_bytes(argv, expected, report, capsys):
+    """``main(argv)`` writes the strict JSON of ``expected`` to stdout, and to ``report``
+    with ``--report``, with the exit status of its verdict and nothing on stderr."""
     text = strict_json(expected)
     rc = 0 if expected["ok"] else 1
-    argv = ["verify", "--dist", json.dumps(spec), *flags]
     assert main(argv) == rc
     out = capsys.readouterr()
     assert out.out == text and out.err == ""
-    report = tmp_path / "verify.json"
     assert main([*argv, "--report", str(report)]) == rc
     assert report.read_bytes() == text.encode() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: " ".join(f) or "default")
+@pytest.mark.parametrize("spec", README_SPECS + OTHER_SPECS, ids=_spec_id)
+def test_verify_report_bytes_are_the_json_dumps_bytes(spec, flags, tmp_path, capsys):
+    _assert_report_bytes(["verify", "--dist", json.dumps(spec), *flags], _expected(spec, flags),
+                         tmp_path / "verify.json", capsys)
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: " ".join(f) or "default")
+@pytest.mark.parametrize("spec", README_SPECS + OTHER_SPECS, ids=_spec_id)
+def test_tails_report_bytes_are_the_json_dumps_bytes(spec, flags, tmp_path, capsys):
+    _assert_report_bytes(["tails", "--dist", json.dumps(spec), *flags],
+                         _expected_tails(spec, flags), tmp_path / "tails.json", capsys)
 
 
 @pytest.mark.parametrize("grid_n", [1, 200])
@@ -92,6 +117,19 @@ def test_run_suite_verify_json_is_the_json_dumps_report(grid, tmp_path):
     grid = grid or {"lo": -0.8 * cert.tail.c2, "hi": 0.8 * cert.tail.c1, "n": 200}
     expected = dominance_payload(base, cert, grid["lo"], grid["hi"], grid["n"])
     assert (tmp_path / "verify.json").read_bytes() == strict_json(expected).encode()
+
+
+@pytest.mark.parametrize("grid", [None, {"lo": -0.5, "hi": 0.4, "n": 33}])
+def test_run_suite_tails_json_is_the_tails_command_report(grid, tmp_path, capsys):
+    spec = {"kind": "gamma", "shape": 2.0, "scale": 1.0}
+    cfg = parse_config({"schema": 1, "distribution": spec,
+                        **({"grid": grid} if grid else {})})
+    assert run_suite(cfg, tmp_path) == 0
+    c1, c2 = default_tail_rates(parse_distribution(spec))
+    grid = grid or {"lo": -0.8 * c2, "hi": 0.8 * c1, "n": 200}
+    assert main(["tails", "--dist", json.dumps(spec), "--grid-lo", repr(grid["lo"]),
+                 "--grid-hi", repr(grid["hi"]), "--grid-n", str(grid["n"])]) == 0
+    assert (tmp_path / "tails.json").read_text() == capsys.readouterr().out
 
 
 def test_non_finite_ratio_and_bound_are_written_as_null(monkeypatch, capsys):

@@ -31,7 +31,6 @@ from nefbandit.selfconcordance import (
     SupportWitness,
     build_certificate,
     counterexample_distribution,
-    default_tail_rates,
     find_support_witness,
     fit_tail_constants,
     g_q_value,
@@ -85,9 +84,10 @@ def test_fit_tail_constants_rejects_out_of_domain_rate():
 
 
 def test_default_tail_rates():
-    assert default_tail_rates(Exponential(1.0)) == (0.9, 1.0)
-    assert default_tail_rates(Laplace(2.0)) == (0.45, 0.45)
-    assert default_tail_rates(Bernoulli(0.5)) == (1.0, 1.0)
+    for base, rates in ((Exponential(1.0), (0.9, 1.0)), (Laplace(2.0), (0.45, 0.45)),
+                        (Bernoulli(0.5), (1.0, 1.0))):
+        tc = fit_tail_constants(base)
+        assert (tc.c1, tc.c2) == rates
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from nefbandit.selfconcordance import (
     SupportWitness,
     TailConstants,
     build_certificate,
-    default_tail_rates,
     find_support_witness,
     fit_tail_constants,
     stretch_supremum,
@@ -42,7 +41,8 @@ from nefbandit.tailbounds import (
     tilted_tail_bounds,
     variance_lower_bound,
 )
-from oracle import README_BASES, logsumexp_tilted_mgf, moments, ratio_block_slacks
+from oracle import (README_BASES, default_tail_rates, logsumexp_tilted_mgf, moments,
+                    ratio_block_slacks)
 
 SUITE_BASES = [Exponential(1.0), Laplace(1.0), Bernoulli(0.5), Gamma(2.0, 1.0),
                DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)))]
