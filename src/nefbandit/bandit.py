@@ -63,6 +63,19 @@ __all__ = [
 _GRID = 513
 
 
+def _check_range(S2: float, S1: float, c1: float, c2: float) -> None:
+    """-c2 < S2 <= S1 < c1, or a ConfigError naming the constant of the first failed step."""
+    for ok, name in ((-c2 < S2, "c2"), (S2 <= S1, "S2"), (S1 < c1, "c1")):
+        if not ok:
+            raise ConfigError(f"admissible range must satisfy -c2 < S2 <= S1 < c1, got "
+                              f"S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
+
+
+def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, float]:
+    """The three floors of M, by the constant that sets each; M >= their max."""
+    return {"K": K / math.log(2.0), "c1": 1.0 / (c1 - S1), "c2": 1.0 / (c2 + S2)}
+
+
 @dataclass(frozen=True)
 class GlbInstance:
     """Arm set, true parameter, reward family, and the algorithm constants.
@@ -70,7 +83,9 @@ class GlbInstance:
     Invariants: arms in the closed unit ball, every x' theta_star inside
     [S2, S1] strictly inside the natural parameter interval with
     -c2 < S2 <= S1 < c1, L at least the variance supremum on [S2, S1]
-    and at least 1, K >= 0, and M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).
+    and at least 1, K >= 0, every constant finite, and
+    M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A ConfigError's ``name`` is
+    the constant (or ``arms``) that fails.
     """
 
     arms: np.ndarray
@@ -90,31 +105,35 @@ class GlbInstance:
         arms = np.atleast_2d(np.asarray(self.arms, dtype=float))
         theta = np.asarray(self.theta_star, dtype=float).ravel()
         if arms.shape[0] == 0:
-            raise ConfigError("arm set must be nonempty")
+            raise ConfigError("arm set must be nonempty", name="arms")
         norms = np.linalg.norm(arms, axis=1)
         if norms.max() > 1.0 + 1e-12:
-            raise ConfigError(f"arms must lie in the closed unit ball; max norm {norms.max():.6g}")
+            raise ConfigError(f"arms must lie in the closed unit ball; max norm {norms.max():.6g}",
+                              name="arms")
         if np.linalg.norm(theta) > self.S0 + 1e-12:
-            raise ConfigError(f"the true parameter has norm {np.linalg.norm(theta):.6g} > S0={self.S0}")
-        if not (-self.c2 < self.S2 <= self.S1 < self.c1):
-            raise ConfigError(f"admissible range must satisfy -c2 < S2 <= S1 < c1, got "
-                              f"S2={self.S2}, S1={self.S1}, c1={self.c1}, c2={self.c2}")
+            raise ConfigError(f"the true parameter has norm {np.linalg.norm(theta):.6g} > "
+                              f"S0={self.S0}", name="S0")
+        _check_range(self.S2, self.S1, self.c1, self.c2)
         inner = arms @ theta
         if inner.min() < self.S2 - 1e-12 or inner.max() > self.S1 + 1e-12:
-            raise ConfigError("x' theta_star must lie in [S2, S1] for every arm")
+            raise ConfigError("x' theta_star must lie in [S2, S1] for every arm",
+                              name="S2" if inner.min() < self.S2 - 1e-12 else "S1")
         if self.L < 1.0:
-            raise ConfigError(f"variance cap L must be at least 1, got {self.L}")
+            raise ConfigError(f"variance cap L must be at least 1, got {self.L}", name="L")
         if not self.K >= 0.0:
-            raise ConfigError(f"stretch constant K must be nonnegative, got {self.K}")
+            raise ConfigError(f"stretch constant K must be nonnegative, got {self.K}", name="K")
+        for name in ("S0", "S1", "S2", "c1", "c2", "L", "K", "M"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}={getattr(self, name)} is not finite", name=name)
         sup = variance_sup if variance_sup is not None else \
             float(np.max(self.family.base.dmean_at(np.linspace(self.S2, self.S1, _GRID))))
-        if self.L < sup * (1 - 1e-9):
-            raise ConfigError(f"L={self.L} is below the variance supremum {sup:.6g} on [S2, S1]")
-        m_floor = max(self.K / math.log(2.0), 1.0 / (self.c1 - self.S1),
-                      1.0 / (self.c2 + self.S2))
+        if not self.L >= sup * (1 - 1e-9):  # a NaN supremum fails too
+            raise ConfigError(f"L={self.L} is below the variance supremum {sup:.6g} on [S2, S1]",
+                              name="L")
+        m_floor = max(_m_terms(self.K, self.S1, self.S2, self.c1, self.c2).values())
         if self.M < m_floor * (1 - 1e-9):
             raise ConfigError(f"M={self.M} violates M >= max(K/log 2, 1/(c1-S1), 1/(c2+S2)) "
-                              f"= {m_floor:.6g}")
+                              f"= {m_floor:.6g}", name="M")
         _freeze(self, arms=arms, theta_star=theta)
 
     @property
@@ -147,9 +166,15 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     (c1 = (S1 + hi)/2, c2 = -(S2 + lo)/2) and max(1, 1.25 |S|) on infinite
     sides; L and K as grid suprema of mu' and |mu''|/mu' on [S2, S1]; M at
     its floor.
+
+    A failed check raises a ConfigError whose ``name`` is the argument at fault. A
+    derived constant names the argument it comes from: S1 and S2 come from S0, c1
+    from S1, c2 from S2, L and K from the wider end of [S2, S1], M from its largest floor.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     theta_star = np.asarray(theta_star, dtype=float).ravel()
+    given = {name for name, value in (("S1", S1), ("S2", S2), ("c1", c1), ("c2", c2),
+                                      ("L", L), ("K", K)) if value is not None}
     if S0 is None:
         S0 = float(np.linalg.norm(theta_star))
         if S0 == 0.0:
@@ -162,17 +187,37 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         c1 = 0.5 * (S1 + hi) if math.isfinite(hi) else max(1.0, 1.25 * abs(S1))
     if c2 is None:
         c2 = 0.5 * (-S2 - lo) if math.isfinite(lo) else max(1.0, 1.25 * abs(S2))
-    family = NefFamily(base, S2, S1)
-    grid = np.linspace(S2, S1, _GRID)  # interior: NefFamily checked [S2, S1]
-    var = base.dmean_at(grid)
-    var_sup = float(np.max(var))
-    L = max(1.0, var_sup) if L is None else L
-    if K is None:
-        K = float(np.max(_ratio_given_variance(base, grid, var)))
-    M = max(K / math.log(2.0), 1.0 / (c1 - S1), 1.0 / (c2 + S2))
-    return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
-                       S1=S1, S2=S2, L=float(L), K=float(K), M=float(M),
-                       c1=float(c1), c2=float(c2), variance_sup=var_sup)
+    source = {end: end if end in given else "S0" for end in ("S1", "S2")}
+    wide = source["S1"] if abs(S1) >= abs(S2) else source["S2"]
+    source.update({"c1": source["S1"], "c2": source["S2"], "L": wide, "K": wide})
+    source.update({name: name for name in given})
+    try:
+        if not S2 <= S1:
+            raise ConfigError(f"need S2 <= S1, got S2={S2}, S1={S1}",
+                              name="S2" if "S2" in given else "S1")
+        _check_range(S2, S1, c1, c2)
+        if not math.isfinite(S1 - S2):
+            raise ConfigError(f"the tilt range [{S2}, {S1}] is wider than the float range",
+                              name=wide)
+        try:
+            family = NefFamily(base, S2, S1)
+        except DomainError as exc:
+            raise ConfigError(str(exc), name="S2" if S2 < base.interior[0] else "S1") from exc
+        grid = np.linspace(S2, S1, _GRID)  # interior: NefFamily checked [S2, S1]
+        with np.errstate(over="ignore", invalid="ignore"):  # GlbInstance rejects inf and NaN
+            var = base.dmean_at(grid)
+            var_sup = float(np.max(var))
+            if K is None:
+                K = float(np.max(_ratio_given_variance(base, grid, var)))
+        L = max(1.0, var_sup) if L is None else L
+        floors = _m_terms(K, S1, S2, c1, c2)
+        source["M"] = source[max(floors, key=floors.get)]
+        return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
+                           S1=S1, S2=S2, L=float(L), K=float(K), M=float(max(floors.values())),
+                           c1=float(c1), c2=float(c2), variance_sup=var_sup)
+    except ConfigError as exc:
+        exc.name = source.get(exc.name, exc.name)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,10 @@ def _resolve_out(explicit: str | None, cfg_out=None) -> Path | None:
     if chosen is None:
         return None
     out = Path(chosen)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL byte
+        raise ParseError(f"cannot make the output directory {chosen!r}: {exc}", pointer="/out")
     return out
 
 
@@ -138,8 +141,9 @@ def cmd_verify(ns) -> int:
     if not payload["ok"]:
         cols = payload["points"]
         j = cols.ok.index(False)
-        print(f"violation at u={cols.u[j]}: ratio {cols.ratio[j]} > bound {cols.bound[j]}",
-              file=sys.stderr)
+        u, ratio, bound = cols.u[j], cols.ratio[j], cols.bound[j]
+        print(f"violation at u={u}: " + (f"ratio {ratio} > bound {bound}" if math.isfinite(bound)
+                                          else f"bound {bound} is not finite"), file=sys.stderr)
     return 0 if payload["ok"] else 1
 
 

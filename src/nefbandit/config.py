@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bandit import GlbInstance, make_instance
+from .bandit import (GlbInstance, _log_term, _m_terms, confidence_radius, make_instance,
+                     regularizer_schedule)
 from .distributions import parse_distribution
 from .errors import ConfigError, ParseError
 
@@ -147,16 +149,18 @@ def _check_number(raw, key, pointer, *, integer=False, positive=False, nonnegati
     v = raw[key]
     if v is None and nullable:
         return
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    if ok and integer:
-        ok = float(v).is_integer()
+    # a JSON integer for an integer field; any other number within float range
+    ok = isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+    if ok and not integer:
+        ok = abs(v) <= sys.float_info.max  # False for NaN, +/-inf and ints beyond float range
     if ok and positive:
         ok = v > 0
     if ok and nonnegative:
         ok = v >= 0
     if not ok:
-        sign = "positive " if positive else "nonnegative " if nonnegative else ""
-        raise ParseError(f"field {key!r} must be a {sign}{'integer' if integer else 'number'}",
+        kind = ("positive " if positive else "nonnegative " if nonnegative else "") + \
+            ("integer" if integer else "number")
+        raise ParseError(f"field {key!r} must be {'an' if kind[0] == 'i' else 'a'} {kind}",
                          pointer=f"{pointer}/{key}")
 
 
@@ -180,13 +184,16 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
                       ("lambda", {"positive": True, "nullable": True}),
                       ("seed", {"integer": True}),
                       ("workers", {"integer": True, "positive": True}),
-                      ("S0", {"positive": True}), ("c1", {"positive": True}),
+                      ("S0", {"positive": True}), ("S1", {}), ("S2", {}),
+                      ("c1", {"positive": True}),
                       ("c2", {"positive": True}), ("L", {"positive": True}),
                       ("K", {"nonnegative": True})):
         _check_number(raw, key, pointer, **opts)
     if not 0.0 < raw["delta"] <= 1.0:
         raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}",
                          pointer=f"{pointer}/delta")
+    if raw["out"] is not None and not isinstance(raw["out"], str):
+        raise ParseError("field 'out' must be a directory name or null", pointer=f"{pointer}/out")
     if "grid" in raw and raw["grid"] is not None:
         g = raw["grid"]
         if not isinstance(g, dict) or set(g) - {"lo", "hi", "n"}:
@@ -208,10 +215,55 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
         if arms.shape[1] != theta.shape[0]:
             raise ParseError(f"theta_star has dim {theta.shape[0]} but arms have dim "
                              f"{arms.shape[1]}", pointer="/theta_star")
-        instance = make_instance(base, arms, theta, S0=raw.get("S0"), S1=raw.get("S1"),
-                                 S2=raw.get("S2"), c1=raw.get("c1"), c2=raw.get("c2"),
-                                 L=raw.get("L"), K=raw.get("K"))
+        try:
+            instance = make_instance(base, arms, theta, S0=raw.get("S0"), S1=raw.get("S1"),
+                                     S2=raw.get("S2"), c1=raw.get("c1"), c2=raw.get("c2"),
+                                     L=raw.get("L"), K=raw.get("K"))
+        except ConfigError as exc:
+            if exc.name is None:
+                raise
+            raise ParseError(str(exc), pointer=f"{pointer}/{exc.name}") from exc
+        _check_run_constants(instance, raw, pointer)
     return ExperimentConfig(raw=raw, distribution=raw["distribution"], instance=instance)
+
+
+def _square_is_finite(x: float) -> bool:
+    try:
+        return math.isfinite(x ** 2)
+    except OverflowError:
+        return False
+
+
+def _check_run_constants(inst: GlbInstance, raw: dict, pointer: str) -> None:
+    """A run and its regret bound square L, gamma_T and c gamma_T, so each square must be
+    finite (lambda_T too); a ParseError names the field that overflows them."""
+    T, delta, lam = raw["horizon"], raw["delta"], raw["lambda"]
+    lam_T = regularizer_schedule(inst, T, delta) if lam is None else float(lam)
+    gamma = confidence_radius(inst, T, T, delta, lam=lam_T)  # NaN or inf unless lam_T is finite
+    c = inst.diameter_factor
+    if all(_square_is_finite(x) for x in (inst.L, gamma, c * gamma)):
+        return
+    floors = _m_terms(inst.K, inst.S1, inst.S2, inst.c1, inst.c2)
+    by_M = max(floors, key=floors.get)  # the constant that sets M
+    log_term = _log_term(inst.L, inst.d, T, delta)
+    if not _square_is_finite(inst.L):
+        name = "L"
+    elif not math.isfinite(log_term):  # T L / d or 1 / delta beyond float range
+        name = "L" if not math.isfinite(T * inst.L / inst.d) else "delta"
+    elif not math.isfinite(lam_T):  # (2 d M / S0) log_term
+        name = by_M
+    elif not _square_is_finite(gamma):  # the larger factor of gamma_T's larger term
+        root = math.sqrt(lam_T)
+        if root * inst.S0 >= 4.0 * inst.M * inst.d / root * log_term:
+            name = "lambda" if lam is not None and root > inst.S0 else "S0"
+        else:
+            name = "lambda" if lam is not None and 1.0 / root > inst.M else by_M
+    else:  # c gamma_T, with c = 1 + 2 K (S1 - S2)
+        end = "S1" if abs(inst.S1) >= abs(inst.S2) else "S2"
+        name = "K" if inst.K >= inst.S1 - inst.S2 else end if end in raw else "S0"
+    raise ParseError(f"a {T}-round run squares L={inst.L}, gamma_T={gamma} and c gamma_T with "
+                     f"c={c} (lambda_T={lam_T}): each square must be a finite number",
+                     pointer=f"{pointer}/{name}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -56,7 +56,12 @@ class OptimizationError(NefBanditError):
 
 
 class ConfigError(NefBanditError, ValueError):
-    """Configuration violates a model assumption; names the failed condition."""
+    """Configuration violates a model assumption; names the failed condition, and ``name``
+    the field at fault."""
+
+    def __init__(self, message: str, *, name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class ParseError(ConfigError):

@@ -440,10 +440,10 @@ class DominanceReport:
 
 def verify_dominance(cert: StretchCertificate, family: NefFamily,
                      grid_n: int = 200) -> DominanceReport:
-    """Check bound >= measured ratio on an even grid of grid_n >= 1 tilts."""
+    """Check a finite bound >= measured ratio on an even grid of grid_n >= 1 tilts."""
     if grid_n < 1:
         raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
     us = np.linspace(*family.interval, grid_n)
     ratio, bound = gamma_ratio(family, us), stretch_bound(cert, us)
     return DominanceReport(u=us.tolist(), ratio=ratio.tolist(), bound=bound.tolist(),
-                           ok=(bound >= ratio).tolist())
+                           ok=(np.isfinite(bound) & (bound >= ratio)).tolist())

@@ -213,9 +213,9 @@ def dominance_payload(base, cert, lo: float, hi: float, n: int,
                       ratio=gamma_ratio, bound=stretch_bound) -> dict:
     """The ``verify`` report of ``base`` on the even n-point tilt grid of [lo, hi], with one
     ``{u, ratio, bound, ok}`` dict per tilt; ``ratio`` and ``bound`` default to the package's
-    closed-form ratio and stretch bound."""
+    closed-form ratio and stretch bound.  A point passes only on a finite bound."""
     us = np.linspace(lo, hi, n)
-    points = [{"u": u, "ratio": r, "bound": b, "ok": b >= r}
+    points = [{"u": u, "ratio": r, "bound": b, "ok": math.isfinite(b) and b >= r}
               for u, r, b in zip(us.tolist(), ratio(base, us).tolist(),
                                  bound(cert, us).tolist())]
     violations = sum(not p["ok"] for p in points)

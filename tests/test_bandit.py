@@ -106,6 +106,28 @@ def test_instance_validation_errors():
             make_instance(Bernoulli(0.5), ARMS3, THETA3, K=K)
 
 
+@pytest.mark.parametrize("base, kwargs, name", [
+    (Bernoulli(0.5), {"S0": 0.1}, "S0"),
+    (Bernoulli(0.5), {"S1": 0.1}, "S1"),  # below x' theta_star = 0.4
+    (Bernoulli(0.5), {"S2": 0.1}, "S2"),  # above x' theta_star = -0.3
+    (Bernoulli(0.5), {"S1": -1.0}, "S1"),  # below the derived S2 = -0.5
+    (Bernoulli(0.5), {"c1": 0.3}, "c1"),
+    (Bernoulli(0.5), {"c2": 0.05}, "c2"),
+    (Bernoulli(0.5), {"L": 0.5}, "L"),
+    (Bernoulli(0.5), {"K": -1.0}, "K"),
+    (Bernoulli(0.5), {"K": 1.7e308}, "K"),  # M = K / log 2 overflows
+    (Bernoulli(0.5), {"S0": 1e308}, "S0"),  # the derived [S2, S1] is wider than float range
+    (Bernoulli(0.5), {"S1": 1.5e308}, "S1"),  # the derived c1 = 1.25 S1 overflows
+    (Exponential(1.0), {"S1": 1.5}, "S1"),  # beyond the natural parameter interval
+    (Exponential(1.0), {"S0": 1.5}, "S0"),  # so is the derived S1
+    (Poisson(2.0), {"S0": 710.0}, "S0"),  # mu' = 2 e^u overflows on [S2, S1]: L and K
+])
+def test_make_instance_errors_name_the_argument_at_fault(base, kwargs, name):
+    with pytest.raises(ConfigError) as info:
+        make_instance(base, ARMS3, THETA3, **kwargs)
+    assert info.value.name == name, info.value
+
+
 README_KINDS = [
     {"kind": "bernoulli", "p": 0.5}, {"kind": "gaussian", "sigma": 1.0},
     {"kind": "exponential", "rate": 1.0}, {"kind": "poisson", "nu": 2.0},

@@ -183,6 +183,21 @@ def test_cli_verify_exponential_passes(tmp_path, capsys):
     assert "c1" in payload["certificate"]
 
 
+def test_cli_verify_fails_the_points_whose_bound_is_not_finite(capsys):
+    # c2 = 709 puts the left tail constant, and the bound at every tilt but the last,
+    # beyond float range; a point passes only on a finite bound
+    rc = main(["verify", "--dist", '{"kind": "exponential", "rate": 1.0}', "--c2", "709",
+               "--grid-n", "50"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert rc == 1 and payload["violations"] == 49 and not payload["ok"]
+    assert payload["certificate"]["c0_left"] is None
+    assert [p["ok"] for p in payload["points"]] == [p["bound"] is not None
+                                                    for p in payload["points"]]
+    first = payload["points"][0]
+    assert captured.err == f"violation at u={first['u']}: bound inf is not finite\n"
+
+
 def test_cli_verify_corrupted_certificate_fails(tmp_path, monkeypatch):
     import nefbandit.cli as cli_mod
 
@@ -455,14 +470,19 @@ def test_fuzzed_run_suite_grid_gives_reports_or_a_pointer(data):
         assert exc.pointer in ("/grid/lo", "/grid/hi", "/grid/n"), exc
 
 
-def _fresh_process(argv):
-    """Exit status, stdout and stderr of ``nef-bandit argv`` in a new interpreter."""
+def _run_fresh(script, *args):
+    """``python -c script *args`` in a new interpreter that imports this package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(nefbandit.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
     env.pop("NEF_BANDIT_OUT", None)
-    done = subprocess.run([sys.executable, "-c", "import sys; from nefbandit.cli import main; "
-                           "sys.exit(main(sys.argv[1:]))", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _fresh_process(argv):
+    """Exit status, stdout and stderr of ``nef-bandit argv`` in a new interpreter."""
+    done = _run_fresh("import sys; from nefbandit.cli import main; sys.exit(main(sys.argv[1:]))",
+                      *argv)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -591,6 +611,99 @@ def test_cli_non_finite_config_entry_is_a_usage_error(tmp_path, capsys, command,
     assert rc == 2
     captured = capsys.readouterr()
     assert pointer in captured.err and captured.out == ""
+
+
+def _config_command(command, cfg, out):
+    """The argv of ``bound``, a 2-replicate ``coverage`` or ``bandit run`` on config ``cfg``."""
+    return {"bound": ["bound", "--config", str(cfg)],
+            "coverage": ["coverage", "--config", str(cfg), "--replicates", "2", "--workers", "1"],
+            "bandit run": ["bandit", "run", "--config", str(cfg), "--out", str(out)]}[command]
+
+
+@pytest.mark.parametrize("command", ["bound", "coverage", "bandit run"])
+@pytest.mark.parametrize("field,value", [
+    # not a number, or not a directory name
+    ("S1", "x"), ("S1", [1.0]), ("S2", "x"), ("S2", [1.0]), ("S2", True),
+    ("out", 5), ("out", ["a"]),
+    # SMALL_RUN: ||theta_star|| = 0.5, x' theta_star in [-0.3, 0.4], S1 = -S2 = 0.5, c1 = c2 = 1
+    ("L", 0.5), ("S0", 0.1), ("S1", 0.1), ("S2", 0.1), ("c1", 0.3), ("c2", 0.05),
+    ("S1", -1.0), ("S2", 1.5), ("c1", 0.5), ("horizon", 2.0), ("seed", 2.0),
+    # a constant, or one derived from it, beyond float range once squared
+    ("S0", 1e308), ("L", 1e308), ("K", 1e308), ("S1", 1e308), ("S2", -1e308), ("L", 1e200),
+    ("delta", 5e-324),
+])
+def test_cli_bad_config_field_exits_2_at_its_pointer(tmp_path, capsys, command, field, value):
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, field: value})
+    assert main(_config_command(command, cfg, tmp_path / "o")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"(at /{field})\n"), captured.err
+
+
+def test_cli_output_directory_that_cannot_be_made_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "out": str(tmp_path / "taken")})
+    for command in ("coverage", "bandit run"):
+        argv = _config_command(command, cfg, tmp_path / "taken" / "o")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("(at /out)\n"), captured.err
+
+
+FUZZ_CONFIG_FIELDS = ["S0", "S1", "S2", "c1", "c2", "L", "K", "lambda", "delta", "horizon",
+                      "seed", "out"]
+# finite (small integers too, so integer fields can hold), 0, negative, +/-1e308, NaN and
+# +/-inf (json writes the tokens Python reads back), strings, lists, booleans, null
+_CONFIG_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-5, 60),
+    st.sampled_from([0, 0.0]), st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, "x", "", "1.0", [1.0], ["a"],
+                     [], True, False, None]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_config_gives_a_run_or_a_pointer(data):
+    # any set of fields may be given (the rest are absent), so some configs hold and run
+    given_fields = data.draw(st.lists(st.sampled_from(FUZZ_CONFIG_FIELDS), unique=True),
+                             label="fields")
+    fields = {name: data.draw(_CONFIG_VALUES, label=name) for name in given_fields}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a relative "out" lands here
+        try:
+            cfg = Path(tmp, "cfg.json")
+            cfg.write_text(json.dumps({**SMALL_RUN, **fields}))
+            for command in ("bound", "coverage", "bandit run"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main(_config_command(command, cfg, Path(tmp, "run")))
+                assert rc in (0, 1, 2), (command, rc)
+                if rc == 2:
+                    assert out.getvalue() == "", command
+                    assert re.search(rf"\(at /({'|'.join(FUZZ_CONFIG_FIELDS)})\)\n\Z",
+                                     err.getvalue()), (command, err.getvalue())
+        finally:
+            os.chdir(home)
+
+
+def test_fresh_process_runs_every_command_without_scipy_integrate(tmp_path):
+    # nothing in the package integrates; distributions.integrate.quad still reaches the
+    # real scipy.integrate.quad, which the benchmark tracer wraps
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "horizon": 10})
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from nefbandit import cli, distributions\n"
+        "exp = json.dumps({'kind': 'exponential', 'rate': 1.0})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', '--dist', exp, '--grid-n', '20']),\n"
+        "             cli.main(['tails', '--dist', exp, '--grid-n', '20']),\n"
+        "             cli.main(['coverage', '--config', sys.argv[1], '--replicates', '1'])]\n"
+        "loaded = 'scipy.integrate' in sys.modules\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded,\n"
+        "                  'quad': distributions.integrate.quad(lambda x: x, 0.0, 1.0)[0]}))\n")
+    done = _run_fresh(script, str(cfg))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": False, "quad": 0.5}
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

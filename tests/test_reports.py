@@ -153,11 +153,11 @@ def test_non_finite_ratio_and_bound_are_written_as_null(monkeypatch, capsys):
     expected = dominance_payload(base, cert, -0.8 * cert.tail.c2, 0.8 * cert.tail.c1, 9,
                                  ratio=ratio, bound=bound)
     assert rc == 1 and out.out == strict_json(expected)
-    assert [p["ok"] for p in expected["points"]] == [True] * 2 + [False] + [True] * 3 \
-        + [False] + [True] * 2
+    assert [p["ok"] for p in expected["points"]] == [True] * 2 + [False] + [True] \
+        + [False] + [True] + [False] + [True] * 2
     points = json.loads(out.out)["points"]
     assert points[2]["ratio"] is None and points[4]["bound"] is None
-    assert points[6]["bound"] is None and points[4]["ok"] is True
+    assert points[6]["bound"] is None and points[4]["ok"] is False
     first = expected["points"][2]
     assert out.err == f"violation at u={first['u']}: ratio nan > bound {first['bound']}\n"
 
