@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze, _ratio_given_variance
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .glm import _cholesky_solves, _fit_stack, _inner_products
+from .glm import _cholesky_solves, _fit_stack, _inner_products, _rows
 from .rng import replicate_stream
 
 __all__ = [
@@ -305,7 +305,7 @@ def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> 
     base, lam, u = inst.family.base, state.lambda_T, inner[0, first]
     q = _exact_norms_sq(rows, counts[None], base.mean_at(u), base.dmean_at(u), lam,
                         lam * np.eye(theta.shape[1]), theta[0], state.gradient_map_at_hat[None])
-    return float(q[0]) <= state.gamma_t**2
+    return float(q[0]) <= state.gamma_t * state.gamma_t
 
 
 def relaxed_membership(inst: GlbInstance, state: ConfidenceState, theta) -> bool:
@@ -403,7 +403,7 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
         idx_vals = _optimistic_indices(inst, theta, H, gamma)
         r = inst.diameter_factor * gamma
         exact_col[live, n] = _exact_norms_sq(arms, counts, arm_mu, arm_dmu, lam, lam_eye,
-                                             inst.theta_star, g_hat) <= gamma**2
+                                             inst.theta_star, g_hat) <= gamma * gamma
         relaxed_col[live, n] = _relaxed_norms_sq(inst.theta_star, theta, H) <= r * r
         chosen = idx_vals.argmax(axis=1)
         rows = np.arange(len(live))
@@ -469,14 +469,13 @@ def theoretical_regret_bound(inst: GlbInstance, T: int, delta: float,
     d, L, K = inst.d, inst.L, inst.K
     log_growth = math.log(1.0 + L * T / (d * lam))
     term1 = 8.0 * c * gamma_T * math.sqrt(d * mu_dot_star * (1.0 + L / lam) * log_growth * T)
+    kappa = math.inf if mu_dot_star == 0.0 else 1.0 / mu_dot_star
     if K == 0.0:
         term2 = 0.0
         term3 = 0.0
-        kappa = math.inf if mu_dot_star == 0.0 else 1.0 / mu_dot_star
     else:
-        kappa = 1.0 / mu_dot_star
-        term2 = 8.0 * c**2 * gamma_T**2 * L**2 * K * kappa * math.log(lam + T / d)
-        term3 = 32.0 * c**2 * gamma_T**2 * K * d * (1.0 + L / lam) * log_growth
+        term2 = 8.0 * (c * c) * (gamma_T * gamma_T) * (L * L) * K * kappa * math.log(lam + T / d)
+        term3 = 32.0 * (c * c) * (gamma_T * gamma_T) * K * d * (1.0 + L / lam) * log_growth
     return RegretBound(term1=term1, term2=term2, term3=term3, gamma_T=gamma_T,
                        lambda_T=lam, c=c, K=K, kappa=kappa, mu_dot_star=mu_dot_star)
 
@@ -487,11 +486,11 @@ def theoretical_regret_bound(inst: GlbInstance, T: int, delta: float,
 
 def elliptical_potential_check(vectors, lam: float, A: float) -> dict:
     """sum_t ||a_t||^2 over inv(V_{t-1}) against 2 d max(1, A^2/lam) log(1 + n A^2/(d lam))."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n, d = vectors.shape if vectors.size else (0, 1)
+    vectors = _rows(vectors, "vectors")
+    n, d = vectors.shape
     if lam <= 0 or A <= 0:
         raise InvalidArgumentError(f"need lam > 0 and A > 0, got {lam}, {A}")
-    if n and np.max(np.linalg.norm(vectors, axis=1)) > A + 1e-12:
+    if np.linalg.norm(vectors, axis=1).max(initial=0.0) > A + 1e-12:
         raise InvalidArgumentError(f"every vector must have norm at most A={A}")
     V_inv = np.eye(d) / lam
     lhs = 0.0

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import GlbInstance, RunResult, run_replicates, theoretical_regret_bound
-from .config import ExperimentConfig, build_instance, load_config
+from .bandit import RunResult, run_replicates, theoretical_regret_bound
+from .config import ExperimentConfig, build_instance, load_config, with_flags
 from .distributions import NefFamily, parse_distribution
 from .errors import DomainError, InvalidArgumentError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
@@ -45,9 +45,8 @@ def _load_dist(arg: str) -> dict:
                          pointer="/distribution")
 
 
-def _resolve_out(explicit: str | None, cfg_out=None) -> Path | None:
-    env = os.environ.get(_OUT_ENV)
-    chosen = env or explicit or cfg_out
+def _resolve_out(cfg_out: str | None) -> Path | None:
+    chosen = os.environ.get(_OUT_ENV) or cfg_out
     if chosen is None:
         return None
     out = Path(chosen)
@@ -189,13 +188,13 @@ def cmd_fit(ns) -> int:
 # bandit run / bound / coverage
 # ---------------------------------------------------------------------------
 
-def _run_replicates(cfg: ExperimentConfig, inst: GlbInstance, seed: int, workers: int,
-                    replicates: int) -> list[RunResult]:
-    """Run replicates 0..replicates-1 of one built instance in lockstep; with more than one
-    usable worker (at most os.cpu_count()), each process runs a contiguous range."""
-    run = functools.partial(run_replicates, inst, cfg.horizon, cfg.delta, seed,
-                            lam_override=cfg.lam)
-    workers = min(workers, os.cpu_count() or 1, replicates)
+def _run_replicates(cfg: ExperimentConfig) -> list[RunResult]:
+    """Run replicates 0..cfg.replicates-1 of the config's instance in lockstep; with more
+    than one usable worker (at most os.cpu_count()), each process runs a contiguous range."""
+    run = functools.partial(run_replicates, build_instance(cfg), cfg.horizon, cfg.delta,
+                            cfg.seed, lam_override=cfg.lam)
+    replicates = cfg.replicates
+    workers = min(cfg.workers, os.cpu_count() or 1, replicates)
     if workers <= 1:
         return run(range(replicates))
     cuts = [replicates * w // workers for w in range(workers + 1)]
@@ -204,8 +203,7 @@ def _run_replicates(cfg: ExperimentConfig, inst: GlbInstance, seed: int, workers
         return [res for part in parts for res in part]
 
 
-def _summary(cfg: ExperimentConfig, inst: GlbInstance, results: list[RunResult],
-             seed: int) -> dict:
+def _summary(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
     finals = [r.cum_regret for r in results if not r.aborted]
     covered = sum(1 for r in results if not r.aborted and r.all_rounds_covered)
     aborted = sum(1 for r in results if r.aborted)
@@ -218,12 +216,12 @@ def _summary(cfg: ExperimentConfig, inst: GlbInstance, results: list[RunResult],
               "q75": float(np.quantile(arr, 0.75)),
               "max": float(arr.max()),
               "mean": float(arr.mean())}
-    bound = theoretical_regret_bound(inst, cfg.horizon, cfg.delta, lam=cfg.lam)
+    bound = theoretical_regret_bound(cfg.instance, cfg.horizon, cfg.delta, lam=cfg.lam)
     return {
         "schema": 1,
         "horizon": cfg.horizon,
         "delta": cfg.delta,
-        "seed": seed,
+        "seed": cfg.seed,
         "replicates": cfg.replicates,
         "aborted": aborted,
         "coverage_rate": covered / max(len(results) - aborted, 1),
@@ -232,28 +230,25 @@ def _summary(cfg: ExperimentConfig, inst: GlbInstance, results: list[RunResult],
     }
 
 
-def _write_runs(out: Path, cfg: ExperimentConfig, seed: int, workers: int) -> list[RunResult]:
+def _write_runs(out: Path, cfg: ExperimentConfig) -> list[RunResult]:
     """Run the replicates and write their rounds CSVs and summary.json into ``out``."""
-    inst = build_instance(cfg)
-    results = _run_replicates(cfg, inst, seed, workers, cfg.replicates)
+    results = _run_replicates(cfg)
     if cfg.replicates == 1:
         (out / "rounds.csv").write_text(rounds_to_csv(results[0].rounds))
     else:
         for k, res in enumerate(results):
             (out / f"rounds_rep{k:03d}.csv").write_text(rounds_to_csv(res.rounds))
-    _emit(_summary(cfg, inst, results, seed), out / "summary.json")
+    _emit(_summary(cfg, results), out / "summary.json")
     return results
 
 
 def cmd_bandit_run(ns) -> int:
-    cfg = load_config(ns.config)
-    seed = ns.seed if ns.seed is not None else cfg.seed
-    workers = ns.workers if ns.workers is not None else cfg.workers
-    out = _resolve_out(ns.out, cfg.out)
+    cfg = with_flags(load_config(ns.config), seed=ns.seed, workers=ns.workers, out=ns.out)
+    out = _resolve_out(cfg.out)
     if out is None:
         raise ParseError("bandit run needs an output directory (--out, config field, "
                          f"or ${_OUT_ENV})", pointer="/out")
-    results = _write_runs(out, cfg, seed, workers)
+    results = _write_runs(out, cfg)
     aborted = [r.abort_reason for r in results if r.aborted]
     if aborted:
         print(f"{len(aborted)} replicate(s) aborted; first: {aborted[0]}", file=sys.stderr)
@@ -269,28 +264,23 @@ def cmd_bound(ns) -> int:
 
 
 def cmd_coverage(ns) -> int:
-    cfg = load_config(ns.config)
-    replicates = ns.replicates if ns.replicates is not None else cfg.replicates
-    if replicates < 1:
-        raise ParseError(f"--replicates must be a positive integer, got {replicates}",
-                         pointer="/replicates")
-    seed = ns.seed if ns.seed is not None else cfg.seed
-    workers = ns.workers if ns.workers is not None else cfg.workers
-    results = _run_replicates(cfg, build_instance(cfg), seed, workers, replicates)
+    cfg = with_flags(load_config(ns.config), replicates=ns.replicates, seed=ns.seed,
+                     workers=ns.workers, out=ns.out)
+    results = _run_replicates(cfg)
     aborted = sum(1 for r in results if r.aborted)
     done = [r for r in results if not r.aborted]
     covered = sum(1 for r in done if r.all_rounds_covered)
     payload = {
         "schema": 1,
-        "replicates": replicates,
+        "replicates": cfg.replicates,
         "aborted": aborted,
         "covered": covered,
         "coverage_rate": covered / max(len(done), 1),
         "delta": cfg.delta,
         "horizon": cfg.horizon,
-        "seed": seed,
+        "seed": cfg.seed,
     }
-    out = _resolve_out(ns.out, cfg.out)
+    out = _resolve_out(cfg.out)
     _emit(payload, (out / "coverage.json") if out else None)
     return 1 if aborted else 0
 
@@ -384,7 +374,7 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     tails = tails_report(base, run_tail_suite(base, interval=(lo, hi), grid_n=n))
     _emit(tails, out / "tails.json")
     aborted = cfg.has_instance and any(
-        r.aborted for r in _write_runs(out, cfg, cfg.seed, cfg.workers))
+        r.aborted for r in _write_runs(out, cfg))
     return 0 if verify["ok"] and tails["ok"] and not aborted else 1
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .bandit import (GlbInstance, _log_term, _m_terms, confidence_radius, make_i
 from .distributions import parse_distribution
 from .errors import ConfigError, ParseError
 
-__all__ = ["ExperimentConfig", "load_config", "parse_config", "build_instance"]
+__all__ = ["ExperimentConfig", "load_config", "parse_config", "with_flags", "build_instance"]
 
 SCHEMA_VERSION = 1
 
@@ -54,6 +54,16 @@ _DEFAULTS = {
 }
 _OPTIONAL = {"arms", "theta_star", "S0", "S1", "S2", "c1", "c2", "L", "K", "grid"}
 _KNOWN = set(_DEFAULTS) | _OPTIONAL | {"distribution"}
+# the rule of each numeric top-level field, as keyword arguments of _check_number
+_NUMBER_RULES = (("delta", {}), ("horizon", {"integer": True, "positive": True}),
+                 ("replicates", {"integer": True, "positive": True}),
+                 ("lambda", {"positive": True, "nullable": True}),
+                 ("seed", {"integer": True}),
+                 ("workers", {"integer": True, "positive": True}),
+                 ("S0", {"positive": True}), ("S1", {}), ("S2", {}),
+                 ("c1", {"positive": True}),
+                 ("c2", {"positive": True}), ("L", {"positive": True}),
+                 ("K", {"nonnegative": True}))
 
 
 @dataclass(frozen=True)
@@ -164,6 +174,14 @@ def _check_number(raw, key, pointer, *, integer=False, positive=False, nonnegati
                          pointer=f"{pointer}/{key}")
 
 
+def _check_fields(raw: dict, pointer: str) -> None:
+    """The rule of each top-level number field and of ``out`` that ``raw`` holds."""
+    for key, opts in _NUMBER_RULES:
+        _check_number(raw, key, pointer, **opts)
+    if raw.get("out") is not None and not isinstance(raw["out"], str):
+        raise ParseError("field 'out' must be a directory name or null", pointer=f"{pointer}/out")
+
+
 def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
     """Validate a config dict, fill defaults, and eagerly check instance invariants."""
     if not isinstance(obj, dict):
@@ -179,21 +197,10 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
         raise ParseError(f"unsupported schema version {raw['schema']!r}; this build "
                          f"reads version {SCHEMA_VERSION}", pointer=f"{pointer}/schema")
     base = parse_distribution(raw["distribution"], pointer=f"{pointer}/distribution")
-    for key, opts in (("delta", {}), ("horizon", {"integer": True, "positive": True}),
-                      ("replicates", {"integer": True, "positive": True}),
-                      ("lambda", {"positive": True, "nullable": True}),
-                      ("seed", {"integer": True}),
-                      ("workers", {"integer": True, "positive": True}),
-                      ("S0", {"positive": True}), ("S1", {}), ("S2", {}),
-                      ("c1", {"positive": True}),
-                      ("c2", {"positive": True}), ("L", {"positive": True}),
-                      ("K", {"nonnegative": True})):
-        _check_number(raw, key, pointer, **opts)
+    _check_fields(raw, pointer)
     if not 0.0 < raw["delta"] <= 1.0:
         raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}",
                          pointer=f"{pointer}/delta")
-    if raw["out"] is not None and not isinstance(raw["out"], str):
-        raise ParseError("field 'out' must be a directory name or null", pointer=f"{pointer}/out")
     if "grid" in raw and raw["grid"] is not None:
         g = raw["grid"]
         if not isinstance(g, dict) or set(g) - {"lo", "hi", "n"}:
@@ -227,13 +234,6 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, distribution=raw["distribution"], instance=instance)
 
 
-def _square_is_finite(x: float) -> bool:
-    try:
-        return math.isfinite(x ** 2)
-    except OverflowError:
-        return False
-
-
 def _check_run_constants(inst: GlbInstance, raw: dict, pointer: str) -> None:
     """A run and its regret bound square L, gamma_T and c gamma_T, so each square must be
     finite (lambda_T too); a ParseError names the field that overflows them."""
@@ -241,18 +241,18 @@ def _check_run_constants(inst: GlbInstance, raw: dict, pointer: str) -> None:
     lam_T = regularizer_schedule(inst, T, delta) if lam is None else float(lam)
     gamma = confidence_radius(inst, T, T, delta, lam=lam_T)  # NaN or inf unless lam_T is finite
     c = inst.diameter_factor
-    if all(_square_is_finite(x) for x in (inst.L, gamma, c * gamma)):
+    if all(math.isfinite(x * x) for x in (inst.L, gamma, c * gamma)):
         return
     floors = _m_terms(inst.K, inst.S1, inst.S2, inst.c1, inst.c2)
     by_M = max(floors, key=floors.get)  # the constant that sets M
     log_term = _log_term(inst.L, inst.d, T, delta)
-    if not _square_is_finite(inst.L):
+    if not math.isfinite(inst.L * inst.L):
         name = "L"
     elif not math.isfinite(log_term):  # T L / d or 1 / delta beyond float range
         name = "L" if not math.isfinite(T * inst.L / inst.d) else "delta"
     elif not math.isfinite(lam_T):  # (2 d M / S0) log_term
         name = by_M
-    elif not _square_is_finite(gamma):  # the larger factor of gamma_T's larger term
+    elif not math.isfinite(gamma * gamma):  # the larger factor of gamma_T's larger term
         root = math.sqrt(lam_T)
         if root * inst.S0 >= 4.0 * inst.M * inst.d / root * log_term:
             name = "lambda" if lam is not None and root > inst.S0 else "S0"
@@ -264,6 +264,16 @@ def _check_run_constants(inst: GlbInstance, raw: dict, pointer: str) -> None:
     raise ParseError(f"a {T}-round run squares L={inst.L}, gamma_T={gamma} and c gamma_T with "
                      f"c={c} (lambda_T={lam_T}): each square must be a finite number",
                      pointer=f"{pointer}/{name}")
+
+
+def with_flags(cfg: ExperimentConfig, *, seed=None, workers=None, replicates=None,
+               out=None) -> ExperimentConfig:
+    """``cfg`` with each given (not None) run flag in place of its field, after that field's
+    own rule: a bad value is a ParseError at the field's pointer.  The instance is kept."""
+    flags = {"seed": seed, "workers": workers, "replicates": replicates, "out": out}
+    given = {key: value for key, value in flags.items() if value is not None}
+    _check_fields(given, "")
+    return replace(cfg, raw={**cfg.raw, **given})
 
 
 def load_config(path) -> ExperimentConfig:

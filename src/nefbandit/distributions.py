@@ -503,11 +503,15 @@ class _AtomMixin:
     def d2mean_at(self, u):
         return self._central(u, 3)
 
+    def _walk(self, order, p):  # first atom in order whose cumulative mass reaches p - 1e-15
+        cum = np.cumsum(np.exp(self._logw)[order])  # the slack: exp(log w) may round a mass up
+        return self._locs[order][np.minimum(np.searchsorted(cum, p - 1e-15), len(cum) - 1)]
+
+    def quantile(self, p):
+        return self._walk(np.argsort(self._locs), p)
+
     def upper_quantile(self, p):
-        order = np.argsort(self._locs)[::-1]
-        cum = np.cumsum(np.exp(self._logw)[order])
-        return self._locs[order][np.minimum(np.searchsorted(cum, p - 1e-15, side="left"),
-                                            len(cum) - 1)]
+        return self._walk(np.argsort(self._locs)[::-1], p)
 
     @staticmethod
     def _mass(q, inside):  # the weights q of the atoms inside, summed per row

@@ -49,6 +49,16 @@ _ALPHA_COINCIDENCE = 1e-8
 _POSV = linalg.get_lapack_funcs("posv", (np.eye(1),))
 
 
+def _rows(a, what: str) -> np.ndarray:
+    """``a`` as (n, d) float rows with d >= 1 (one vector is one row); a (0, d) array is a
+    length-0 history, and an empty input with no dimension is an InvalidArgumentError."""
+    rows = np.atleast_2d(np.asarray(a, dtype=float))
+    if rows.ndim != 2 or not rows.shape[1]:
+        raise InvalidArgumentError(f"{what} must be (n, d) rows with d >= 1; an empty history "
+                                   f"is a (0, d) array, got shape {np.shape(a)}")
+    return rows
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rows (x_i, y_i) with every arm inside the closed unit ball."""
@@ -57,19 +67,17 @@ class Dataset:
     rewards: np.ndarray  # (n,)
 
     def __post_init__(self):
-        arms = np.atleast_2d(np.asarray(self.arms, dtype=float))
+        arms = _rows(self.arms, "arms")
         rewards = np.asarray(self.rewards, dtype=float).ravel()
-        if arms.size == 0:
-            arms = arms.reshape(0, arms.shape[1] if arms.ndim == 2 and arms.shape[1] else 1)
         if arms.shape[0] != rewards.shape[0]:
             raise InvalidArgumentError(
                 f"got {arms.shape[0]} arms but {rewards.shape[0]} rewards")
         if not (np.isfinite(arms).all() and np.isfinite(rewards).all()):
             raise InvalidArgumentError("arms and rewards must be finite")
-        norms = np.linalg.norm(arms, axis=1) if arms.size else np.zeros(0)
-        if arms.size and norms.max(initial=0.0) > 1.0 + 1e-12:
+        norm = np.linalg.norm(arms, axis=1).max(initial=0.0)
+        if norm > 1.0 + 1e-12:
             raise InvalidArgumentError(
-                f"arm rows must lie in the closed unit ball; max norm {norms.max():.6g}")
+                f"arm rows must lie in the closed unit ball; max norm {norm:.6g}")
         _freeze(self, arms=arms, rewards=rewards)
 
     @property
@@ -104,10 +112,7 @@ def _losses(family: NefFamily, y, lam: float, theta, inner) -> np.ndarray:
 
 
 def _gradient_maps(family: NefFamily, X, lam: float, theta, inner) -> np.ndarray:
-    g = lam * theta
-    if X.shape[1]:
-        g = g + np.vecmat(family.base.mean_at(inner), X)
-    return g
+    return lam * theta + np.vecmat(family.base.mean_at(inner), X)
 
 
 def _hessians(family: NefFamily, X, lam_eye: np.ndarray, inner) -> np.ndarray:
@@ -139,8 +144,6 @@ def _inner_products(family: NefFamily, data: Dataset, theta, *, op: str):
     """theta and its inner products with the rows, as one-replicate stacks, after
     the domain check."""
     theta = np.asarray(theta, dtype=float).reshape(1, -1)
-    if not data.n:
-        return theta, np.zeros((1, 0))
     if theta.shape[1] != data.d:
         raise InvalidArgumentError(f"theta has dim {theta.shape[1]}, data has dim {data.d}")
     inner = np.matvec(data.arms[None], theta)
@@ -167,10 +170,8 @@ def gradient_map(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray
 
 
 def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
-    g = gradient_map(family, data, lam, theta)
-    if data.n:
-        g = g - np.vecmat(data.rewards[None], data.arms[None])[0]
-    return g
+    return gradient_map(family, data, lam, theta) \
+        - np.vecmat(data.rewards[None], data.arms[None])[0]
 
 
 def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
@@ -204,12 +205,8 @@ def difference_quotient_matrix(family: NefFamily, data: Dataset, lam: float,
                                theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     _, inner1 = _inner_products(family, data, theta1, op="difference_quotient_matrix")
     _, inner2 = _inner_products(family, data, theta2, op="difference_quotient_matrix")
-    d = np.asarray(theta1, dtype=float).ravel().shape[0]
-    G = lam * np.eye(d)
-    if data.n:
-        a = _alpha(family, inner1[0], inner2[0])
-        G = G + (data.arms * a[:, None]).T @ data.arms
-    return G
+    a = _alpha(family, inner1[0], inner2[0])
+    return lam * np.eye(data.d) + (data.arms * a[:, None]).T @ data.arms
 
 
 @dataclass(frozen=True)
@@ -336,15 +333,9 @@ def fit_mle(family: NefFamily, data: Dataset, lam: float,
     the one-replicate call of the stacked solver."""
     if lam <= 0:
         raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
-    theta = np.zeros((1, data.d)) if init is None else np.asarray(init, dtype=float).reshape(1, -1)
-    d = theta.shape[1]
-    if data.n and d != data.d:
-        raise InvalidArgumentError(f"theta has dim {d}, data has dim {data.d}")
-    X = data.arms[None] if data.n else np.zeros((1, 0, d))
-    fit = _fit_stack(family, X, data.rewards[None], lam, lam * np.eye(d), theta)
-    if fit.fallback[0]:
-        raise DomainError("initial point is infeasible for the data",
-                          value=None, interval=family.base.mgf_domain)
+    theta, _ = _inner_products(family, data, np.zeros(data.d) if init is None else init,
+                               op="fit_mle")  # a start of another dimension or off the domain
+    fit = _fit_stack(family, data.arms[None], data.rewards[None], lam, lam * np.eye(data.d), theta)
     if fit.errors:
         raise fit.errors[0]
     inner = fit.inner[0]

@@ -657,6 +657,23 @@ def test_bound_concrete_instance_and_term_formulas():
     assert b.total == pytest.approx(b.term1 + b.term2 + b.term3)
 
 
+def test_bound_of_a_best_arm_whose_variance_underflows_is_infinite():
+    # mu'(40) is 0.0 in float for Bernoulli(0.5): kappa = 1/mu' is +inf, and so are the
+    # kappa-weighted term2 and the total, with K > 0 as with K = 0
+    inst = make_instance(Bernoulli(0.5), np.eye(2), np.array([40.0, 0.0]))
+    b = theoretical_regret_bound(inst, 20, 0.05)
+    assert inst.K > 0.0 and b.mu_dot_star == 0.0
+    assert b.kappa == b.term2 == b.total == math.inf
+    assert math.isfinite(b.term1) and math.isfinite(b.term3)
+
+
+def test_bound_squares_beyond_float_range_are_infinite():
+    # L * L is +inf, where L**2 raised OverflowError
+    inst = make_instance(Bernoulli(0.5), ARMS3, THETA3, L=1e200)
+    b = theoretical_regret_bound(inst, 40, 0.1)
+    assert b.term2 == b.total == math.inf and math.isfinite(b.term1)
+
+
 def test_bound_total_nondecreasing_in_horizon():
     inst = exp_instance()
     totals = [theoretical_regret_bound(inst, T, 0.05).total for T in (50, 200, 1000, 5000)]
@@ -677,6 +694,12 @@ def test_bound_dominates_covered_short_run():
 def test_elliptical_potential_empty():
     out = elliptical_potential_check(np.zeros((0, 3)), 1.0, 1.0)
     assert out["lhs"] == 0.0 and out["rhs"] == 0.0 and out["ok"]
+
+
+@pytest.mark.parametrize("vectors", [[], [[]], np.zeros((3, 0))])
+def test_elliptical_potential_needs_a_dimension(vectors):
+    with pytest.raises(InvalidArgumentError, match=r"\(0, d\)"):
+        elliptical_potential_check(vectors, 1.0, 1.0)
 
 
 def test_elliptical_potential_single_step_arithmetic():

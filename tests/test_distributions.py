@@ -474,6 +474,15 @@ def test_bernoulli_quantiles_at_its_exact_masses(p):
     assert base.upper_quantile(np.array([p])) == atoms.upper_quantile(np.array([p]))
 
 
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_atom_quantiles_at_an_exact_cumulative_mass(p):
+    # F(0) = 1 - p: the quantile at 1 - p is the atom 0 whatever exp(log w) rounds to, as
+    # for Bernoulli(p); well past the mass it is the next atom
+    atoms = DiscreteAtoms(((0.0, 1.0 - p), (1.0, p)))
+    levels = np.array([1.0 - p, 1.0 - p + 1e-12])
+    assert atoms.quantile(levels).tolist() == Bernoulli(p).quantile(levels).tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),

@@ -9,6 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from nefbandit.bandit import (
+    ConfidenceState,
+    elliptical_potential_check,
+    exact_membership,
+    make_instance,
+)
 from nefbandit.distributions import (
     Bernoulli,
     Exponential,
@@ -17,7 +23,7 @@ from nefbandit.distributions import (
     gamma_ratio,
     sample_tilted,
 )
-from nefbandit.errors import DomainError, InvalidArgumentError
+from nefbandit.errors import DomainError, InvalidArgumentError, NefBanditError
 from nefbandit.glm import (
     Dataset,
     _cholesky_solves,
@@ -290,6 +296,61 @@ def test_fit_empty_data_returns_origin():
     res = fit_mle(BERN, data, 1.0, init=np.ones(4))
     np.testing.assert_allclose(res.theta_hat, np.zeros(4))
     assert res.converged
+
+
+# each R = 1 call on a (0, 3) history and a 2-vector theta
+EMPTY_HISTORY_CALLS = {
+    "loss": lambda data, th: loss(BERN, data, 1.0, th),
+    "gradient_map": lambda data, th: gradient_map(BERN, data, 1.0, th),
+    "full_gradient": lambda data, th: full_gradient(BERN, data, 1.0, th),
+    "hessian": lambda data, th: hessian(BERN, data, 1.0, th),
+    "fit_mle": lambda data, th: fit_mle(BERN, data, 1.0, init=th),
+    "difference_quotient_matrix":
+        lambda data, th: difference_quotient_matrix(BERN, data, 1.0, th, np.ones(5)),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_HISTORY_CALLS.values(), ids=EMPTY_HISTORY_CALLS)
+def test_an_empty_history_still_checks_the_dimension_of_theta(call):
+    # a (0, d) history is a history of dimension d: no call may answer for another d
+    with pytest.raises(InvalidArgumentError, match=r"theta has dim 2, data has dim 3"):
+        call(Dataset(np.zeros((0, 3)), np.zeros(0)), np.ones(2))
+
+
+@pytest.mark.parametrize("arms", [[], np.zeros((2, 0)), np.zeros((0, 0))])
+def test_a_dataset_needs_a_dimension(arms):
+    with pytest.raises(InvalidArgumentError, match=r"\(0, d\)"):
+        Dataset(arms, np.zeros(len(arms)))
+    assert Dataset(np.zeros((0, 2)), []).d == 2  # a length-0 history keeps its dimension
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([0, 1, 3]), d=st.integers(1, 3), d_theta=st.integers(1, 3),
+       d_theta2=st.integers(1, 3), family=st.sampled_from([BERN, EXP]),
+       seed=st.integers(0, 2**16))
+def test_the_one_replicate_calls_raise_only_package_errors(n, d, d_theta, d_theta2, family,
+                                                            seed):
+    # errors.py: public functions never raise a bare ValueError (InvalidArgumentError is one)
+    rng = replicate_stream(seed, 0)
+    data = Dataset(ball_points(rng, n, d), rng.random(n))
+    theta, theta2 = 0.4 * rng.standard_normal(d_theta), 0.4 * rng.standard_normal(d_theta2)
+    inst = make_instance(family.base, np.eye(2), np.array([0.2, -0.1]), S0=0.9)
+    state = ConfidenceState(t=1, theta_hat=np.zeros(d), hessian_at_hat=np.eye(d),
+                            gradient_map_at_hat=np.zeros(d), lambda_T=1.0, gamma_t=1.0,
+                            delta=0.1)
+    calls = [lambda: loss(family, data, 1.0, theta),
+             lambda: gradient_map(family, data, 1.0, theta),
+             lambda: full_gradient(family, data, 1.0, theta),
+             lambda: hessian(family, data, 1.0, theta),
+             lambda: fit_mle(family, data, 1.0, init=theta),
+             lambda: difference_quotient_matrix(family, data, 1.0, theta, theta2),
+             lambda: exact_membership(inst, state, data, theta),
+             lambda: elliptical_potential_check(data.arms, 1.0, 1.0)]
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            assert isinstance(exc, NefBanditError), repr(exc)
 
 
 def test_fit_gaussian_matches_ridge_closed_form():

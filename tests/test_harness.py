@@ -300,26 +300,29 @@ def test_cli_worker_pool_matches_serial(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class _InlinePool:
+    """ProcessPoolExecutor stand-in: records each pool size in ``sizes`` and maps
+    in-process, so no worker process is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def test_cli_workers_capped_at_cpu_count(tmp_path, monkeypatch):
-    import nefbandit.cli as cli
-
     requested = []
-
-    class InlinePool:
-        # records the pool size and maps in-process: no worker is ever started
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", requested)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = _write_cfg(tmp_path, {**SMALL_RUN, "replicates": 3, "horizon": 10})
     rc = main(["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -328,6 +331,18 @@ def test_cli_workers_capped_at_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert main(["coverage", "--config", str(cfg), "--workers", "64"]) == 0
     assert requested == [2]  # one usable core: the replicates run serially
+
+
+@pytest.mark.parametrize("command", ["coverage", "bandit run"])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_cli_nonpositive_workers_flag_exits_2_at_its_pointer(tmp_path, capsys, command, workers):
+    # the flag meets the rule of the config field it sets, as "workers": 0 in the file does
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "horizon": 5})
+    argv = _config_command(command, cfg, tmp_path / "o") + ["--workers", workers]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith("(at /workers)\n"), captured.err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "tails"])
@@ -556,6 +571,17 @@ def test_cli_bound_prints_terms(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == out
 
 
+def test_cli_bound_writes_an_infinite_term_as_null(tmp_path, capsys):
+    # mu'(40) underflows to 0.0, so kappa, term2 and the total are +inf
+    cfg = _write_cfg(tmp_path, {"distribution": {"kind": "bernoulli", "p": 0.5},
+                                "arms": [[1.0, 0.0], [0.0, 1.0]], "theta_star": [40.0, 0.0],
+                                "horizon": 20})
+    assert main(["bound", "--config", str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kappa"] is out["term2"] is out["total"] is None
+    assert out["mu_dot_star"] == out["term1"] == 0.0 and out["term3"] > 0.0
+
+
 def test_cli_coverage_small(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {**SMALL_RUN, "replicates": 8, "horizon": 25})
     rc = main(["coverage", "--config", str(cfg)])
@@ -660,28 +686,56 @@ _CONFIG_VALUES = st.one_of(
                      [], True, False, None]))
 
 
+# SMALL_RUN's instance under kinds with a bounded domain (Exponential, Gamma) or
+# fast-growing moments (Poisson) besides its own Bernoulli
+FUZZ_RUN_DISTS = [SMALL_RUN["distribution"], EXPONENTIAL,
+                  {"kind": "gamma", "shape": 2.0, "scale": 1.0}, {"kind": "poisson", "nu": 2.0}]
+# run flag values: small, 0, negative, +/-2**40; --replicates 2**40 is left out, as it is a
+# valid request for 2**40 replicates
+_FLAG_VALUES = st.one_of(st.integers(-5, 3), st.sampled_from([2**40, -2**40]))
+_RUN_FLAGS = st.fixed_dictionaries({}, optional={
+    "--seed": _FLAG_VALUES, "--workers": _FLAG_VALUES,
+    "--replicates": st.one_of(st.integers(-5, 3), st.just(-2**40))})
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_fuzzed_config_gives_a_run_or_a_pointer(data):
-    # any set of fields may be given (the rest are absent), so some configs hold and run
+    # any set of fields and run flags may be given (the rest are absent), so some configs
+    # hold and run
     given_fields = data.draw(st.lists(st.sampled_from(FUZZ_CONFIG_FIELDS), unique=True),
                              label="fields")
     fields = {name: data.draw(_CONFIG_VALUES, label=name) for name in given_fields}
+    dist = data.draw(st.sampled_from(FUZZ_RUN_DISTS), label="distribution")
+    flags = data.draw(_RUN_FLAGS, label="flags")
+    pointers = "|".join(FUZZ_CONFIG_FIELDS + ["workers", "replicates"])
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_InlinePool, "sizes", [])
+        mp.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+        mp.setattr(cli.os, "cpu_count", lambda: 4)  # a pool of up to 4, all in-process
         os.chdir(tmp)  # a relative "out" lands here
         try:
             cfg = Path(tmp, "cfg.json")
-            cfg.write_text(json.dumps({**SMALL_RUN, **fields}))
+            cfg.write_text(json.dumps({**SMALL_RUN, "distribution": dist, **fields}))
             for command in ("bound", "coverage", "bandit run"):
+                argv = _config_command(command, cfg, Path(tmp, "run"))
+                if command != "bound":  # bandit run has no --replicates
+                    argv += [x for flag, value in flags.items()
+                             if command == "coverage" or flag != "--replicates"
+                             for x in (flag, str(value))]
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = main(_config_command(command, cfg, Path(tmp, "run")))
-                assert rc in (0, 1, 2), (command, rc)
+                    rc = main(argv)
+                assert rc in (0, 1, 2), (argv, rc)
+                counts = [int(v) for f, v in zip(argv, argv[1:])
+                          if f in ("--workers", "--replicates")]
+                if min(counts, default=1) < 1:  # outside its field's rule: never run
+                    assert rc == 2, argv
                 if rc == 2:
-                    assert out.getvalue() == "", command
-                    assert re.search(rf"\(at /({'|'.join(FUZZ_CONFIG_FIELDS)})\)\n\Z",
-                                     err.getvalue()), (command, err.getvalue())
+                    assert out.getvalue() == "", argv
+                    assert re.search(rf"\(at /({pointers})\)\n\Z", err.getvalue()), \
+                        (argv, err.getvalue())
         finally:
             os.chdir(home)
 
