@@ -295,9 +295,25 @@ def _optimistic_indices(inst: GlbInstance, theta_hat, H, gamma: float) -> np.nda
         + inst.diameter_factor * gamma * np.sqrt(np.maximum(bonus_sq, 0.0))
 
 
+def _in_dimension(inst: GlbInstance, state: ConfidenceState, theta=None):
+    """theta, flattened, once it and the state's estimate, Hessian and gradient map all
+    have the instance's dimension d; InvalidArgumentError otherwise."""
+    d = inst.d
+    shapes = {"theta_hat": (d,), "hessian_at_hat": (d, d), "gradient_map_at_hat": (d,)}
+    for name, shape in shapes.items():
+        got = np.shape(getattr(state, name))
+        if got != shape:
+            raise InvalidArgumentError(f"state {name} has shape {got}, the instance needs {shape}")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float).ravel()
+        if theta.size != d:
+            raise InvalidArgumentError(f"theta has dim {theta.size}, the instance has dim {d}")
+    return theta
+
+
 def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> bool:
     """theta in C_t: the gradient-map gap measured in the inverse Hessian at theta."""
-    theta = np.asarray(theta, dtype=float).ravel()
+    theta = _in_dimension(inst, state, theta)
     if np.linalg.norm(theta) > inst.S0 + 1e-12:
         return False
     theta, inner = _inner_products(inst.family, data, theta, op="exact_membership")
@@ -310,14 +326,15 @@ def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> 
 
 def relaxed_membership(inst: GlbInstance, state: ConfidenceState, theta) -> bool:
     """theta in E_t: Hessian-at-estimate ellipsoid of radius c gamma_t."""
-    q = _relaxed_norms_sq(np.asarray(theta, dtype=float).reshape(1, -1),
-                          state.theta_hat[None], state.hessian_at_hat[None])
+    q = _relaxed_norms_sq(_in_dimension(inst, state, theta)[None], state.theta_hat[None],
+                          state.hessian_at_hat[None])
     r = inst.diameter_factor * state.gamma_t
     return float(q[0]) <= r * r
 
 
 def optimistic_choice(inst: GlbInstance, state: ConfidenceState) -> tuple[int, float]:
     """Arm with the largest optimistic index; ties go to the lowest index."""
+    _in_dimension(inst, state)
     idx_vals = _optimistic_indices(inst, state.theta_hat[None], state.hessian_at_hat[None],
                                    state.gamma_t)[0]
     best = int(np.argmax(idx_vals))

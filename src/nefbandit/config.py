@@ -16,7 +16,7 @@ Top-level fields (unknown fields are rejected, pointers name the spot):
     seed          int, default 0
     workers       int >= 1, default 1
     grid          {"lo": .., "hi": .., "n": ..}, optional
-    out           output directory, optional
+    out           output directory, a non-empty string, optional
 
 Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm;
 the instance invariants are checked eagerly at parse time whenever the
@@ -174,42 +174,41 @@ def _check_number(raw, key, pointer, *, integer=False, positive=False, nonnegati
                          pointer=f"{pointer}/{key}")
 
 
-def _check_fields(raw: dict, pointer: str) -> None:
+def _check_fields(raw: dict) -> None:
     """The rule of each top-level number field and of ``out`` that ``raw`` holds."""
     for key, opts in _NUMBER_RULES:
-        _check_number(raw, key, pointer, **opts)
-    if raw.get("out") is not None and not isinstance(raw["out"], str):
-        raise ParseError("field 'out' must be a directory name or null", pointer=f"{pointer}/out")
+        _check_number(raw, key, "", **opts)
+    if raw.get("out") is not None and not (isinstance(raw["out"], str) and raw["out"]):
+        raise ParseError("field 'out' must be a non-empty directory name or null",
+                         pointer="/out")
 
 
-def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
+def parse_config(obj: dict) -> ExperimentConfig:
     """Validate a config dict, fill defaults, and eagerly check instance invariants."""
     if not isinstance(obj, dict):
-        raise ParseError("config must be a JSON object", pointer=pointer)
+        raise ParseError("config must be a JSON object", pointer="")
     unknown = set(obj) - _KNOWN
     if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}", pointer=pointer)
+        raise ParseError(f"unknown fields {sorted(unknown)}", pointer="")
     if "distribution" not in obj:
-        raise ParseError("missing required field 'distribution'", pointer=pointer)
+        raise ParseError("missing required field 'distribution'", pointer="")
     raw = dict(_DEFAULTS)
     raw.update(obj)
     if raw["schema"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {raw['schema']!r}; this build "
-                         f"reads version {SCHEMA_VERSION}", pointer=f"{pointer}/schema")
-    base = parse_distribution(raw["distribution"], pointer=f"{pointer}/distribution")
-    _check_fields(raw, pointer)
+                         f"reads version {SCHEMA_VERSION}", pointer="/schema")
+    base = parse_distribution(raw["distribution"], pointer="/distribution")
+    _check_fields(raw)
     if not 0.0 < raw["delta"] <= 1.0:
-        raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}",
-                         pointer=f"{pointer}/delta")
+        raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}", pointer="/delta")
     if "grid" in raw and raw["grid"] is not None:
         g = raw["grid"]
         if not isinstance(g, dict) or set(g) - {"lo", "hi", "n"}:
-            raise ParseError("grid must be an object with fields lo, hi, n",
-                             pointer=f"{pointer}/grid")
+            raise ParseError("grid must be an object with fields lo, hi, n", pointer="/grid")
         for key, opts in (("lo", {}), ("hi", {}), ("n", {"integer": True, "positive": True})):
-            _check_number(g, key, f"{pointer}/grid", **opts)
+            _check_number(g, key, "/grid", **opts)
     if ("arms" in raw) != ("theta_star" in raw):
-        raise ParseError("arms and theta_star must be given together", pointer=pointer)
+        raise ParseError("arms and theta_star must be given together", pointer="")
     instance = None
     if "arms" in raw:  # instance invariants checked eagerly; commands reuse the instance
         arms = _expand_arms(raw["arms"], "/arms")
@@ -229,12 +228,12 @@ def parse_config(obj: dict, *, pointer: str = "") -> ExperimentConfig:
         except ConfigError as exc:
             if exc.name is None:
                 raise
-            raise ParseError(str(exc), pointer=f"{pointer}/{exc.name}") from exc
-        _check_run_constants(instance, raw, pointer)
+            raise ParseError(str(exc), pointer=f"/{exc.name}") from exc
+        _check_run_constants(instance, raw)
     return ExperimentConfig(raw=raw, distribution=raw["distribution"], instance=instance)
 
 
-def _check_run_constants(inst: GlbInstance, raw: dict, pointer: str) -> None:
+def _check_run_constants(inst: GlbInstance, raw: dict) -> None:
     """A run and its regret bound square L, gamma_T and c gamma_T, so each square must be
     finite (lambda_T too); a ParseError names the field that overflows them."""
     T, delta, lam = raw["horizon"], raw["delta"], raw["lambda"]
@@ -263,7 +262,7 @@ def _check_run_constants(inst: GlbInstance, raw: dict, pointer: str) -> None:
         name = "K" if inst.K >= inst.S1 - inst.S2 else end if end in raw else "S0"
     raise ParseError(f"a {T}-round run squares L={inst.L}, gamma_T={gamma} and c gamma_T with "
                      f"c={c} (lambda_T={lam_T}): each square must be a finite number",
-                     pointer=f"{pointer}/{name}")
+                     pointer=f"/{name}")
 
 
 def with_flags(cfg: ExperimentConfig, *, seed=None, workers=None, replicates=None,
@@ -272,7 +271,7 @@ def with_flags(cfg: ExperimentConfig, *, seed=None, workers=None, replicates=Non
     own rule: a bad value is a ParseError at the field's pointer.  The instance is kept."""
     flags = {"seed": seed, "workers": workers, "replicates": replicates, "out": out}
     given = {key: value for key, value in flags.items() if value is not None}
-    _check_fields(given, "")
+    _check_fields(given)
     return replace(cfg, raw={**cfg.raw, **given})
 
 

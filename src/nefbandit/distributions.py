@@ -98,7 +98,7 @@ class BaseDistribution:
     - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
       ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t)), elementwise over
       broadcast u and t;
-    - ``tilted_inverse_cdf(u, p)`` or ``_draw(tilt, p)``;
+    - ``tilted_inverse_cdf(u, p)``, the draw of Q_u at uniforms p, elementwise;
     - optionally ``tilted(u)``, an exact conjugate form of Q_u.
 
     ``quantile``, ``upper_quantile`` and ``interval_mass`` of Q are derived
@@ -148,70 +148,10 @@ class BaseDistribution:
         """Exact conjugate representation of Q_u, where one exists."""
         raise InvalidArgumentError(f"{self.kind} has no closed tilted form among supported kinds")
 
-    def tilted_inverse_cdf(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Draws of Q_u from uniforms p, elementwise; by default ``_draw`` per distinct tilt."""
-        out = np.empty(p.shape)
-        tilts, which = np.unique(u, return_inverse=True)
-        for i, tilt in enumerate(tilts.tolist()):
-            sel = which == i
-            out[sel] = self._draw(tilt, p[sel])
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Continuous kinds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Bernoulli(BaseDistribution):
-    p: float
-    kind: str = "bernoulli"
-    mgf_domain = (-math.inf, math.inf)
-    support_bounds = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise InvalidArgumentError(f"Bernoulli p must lie in (0, 1), got {self.p}")
-
-    def log_mgf(self, u):
-        return np.logaddexp(math.log1p(-self.p), math.log(self.p) + np.asarray(u, dtype=float))
-
-    def mean_at(self, u):
-        # logistic in u + logit(p)
-        z = np.asarray(u, dtype=float) + math.log(self.p / (1.0 - self.p))
-        return special.expit(z)
-
-    def dmean_at(self, u):
-        m = self.mean_at(u)
-        return m * (1.0 - m)
-
-    def d2mean_at(self, u):
-        m = self.mean_at(u)
-        return m * (1.0 - m) * (1.0 - 2.0 * m)
-
-    # against p itself: the draw compares with expit(logit(p)), which may round
-    def quantile(self, p):
-        return (p > 1.0 - self.p).astype(float)
-
-    def upper_quantile(self, p):
-        return (p <= self.p).astype(float)
-
-    def interval_mass(self, lo, hi):
-        return (np.where((lo <= 0.0) & (0.0 <= hi), 1.0 - self.p, 0.0)
-                + np.where((lo <= 1.0) & (1.0 <= hi), self.p, 0.0))
-
-    def tilted(self, u):
-        return Bernoulli(float(self.mean_at(u)))
-
-    def tilted_upper_tail(self, u, t):
-        return np.where(t < 0, 1.0, np.where(t < 1, self.mean_at(u), 0.0))
-
-    def tilted_lower_tail(self, u, t):  # mass strictly below -t
-        return np.where(t < -1, 1.0, np.where(t < 0, 1.0 - self.mean_at(u), 0.0))
-
-    def tilted_inverse_cdf(self, u, p):
-        return (p < self.mean_at(u)).astype(float)
-
 
 @dataclass(frozen=True)
 class Gaussian(BaseDistribution):
@@ -311,13 +251,6 @@ class Poisson(BaseDistribution):
     dmean_at = mean_at
     d2mean_at = mean_at
 
-    def _grid(self, m: float):
-        """Atoms 0..kmax of the Poisson(m) law with their pmf and cdf."""
-        kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
-        ks = np.arange(kmax + 1)
-        pmf = np.exp(ks * math.log(m) - m - special.gammaln(ks + 1))
-        return ks, pmf, np.cumsum(pmf)
-
     def interval_mass(self, lo, hi):
         lo_k = np.maximum(0.0, np.ceil(np.asarray(lo) - 1e-12))
         hi_k = np.floor(np.asarray(hi) + 1e-12)
@@ -335,9 +268,17 @@ class Poisson(BaseDistribution):
         k = np.ceil(np.negative(t)) - 1  # largest atom strictly below -t
         return np.where(k < 0, 0.0, special.pdtr(k, self.nu * np.exp(u)))
 
-    def _draw(self, tilt, p):
-        ks, _, cum = self._grid(self.nu * math.exp(tilt))
-        return np.minimum(np.searchsorted(cum, p, side="left"), ks[-1])
+    def tilted_inverse_cdf(self, u, p):
+        # per distinct tilt, the least k whose cdf reaches p on a table of 0..kmax
+        out = np.empty(p.shape)
+        tilts, which = np.unique(u, return_inverse=True)
+        for i, tilt in enumerate(tilts.tolist()):
+            m = self.nu * math.exp(tilt)
+            kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
+            sel = which == i
+            cdf = special.pdtr(np.arange(kmax + 1), m)
+            out[sel] = np.minimum(np.searchsorted(cdf, p[sel], side="left"), kmax)
+        return out
 
 
 @dataclass(frozen=True)
@@ -377,13 +318,10 @@ class Laplace(BaseDistribution):
         return 2.0 / (lam - u) ** 3 - 2.0 / (lam + u) ** 3
 
     def _tilted_pieces(self, u):
-        # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0; a
-        # scalar tilt keeps math.exp, whose bits the draws were pinned with
+        # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0
         lam = 1.0 / self.scale
         rp, rm = lam - u, lam + u
-        log_m = self.log_mgf(u)
-        m = math.exp(log_m) if np.ndim(u) == 0 else np.exp(log_m)
-        c = 1.0 / (2.0 * self.scale * m)  # common density scale at y = 0
+        c = 1.0 / (2.0 * self.scale * np.exp(self.log_mgf(u)))  # common density scale at y = 0
         mass_neg = c / rm
         mass_pos = c / rp
         return rp, rm, c, mass_neg, mass_pos
@@ -400,8 +338,8 @@ class Laplace(BaseDistribution):
         return np.where(y <= 0, mass_neg * np.exp(rm * np.minimum(y, 0.0)),
                         mass_neg + mass_pos * -np.expm1(-rp * np.maximum(y, 0.0)))
 
-    def _draw(self, tilt, p):
-        rp, rm, c, mass_neg, _ = self._tilted_pieces(tilt)
+    def tilted_inverse_cdf(self, u, p):
+        rp, rm, c, mass_neg, _ = self._tilted_pieces(u)
         return np.where(p <= mass_neg, np.log(p * rm / c) / rm,
                         -np.log1p(-(p - mass_neg) * rp / c) / rp)
 
@@ -528,10 +466,52 @@ class _AtomMixin:
     def tilted_lower_tail(self, u, t):
         return self._mass(self._tilted_weights(u), self._locs < -np.asarray(t)[..., None])
 
-    def _draw(self, tilt, p):
+    def tilted_inverse_cdf(self, u, p):  # per draw, the first atom whose cumulative mass reaches p
         order = np.argsort(self._locs)
-        cum = np.cumsum(self._tilted_weights(tilt)[order])
-        return self._locs[order][np.minimum(np.searchsorted(cum, p, side="left"), len(cum) - 1)]
+        cum = np.cumsum(self._tilted_weights(u)[..., order], axis=-1)
+        return self._locs[order][np.minimum((cum < p[..., None]).sum(axis=-1), len(order) - 1)]
+
+
+@dataclass(frozen=True)
+class Bernoulli(_AtomMixin, BaseDistribution):
+    """Atoms 0 and 1 with masses 1 - p and p; its moments and draw in closed form."""
+
+    p: float
+    kind: str = "bernoulli"
+
+    def __post_init__(self):
+        if not 0.0 < self.p < 1.0:
+            raise InvalidArgumentError(f"Bernoulli p must lie in (0, 1), got {self.p}")
+        _freeze(self, _locs=[0.0, 1.0], _logw=[math.log1p(-self.p), math.log(self.p)])
+
+    def log_mgf(self, u):
+        return np.logaddexp(math.log1p(-self.p), math.log(self.p) + np.asarray(u, dtype=float))
+
+    def mean_at(self, u):
+        # logistic in u + logit(p)
+        z = np.asarray(u, dtype=float) + math.log(self.p / (1.0 - self.p))
+        return special.expit(z)
+
+    def dmean_at(self, u):
+        m = self.mean_at(u)
+        return m * (1.0 - m)
+
+    def d2mean_at(self, u):
+        m = self.mean_at(u)
+        return m * (1.0 - m) * (1.0 - 2.0 * m)
+
+    # against p itself: the draw compares with expit(logit(p)), which may round
+    def quantile(self, p):
+        return (p > 1.0 - self.p).astype(float)
+
+    def upper_quantile(self, p):
+        return (p <= self.p).astype(float)
+
+    def tilted(self, u):
+        return Bernoulli(float(self.mean_at(u)))
+
+    def tilted_inverse_cdf(self, u, p):
+        return (p < self.mean_at(u)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -652,9 +632,7 @@ def reflected(base: BaseDistribution) -> BaseDistribution:
     """Distribution of -Y, for kinds where it is representable."""
     if isinstance(base, (Gaussian, Laplace)):
         return base
-    if isinstance(base, Bernoulli):
-        return DiscreteAtoms(((-1.0, base.p), (0.0, 1.0 - base.p)))
-    if isinstance(base, (DiscreteAtoms, CounterexampleSubgaussian)):
+    if isinstance(base, _AtomMixin):
         locs, logw = base.log_atoms
         return DiscreteAtoms(tuple((float(-l), float(p)) for l, p in zip(locs, np.exp(logw))))
     if isinstance(base, Shifted):

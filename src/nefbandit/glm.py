@@ -123,9 +123,9 @@ def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
     """Write H_r^{-1} B_r into out[r] by one LAPACK posv call on the lower triangle of
     each H_r (its potrf + potrs: scipy's cho_factor(lower=True) + cho_solve bit for bit);
     a one-row B serves every H_r.  Returns {r: LinAlgError} for each H_r not positive
-    definite, leaving out[r] as it was; ValueError on non-finite input."""
+    definite, leaving out[r] as it was; InvalidArgumentError on non-finite input."""
     if not (np.isfinite(H).all() and np.isfinite(B).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise InvalidArgumentError("array must not contain infs or NaNs")
     failed = {}
     shared = B.shape[0] == 1
     for r in range(H.shape[0]):

@@ -22,11 +22,10 @@ import numpy as np
 
 from .distributions import (
     BaseDistribution,
-    CounterexampleSubgaussian,
-    DiscreteAtoms,
     Laplace,
     NefFamily,
     Shifted,
+    _AtomMixin,
     _logsumexp,
     centered,
     gamma_ratio,
@@ -84,7 +83,7 @@ def mgf_from_tail_bound(c1: float, C1: float, lam):
         raise DomainError("the MGF cap holds on 0 <= lam < c1", value=float(bad[0]),
                           interval=(0.0, c1))
     with np.errstate(all="ignore"):  # inf or NaN past float range
-        return 1.0 + C1 * lam**2 / (c1 * (c1 - lam))
+        return 1.0 + C1 * (lam / c1) * (lam / (c1 - lam))  # no lam^2 to underflow
 
 
 def tail_from_mgf(M_at_c, c, t):
@@ -165,7 +164,7 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
     with np.errstate(all="ignore"):  # inf or NaN past float range
         right = (tail.C1 * math.e / M_u) * np.exp(-(tail.c1 - u) * t) * (1.0 + u / (tail.c1 - u))
         left = (tail.C2 / M_u) * np.exp(-(u + tail.c2) * t)
-        mean_cap = tail.c1 * tail.C1 * math.e / (tail.c1 - u) ** 2
+        mean_cap = tail.C1 * math.e * (tail.c1 / (tail.c1 - u)) / (tail.c1 - u)  # likewise
     return {"upper_bound_right": right, "upper_bound_left": left, "mean_bound": mean_cap}
 
 
@@ -191,7 +190,7 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
     """
     inner = base.base if isinstance(base, Shifted) else base
     offset = base.offset if isinstance(base, Shifted) else 0.0
-    if isinstance(inner, (DiscreteAtoms, CounterexampleSubgaussian)):
+    if isinstance(inner, _AtomMixin):
         locs, logw = inner.log_atoms
         logq = logw + u * locs
         logq = logq - _logsumexp(logq)  # log-weights of Q_u
@@ -202,7 +201,7 @@ def measured_tilted_mgf(base: BaseDistribution, u: float, eps: float) -> float:
         if not -rm < eps < rp:
             return math.inf
         return math.exp(eps * offset) * (c / (rp - eps) + c / (rm + eps))
-    try:  # NaN where the conjugate has no float parameter (a Bernoulli p rounding to 1)
+    try:  # NaN where the conjugate has no float parameter (a Poisson rate past float range)
         return float(np.exp(base.tilted(u).log_mgf(eps)))
     except InvalidArgumentError:
         return math.nan

@@ -42,7 +42,7 @@ from nefbandit.distributions import (
     gamma_ratio,
     parse_distribution,
 )
-from nefbandit.errors import ConfigError, DomainError, InvalidArgumentError
+from nefbandit.errors import ConfigError, DomainError, InvalidArgumentError, NefBanditError
 from nefbandit.config import build_instance, load_config
 from nefbandit.glm import Dataset, fit_mle
 from nefbandit.rng import replicate_stream
@@ -282,6 +282,41 @@ def test_exact_norms_sq_slices_are_the_one_replicate_calls():
     q = _kernel(inst, 2.5, theta, counts, g_hat)
     for r in range(3):
         assert q[r] == _kernel(inst, 2.5, theta, counts[r:r + 1], g_hat[r:r + 1])[0]
+
+
+def test_exact_membership_checks_the_dimension_before_the_norm():
+    # a wrong-dimension theta outside the S0 ball is an error, not a point outside C_t
+    inst = bern_instance()
+    data = Dataset(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(InvalidArgumentError, match="theta has dim 5"):
+        exact_membership(inst, _state(inst, 1, 4.0, gamma=100.0), data, np.ones(5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(*[st.integers(1, 3)] * 4), n=st.sampled_from([0, 3]),
+       seed=st.integers(0, 2**16))
+def test_the_one_replicate_bandit_calls_check_every_dimension(dims, n, seed):
+    # theta, theta_hat, the Hessian and the gradient map each of dimension 1, 2 or 3 against
+    # a d = 2 instance: each call returns only when all four are 2, else raises a package error
+    d_theta, d_hat, d_hess, d_grad = dims
+    rng = replicate_stream(seed, 0)
+    inst = bern_instance()
+    data = Dataset(0.5 * rng.random((n, 2)), rng.random(n))
+    state = ConfidenceState(t=1, theta_hat=0.1 * rng.random(d_hat), hessian_at_hat=np.eye(d_hess),
+                            gradient_map_at_hat=rng.random(d_grad), lambda_T=1.0,
+                            gamma_t=1.0, delta=0.1)
+    theta = 0.3 * rng.random(d_theta)
+    state_ok = (d_hat, d_hess, d_grad) == (2, 2, 2)
+    calls = [(lambda: optimistic_choice(inst, state), state_ok),
+             (lambda: relaxed_membership(inst, state, theta), state_ok and d_theta == 2),
+             (lambda: exact_membership(inst, state, data, theta), state_ok and d_theta == 2)]
+    for call, valid in calls:
+        try:
+            call()
+        except NefBanditError:
+            assert not valid
+        else:
+            assert valid
 
 
 def test_exact_membership_from_counts_agrees_with_the_row_sums():

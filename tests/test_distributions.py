@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from nefbandit import distributions
 from nefbandit.distributions import (
+    BaseDistribution,
     Bernoulli,
     CounterexampleSubgaussian,
     DiscreteAtoms,
@@ -429,17 +431,26 @@ def test_sample_tilted_agrees_with_mean(base):
 
 
 SAMPLER_BASES = README_BASES
+DRAW_BASES = SAMPLER_BASES + [
+    Poisson(10.0), Laplace(0.4), Shifted(Gamma(0.5, 2.0), -1.0),
+    DiscreteAtoms(tuple((0.25 * i - 5.0, 0.025) for i in range(40))),
+]
+DRAW_IDS = [b.kind for b in SAMPLER_BASES] + ["poisson10", "laplace0.4", "shifted-gamma0.5",
+                                              "atoms40"]
 
 
-@pytest.mark.parametrize("base", SAMPLER_BASES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("base", DRAW_BASES, ids=DRAW_IDS)
 def test_tilted_inverse_cdf_over_arrays_is_the_per_draw_sampler(base):
     # the round loop draws a round of replicates, each at its own arm's tilt, in one
-    # call: every draw must keep the bits of the one-draw path
-    n = 20_000
-    tilts = interior_grid(base, n=5)[replicate_stream(3, 1).integers(0, 5, n)]
-    draws = base.tilted_inverse_cdf(tilts, replicate_stream(3, 0).random(n))
-    rng = replicate_stream(3, 0)
-    assert np.array_equal(draws, [sample_tilted(base, float(u), rng) for u in tilts])
+    # call: every draw, of a vector or a matrix of tilts, must keep the bits of the
+    # one-draw path
+    for shape in ((20_000,), (3, 4)):
+        n = math.prod(shape)
+        tilts = interior_grid(base, n=5)[replicate_stream(3, 1).integers(0, 5, n)].reshape(shape)
+        draws = base.tilted_inverse_cdf(tilts, replicate_stream(3, 0).random(n).reshape(shape))
+        assert draws.shape == shape
+        rng = replicate_stream(3, 0)
+        assert np.array_equal(draws.ravel(), [sample_tilted(base, u, rng) for u in tilts.ravel()])
 
 
 # off every cumulative mass of the discrete kinds below: there the atom kinds' draw
@@ -472,6 +483,18 @@ def test_bernoulli_quantiles_at_its_exact_masses(p):
     assert base.quantile(np.array([1.0 - p, np.nextafter(1.0 - p, 2.0)])).tolist() == [0.0, 1.0]
     assert base.upper_quantile(np.array([p, np.nextafter(p, 2.0)])).tolist() == [1.0, 0.0]
     assert base.upper_quantile(np.array([p])) == atoms.upper_quantile(np.array([p]))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 1e-6])
+def test_bernoulli_tails_are_the_logistic_masses_at_any_tilt(p):
+    # Q_u(Y = 1) = expit(u + logit p) and Q_u(Y = 0) = expit(-(u + logit p)), held in the
+    # log domain: a tiny mass at a large tilt keeps its digits instead of reading 0
+    base, us = Bernoulli(p), np.linspace(-700.0, 700.0, 2801)
+    z = us + math.log(p / (1.0 - p))
+    for got, want in ((base.tilted_upper_tail(us, 0.5), special.expit(z)),
+                      (base.tilted_lower_tail(us, -0.5), special.expit(-z))):
+        keep = want > 1e-290
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -520,6 +543,21 @@ def test_replicate_stream_block_is_the_single_draws():
         rng = replicate_stream(2024, k)
         singles = [rng.random() for _ in range(333)]
         assert replicate_stream(2024, k).random(333).tolist() == singles
+
+
+KIND_METHODS = ("tilted_inverse_cdf", "tilted_upper_tail", "tilted_lower_tail", "log_mgf",
+                "mean_at", "dmean_at", "d2mean_at")
+KINDS = [c for c in vars(distributions).values()
+         if isinstance(c, type) and issubclass(c, BaseDistribution) and c is not BaseDistribution]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda c: c.__name__)
+def test_every_kind_defines_its_own_draw_tails_and_moments(kind):
+    # the base class holds none of these, and no kind keeps a second draw protocol
+    for name in KIND_METHODS:
+        owner = next((c for c in kind.__mro__ if name in vars(c)), None)
+        assert owner not in (None, BaseDistribution), (kind.__name__, name)
+    assert not any("_draw" in vars(c) for c in kind.__mro__), kind.__name__
 
 
 # ---------------------------------------------------------------------------

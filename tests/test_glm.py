@@ -505,6 +505,13 @@ def test_cholesky_solve_errors():
         cholesky_solve(np.eye(2), np.array([1.0, np.inf]))
 
 
+@pytest.mark.parametrize("H, b", [(np.array([[1.0, 0.0], [0.0, np.nan]]), np.ones(2)),
+                                  (np.eye(2), np.array([1.0, np.inf]))])
+def test_cholesky_solve_of_non_finite_input_is_a_package_error(H, b):
+    with pytest.raises(NefBanditError, match="infs or NaNs"):
+        cholesky_solve(H, b)
+
+
 def test_dataset_validation():
     with pytest.raises(InvalidArgumentError):
         Dataset(np.array([[1.5, 0.0]]), np.array([1.0]))

@@ -415,12 +415,24 @@ def test_verify_names_the_rate_that_overflows_the_correction(flag, pointer, caps
     assert "overflow g_q_" in captured.err and captured.err.endswith(f"(at {pointer})\n")
 
 
-def test_tails_of_a_bernoulli_tilt_past_float_p_fails_its_ratio_identity(capsys):
-    # expit(0.8 * 100) rounds to 1: the tilt has no Bernoulli parameter to measure with
-    rc = main(["tails", "--dist", '{"kind": "bernoulli", "p": 0.5}', "--c1=100"])
-    certs = {c["name"]: c for c in json.loads(capsys.readouterr().out)["certificates"]}
-    assert rc == 1 and certs["tilted_mgf_ratio_identity"]["max_slack"] is None
-    assert not certs["tilted_mgf_ratio_identity"]["ok"]
+@pytest.mark.parametrize("p, flag", [(0.5, "--c1=46"), (0.5, "--c1=100"), (0.5, "--c1=1000"),
+                                     (0.1, "--c2=1000")])
+def test_tails_of_a_bernoulli_tilt_past_float_p_passes_every_certificate(p, flag, capsys):
+    # expit(0.8 * 100) rounds to 1, so no Bernoulli parameter holds the tilt; the atom
+    # kinds' log-domain series measures it all the same
+    rc = main(["tails", "--dist", json.dumps({"kind": "bernoulli", "p": p}), flag])
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert rc == 0
+    assert all(c["ok"] and math.isfinite(c["max_slack"]) for c in certs), certs
+
+
+@pytest.mark.parametrize("c1", ["1e-170", "1e-300"])
+def test_tails_at_a_tiny_right_rate_passes_every_certificate(c1, capsys):
+    # lam^2 and (c1 - u)^2 underflow here; the caps take the ratios lam/c1 and c1/(c1 - u)
+    rc = main(["tails", "--dist", json.dumps(GAUSSIAN), f"--c1={c1}"])
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert rc == 0
+    assert all(c["ok"] and math.isfinite(c["max_slack"]) for c in certs), certs
 
 
 @pytest.mark.parametrize("command", ["verify", "tails"])
@@ -650,7 +662,7 @@ def _config_command(command, cfg, out):
 @pytest.mark.parametrize("field,value", [
     # not a number, or not a directory name
     ("S1", "x"), ("S1", [1.0]), ("S2", "x"), ("S2", [1.0]), ("S2", True),
-    ("out", 5), ("out", ["a"]),
+    ("out", 5), ("out", ["a"]), ("out", ""),
     # SMALL_RUN: ||theta_star|| = 0.5, x' theta_star in [-0.3, 0.4], S1 = -S2 = 0.5, c1 = c2 = 1
     ("L", 0.5), ("S0", 0.1), ("S1", 0.1), ("S2", 0.1), ("c1", 0.3), ("c2", 0.05),
     ("S1", -1.0), ("S2", 1.5), ("c1", 0.5), ("horizon", 2.0), ("seed", 2.0),
@@ -663,6 +675,17 @@ def test_cli_bad_config_field_exits_2_at_its_pointer(tmp_path, capsys, command, 
     assert main(_config_command(command, cfg, tmp_path / "o")) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith(f"(at /{field})\n"), captured.err
+
+
+@pytest.mark.parametrize("command", ["coverage", "bandit run"])
+def test_cli_empty_out_flag_is_a_usage_error(tmp_path, capsys, command, monkeypatch):
+    # "" names no directory: it must not fall back to the working directory
+    cfg = _write_cfg(tmp_path, SMALL_RUN)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command.split(), "--config", str(cfg), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith("(at /out)\n"), captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_cli_output_directory_that_cannot_be_made_is_a_usage_error(tmp_path, capsys):
