@@ -155,6 +155,7 @@ class GlbInstance:
         return idx, float(means[idx])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # GlbInstance rejects inf and NaN
 def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = None,
                   S1: float | None = None, S2: float | None = None,
                   c1: float | None = None, c2: float | None = None,
@@ -204,11 +205,10 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         except DomainError as exc:
             raise ConfigError(str(exc), name="S2" if S2 < base.interior[0] else "S1") from exc
         grid = np.linspace(S2, S1, _GRID)  # interior: NefFamily checked [S2, S1]
-        with np.errstate(over="ignore", invalid="ignore"):  # GlbInstance rejects inf and NaN
-            var = base.dmean_at(grid)
-            var_sup = float(np.max(var))
-            if K is None:
-                K = float(np.max(_ratio_given_variance(base, grid, var)))
+        var = base.dmean_at(grid)
+        var_sup = float(np.max(var))
+        if K is None:
+            K = float(np.max(_ratio_given_variance(base, grid, var)))
         L = max(1.0, var_sup) if L is None else L
         floors = _m_terms(K, S1, S2, c1, c2)
         source["M"] = source[max(floors, key=floors.get)]

@@ -22,7 +22,7 @@ import numpy as np
 from .bandit import RunResult, run_replicates, theoretical_regret_bound
 from .config import ExperimentConfig, build_instance, load_config, with_flags
 from .distributions import NefFamily, parse_distribution
-from .errors import DomainError, InvalidArgumentError, NefBanditError, ParseError
+from .errors import DomainError, NefBanditError, ParseError
 from .glm import Dataset, fit_mle
 from .selfconcordance import (DominanceReport, StretchCertificate, build_certificate,
                               tilt_range, verify_dominance)
@@ -160,18 +160,16 @@ def cmd_tails(ns) -> int:
 
 def cmd_fit(ns) -> int:
     base = parse_distribution(_load_dist(ns.dist))
-    rows = np.loadtxt(ns.data, delimiter=",", ndmin=2)
-    if rows.shape[1] < 2:
-        raise ParseError("fit data needs columns x1,...,xd,y", pointer="/data")
-    X, y = rows[:, :-1], rows[:, -1]
+    # a missing file, a non-numeric cell, a ragged row, no x column, a non-finite value
+    try:
+        rows = np.loadtxt(ns.data, delimiter=",", ndmin=2)
+        data = Dataset(rows[:, :-1], rows[:, -1])
+    except (OSError, ValueError) as exc:  # InvalidArgumentError among them
+        raise ParseError(f"fit data {ns.data!r}: {exc}", pointer="/data") from exc
     lo, hi = base.mgf_domain
     plo = ns.param_lo if ns.param_lo is not None else (0.9 * lo if math.isfinite(lo) else -1e9)
     phi = ns.param_hi if ns.param_hi is not None else (0.9 * hi if math.isfinite(hi) else 1e9)
     family = NefFamily(base, plo, phi)
-    try:
-        data = Dataset(X, y)
-    except InvalidArgumentError as exc:
-        raise ParseError(str(exc), pointer="/data")
     result = fit_mle(family, data, ns.lam)
     _emit({
         "theta_hat": result.theta_hat.tolist(),
@@ -364,7 +362,7 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     base = parse_distribution(cfg.distribution)
     cert = build_certificate(base)
     grid = cfg.grid or {}
-    n = int(grid.get("n", 200))
+    n = grid.get("n", 200)
     try:
         lo, hi = tilt_range(cert.tail, grid.get("lo"), grid.get("hi"))
     except DomainError as exc:
@@ -388,7 +386,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     except NefBanditError as exc:  # a named DomainError points at its verify/tails flag
-        pointer = _FLAG_POINTERS.get(getattr(exc, "name", None))
+        pointer = _FLAG_POINTERS.get(exc.name)
         print(f"config error: {exc} (at {pointer})" if pointer else f"error: {exc}",
               file=sys.stderr)
     return 2

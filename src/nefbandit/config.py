@@ -18,6 +18,11 @@ Top-level fields (unknown fields are rejected, pointers name the spot):
     grid          {"lo": .., "hi": .., "n": ..}, optional
     out           output directory, a non-empty string, optional
 
+Every number here, in ``grid``, in the circle generator, in each ``arms`` and
+``theta_star`` entry and in the distribution's fields (``distributions.check_number``)
+is a JSON number within float range, or a JSON integer where "int" says so (and
+``n`` and ``i_max``); a bad one is named by its own pointer, such as /arms/0/1.
+
 Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm;
 the instance invariants are checked eagerly at parse time whenever the
 arm set is present.
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,8 +39,8 @@ import numpy as np
 
 from .bandit import (GlbInstance, _log_term, _m_terms, confidence_radius, make_instance,
                      regularizer_schedule)
-from .distributions import parse_distribution
-from .errors import ConfigError, ParseError
+from .distributions import check_number, parse_distribution
+from .errors import ConfigError, ParseError, PrecisionError
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "with_flags", "build_instance"]
 
@@ -54,8 +58,9 @@ _DEFAULTS = {
 }
 _OPTIONAL = {"arms", "theta_star", "S0", "S1", "S2", "c1", "c2", "L", "K", "grid"}
 _KNOWN = set(_DEFAULTS) | _OPTIONAL | {"distribution"}
-# the rule of each numeric top-level field, as keyword arguments of _check_number
-_NUMBER_RULES = (("delta", {}), ("horizon", {"integer": True, "positive": True}),
+# the rule of each numeric top-level field, as keyword arguments of check_number
+_NUMBER_RULES = (("schema", {"integer": True}), ("delta", {}),
+                 ("horizon", {"integer": True, "positive": True}),
                  ("replicates", {"integer": True, "positive": True}),
                  ("lambda", {"positive": True, "nullable": True}),
                  ("seed", {"integer": True}),
@@ -74,10 +79,6 @@ class ExperimentConfig:
     distribution: dict = field(default_factory=dict)
     # the instance parse_config built while checking it, so a command builds it once
     instance: GlbInstance | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def schema(self) -> int:
-        return self.raw["schema"]
 
     @property
     def delta(self) -> float:
@@ -131,53 +132,26 @@ def _expand_arms(obj, pointer: str) -> np.ndarray:
         if not isinstance(spec, dict) or set(spec) != {"n", "radius"}:
             raise ParseError("circle generator needs exactly the fields n and radius",
                              pointer=pointer + "/circle")
-        n, radius = int(spec["n"]), float(spec["radius"])
-        if n < 1 or not 0.0 < radius <= 1.0:
-            raise ParseError(f"need n >= 1 and radius in (0, 1], got n={n}, radius={radius}",
-                             pointer=pointer + "/circle")
+        n = check_number(spec, "n", pointer + "/circle", integer=True, positive=True)
+        radius = check_number(spec, "radius", pointer + "/circle", positive=True)
+        if radius > 1.0:
+            raise ParseError(f"radius must lie in (0, 1], got {radius}",
+                             pointer=pointer + "/circle/radius")
         ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         return np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     if isinstance(obj, list):
-        try:
-            arms = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError):
+        if not obj or not all(isinstance(a, list) and len(a) == len(obj[0]) for a in obj):
             raise ParseError("arms must be a list of equal-length numeric vectors",
                              pointer=pointer)
-        if arms.ndim != 2:
-            raise ParseError("arms must be a list of equal-length numeric vectors",
-                             pointer=pointer)
-        if not np.isfinite(arms).all():
-            raise ParseError("arm entries must be finite numbers", pointer=pointer)
-        return arms
+        return np.array([[check_number(a, j, f"{pointer}/{i}") for j in range(len(a))]
+                         for i, a in enumerate(obj)])
     raise ParseError("arms must be a list of vectors or a generator object", pointer=pointer)
-
-
-def _check_number(raw, key, pointer, *, integer=False, positive=False, nonnegative=False,
-                  nullable=False):
-    if key not in raw:
-        return
-    v = raw[key]
-    if v is None and nullable:
-        return
-    # a JSON integer for an integer field; any other number within float range
-    ok = isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
-    if ok and not integer:
-        ok = abs(v) <= sys.float_info.max  # False for NaN, +/-inf and ints beyond float range
-    if ok and positive:
-        ok = v > 0
-    if ok and nonnegative:
-        ok = v >= 0
-    if not ok:
-        kind = ("positive " if positive else "nonnegative " if nonnegative else "") + \
-            ("integer" if integer else "number")
-        raise ParseError(f"field {key!r} must be {'an' if kind[0] == 'i' else 'a'} {kind}",
-                         pointer=f"{pointer}/{key}")
 
 
 def _check_fields(raw: dict) -> None:
     """The rule of each top-level number field and of ``out`` that ``raw`` holds."""
     for key, opts in _NUMBER_RULES:
-        _check_number(raw, key, "", **opts)
+        check_number(raw, key, "", **opts)
     if raw.get("out") is not None and not (isinstance(raw["out"], str) and raw["out"]):
         raise ParseError("field 'out' must be a non-empty directory name or null",
                          pointer="/out")
@@ -194,11 +168,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ParseError("missing required field 'distribution'", pointer="")
     raw = dict(_DEFAULTS)
     raw.update(obj)
+    _check_fields(raw)
     if raw["schema"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {raw['schema']!r}; this build "
                          f"reads version {SCHEMA_VERSION}", pointer="/schema")
     base = parse_distribution(raw["distribution"], pointer="/distribution")
-    _check_fields(raw)
     if not 0.0 < raw["delta"] <= 1.0:
         raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}", pointer="/delta")
     if "grid" in raw and raw["grid"] is not None:
@@ -206,18 +180,16 @@ def parse_config(obj: dict) -> ExperimentConfig:
         if not isinstance(g, dict) or set(g) - {"lo", "hi", "n"}:
             raise ParseError("grid must be an object with fields lo, hi, n", pointer="/grid")
         for key, opts in (("lo", {}), ("hi", {}), ("n", {"integer": True, "positive": True})):
-            _check_number(g, key, "/grid", **opts)
+            check_number(g, key, "/grid", **opts)
     if ("arms" in raw) != ("theta_star" in raw):
         raise ParseError("arms and theta_star must be given together", pointer="")
     instance = None
     if "arms" in raw:  # instance invariants checked eagerly; commands reuse the instance
         arms = _expand_arms(raw["arms"], "/arms")
-        try:
-            theta = np.asarray(raw["theta_star"], dtype=float).ravel()
-        except (TypeError, ValueError):
+        if not isinstance(raw["theta_star"], list):
             raise ParseError("theta_star must be a list of numbers", pointer="/theta_star")
-        if not np.isfinite(theta).all():
-            raise ParseError("theta_star entries must be finite numbers", pointer="/theta_star")
+        theta = np.array([check_number(raw["theta_star"], i, "/theta_star")
+                          for i in range(len(raw["theta_star"]))])
         if arms.shape[1] != theta.shape[0]:
             raise ParseError(f"theta_star has dim {theta.shape[0]} but arms have dim "
                              f"{arms.shape[1]}", pointer="/theta_star")
@@ -230,6 +202,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
                 raise
             raise ParseError(str(exc), pointer=f"/{exc.name}") from exc
         _check_run_constants(instance, raw)
+        try:  # a run draws each arm's reward at its tilt x' theta_star
+            base.tilted_inverse_cdf(arms @ theta, np.full(len(arms), 0.5))
+        except PrecisionError as exc:
+            raise ParseError(str(exc), pointer="/distribution") from exc
     return ExperimentConfig(raw=raw, distribution=raw["distribution"], instance=instance)
 
 
@@ -237,7 +213,7 @@ def _check_run_constants(inst: GlbInstance, raw: dict) -> None:
     """A run and its regret bound square L, gamma_T and c gamma_T, so each square must be
     finite (lambda_T too); a ParseError names the field that overflows them."""
     T, delta, lam = raw["horizon"], raw["delta"], raw["lambda"]
-    lam_T = regularizer_schedule(inst, T, delta) if lam is None else float(lam)
+    lam_T = regularizer_schedule(inst, T, delta) if lam is None else lam
     gamma = confidence_radius(inst, T, T, delta, lam=lam_T)  # NaN or inf unless lam_T is finite
     c = inst.diameter_factor
     if all(math.isfinite(x * x) for x in (inst.L, gamma, c * gamma)):

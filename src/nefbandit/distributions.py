@@ -17,7 +17,9 @@ masses of Q itself are these at u = 0.  ``gamma_ratio``, the ratio
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -26,6 +28,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     ParseError,
+    PrecisionError,
 )
 
 __all__ = [
@@ -52,6 +55,8 @@ __all__ = [
 ]
 
 _ATOM_WEIGHT_TOL = 1e-12
+# the largest tilted mean m a Poisson draw takes; its cdf table holds 80 sqrt(m) + 121 counts
+_POISSON_MAX_DRAW_MEAN = 2.0**31
 
 
 class _LazyIntegrate:
@@ -86,6 +91,16 @@ def _require_finite(u, name: str = "u") -> float:
     return u
 
 
+def _require_positive(dist, *names: str) -> None:
+    """Each named parameter of ``dist`` positive, and its square and reciprocal finite (the
+    moments take both), else an InvalidArgumentError."""
+    for name in names:
+        value = getattr(dist, name)
+        if not (value > 0 and math.isfinite(value * value) and math.isfinite(1.0 / value)):
+            raise InvalidArgumentError(f"{type(dist).__name__} {name}={value!r} must be positive "
+                                       "with a finite square and reciprocal", name=name)
+
+
 class BaseDistribution:
     """Common interface for base measures Q.
 
@@ -106,7 +121,7 @@ class BaseDistribution:
     tails do not give them exactly.
     """
 
-    kind: str = ""
+    kind: ClassVar[str] = ""
 
     @property
     def interior(self) -> tuple[float, float]:
@@ -158,13 +173,12 @@ class Gaussian(BaseDistribution):
     """Centered normal with standard deviation sigma."""
 
     sigma: float
-    kind: str = "gaussian"
+    kind: ClassVar[str] = "gaussian"
     mgf_domain = (-math.inf, math.inf)
     support_bounds = (-math.inf, math.inf)
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InvalidArgumentError(f"Gaussian sigma must be positive, got {self.sigma}")
+        _require_positive(self, "sigma")
 
     def log_mgf(self, u):
         return 0.5 * (self.sigma * np.asarray(u, dtype=float)) ** 2
@@ -194,12 +208,11 @@ class Gaussian(BaseDistribution):
 @dataclass(frozen=True)
 class Exponential(BaseDistribution):
     rate: float
-    kind: str = "exponential"
+    kind: ClassVar[str] = "exponential"
     support_bounds = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise InvalidArgumentError(f"Exponential rate must be positive, got {self.rate}")
+        _require_positive(self, "rate")
 
     @property
     def mgf_domain(self):
@@ -234,13 +247,12 @@ class Exponential(BaseDistribution):
 @dataclass(frozen=True)
 class Poisson(BaseDistribution):
     nu: float
-    kind: str = "poisson"
+    kind: ClassVar[str] = "poisson"
     mgf_domain = (-math.inf, math.inf)
     support_bounds = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise InvalidArgumentError(f"Poisson nu must be positive, got {self.nu}")
+        _require_positive(self, "nu")
 
     def log_mgf(self, u):
         return self.nu * np.expm1(np.asarray(u, dtype=float))
@@ -269,15 +281,19 @@ class Poisson(BaseDistribution):
         return np.where(k < 0, 0.0, special.pdtr(k, self.nu * np.exp(u)))
 
     def tilted_inverse_cdf(self, u, p):
-        # per distinct tilt, the least k whose cdf reaches p on a table of 0..kmax
+        # per distinct tilt, the least k whose cdf reaches p, on a table of the k within
+        # 40 sqrt(m) + 60 of the tilted mean m: the cdf below the table is under 1e-300
         out = np.empty(p.shape)
         tilts, which = np.unique(u, return_inverse=True)
         for i, tilt in enumerate(tilts.tolist()):
+            if tilt > math.log(_POISSON_MAX_DRAW_MEAN / self.nu):
+                raise PrecisionError(f"a Poisson draw at u={tilt!r} has a mean nu e^u too large")
             m = self.nu * math.exp(tilt)
+            kmin = max(int(m - 40.0 * math.sqrt(m) - 60.0), 0)
             kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
             sel = which == i
-            cdf = special.pdtr(np.arange(kmax + 1), m)
-            out[sel] = np.minimum(np.searchsorted(cdf, p[sel], side="left"), kmax)
+            cdf = special.pdtr(np.arange(kmin, kmax + 1), m)
+            out[sel] = kmin + np.minimum(np.searchsorted(cdf, p[sel], side="left"), kmax - kmin)
         return out
 
 
@@ -286,12 +302,11 @@ class Laplace(BaseDistribution):
     """Symmetric density exp(-|y|/scale) / (2 scale)."""
 
     scale: float
-    kind: str = "laplace"
+    kind: ClassVar[str] = "laplace"
     support_bounds = (-math.inf, math.inf)
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise InvalidArgumentError(f"Laplace scale must be positive, got {self.scale}")
+        _require_positive(self, "scale")
 
     @property
     def mgf_domain(self):
@@ -348,13 +363,11 @@ class Laplace(BaseDistribution):
 class Gamma(BaseDistribution):
     shape: float
     scale: float
-    kind: str = "gamma"
+    kind: ClassVar[str] = "gamma"
     support_bounds = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise InvalidArgumentError(
-                f"Gamma shape and scale must be positive, got {self.shape}, {self.scale}")
+        _require_positive(self, "shape", "scale")
 
     @property
     def mgf_domain(self):
@@ -477,11 +490,11 @@ class Bernoulli(_AtomMixin, BaseDistribution):
     """Atoms 0 and 1 with masses 1 - p and p; its moments and draw in closed form."""
 
     p: float
-    kind: str = "bernoulli"
+    kind: ClassVar[str] = "bernoulli"
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise InvalidArgumentError(f"Bernoulli p must lie in (0, 1), got {self.p}")
+            raise InvalidArgumentError(f"Bernoulli p must lie in (0, 1), got {self.p}", name="p")
         _freeze(self, _locs=[0.0, 1.0], _logw=[math.log1p(-self.p), math.log(self.p)])
 
     def log_mgf(self, u):
@@ -517,18 +530,18 @@ class Bernoulli(_AtomMixin, BaseDistribution):
 @dataclass(frozen=True)
 class DiscreteAtoms(_AtomMixin, BaseDistribution):
     atoms: tuple[tuple[float, float], ...]
-    kind: str = "atoms"
+    kind: ClassVar[str] = "atoms"
 
     def __post_init__(self):
         if len(self.atoms) == 0:
-            raise InvalidArgumentError("atom list must be nonempty")
+            raise InvalidArgumentError("atom list must be nonempty", name="atoms")
         locs = np.array([a[0] for a in self.atoms], dtype=float)
         w = np.array([a[1] for a in self.atoms], dtype=float)
         if np.any(w < 0) or np.any(~np.isfinite(w)) or np.any(~np.isfinite(locs)):
-            raise InvalidArgumentError("atom weights must be nonnegative and finite")
+            raise InvalidArgumentError("atom weights must be nonnegative and finite", name="atoms")
         if abs(w.sum() - 1.0) > _ATOM_WEIGHT_TOL:
             raise InvalidArgumentError(f"atom weights must sum to 1 within {_ATOM_WEIGHT_TOL}, "
-                                       f"got {w.sum()!r}")
+                                       f"got {w.sum()!r}", name="atoms")
         keep = w > 0
         _freeze(self, _locs=locs[keep], _logw=np.log(w[keep] / w[keep].sum()))
 
@@ -549,11 +562,12 @@ class CounterexampleSubgaussian(_AtomMixin, BaseDistribution):
     """
 
     i_max: int
-    kind: str = "counterexample"
+    kind: ClassVar[str] = "counterexample"
 
     def __post_init__(self):
         if not isinstance(self.i_max, (int, np.integer)) or self.i_max < 2:
-            raise InvalidArgumentError(f"i_max must be an integer >= 2, got {self.i_max!r}")
+            raise InvalidArgumentError(f"i_max must be an integer >= 2, got {self.i_max!r}",
+                                       name="i_max")
         ks = np.arange(1, self.i_max + 1)
         locs = np.power(2.0, ks)
         raw = np.where(ks % 2 == 0, -np.power(4.0, ks),
@@ -571,7 +585,7 @@ class Shifted(BaseDistribution):
 
     base: BaseDistribution
     offset: float
-    kind: str = "shifted"
+    kind: ClassVar[str] = "shifted"
 
     def __post_init__(self):
         _require_finite(self.offset, "offset")
@@ -721,54 +735,82 @@ def sample_tilted(dist, u: float, rng: np.random.Generator, size: int | None = N
 
 
 # ---------------------------------------------------------------------------
-# Distribution config schema
+# Distribution config schema: the fields of each kind's dataclass
 # ---------------------------------------------------------------------------
 
-_SCHEMAS: dict[str, dict] = {
-    "bernoulli": {"fields": ("p",), "build": lambda d: Bernoulli(float(d["p"]))},
-    "gaussian": {"fields": ("sigma",), "build": lambda d: Gaussian(float(d["sigma"]))},
-    "exponential": {"fields": ("rate",), "build": lambda d: Exponential(float(d["rate"]))},
-    "poisson": {"fields": ("nu",), "build": lambda d: Poisson(float(d["nu"]))},
-    "laplace": {"fields": ("scale",), "build": lambda d: Laplace(float(d["scale"]))},
-    "gamma": {"fields": ("shape", "scale"),
-              "build": lambda d: Gamma(float(d["shape"]), float(d["scale"]))},
-    "atoms": {"fields": ("atoms",),
-              "build": lambda d: DiscreteAtoms(tuple((float(a[0]), float(a[1]))
-                                                     for a in d["atoms"]))},
-    "counterexample": {"fields": ("i_max",),
-                       "build": lambda d: CounterexampleSubgaussian(int(d["i_max"]))},
-}
+_KINDS = {cls.kind: cls for cls in (Bernoulli, Gaussian, Exponential, Poisson, Laplace, Gamma,
+                                    DiscreteAtoms, CounterexampleSubgaussian)}
+
+
+def check_number(raw, key, pointer: str, *, integer=False, positive=False, nonnegative=False,
+                 nullable=False):
+    """The number rule of every config value ``raw[key]`` (a dict's field, None if absent, or
+    a list's entry): a JSON number in float range (an integer if ``integer``; ``true`` is not)
+    of the sign asked, as a float unless ``integer``, else a ParseError at ``pointer/key``."""
+    if isinstance(raw, dict) and key not in raw:  # on a list, ``in`` would test the values
+        return None
+    v = raw[key]
+    if v is None and nullable:
+        return None
+    ok = isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+    if ok and not integer:
+        ok = abs(v) <= sys.float_info.max  # False for NaN, +/-inf and ints beyond float range
+    if ok and positive:
+        ok = v > 0
+    if ok and nonnegative:
+        ok = v >= 0
+    if not ok:
+        sign = "positive " if positive else "nonnegative " if nonnegative else ""
+        raise ParseError(f"expected a {sign}JSON {'integer' if integer else 'number'}, got {v!r}",
+                         pointer=f"{pointer}/{key}")
+    return v if integer else float(v)
+
+
+def _atom_pairs(atoms, pointer: str) -> tuple:
+    """The ``atoms`` field: a list of [location, weight] pairs, each entry a number."""
+    if not isinstance(atoms, list):
+        raise ParseError("atoms must be a list of [location, weight] pairs", pointer=pointer)
+    for i, pair in enumerate(atoms):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError("an atom must be a [location, weight] pair", pointer=f"{pointer}/{i}")
+    return tuple((check_number(a, 0, f"{pointer}/{i}"), check_number(a, 1, f"{pointer}/{i}"))
+                 for i, a in enumerate(atoms))
 
 
 def parse_distribution(obj: dict, *, pointer: str = "/distribution") -> BaseDistribution:
-    """Build a base distribution from its config dict; unknown fields rejected."""
+    """Build a base distribution from the fields of its kind's dataclass (a JSON integer for an
+    ``int`` annotation, a string here); unknown fields rejected, a bad value at its pointer."""
     if not isinstance(obj, dict):
         raise ParseError("distribution spec must be an object", pointer=pointer)
     if "kind" not in obj:
         raise ParseError("missing required field 'kind'", pointer=pointer)
     kind = obj["kind"]
-    schema = _SCHEMAS.get(kind)
-    if schema is None:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ParseError(f"unknown distribution kind {kind!r} "
-                         f"(known: {sorted(_SCHEMAS)})", pointer=f"{pointer}/kind")
-    fields = schema["fields"]
-    unknown = set(obj) - set(fields) - {"kind"}
+                         f"(known: {sorted(_KINDS)})", pointer=f"{pointer}/kind")
+    names = {f.name for f in fields(cls)}
+    unknown = set(obj) - names - {"kind"}
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)} for kind {kind!r}", pointer=pointer)
-    missing = set(fields) - set(obj)
+    missing = names - set(obj)
     if missing:
         raise ParseError(f"missing fields {sorted(missing)} for kind {kind!r}", pointer=pointer)
+    args = ({"atoms": _atom_pairs(obj["atoms"], f"{pointer}/atoms")} if cls is DiscreteAtoms else
+            {f.name: check_number(obj, f.name, pointer, integer=f.type == "int")
+             for f in fields(cls)})
     try:
-        return schema["build"](obj)
-    except (TypeError, InvalidArgumentError) as exc:
-        raise ParseError(f"invalid parameters for kind {kind!r}: {exc}", pointer=pointer)
+        return cls(**args)
+    except InvalidArgumentError as exc:
+        raise ParseError(f"invalid parameters for kind {kind!r}: {exc}",
+                         pointer=f"{pointer}/{exc.name}" if exc.name else pointer) from exc
 
 
 def distribution_config(base: BaseDistribution) -> dict:
-    """Inverse of parse_distribution for the public kinds."""
+    """Inverse of parse_distribution for the public kinds, in JSON values."""
     if isinstance(base, DiscreteAtoms):
-        return {"kind": "atoms", "atoms": [[float(l), float(math.exp(w))]
-                                           for l, w in zip(*base.log_atoms)]}
-    if base.kind not in _SCHEMAS:
+        locs, logw = (a.tolist() for a in base.log_atoms)
+        return {"kind": "atoms", "atoms": [[loc, math.exp(w)] for loc, w in zip(locs, logw)]}
+    if base.kind not in _KINDS:
         raise InvalidArgumentError(f"kind {base.kind!r} has no config form")
-    return {"kind": base.kind, **{f: getattr(base, f) for f in _SCHEMAS[base.kind]["fields"]}}
+    return {"kind": base.kind, **{f.name: getattr(base, f.name) for f in fields(base)}}

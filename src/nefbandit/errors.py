@@ -9,7 +9,11 @@ from __future__ import annotations
 
 
 class NefBanditError(Exception):
-    """Base error for this package."""
+    """Base error for this package; ``name`` the argument or field at fault, where one is."""
+
+    def __init__(self, message: str = "", *, name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class InvalidArgumentError(NefBanditError, ValueError):
@@ -17,16 +21,15 @@ class InvalidArgumentError(NefBanditError, ValueError):
 
 
 class DomainError(NefBanditError, ValueError):
-    """A tilt or rate parameter lies outside the admissible interval; ``name`` the argument."""
+    """A tilt or rate parameter lies outside the admissible interval."""
 
     def __init__(self, message: str, *, value: float | None = None,
                  interval: tuple[float, float] | None = None, name: str | None = None):
         if interval is not None:
             message = f"{message} (value {value!r}, admissible interval {interval!r})"
-        super().__init__(message)
+        super().__init__(message, name=name)
         self.value = value
         self.interval = interval
-        self.name = name
 
 
 class DegenerateDistributionError(NefBanditError):
@@ -56,12 +59,7 @@ class OptimizationError(NefBanditError):
 
 
 class ConfigError(NefBanditError, ValueError):
-    """Configuration violates a model assumption; names the failed condition, and ``name``
-    the field at fault."""
-
-    def __init__(self, message: str, *, name: str | None = None):
-        super().__init__(message)
-        self.name = name
+    """Configuration violates a model assumption; names the failed condition."""
 
 
 class ParseError(ConfigError):

@@ -1,6 +1,11 @@
 """Exponential-family core: MGF/CGF closed forms, tilted moments, sampling."""
 
+import dataclasses
+import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from nefbandit.distributions import (
     reflected,
     sample_tilted,
 )
-from nefbandit.errors import DomainError, InvalidArgumentError, ParseError
+from nefbandit.errors import DomainError, InvalidArgumentError, ParseError, PrecisionError
 from nefbandit.rng import replicate_stream
 from oracle import README_BASES, moments
 
@@ -45,6 +50,14 @@ ALL_BASES = [
     Gamma(2.0, 1.0),
     DiscreteAtoms(((-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25))),
 ]
+
+
+def param_id(base):
+    """A test id from a base's config form, such as ``gaussian-sigma1.0``; an atom list
+    counts its atoms."""
+    cfg = distribution_config(base)
+    return "-".join([cfg.pop("kind")] + [f"{k}{len(v) if isinstance(v, list) else v}"
+                                         for k, v in cfg.items()])
 
 
 def interior_grid(base, n=9, frac=0.6):
@@ -104,7 +117,7 @@ def test_mgf_exponential_closed_form():
     assert mgf(Exponential(1.0), 0.5) == pytest.approx(2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_mgf_at_zero_is_one(base):
     assert mgf(base, 0.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -175,7 +188,7 @@ def test_mean_two_atom_tilt_arithmetic():
     assert mean_fn(base, math.log(3.0)) == pytest.approx(0.75, abs=1e-14)
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_mean_matches_cgf_finite_differences(base):
     h = 1e-5
     for u in interior_grid(base):
@@ -184,7 +197,7 @@ def test_mean_matches_cgf_finite_differences(base):
         assert abs(m - fd) <= 1e-6 * (1 + abs(m))
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_variance_matches_cgf_second_difference(base):
     h = 1e-5
     for u in interior_grid(base):
@@ -220,7 +233,7 @@ def test_moments_laplace_quadrature_vs_closed_forms():
     assert rep.abs_error_estimate < 1e-8
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_moment_report_internal_consistency(base):
     for u in interior_grid(base, n=5):
         rep = moments(base, u)
@@ -228,13 +241,13 @@ def test_moment_report_internal_consistency(base):
         assert rep.third_absolute >= abs(rep.third_central) - 1e-12
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_tilted_distribution_normalises(base):
     for u in interior_grid(base, n=5):
         assert tilted_total_mass(base, u) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_mean_function_is_nondecreasing(base):
     grid = interior_grid(base, n=25)
     means = [mean_fn(base, u) for u in grid]
@@ -356,7 +369,7 @@ def test_tilt_composition(base, u, s):
     assert float(retilted.log_mgf(s)) == pytest.approx(cgf(base, u + s) - cgf(base, u), abs=1e-10)
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 @pytest.mark.parametrize("c", [-3.0, 0.7])
 def test_gamma_ratio_shift_invariance(base, c):
     shifted = Shifted(base, c)
@@ -400,6 +413,34 @@ def test_sample_tilted_bernoulli_support_and_mean():
     assert abs(draws.mean() - 0.5) < 3 * 0.5 / 1000.0
 
 
+def _poisson_draw_on_the_full_table(nu, u, p):
+    """The least k whose tilted cdf reaches p, on the table of every count 0..kmax."""
+    m = nu * math.exp(u)
+    kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
+    return np.minimum(np.searchsorted(special.pdtr(np.arange(kmax + 1), m), p), kmax)
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0])
+@pytest.mark.parametrize("u", [-5.0, 0.0, 3.0, 10.0])
+def test_poisson_draw_on_its_table_around_the_mean_is_the_full_table_draw(nu, u):
+    p = np.concatenate([replicate_stream(5, 0).random(20_000), [1e-300, 0.5, 1.0 - 1e-16]])
+    got = Poisson(nu).tilted_inverse_cdf(np.full(p.shape, u), p)
+    np.testing.assert_array_equal(got, _poisson_draw_on_the_full_table(nu, u, p))
+
+
+def test_poisson_draw_at_a_large_mean_holds_a_small_table():
+    rng = replicate_stream(5, 0)
+    tracemalloc.start()
+    try:
+        sample_tilted(Poisson(1.0), 16.0, rng)  # mean 8.9e6: the full table held 144 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+    with pytest.raises(PrecisionError):  # nu e^u beyond float range
+        sample_tilted(Poisson(1.0), 800.0, rng)
+
+
 def test_sample_tilted_poisson_variance_band():
     rng = replicate_stream(13, 0)
     base = Poisson(2.0)
@@ -412,7 +453,7 @@ def test_sample_tilted_poisson_variance_band():
     assert abs(draws.var() - m) < 3 * sd
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_sample_tilted_deterministic_given_stream(base):
     u = float(interior_grid(base, n=3)[1])
     a = sample_tilted(base, u, replicate_stream(99, 4), size=64)
@@ -420,7 +461,7 @@ def test_sample_tilted_deterministic_given_stream(base):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind + str(id(b) % 97))
+@pytest.mark.parametrize("base", ALL_BASES, ids=param_id)
 def test_sample_tilted_agrees_with_mean(base):
     u = float(interior_grid(base, n=3)[1])
     rng = replicate_stream(7, 1)
@@ -574,8 +615,37 @@ def test_family_requires_interval_inside_domain():
 def test_parse_distribution_round_trip():
     for base in ALL_BASES + [CounterexampleSubgaussian(8)]:
         cfg = distribution_config(base)
+        assert json.loads(json.dumps(cfg)) == cfg  # JSON values: lists, not tuples
         again = parse_distribution(cfg)
         assert distribution_config(again) == cfg
+
+
+def test_readme_distribution_configs_round_trip_and_name_every_kind():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Distribution configs\n\n```json\n(.*?)```", readme, re.S).group(1)
+    specs = [json.loads(line) for line in block.splitlines()]
+    assert sorted(s["kind"] for s in specs) == sorted(distributions._KINDS)
+    for spec in specs:
+        assert distribution_config(parse_distribution(spec)) == spec
+
+
+def test_kind_is_a_class_constant_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Gaussian(1.0, "poisson")
+    for cls in KINDS:
+        assert "kind" not in {f.name for f in dataclasses.fields(cls)}, cls
+    assert Gaussian(1.0).kind == "gaussian" and Shifted(Gaussian(1.0), 1.0).kind == "shifted"
+    with pytest.raises(InvalidArgumentError, match="no config form"):
+        distribution_config(Shifted(Gaussian(1.0), 1.0))
+
+
+@pytest.mark.parametrize("make", [Gaussian, Exponential, Poisson, Laplace,
+                                  lambda v: Gamma(v, 1.0), lambda v: Gamma(2.0, v)])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e155, 1e-309])
+def test_positive_parameters_have_a_finite_square_and_reciprocal(make, value):
+    # the moments take the square and the reciprocal: 1e155 ** 2 and 1 / 1e-309 overflow
+    with pytest.raises(InvalidArgumentError, match="must be positive"):
+        make(value)
 
 
 def test_parse_distribution_rejects_unknown_fields():

@@ -1,6 +1,7 @@
 """Config schema, CLI subcommands, determinism, exit-status contract."""
 
 import contextlib
+import copy
 import dataclasses
 import importlib.util
 import io
@@ -404,6 +405,32 @@ def test_cli_bad_tail_rate_is_a_usage_error(command, dist, flag, pointer, capsys
     assert rc == 2 and captured.out == "" and captured.err.endswith(f"(at {pointer})\n")
 
 
+@pytest.mark.parametrize("dist, pointer", [
+    ('{"kind": "gaussian", "sigma": "x"}', "/distribution/sigma"),
+    ('{"kind": "gaussian", "sigma": "1.0"}', "/distribution/sigma"),
+    ('{"kind": "gaussian", "sigma": true}', "/distribution/sigma"),
+    ('{"kind": "gaussian", "sigma": -1}', "/distribution/sigma"),
+    ('{"kind": "counterexample", "i_max": 2.5}', "/distribution/i_max"),
+    ('{"kind": "counterexample", "i_max": 1e400}', "/distribution/i_max"),
+    ('{"kind": "counterexample", "i_max": NaN}', "/distribution/i_max"),
+    ('{"kind": "counterexample", "i_max": 1}', "/distribution/i_max"),
+    ('{"kind": "atoms", "atoms": [[0, 0.5, 7], [1, 0.5]]}', "/distribution/atoms/0"),
+    ('{"kind": "atoms", "atoms": [[0, 0.5], [1]]}', "/distribution/atoms/1"),
+    ('{"kind": "atoms", "atoms": [[0, "x"], [1, 0.5]]}', "/distribution/atoms/0/1"),
+    ('{"kind": "atoms", "atoms": [[0, 0.5], [1, 0.6]]}', "/distribution/atoms"),
+    ('{"kind": "atoms", "atoms": {"0": 1}}', "/distribution/atoms"),
+    ('{"kind": "gamma", "shape": 2.0, "scale": Infinity}', "/distribution/scale"),
+    ('{"kind": "gamma", "shape": 0, "scale": 1.0}', "/distribution/shape"),
+    ('{"kind": "bernoulli", "p": 1}', "/distribution/p"),
+    ('{"kind": ["gaussian"]}', "/distribution/kind"),
+])
+def test_cli_bad_distribution_value_exits_2_at_its_pointer(dist, pointer, capsys):
+    rc = main(["verify", "--dist", dist, "--grid-n", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "", captured.err
+    assert captured.err.endswith(f"(at {pointer})\n"), captured.err
+
+
 @pytest.mark.parametrize("flag, pointer", [
     ("--c1=1e-110", "/c1"), ("--c2=1e-110", "/c2"),  # G divides by c^3
     ("--c1=37.6", "/c1"),  # a scale C1 near 1e307 in the numerator of G
@@ -553,13 +580,17 @@ def test_emit_writes_non_finite_floats_as_null(tmp_path):
     assert payload == {"a": None, "b": [1.5, None, {"c": None}], "d": [None, 2]}
 
 
-def test_cli_fit_rejects_a_non_finite_reward(tmp_path, capsys):
+@pytest.mark.parametrize("rows", [
+    "0.5,0.0,1.0\n0.0,0.5,nan\n", "0.3,x,2\n", "0.5,0.0,1.0\n0.0,1.0\n", "1.0\n0.0\n", None,
+], ids=["non-finite", "non-numeric", "ragged", "no-arm-column", "missing"])
+def test_cli_fit_rejects_data_it_cannot_read(tmp_path, capsys, rows):
     data = tmp_path / "rows.csv"
-    data.write_text("0.5,0.0,1.0\n0.0,0.5,nan\n")
+    if rows is not None:
+        data.write_text(rows)
     rc = main(["fit", "--data", str(data), "--dist", '{"kind": "bernoulli", "p": 0.5}'])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "/data" in captured.err and captured.out == ""
+    assert captured.err.endswith("(at /data)\n") and captured.out == "", captured.err
 
 
 def test_cli_out_env_override(tmp_path, monkeypatch):
@@ -649,6 +680,31 @@ def test_cli_non_finite_config_entry_is_a_usage_error(tmp_path, capsys, command,
     assert rc == 2
     captured = capsys.readouterr()
     assert pointer in captured.err and captured.out == ""
+
+
+CIRCLE_RUN = {**SMALL_RUN, "arms": {"circle": {"n": 3, "radius": 0.8}}}
+
+
+@pytest.mark.parametrize("patch, pointer", [
+    ({"arms": {"circle": {"n": "x", "radius": 0.5}}}, "/arms/circle/n"),
+    ({"arms": {"circle": {"n": 1e400, "radius": 0.5}}}, "/arms/circle/n"),
+    ({"arms": {"circle": {"n": 2.7, "radius": 0.5}}}, "/arms/circle/n"),
+    ({"arms": {"circle": {"n": True, "radius": 0.5}}}, "/arms/circle/n"),
+    ({"arms": {"circle": {"n": 0, "radius": 0.5}}}, "/arms/circle/n"),
+    ({"arms": {"circle": {"n": 4, "radius": "0.5"}}}, "/arms/circle/radius"),
+    ({"arms": {"circle": {"n": 4, "radius": 1.5}}}, "/arms/circle/radius"),
+    ({"arms": [["1", 0], [0, True]]}, "/arms/0/0"),
+    ({"arms": [[1.0, 0.0], [0, True]]}, "/arms/1/1"),
+    ({"theta_star": ["0.4", False]}, "/theta_star/0"),
+    ({"theta_star": [0.4, False]}, "/theta_star/1"),
+    ({"theta_star": 0.4}, "/theta_star"),
+    ({"schema": True}, "/schema"), ({"schema": 1.0}, "/schema"), ({"schema": 2}, "/schema"),
+])
+def test_cli_bad_nested_config_value_exits_2_at_its_pointer(tmp_path, capsys, patch, pointer):
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, **patch})
+    assert main(["bound", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"(at {pointer})\n"), captured.err
 
 
 def _config_command(command, cfg, out):
@@ -761,6 +817,53 @@ def test_fuzzed_config_gives_a_run_or_a_pointer(data):
                         (argv, err.getvalue())
         finally:
             os.chdir(home)
+
+
+# each spot below the top level that holds a number, with its config and whether the
+# number rule asks for an integer there
+_ATOMS_RUN = {**SMALL_RUN, "distribution": {"kind": "atoms", "atoms": [[0.0, 0.5], [1.0, 0.5]]}}
+FUZZ_VALUE_SPOTS = [
+    *(({**SMALL_RUN, "distribution": spec}, ("distribution", name), name == "i_max")
+      for spec in [{"kind": "bernoulli", "p": 0.5}, GAUSSIAN, EXPONENTIAL,
+                   {"kind": "poisson", "nu": 2.0}, {"kind": "laplace", "scale": 1.0},
+                   {"kind": "gamma", "shape": 2.0, "scale": 1.0},
+                   {"kind": "counterexample", "i_max": 24}]
+      for name in spec if name != "kind"),
+    (_ATOMS_RUN, ("distribution", "atoms", 1, 0), False),
+    (_ATOMS_RUN, ("distribution", "atoms", 0, 1), False),
+    (CIRCLE_RUN, ("arms", "circle", "n"), True), (CIRCLE_RUN, ("arms", "circle", "radius"), False),
+    (SMALL_RUN, ("arms", 1, 0), False), (SMALL_RUN, ("theta_star", 1), False),
+    (SMALL_RUN, ("schema",), True),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_nested_config_value_gives_a_run_or_a_pointer(data):
+    # one value of the top-level pool at one nested spot: a value outside the number rule
+    # exits 2 at exactly that spot, and any other runs or exits 2 with a pointer
+    config, path, integer = data.draw(st.sampled_from(FUZZ_VALUE_SPOTS), label="spot")
+    value = data.draw(_CONFIG_VALUES, label="value")
+    config = copy.deepcopy(config)
+    holder = config
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    spot = "/" + "/".join(map(str, path))
+    number = isinstance(value, int if integer else (int, float)) and \
+        not isinstance(value, bool) and math.isfinite(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps(config))
+        for command in ("bound", "coverage"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(_config_command(command, cfg, Path(tmp, "run")))
+            assert rc in (0, 1, 2), (config, rc)
+            if rc == 2 or not number:
+                pointer = re.search(r"\(at (/[^)]*)\)\n\Z", err.getvalue())
+                assert rc == 2 and out.getvalue() == "" and pointer, (config, err.getvalue())
+                assert pointer.group(1) == spot or number, (config, err.getvalue())
 
 
 def test_fresh_process_runs_every_command_without_scipy_integrate(tmp_path):
