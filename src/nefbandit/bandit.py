@@ -17,10 +17,12 @@ contains C_t (one-sided secant/Hessian comparison), so optimism over
 the exact set is preserved.  The exact set itself is only evaluated for
 coverage logging.
 
-K defaults to the supremum of the measured ratio |mu''|/mu' over the
-admissible tilt range: any stretch-function supremum is admissible in
-the radius formulas and the smallest one gives the least conservative
-algorithm; a certificate supremum can be passed instead.
+The family owns the tilt range [S2, S1] and measures mu' and |mu''|/mu' on
+it once (``NefFamily.suprema``): L's check and the L and K defaults read those
+values.  K defaults to the measured ratio supremum: any stretch-function
+supremum is admissible in the radius formulas and the smallest one gives the
+least conservative algorithm; a certificate supremum can be passed instead.
+``_named_by`` is the one rule for the argument that a failed check names.
 
 ``run_replicates`` plays R replicates in lockstep as one array program over
 (R, T, d) histories, each replicate with its own stream, fit and abort; each
@@ -31,12 +33,12 @@ replicate's bytes do not depend on its batch.  ``run_ofu_glb`` is R = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import BaseDistribution, NefFamily, _freeze, _ratio_given_variance
+from .distributions import BaseDistribution, NefFamily, _freeze
 from .errors import ConfigError, DomainError, InvalidArgumentError
 from .glm import _cholesky_solves, _fit_stack, _inner_products, _rows
 from .rng import replicate_stream
@@ -60,20 +62,38 @@ __all__ = [
     "self_bounding_check",
 ]
 
-_GRID = 513
+
+def _wider_end(S1: float, S2: float) -> str:
+    return "S1" if abs(S1) >= abs(S2) else "S2"
 
 
 def _check_range(S2: float, S1: float, c1: float, c2: float) -> None:
-    """-c2 < S2 <= S1 < c1, or a ConfigError naming the constant of the first failed step."""
-    for ok, name in ((-c2 < S2, "c2"), (S2 <= S1, "S2"), (S1 < c1, "c1")):
+    """-c2 < S2 <= S1 < c1 with S1 - S2 finite, or a ConfigError naming the constant of the
+    first failed step (the wider end for the width)."""
+    for ok, name in ((-c2 < S2, "c2"), (S2 <= S1, "S2"), (S1 < c1, "c1"),
+                     (math.isfinite(S1 - S2), _wider_end(S1, S2))):
         if not ok:
-            raise ConfigError(f"admissible range must satisfy -c2 < S2 <= S1 < c1, got "
-                              f"S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
+            raise ConfigError(f"admissible range must satisfy -c2 < S2 <= S1 < c1 with S1 - S2 "
+                              f"finite, got S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
 
 
 def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, float]:
     """The three floors of M, by the constant that sets each; M >= their max."""
     return {"K": K / math.log(2.0), "c1": 1.0 / (c1 - S1), "c2": 1.0 / (c2 + S2)}
+
+
+def _named_by(name, given, S1: float, S2: float, K: float, c1: float, c2: float):
+    """The argument that a failure of constant ``name`` names: ``name`` itself if given;
+    else S1 and S2 come from S0, c1 from S1, c2 from S2, L and K from the wider end of
+    [S2, S1], and M from the constant that sets its largest floor."""
+    if name == "M":
+        floors = _m_terms(K, S1, S2, c1, c2)
+        name = max(floors, key=floors.get)
+    wide = _wider_end(S1, S2)
+    up = {"S1": "S0", "S2": "S0", "c1": "S1", "c2": "S2", "L": wide, "K": wide}
+    while name not in given and name in up:
+        name = up[name]
+    return name
 
 
 @dataclass(frozen=True)
@@ -82,10 +102,10 @@ class GlbInstance:
 
     Invariants: arms in the closed unit ball, every x' theta_star inside
     [S2, S1] strictly inside the natural parameter interval with
-    -c2 < S2 <= S1 < c1, L at least the variance supremum on [S2, S1]
-    and at least 1, K >= 0, every constant finite, and
-    M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A ConfigError's ``name`` is
-    the constant (or ``arms``) that fails.
+    -c2 < S2 <= S1 < c1, the family's tilt range exactly [S2, S1], L at
+    least 1 and at least the family's variance supremum, K >= 0, every
+    constant finite, and M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A
+    ConfigError's ``name`` is the constant (or ``arms``) that fails.
     """
 
     arms: np.ndarray
@@ -99,9 +119,8 @@ class GlbInstance:
     M: float
     c1: float
     c2: float
-    variance_sup: InitVar[float | None] = None  # max of mu' on L's check grid, if known
 
-    def __post_init__(self, variance_sup):
+    def __post_init__(self):
         arms = np.atleast_2d(np.asarray(self.arms, dtype=float))
         theta = np.asarray(self.theta_star, dtype=float).ravel()
         if arms.shape[0] == 0:
@@ -125,8 +144,9 @@ class GlbInstance:
         for name in ("S0", "S1", "S2", "c1", "c2", "L", "K", "M"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}={getattr(self, name)} is not finite", name=name)
-        sup = variance_sup if variance_sup is not None else \
-            float(np.max(self.family.base.dmean_at(np.linspace(self.S2, self.S1, _GRID))))
+        if self.family.interval != (self.S2, self.S1):
+            raise ConfigError(f"family range {self.family.interval} is not [S2, S1]", name="S1")
+        sup = self.family.suprema[0]
         if not self.L >= sup * (1 - 1e-9):  # a NaN supremum fails too
             raise ConfigError(f"L={self.L} is below the variance supremum {sup:.6g} on [S2, S1]",
                               name="L")
@@ -165,21 +185,18 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     Defaults: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm; tail
     rates halfway from the tilt range to a finite domain endpoint
     (c1 = (S1 + hi)/2, c2 = -(S2 + lo)/2) and max(1, 1.25 |S|) on infinite
-    sides; L and K as grid suprema of mu' and |mu''|/mu' on [S2, S1]; M at
-    its floor.
+    sides; L and K as the family's grid suprema of mu' and |mu''|/mu' on
+    [S2, S1]; M at its floor.
 
-    A failed check raises a ConfigError whose ``name`` is the argument at fault. A
-    derived constant names the argument it comes from: S1 and S2 come from S0, c1
-    from S1, c2 from S2, L and K from the wider end of [S2, S1], M from its largest floor.
+    A failed check raises a ConfigError whose ``name`` is the argument at fault,
+    by ``_named_by``: a derived constant names the argument it comes from.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     given = {name for name, value in (("S1", S1), ("S2", S2), ("c1", c1), ("c2", c2),
                                       ("L", L), ("K", K)) if value is not None}
     if S0 is None:
-        S0 = float(np.linalg.norm(theta_star))
-        if S0 == 0.0:
-            S0 = 1.0
+        S0 = float(np.linalg.norm(theta_star)) or 1.0
     reach = float(np.max(np.linalg.norm(arms, axis=1))) * S0
     S1 = reach if S1 is None else float(S1)
     S2 = -reach if S2 is None else float(S2)
@@ -188,35 +205,24 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         c1 = 0.5 * (S1 + hi) if math.isfinite(hi) else max(1.0, 1.25 * abs(S1))
     if c2 is None:
         c2 = 0.5 * (-S2 - lo) if math.isfinite(lo) else max(1.0, 1.25 * abs(S2))
-    source = {end: end if end in given else "S0" for end in ("S1", "S2")}
-    wide = source["S1"] if abs(S1) >= abs(S2) else source["S2"]
-    source.update({"c1": source["S1"], "c2": source["S2"], "L": wide, "K": wide})
-    source.update({name: name for name in given})
     try:
         if not S2 <= S1:
             raise ConfigError(f"need S2 <= S1, got S2={S2}, S1={S1}",
                               name="S2" if "S2" in given else "S1")
         _check_range(S2, S1, c1, c2)
-        if not math.isfinite(S1 - S2):
-            raise ConfigError(f"the tilt range [{S2}, {S1}] is wider than the float range",
-                              name=wide)
         try:
             family = NefFamily(base, S2, S1)
         except DomainError as exc:
             raise ConfigError(str(exc), name="S2" if S2 < base.interior[0] else "S1") from exc
-        grid = np.linspace(S2, S1, _GRID)  # interior: NefFamily checked [S2, S1]
-        var = base.dmean_at(grid)
-        var_sup = float(np.max(var))
-        if K is None:
-            K = float(np.max(_ratio_given_variance(base, grid, var)))
+        var_sup, ratio_sup = family.suprema
+        K = ratio_sup if K is None else K
         L = max(1.0, var_sup) if L is None else L
         floors = _m_terms(K, S1, S2, c1, c2)
-        source["M"] = source[max(floors, key=floors.get)]
         return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
                            S1=S1, S2=S2, L=float(L), K=float(K), M=float(max(floors.values())),
-                           c1=float(c1), c2=float(c2), variance_sup=var_sup)
+                           c1=float(c1), c2=float(c2))
     except ConfigError as exc:
-        exc.name = source.get(exc.name, exc.name)
+        exc.name = _named_by(exc.name, given, S1, S2, K, c1, c2)
         raise
 
 
@@ -461,10 +467,7 @@ class RegretBound:
         return self.term1 + self.term2 + self.term3
 
     def as_dict(self) -> dict:
-        return {"term1": self.term1, "term2": self.term2, "term3": self.term3,
-                "total": self.total, "gamma_T": self.gamma_T, "lambda_T": self.lambda_T,
-                "c": self.c, "K": self.K, "kappa": self.kappa,
-                "mu_dot_star": self.mu_dot_star}
+        return {**asdict(self), "total": self.total}
 
 
 def theoretical_regret_bound(inst: GlbInstance, T: int, delta: float,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import RunResult, run_replicates, theoretical_regret_bound
+from .bandit import RoundLog, RunResult, run_replicates, theoretical_regret_bound
 from .config import ExperimentConfig, build_instance, load_config, with_flags
 from .distributions import NefFamily, parse_distribution
 from .errors import DomainError, NefBanditError, ParseError
@@ -28,7 +28,7 @@ from .selfconcordance import (DominanceReport, StretchCertificate, build_certifi
                               tilt_range, verify_dominance)
 from .tailbounds import TailCertificate, run_tail_suite
 
-ROUNDS_HEADER = "t,arm,index,reward,inst_regret,cum_regret,exact_cover,relaxed_cover"
+ROUNDS_HEADER = ",".join(RoundLog._fields)
 _OUT_ENV = "NEF_BANDIT_OUT"
 
 
@@ -201,31 +201,27 @@ def _run_replicates(cfg: ExperimentConfig) -> list[RunResult]:
         return [res for part in parts for res in part]
 
 
+def _coverage(results: list[RunResult]) -> dict:
+    """The aborted and covered replicate counts and the covered share of the finished ones."""
+    done = [r for r in results if not r.aborted]
+    covered = sum(1 for r in done if r.all_rounds_covered)
+    return {"aborted": len(results) - len(done), "covered": covered,
+            "coverage_rate": covered / max(len(done), 1)}
+
+
 def _summary(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
     finals = [r.cum_regret for r in results if not r.aborted]
-    covered = sum(1 for r in results if not r.aborted and r.all_rounds_covered)
-    aborted = sum(1 for r in results if r.aborted)
     qs = {}
     if finals:
         arr = np.asarray(finals)
-        qs = {"min": float(arr.min()),
-              "q25": float(np.quantile(arr, 0.25)),
-              "median": float(np.quantile(arr, 0.5)),
-              "q75": float(np.quantile(arr, 0.75)),
-              "max": float(arr.max()),
-              "mean": float(arr.mean())}
+        qs = {"min": float(arr.min()), "q25": float(np.quantile(arr, 0.25)),
+              "median": float(np.quantile(arr, 0.5)), "q75": float(np.quantile(arr, 0.75)),
+              "max": float(arr.max()), "mean": float(arr.mean())}
     bound = theoretical_regret_bound(cfg.instance, cfg.horizon, cfg.delta, lam=cfg.lam)
-    return {
-        "schema": 1,
-        "horizon": cfg.horizon,
-        "delta": cfg.delta,
-        "seed": cfg.seed,
-        "replicates": cfg.replicates,
-        "aborted": aborted,
-        "coverage_rate": covered / max(len(results) - aborted, 1),
-        "final_regret": qs,
-        "bound": bound.as_dict(),
-    }
+    counts = _coverage(results)
+    return {"schema": 1, "horizon": cfg.horizon, "delta": cfg.delta, "seed": cfg.seed,
+            "replicates": cfg.replicates, "aborted": counts["aborted"],
+            "coverage_rate": counts["coverage_rate"], "final_regret": qs, "bound": bound.as_dict()}
 
 
 def _write_runs(out: Path, cfg: ExperimentConfig) -> list[RunResult]:
@@ -264,23 +260,11 @@ def cmd_bound(ns) -> int:
 def cmd_coverage(ns) -> int:
     cfg = with_flags(load_config(ns.config), replicates=ns.replicates, seed=ns.seed,
                      workers=ns.workers, out=ns.out)
-    results = _run_replicates(cfg)
-    aborted = sum(1 for r in results if r.aborted)
-    done = [r for r in results if not r.aborted]
-    covered = sum(1 for r in done if r.all_rounds_covered)
-    payload = {
-        "schema": 1,
-        "replicates": cfg.replicates,
-        "aborted": aborted,
-        "covered": covered,
-        "coverage_rate": covered / max(len(done), 1),
-        "delta": cfg.delta,
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-    }
+    payload = {"schema": 1, "replicates": cfg.replicates, **_coverage(_run_replicates(cfg)),
+               "delta": cfg.delta, "horizon": cfg.horizon, "seed": cfg.seed}
     out = _resolve_out(cfg.out)
     _emit(payload, (out / "coverage.json") if out else None)
-    return 1 if aborted else 0
+    return 1 if payload["aborted"] else 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ is a JSON number within float range, or a JSON integer where "int" says so (and
 
 Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm;
 the instance invariants are checked eagerly at parse time whenever the
-arm set is present.
+arm set is present, and a failure exits at the field that ``bandit._named_by``
+names, also when a run constant squares beyond float range.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import (GlbInstance, _log_term, _m_terms, confidence_radius, make_instance,
-                     regularizer_schedule)
+from .bandit import (GlbInstance, _log_term, _named_by, _wider_end, confidence_radius,
+                     make_instance, regularizer_schedule)
 from .distributions import check_number, parse_distribution
 from .errors import ConfigError, ParseError, PrecisionError
 
@@ -76,9 +77,12 @@ class ExperimentConfig:
     """Validated configuration; ``raw`` round-trips through json bit-identically."""
 
     raw: dict = field(repr=False)
-    distribution: dict = field(default_factory=dict)
     # the instance parse_config built while checking it, so a command builds it once
     instance: GlbInstance | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def distribution(self) -> dict:
+        return self.raw["distribution"]
 
     @property
     def delta(self) -> float:
@@ -206,36 +210,34 @@ def parse_config(obj: dict) -> ExperimentConfig:
             base.tilted_inverse_cdf(arms @ theta, np.full(len(arms), 0.5))
         except PrecisionError as exc:
             raise ParseError(str(exc), pointer="/distribution") from exc
-    return ExperimentConfig(raw=raw, distribution=raw["distribution"], instance=instance)
+    return ExperimentConfig(raw=raw, instance=instance)
 
 
 def _check_run_constants(inst: GlbInstance, raw: dict) -> None:
     """A run and its regret bound square L, gamma_T and c gamma_T, so each square must be
-    finite (lambda_T too); a ParseError names the field that overflows them."""
+    finite (lambda_T too); a ParseError names the field behind the overflow by ``_named_by``."""
     T, delta, lam = raw["horizon"], raw["delta"], raw["lambda"]
     lam_T = regularizer_schedule(inst, T, delta) if lam is None else lam
     gamma = confidence_radius(inst, T, T, delta, lam=lam_T)  # NaN or inf unless lam_T is finite
     c = inst.diameter_factor
     if all(math.isfinite(x * x) for x in (inst.L, gamma, c * gamma)):
         return
-    floors = _m_terms(inst.K, inst.S1, inst.S2, inst.c1, inst.c2)
-    by_M = max(floors, key=floors.get)  # the constant that sets M
     log_term = _log_term(inst.L, inst.d, T, delta)
     if not math.isfinite(inst.L * inst.L):
         name = "L"
     elif not math.isfinite(log_term):  # T L / d or 1 / delta beyond float range
         name = "L" if not math.isfinite(T * inst.L / inst.d) else "delta"
     elif not math.isfinite(lam_T):  # (2 d M / S0) log_term
-        name = by_M
+        name = "M"
     elif not math.isfinite(gamma * gamma):  # the larger factor of gamma_T's larger term
         root = math.sqrt(lam_T)
         if root * inst.S0 >= 4.0 * inst.M * inst.d / root * log_term:
             name = "lambda" if lam is not None and root > inst.S0 else "S0"
         else:
-            name = "lambda" if lam is not None and 1.0 / root > inst.M else by_M
+            name = "lambda" if lam is not None and 1.0 / root > inst.M else "M"
     else:  # c gamma_T, with c = 1 + 2 K (S1 - S2)
-        end = "S1" if abs(inst.S1) >= abs(inst.S2) else "S2"
-        name = "K" if inst.K >= inst.S1 - inst.S2 else end if end in raw else "S0"
+        name = "K" if inst.K >= inst.S1 - inst.S2 else _wider_end(inst.S1, inst.S2)
+    name = _named_by(name, raw, inst.S1, inst.S2, inst.K, inst.c1, inst.c2)
     raise ParseError(f"a {T}-round run squares L={inst.L}, gamma_T={gamma} and c gamma_T with "
                      f"c={c} (lambda_T={lam_T}): each square must be a finite number",
                      pointer=f"/{name}")

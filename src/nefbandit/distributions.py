@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -377,16 +378,17 @@ class Gamma(BaseDistribution):
         return -self.shape * np.log1p(-self.scale * np.asarray(u, dtype=float))
 
     def mean_at(self, u):
-        return self.shape * self.scale / (1.0 - self.scale * np.asarray(u, dtype=float))
+        return self.shape * self._tilted_scale(u)
 
     def dmean_at(self, u):
-        return self.shape * self.scale**2 / (1.0 - self.scale * np.asarray(u, dtype=float)) ** 2
+        return self.shape * self._tilted_scale(u) ** 2
 
+    @np.errstate(over="ignore")  # a third moment beyond float range is inf
     def d2mean_at(self, u):
-        return 2.0 * self.shape * self.scale**3 / (1.0 - self.scale * np.asarray(u, dtype=float)) ** 3
+        return 2.0 * self.shape * self._tilted_scale(u) ** 3
 
     def _tilted_scale(self, u):
-        return self.scale / (1.0 - self.scale * u)
+        return self.scale / (1.0 - self.scale * np.asarray(u, dtype=float))
 
     def tilted(self, u):
         return Gamma(self.shape, self._tilted_scale(float(u)))
@@ -680,6 +682,14 @@ class NefFamily:
     @property
     def interval(self) -> tuple[float, float]:
         return (self.param_lo, self.param_hi)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN supremum fails L's or K's check
+    def suprema(self) -> tuple[float, float]:
+        """max mu' and max |mu''|/mu' on 513 even tilts of the interval, measured once."""
+        grid = np.linspace(self.param_lo, self.param_hi, 513)
+        var = self.base.dmean_at(grid)
+        return float(np.max(var)), float(np.max(_ratio_given_variance(self.base, grid, var)))
 
 
 def _base_of(dist) -> BaseDistribution:

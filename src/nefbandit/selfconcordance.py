@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -322,10 +323,10 @@ class SubgaussianEnvelope:
     witness: SupportWitness
     slope: float
     intercept: float
-    note: str = field(default=(
+    note: ClassVar[str] = (
         "envelope reuses the two-sided tail scale C for the lower-tail step and the "
         "exponential-tail variance lower bound a^2 eta e^(-ub)/M(u); recorded as an "
-        "interpretation, not a tight constant"), repr=False)
+        "interpretation, not a tight constant")
 
     def value(self, u: float) -> float:
         return self.slope * abs(float(u)) + self.intercept

@@ -176,6 +176,40 @@ def test_glb_instance_built_directly_checks_L_against_the_variance_grid():
         dataclasses.replace(inst, L=3.9)
 
 
+def poisson_fields():
+    # mu' = e^u on [S2, S1] = [-3, 3]: the variance supremum is e^3 = 20.09
+    inst = make_instance(Poisson(1.0), np.eye(2), np.array([3.0, 0.0]))
+    return {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+
+
+def test_glb_instance_takes_no_argument_in_place_of_its_L_check():
+    with pytest.raises(TypeError, match="variance_sup"):
+        GlbInstance(**poisson_fields(), variance_sup=0.0)
+
+
+def test_glb_instance_checks_L_against_the_family_supremum_it_was_built_with(monkeypatch):
+    fields = poisson_fields()
+    family = fields["family"]
+    var_sup, ratio_sup = family.suprema
+    assert var_sup == pytest.approx(math.exp(3.0), rel=1e-12) == fields["L"]
+    assert ratio_sup == fields["K"] == 1.0
+    # the family's cached grid values are the ones read: no second mu' evaluation
+    monkeypatch.setattr(Poisson, "dmean_at", lambda self, u: pytest.fail("mu' evaluated again"))
+    for L in (1.0, 20.0, 0.99 * var_sup):
+        with pytest.raises(ConfigError, match="below the variance supremum 20.0855") as info:
+            GlbInstance(**{**fields, "L": L})
+        assert info.value.name == "L"
+    assert GlbInstance(**{**fields, "L": var_sup}).L == var_sup
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.01, 0.01), (-3.0, 2.5), (-2.5, 3.0), (-4.0, 4.0)])
+def test_glb_instance_rejects_a_family_range_other_than_S2_S1(lo, hi):
+    fields = poisson_fields()
+    with pytest.raises(ConfigError, match=r"family range .* is not \[S2, S1\]") as info:
+        GlbInstance(**{**fields, "family": NefFamily(Poisson(1.0), lo, hi)})
+    assert info.value.name == "S1"
+
+
 # ---------------------------------------------------------------------------
 # schedule and radius
 # ---------------------------------------------------------------------------

@@ -271,6 +271,14 @@ def test_gamma_ratio_bernoulli_bounded_by_one():
         assert r <= 1.0 + 1e-12
 
 
+def test_gamma_moments_of_a_huge_scale_come_from_the_tilted_scale():
+    # scale^3 leaves float range, but the tilted scale 1e120 / (1 + 1e120 |u|) does not
+    base = Gamma(2.0, 1e120)
+    assert gamma_ratio(base, -1.0) == pytest.approx(2.0, rel=1e-12)
+    assert base.dmean_at(0.0) == pytest.approx(2e240, rel=1e-12)
+    assert base.d2mean_at(0.0) == math.inf  # the third moment itself is beyond float range
+
+
 def test_gamma_ratio_laplace_closed_form():
     lam, u = 1.0, 0.5
     expected = 2 * abs(u) * (3 * lam**2 + u**2) / ((lam - u) * (lam + u) * (lam**2 + u**2))

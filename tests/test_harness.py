@@ -603,6 +603,13 @@ def test_cli_out_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_config_distribution_is_read_from_raw():
+    cfg = parse_config(SMALL_RUN)
+    assert cfg.distribution is cfg.raw["distribution"] == SMALL_RUN["distribution"]
+    with pytest.raises(TypeError):
+        type(cfg)(raw=cfg.raw, distribution={"kind": "gaussian", "sigma": 1.0})
+
+
 def test_cli_bound_prints_terms(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, SMALL_RUN)
     rc = main(["bound", "--config", str(cfg)])
@@ -683,6 +690,8 @@ def test_cli_non_finite_config_entry_is_a_usage_error(tmp_path, capsys, command,
 
 
 CIRCLE_RUN = {**SMALL_RUN, "arms": {"circle": {"n": 3, "radius": 0.8}}}
+POISSON_400 = {"distribution": {"kind": "poisson", "nu": 1.0}, "arms": [[1.0, 0.0], [0.0, 1.0]],
+               "theta_star": [400, 0]}
 
 
 @pytest.mark.parametrize("patch, pointer", [
@@ -699,6 +708,8 @@ CIRCLE_RUN = {**SMALL_RUN, "arms": {"circle": {"n": 3, "radius": 0.8}}}
     ({"theta_star": [0.4, False]}, "/theta_star/1"),
     ({"theta_star": 0.4}, "/theta_star"),
     ({"schema": True}, "/schema"), ({"schema": 1.0}, "/schema"), ({"schema": 2}, "/schema"),
+    # L = e^400 squares beyond float range: it comes from the wider end of [S2, S1]
+    (POISSON_400, "/S0"), ({**POISSON_400, "S0": 400}, "/S0"), ({**POISSON_400, "S1": 400}, "/S1"),
 ])
 def test_cli_bad_nested_config_value_exits_2_at_its_pointer(tmp_path, capsys, patch, pointer):
     cfg = _write_cfg(tmp_path, {**SMALL_RUN, **patch})

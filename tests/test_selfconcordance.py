@@ -379,6 +379,8 @@ def test_subgaussian_envelope_dominates_three_atom_ratio():
     for u in np.linspace(-8, 8, 65):
         assert env.value(u) >= gamma_ratio(base, u)
     assert "interpretation" in env.note
+    with pytest.raises(TypeError):  # a class constant, not a constructor argument
+        type(env)(env.sigma_proxy, w, env.slope, env.intercept, note="tight")
 
 
 def test_subgaussian_envelope_rejects_bad_proxy():
