@@ -96,7 +96,7 @@ def _named_by(name, given, S1: float, S2: float, K: float, c1: float, c2: float)
     return name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlbInstance:
     """Arm set, true parameter, reward family, and the algorithm constants.
 
@@ -230,22 +230,18 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
 # Confidence machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceState:
-    t: int
     theta_hat: np.ndarray
     hessian_at_hat: np.ndarray
     gradient_map_at_hat: np.ndarray
     lambda_T: float
     gamma_t: float
-    delta: float
 
     def __post_init__(self):
         if not (self.gamma_t > 0 and self.lambda_T >= 1.0):
             raise InvalidArgumentError(
                 f"need gamma_t > 0 and lambda_T >= 1, got {self.gamma_t}, {self.lambda_T}")
-        if not 0.0 < self.delta <= 1.0:
-            raise InvalidArgumentError(f"delta must lie in (0, 1], got {self.delta}")
 
 
 def _log_term(L: float, d: int, t: int, delta: float) -> float:
@@ -375,9 +371,6 @@ class RunResult:
     @property
     def all_rounds_covered(self) -> bool:
         return all(r.exact_cover for r in self.rounds)
-
-    def cum_regret_at(self, t: int) -> float:
-        return self.rounds[t - 1].cum_regret
 
 
 def run_ofu_glb(inst: GlbInstance, T: int, delta: float, seed: int = 0,

@@ -355,8 +355,7 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     _emit(verify, out / "verify.json")
     tails = tails_report(base, run_tail_suite(base, interval=(lo, hi), grid_n=n))
     _emit(tails, out / "tails.json")
-    aborted = cfg.has_instance and any(
-        r.aborted for r in _write_runs(out, cfg))
+    aborted = cfg.instance is not None and any(r.aborted for r in _write_runs(out, cfg))
     return 0 if verify["ok"] and tails["ok"] and not aborted else 1
 
 

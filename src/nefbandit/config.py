@@ -116,10 +116,6 @@ class ExperimentConfig:
     def grid(self) -> dict | None:
         return self.raw.get("grid")
 
-    @property
-    def has_instance(self) -> bool:
-        return "arms" in self.raw and "theta_star" in self.raw
-
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
 

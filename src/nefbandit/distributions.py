@@ -126,10 +126,12 @@ class BaseDistribution:
 
     @property
     def interior(self) -> tuple[float, float]:
-        """Admissible tilts: the domain less 1e-9 of its width (1e-9 if unbounded) per end."""
+        """Admissible tilts: the domain less 1e-9 of its width per end, or of its finite end's
+        magnitude when the width is infinite (so u = 0 stays admissible)."""
         lo, hi = self.mgf_domain
         width = hi - lo
-        m = 1e-9 * (width if math.isfinite(width) else 1.0)
+        scale = width if math.isfinite(width) else min(abs(lo), abs(hi))
+        m = 1e-9 * scale if math.isfinite(scale) else 0.0
         return lo + m, hi - m
 
     def require_interior(self, u, *, op: str = "operation"):

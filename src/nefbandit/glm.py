@@ -14,7 +14,8 @@ maps of parameter gaps.
 The solver is damped Newton with a hard feasibility guard: a step is
 shortened until every inner product stays strictly inside the natural
 parameter interval before the loss is ever evaluated there, since the
-interval can be bounded (the loss blows up at the boundary).
+interval can be bounded (the loss blows up at the boundary), and until the
+loss there is finite (an unbounded interval can still overflow it).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _rows(a, what: str) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Rows (x_i, y_i) with every arm inside the closed unit ball."""
 
@@ -101,8 +102,6 @@ def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:
         return np.zeros(inner.shape[0], dtype=bool)
     if lo == -math.inf:
         return np.maximum.reduce(inner, axis=1) > hi
-    if hi == math.inf:
-        return np.minimum.reduce(inner, axis=1) < lo
     return (np.maximum.reduce(inner, axis=1) > hi) | (np.minimum.reduce(inner, axis=1) < lo)
 
 
@@ -209,7 +208,7 @@ def difference_quotient_matrix(family: NefFamily, data: Dataset, lam: float,
     return lam * np.eye(data.d) + (data.arms * a[:, None]).T @ data.arms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     theta_hat: np.ndarray
     gradient_norm: float
@@ -286,8 +285,9 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
         trial = theta[sel] + step
         while search:
             rows = [act[i] for i in search]
-            out, inner_t, f_t, g_t, grad_t, gnorm_t = evaluate(
-                slice(None) if len(rows) == R else rows, trial)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is infeasible
+                out, inner_t, f_t, g_t, grad_t, gnorm_t = evaluate(
+                    slice(None) if len(rows) == R else rows, trial)
             accept, retry = [], []
             for j, i in enumerate(search):
                 r = act[i]
@@ -295,8 +295,9 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                 # resolution of the loss; sufficient-decrease tests are pure noise
                 # there, so take the (feasibility-clipped) full step instead
                 fp_noise = 1e-13 * (1.0 + abs(f[r]))
-                if not out[j] and (not -slope[i] > fp_noise or
-                                   f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
+                if not out[j] and math.isfinite(f_t[j]) and (
+                        not -slope[i] > fp_noise
+                        or f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
                     accept.append(j)
                     f[r], gnorm[r] = f_t[j], gnorm_t[j]
                     iters[r] += 1

@@ -52,15 +52,12 @@ __all__ = [
     "stretch_bound",
     "stretch_supremum",
     "subgaussian_envelope",
-    "subgaussian_stretch_bound",
-    "counterexample_distribution",
     "verify_lower_bound",
     "verify_dominance",
     "LowerBoundReport",
     "DominanceReport",
 ]
 
-_E = math.e
 _WITNESS_A_LEVELS = [0.01 * k for k in range(1, 46)]
 _WITNESS_B_LEVELS = [1e-4, 1e-3, 0.01, 0.05]
 
@@ -254,7 +251,7 @@ def g_q_value(M1: float, M2: float, m1: float, m2: float, witness: SupportWitnes
             raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
     M1, M2, m1, m2 = map(np.float64, (M1, M2, m1, m2))
     a, b, eta = witness.a, witness.b, witness.eta
-    e3 = _E**3
+    e3 = math.e**3
     with np.errstate(all="ignore"):  # a G beyond float range is inf
         return float(1.5 * b + (1.0 / (a * a * eta)) * (
             204.0 / (e3 * m1**3 * M1**3)
@@ -275,8 +272,8 @@ def build_certificate(base: BaseDistribution, c1: float | None = None,
         witness_left=w_left,
         g_q_right=g_q_value(tail.C1, tail.C2, tail.c1, tail.c2, w_right),
         g_q_left=g_q_value(tail.C2, tail.C1, tail.c2, tail.c1, w_left),
-        c0_right=tail.C1 * tail.c1 * _E,
-        c0_left=tail.C2 * tail.c2 * _E,
+        c0_right=tail.C1 * tail.c1 * math.e,
+        c0_left=tail.C2 * tail.c2 * math.e,
     )
 
 
@@ -290,9 +287,9 @@ def stretch_bound(cert: StretchCertificate, u):
     if u.size:  # every tilt strictly inside (-c2, c1)
         tilt_range(cert.tail, float(u.min()), float(u.max()))
     with np.errstate(over="ignore"):  # a bound beyond float range is inf
-        right = 1.5 * (2.0 * _E * C1 * c1 / (c1 - u) ** 2
+        right = 1.5 * (2.0 * math.e * C1 * c1 / (c1 - u) ** 2
                        + u * cert.witness.b / (c1 - u)) + cert.g_q_right
-        left = 1.5 * (2.0 * _E * c2 * C2 / (c2 + u) ** 2
+        left = 1.5 * (2.0 * math.e * c2 * C2 / (c2 + u) ** 2
                       + (-u) * cert.witness_left.b / (c2 + u)) + cert.g_q_left
     bound = np.where(u >= 0.0, right, left)
     return float(bound) if bound.ndim == 0 else bound
@@ -350,10 +347,6 @@ def subgaussian_envelope(sigma_proxy: float, witness: SupportWitness) -> Subgaus
                                slope=slope, intercept=intercept)
 
 
-def subgaussian_stretch_bound(sigma_proxy: float, witness: SupportWitness, u: float) -> float:
-    return subgaussian_envelope(sigma_proxy, witness).value(u)
-
-
 # ---------------------------------------------------------------------------
 # Linear-growth counterexample
 # ---------------------------------------------------------------------------
@@ -361,10 +354,6 @@ def subgaussian_stretch_bound(sigma_proxy: float, witness: SupportWitness, u: fl
 # spacing of float64 log-weights of size u^2 = 4^(i+1) beyond which the tilted
 # ratio drifts (5e-7 relative at i = 16 against a 200-digit evaluation)
 _LOG_WEIGHT_ULP_MAX = 1e-6
-
-
-def counterexample_distribution(i_max: int) -> CounterexampleSubgaussian:
-    return CounterexampleSubgaussian(i_max)
 
 
 @dataclass(frozen=True)
@@ -403,7 +392,7 @@ def verify_lower_bound(i: int, i_max: int | None = None) -> LowerBoundReport:
     if math.ulp(u * u) > _LOG_WEIGHT_ULP_MAX:
         raise PrecisionError(f"float64 log-weights cannot resolve the construction at i = {i}: "
                              f"ulp(u^2) = {math.ulp(u * u):.3g} exceeds {_LOG_WEIGHT_ULP_MAX:g}")
-    base = counterexample_distribution(i_max)
+    base = CounterexampleSubgaussian(i_max)
     mean, var, third = (float(f(u)) for f in (base.mean_at, base.dmean_at, base.d2mean_at))
     if not all(map(math.isfinite, (mean, var, third))):
         raise PrecisionError("moment evaluation overflowed; log-domain path is mandatory here")

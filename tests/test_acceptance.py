@@ -277,7 +277,7 @@ def test_criterion_7_regret():
     r500, r2000, dominated, covered = [], [], 0, 0
     for res in run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, range(cfg.replicates)):
         assert not res.aborted
-        r500.append(res.cum_regret_at(500))
+        r500.append(res.rounds[499].cum_regret)
         r2000.append(res.cum_regret)
         if res.all_rounds_covered:
             covered += 1

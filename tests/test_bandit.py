@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import dataclasses
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,34 +265,34 @@ def test_confidence_radius_formula_and_monotonicity():
 # membership and arm choice
 # ---------------------------------------------------------------------------
 
-def _state(inst, t, lam, gamma, theta_hat=None, H=None):
+def _state(inst, lam, gamma, theta_hat=None, H=None):
     d = inst.d
     theta_hat = np.zeros(d) if theta_hat is None else theta_hat
     # the gradient map at theta_hat on empty data is lam * theta_hat
-    return ConfidenceState(t=t, theta_hat=theta_hat,
+    return ConfidenceState(theta_hat=theta_hat,
                            hessian_at_hat=lam * np.eye(d) if H is None else H,
                            gradient_map_at_hat=lam * theta_hat,
-                           lambda_T=lam, gamma_t=gamma, delta=0.1)
+                           lambda_T=lam, gamma_t=gamma)
 
 
 def test_exact_membership_center_and_empty_data():
     inst = bern_instance()
     data = Dataset(np.zeros((0, 2)), np.zeros(0))
     lam = 4.0
-    state = _state(inst, 1, lam, gamma=1.0)
+    state = _state(inst, lam, gamma=1.0)
     assert exact_membership(inst, state, data, np.zeros(2))
     # no data: the norm reduces to sqrt(lam) ||theta - theta_hat||
     theta = np.array([0.3, 0.1])
     expected_norm = math.sqrt(lam) * np.linalg.norm(theta)
     assert exact_membership(inst, state, data, theta) == (expected_norm <= 1.0)
-    wide = _state(inst, 1, lam, gamma=expected_norm + 1e-9)
+    wide = _state(inst, lam, gamma=expected_norm + 1e-9)
     assert exact_membership(inst, wide, data, theta)
 
 
 def test_exact_membership_rejects_theta_outside_ball():
     inst = bern_instance()
     data = Dataset(np.zeros((0, 2)), np.zeros(0))
-    state = _state(inst, 1, 4.0, gamma=100.0)
+    state = _state(inst, 4.0, gamma=100.0)
     assert not exact_membership(inst, state, data, np.array([3.0, 0.0]))
 
 
@@ -323,7 +324,7 @@ def test_exact_membership_checks_the_dimension_before_the_norm():
     inst = bern_instance()
     data = Dataset(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(InvalidArgumentError, match="theta has dim 5"):
-        exact_membership(inst, _state(inst, 1, 4.0, gamma=100.0), data, np.ones(5))
+        exact_membership(inst, _state(inst, 4.0, gamma=100.0), data, np.ones(5))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -336,9 +337,9 @@ def test_the_one_replicate_bandit_calls_check_every_dimension(dims, n, seed):
     rng = replicate_stream(seed, 0)
     inst = bern_instance()
     data = Dataset(0.5 * rng.random((n, 2)), rng.random(n))
-    state = ConfidenceState(t=1, theta_hat=0.1 * rng.random(d_hat), hessian_at_hat=np.eye(d_hess),
+    state = ConfidenceState(theta_hat=0.1 * rng.random(d_hat), hessian_at_hat=np.eye(d_hess),
                             gradient_map_at_hat=rng.random(d_grad), lambda_T=1.0,
-                            gamma_t=1.0, delta=0.1)
+                            gamma_t=1.0)
     theta = 0.3 * rng.random(d_theta)
     state_ok = (d_hat, d_hess, d_grad) == (2, 2, 2)
     calls = [(lambda: optimistic_choice(inst, state), state_ok),
@@ -369,9 +370,9 @@ def test_exact_membership_from_counts_agrees_with_the_row_sums():
         assert q[r] == pytest.approx(direct, rel=1e-10)
         data = Dataset(X, np.ones(len(X)))
         for scale, inside in ((1 + 1e-9, True), (1 - 1e-9, False)):
-            state = ConfidenceState(t=len(X) + 1, theta_hat=np.zeros(inst.d),
+            state = ConfidenceState(theta_hat=np.zeros(inst.d),
                                     hessian_at_hat=H, gradient_map_at_hat=g_hat[r],
-                                    lambda_T=lam, gamma_t=math.sqrt(direct * scale), delta=0.1)
+                                    lambda_T=lam, gamma_t=math.sqrt(direct * scale))
             assert exact_membership(inst, state, data, theta) is inside
 
 
@@ -379,14 +380,34 @@ def test_exact_membership_names_the_data_row_off_the_domain():
     inst = make_instance(Exponential(1.0), circle_arms(), np.array([0.5, 0.0]), S0=2.0,
                          S1=0.5, S2=-0.5)
     data = Dataset(inst.arms[[3, 0, 0, 3]], np.ones(4))
-    state = _state(inst, 5, 2.0, gamma=1.0)
+    state = _state(inst, 2.0, gamma=1.0)
     with pytest.raises(DomainError, match="row 1 leaves"):
         exact_membership(inst, state, data, np.array([1.5, 0.0]))
 
 
+@pytest.mark.parametrize("gamma, lam", [(0.0, 1.0), (-1.0, 2.0), (math.nan, 2.0), (1.0, 0.5)])
+def test_confidence_state_needs_a_positive_radius_and_lambda_at_least_one(gamma, lam):
+    with pytest.raises(InvalidArgumentError, match="need gamma_t > 0 and lambda_T >= 1"):
+        ConfidenceState(theta_hat=np.zeros(2), hessian_at_hat=np.eye(2),
+                        gradient_map_at_hat=np.zeros(2), lambda_T=lam, gamma_t=gamma)
+
+
+def test_array_records_compare_and_hash_by_identity():
+    inst = make_instance(Poisson(1.0), ARMS3, THETA3)
+    data = Dataset(ARMS3, [0.0, 2.0, 1.0])
+    fit = fit_mle(inst.family, data, 2.0)
+    state = ConfidenceState(theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
+                            gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=2.0,
+                            gamma_t=1.0)
+    for record in (inst, state, data, fit):
+        twin = pickle.loads(pickle.dumps(record))
+        assert record == record and record != twin
+        assert hash(record) == hash(record)
+
+
 def test_optimistic_choice_single_arm():
     inst = make_instance(Bernoulli(0.5), np.array([[0.4, 0.2]]), THETA3)
-    arm, value = optimistic_choice(inst, _state(inst, 1, 2.0, gamma=1.0))
+    arm, value = optimistic_choice(inst, _state(inst, 2.0, gamma=1.0))
     assert arm == 0
 
 
@@ -394,7 +415,7 @@ def test_optimistic_choice_cold_start_prefers_long_arms():
     arms = np.array([[0.3, 0.0], [0.0, 0.9], [0.5, 0.5]])
     inst = make_instance(Bernoulli(0.5), arms, np.array([0.0, 0.1]))
     lam, gamma = 3.0, 2.0
-    arm, value = optimistic_choice(inst, _state(inst, 1, lam, gamma))
+    arm, value = optimistic_choice(inst, _state(inst, lam, gamma))
     assert arm == 1  # max Euclidean norm wins when H = lam I and theta_hat = 0
     assert value == pytest.approx(inst.diameter_factor * gamma * 0.9 / math.sqrt(lam),
                                   rel=1e-12)
@@ -403,7 +424,7 @@ def test_optimistic_choice_cold_start_prefers_long_arms():
 def test_optimistic_choice_exploit_term_breaks_symmetry():
     arms = np.eye(2)
     inst = make_instance(Bernoulli(0.5), arms, np.array([0.2, 0.1]), S0=4.0)
-    state = _state(inst, 3, 2.0, gamma=1.0, theta_hat=np.array([3.0, 0.0]))
+    state = _state(inst, 2.0, gamma=1.0, theta_hat=np.array([3.0, 0.0]))
     arm, _ = optimistic_choice(inst, state)
     assert arm == 0
 
@@ -424,7 +445,7 @@ def test_an_exact_index_tie_goes_to_the_lowest_arm(base):
     assert idx[:, 1].tobytes() == idx[:, 3].tobytes()
     assert (idx.argmax(axis=1) == 1).all()
     for r in range(20):
-        state = _state(inst, 5, 2.0, gamma=0.1, theta_hat=theta_hat[r], H=H[r])
+        state = _state(inst, 2.0, gamma=0.1, theta_hat=theta_hat[r], H=H[r])
         assert optimistic_choice(inst, state) == (1, float(idx[r, 1]))
     runs = run_replicates(inst, 200, 0.1, 0, range(20))
     assert not any(res.aborted for res in runs)
@@ -456,10 +477,9 @@ def _per_arm_fit(name, draw):
     data = Dataset(X, inst.family.base.tilted_inverse_cdf(X @ inst.theta_star, uniforms))
     lam, t = regularizer_schedule(inst, cfg.horizon, cfg.delta), len(X) + 1
     fit = fit_mle(inst.family, data, lam)
-    state = ConfidenceState(t=t, theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
+    state = ConfidenceState(theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
                             gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam,
-                            gamma_t=confidence_radius(inst, t, cfg.horizon, cfg.delta, lam=lam),
-                            delta=cfg.delta)
+                            gamma_t=confidence_radius(inst, t, cfg.horizon, cfg.delta, lam=lam))
     return inst, data, state
 
 
@@ -508,8 +528,8 @@ def test_exact_set_pairs_obey_diameter_cap():
     from nefbandit.glm import fit_mle, hessian
     fit = fit_mle(inst.family, data, lam)
     gamma = confidence_radius(inst, T, T, delta)
-    state = ConfidenceState(t=T, theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
-                            gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam, gamma_t=gamma, delta=delta)
+    state = ConfidenceState(theta_hat=fit.theta_hat, hessian_at_hat=fit.hessian_at_hat,
+                            gradient_map_at_hat=fit.gradient_map_at_hat, lambda_T=lam, gamma_t=gamma)
     rng = replicate_stream(77, 0)
     members = []
     for _ in range(200):
@@ -573,7 +593,7 @@ def test_run_exponential_regret_curve_flattens():
     for k in range(3):
         res = run_ofu_glb(inst, 2000, 0.05, seed=2024, replicate=k)
         assert res.all_rounds_covered
-        r500 += res.cum_regret_at(500)
+        r500 += res.rounds[499].cum_regret
         r2000 += res.cum_regret
     assert r2000 / 2000.0 < r500 / 500.0
 
@@ -676,6 +696,27 @@ def test_run_replicates_abort_keeps_its_reason_and_spares_the_others():
     survivors = run_replicates(inst, 12, 0.1, 1, spared, lam_override=1.0)
     assert [rounds_to_csv(r.rounds) for r in survivors] == \
         [rounds_to_csv(batch[k].rounds) for k in spared]
+
+
+def test_run_replicates_hessian_factorization_failure_aborts_only_its_replicate(monkeypatch):
+    import nefbandit.glm as glm
+
+    inst = make_instance(Exponential(1.0), circle_arms(), np.array([0.5, 0.0]))
+    clean = run_replicates(inst, 12, 0.1, 3, range(3))
+    real = glm._hessians
+
+    def broken(family, X, lam_eye, inner):
+        H = real(family, X, lam_eye, inner)
+        if X.shape[:2] == (3, 5):  # round 6 of all three: replicate 1's Hessian is not PD
+            H[1] = -H[1]
+        return H
+
+    monkeypatch.setattr(glm, "_hessians", broken)
+    batch = run_replicates(inst, 12, 0.1, 3, range(3))
+    assert batch[1].aborted and batch[1].abort_reason.startswith(
+        "round 6: Hessian factorization failed")
+    assert batch[1].rounds == clean[1].rounds[:5]
+    assert [batch[0], batch[2]] == [clean[0], clean[2]]
 
 
 def test_run_replicates_warm_start_falls_back_per_replicate(monkeypatch):

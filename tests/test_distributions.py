@@ -167,6 +167,17 @@ def test_cgf_domain_error_names_interval():
     assert "(-inf, 2.0)" in str(ei.value)
 
 
+def test_interior_of_an_unbounded_domain_keeps_a_margin_relative_to_its_finite_end():
+    # Gamma(2, 1e10) has the domain (-inf, 1e-10): an absolute 1e-9 margin would drop u = 0
+    tiny = Gamma(2.0, 1e10)
+    assert tiny.interior == (-math.inf, 1e-10 - 1e-19)
+    assert mean_fn(tiny, 0.0) == pytest.approx(2e10, rel=1e-15)
+    for base in (Exponential(1.0), Gamma(2.0, 1.0), Shifted(Gamma(2.0, 1.0), -1.5)):
+        assert base.interior == (-math.inf, 0.999999999)
+    assert Laplace(1.0).interior == (-0.999999998, 0.999999998)  # a finite width, as before
+    assert Gaussian(1.0).interior == (-math.inf, math.inf)
+
+
 def test_boundary_guard_rejects_near_boundary_tilt():
     with pytest.raises(DomainError):
         cgf(Exponential(1.0), 1.0 - 1e-12)

@@ -335,9 +335,8 @@ def test_the_one_replicate_calls_raise_only_package_errors(n, d, d_theta, d_thet
     data = Dataset(ball_points(rng, n, d), rng.random(n))
     theta, theta2 = 0.4 * rng.standard_normal(d_theta), 0.4 * rng.standard_normal(d_theta2)
     inst = make_instance(family.base, np.eye(2), np.array([0.2, -0.1]), S0=0.9)
-    state = ConfidenceState(t=1, theta_hat=np.zeros(d), hessian_at_hat=np.eye(d),
-                            gradient_map_at_hat=np.zeros(d), lambda_T=1.0, gamma_t=1.0,
-                            delta=0.1)
+    state = ConfidenceState(theta_hat=np.zeros(d), hessian_at_hat=np.eye(d),
+                            gradient_map_at_hat=np.zeros(d), lambda_T=1.0, gamma_t=1.0)
     calls = [lambda: loss(family, data, 1.0, theta),
              lambda: gradient_map(family, data, 1.0, theta),
              lambda: full_gradient(family, data, 1.0, theta),

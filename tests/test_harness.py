@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.replicates == 1
     assert cfg.horizon == 100
     assert cfg.seed == 0 and cfg.workers == 1
-    assert not cfg.has_instance
+    assert cfg.instance is None
 
 
 def test_config_rejects_unknown_fields_with_pointer():
@@ -641,6 +642,17 @@ def test_cli_coverage_small(tmp_path, capsys):
     assert 0.0 <= out["coverage_rate"] <= 1.0
 
 
+def test_cli_coverage_counts_an_overflowing_newton_trial_as_infeasible(tmp_path, capsys):
+    # a reward near e^17 sends the first damped-Newton trials past float range in exp;
+    # such a trial is shortened like one off the domain, with no RuntimeWarning
+    cfg = _write_cfg(tmp_path, {"distribution": {"kind": "poisson", "nu": 1.0},
+                                "arms": [[1.0, 0.0], [0.0, 1.0]], "theta_star": [17.0, 0.0],
+                                "horizon": 3})
+    assert main(["coverage", "--config", str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["replicates"], out["covered"], out["aborted"]) == (1, 1, 0)
+
+
 def test_commands_build_their_instance_once(tmp_path, monkeypatch):
     import nefbandit.config as config
 
@@ -956,3 +968,17 @@ def test_benchmark_tracer_names_exist_and_are_restored(monkeypatch):
         for owner, names in snap_before.items():
             assert snap_after[owner].keys() == names.keys(), owner
             assert all(snap_after[owner][k] is v for k, v in names.items()), owner
+
+
+def test_package_namespace_is_the_union_of_the_module_export_lists():
+    modules = [module for info in pkgutil.iter_modules(nefbandit.__path__)
+               if hasattr(module := importlib.import_module(f"nefbandit.{info.name}"), "__all__")]
+    assert {m.__name__ for m in modules} >= {"nefbandit.bandit", "nefbandit.glm", "nefbandit.rng"}
+    exported = [name for module in modules for name in module.__all__]
+    assert len(set(exported)) == len(exported)  # no name is declared twice
+    public = {name for name, value in vars(nefbandit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(exported) == set(getattr(nefbandit, "__all__", ()))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(nefbandit, name) is getattr(module, name), name

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from nefbandit.distributions import (
     Bernoulli,
+    CounterexampleSubgaussian,
     DiscreteAtoms,
     Exponential,
     Gamma,
@@ -30,14 +31,12 @@ from nefbandit.errors import (
 from nefbandit.selfconcordance import (
     SupportWitness,
     build_certificate,
-    counterexample_distribution,
     find_support_witness,
     fit_tail_constants,
     g_q_value,
     stretch_bound,
     stretch_supremum,
     subgaussian_envelope,
-    subgaussian_stretch_bound,
     verify_dominance,
     verify_lower_bound,
     witness_mass,
@@ -360,14 +359,14 @@ def test_subgaussian_envelope_gaussian_ratio_is_zero():
     w = find_support_witness(base)
     for u in np.linspace(-5, 5, 11):
         assert gamma_ratio(base, u) == pytest.approx(0.0, abs=1e-12)
-        assert subgaussian_stretch_bound(1.0, w, u) > 0
+        assert subgaussian_envelope(1.0, w).value(u) > 0
 
 
 def test_subgaussian_envelope_dominates_bernoulli():
     base = Bernoulli(0.5)
     w = find_support_witness(base)
     for u in np.linspace(-10, 10, 81):
-        env = subgaussian_stretch_bound(0.5, w, u)  # range 1 => 1/2-subgaussian
+        env = subgaussian_envelope(0.5, w).value(u)  # range 1 => 1/2-subgaussian
         assert env >= gamma_ratio(base, u)
         assert gamma_ratio(base, u) <= 1.0 + 1e-12
 
@@ -386,7 +385,7 @@ def test_subgaussian_envelope_dominates_three_atom_ratio():
 def test_subgaussian_envelope_rejects_bad_proxy():
     w = SupportWitness(0.5, 0.5, 0.5)
     with pytest.raises(InvalidArgumentError):
-        subgaussian_stretch_bound(0.0, w, 1.0)
+        subgaussian_envelope(0.0, w)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ def test_subgaussian_envelope_rejects_bad_proxy():
 # ---------------------------------------------------------------------------
 
 def test_counterexample_three_atoms_weight_ratios():
-    base = counterexample_distribution(3)
+    base = CounterexampleSubgaussian(3)
     locs, logw = base.log_atoms
     assert list(locs) == [2.0, 4.0, 8.0]
     w = np.exp(logw)
@@ -405,7 +404,7 @@ def test_counterexample_three_atoms_weight_ratios():
 
 def test_counterexample_tilt_ratio_is_one_quarter():
     i = 4
-    base = counterexample_distribution(i + 20)
+    base = CounterexampleSubgaussian(i + 20)
     u = 2.0 ** (i + 1)
     q = base._tilted_weights(u)
     ks = np.arange(1, i + 21)
@@ -417,7 +416,7 @@ def test_counterexample_tilt_ratio_is_one_quarter():
 def test_counterexample_truncation_stability():
     # atoms past i+1 carry doubly exponentially small tilted mass
     def ratio(i_max):
-        rep = moments(counterexample_distribution(i_max), 32.0)
+        rep = moments(CounterexampleSubgaussian(i_max), 32.0)
         return abs(rep.third_central) / rep.variance
 
     assert ratio(5) == pytest.approx(ratio(24), abs=1e-10)

@@ -18,6 +18,7 @@ from nefbandit.distributions import (
     Gaussian,
     Laplace,
     NefFamily,
+    Poisson,
     centered,
     gamma_ratio,
     mean_fn,
@@ -310,6 +311,11 @@ def test_tail_suite_needs_no_quadrature(base, monkeypatch):
     monkeypatch.setattr(integrate, "quad", no_quadrature)
     certs = run_tail_suite(base)
     assert all(c.ok for c in certs)
+
+
+def test_measured_tilted_mgf_is_nan_where_the_conjugate_has_no_float_rate():
+    # the tilted Poisson(1) rate e^400 is past float range
+    assert math.isnan(measured_tilted_mgf(Poisson(1.0), 400.0, 0.5))
 
 
 def test_measured_tilted_mgf_of_laplace_is_infinite_past_its_domain():
