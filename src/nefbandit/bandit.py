@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .glm import _cholesky_solves, _fit_stack, _inner_products, _rows
+from .glm import _cholesky_solves, _fit_stack, _inner_products, _ridge_weight, _rows
 from .rng import replicate_stream
 
 __all__ = [
@@ -78,7 +79,7 @@ def _check_range(S2: float, S1: float, c1: float, c2: float) -> None:
 
 
 def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, float]:
-    """The three floors of M, by the constant that sets each; M >= their max."""
+    """The three floors of M, by the constant that sets each; M is their max."""
     return {"K": K / math.log(2.0), "c1": 1.0 / (c1 - S1), "c2": 1.0 / (c2 + S2)}
 
 
@@ -103,9 +104,10 @@ class GlbInstance:
     Invariants: arms in the closed unit ball, every x' theta_star inside
     [S2, S1] strictly inside the natural parameter interval with
     -c2 < S2 <= S1 < c1, the family's tilt range exactly [S2, S1], L at
-    least 1 and at least the family's variance supremum, K >= 0, every
-    constant finite, and M >= max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A
-    ConfigError's ``name`` is the constant (or ``arms``) that fails.
+    least 1 and at least the family's variance supremum, K >= 0, and every
+    constant finite, M too.  M is not an argument: it is always its floor
+    max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A ConfigError's ``name`` is the
+    constant (or ``arms``) that fails.
     """
 
     arms: np.ndarray
@@ -116,7 +118,6 @@ class GlbInstance:
     S2: float
     L: float
     K: float
-    M: float
     c1: float
     c2: float
 
@@ -150,11 +151,12 @@ class GlbInstance:
         if not self.L >= sup * (1 - 1e-9):  # a NaN supremum fails too
             raise ConfigError(f"L={self.L} is below the variance supremum {sup:.6g} on [S2, S1]",
                               name="L")
-        m_floor = max(_m_terms(self.K, self.S1, self.S2, self.c1, self.c2).values())
-        if self.M < m_floor * (1 - 1e-9):
-            raise ConfigError(f"M={self.M} violates M >= max(K/log 2, 1/(c1-S1), 1/(c2+S2)) "
-                              f"= {m_floor:.6g}", name="M")
         _freeze(self, arms=arms, theta_star=theta)
+
+    @cached_property
+    def M(self) -> float:
+        """max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)), the floor the radius needs."""
+        return max(_m_terms(self.K, self.S1, self.S2, self.c1, self.c2).values())
 
     @property
     def d(self) -> int:
@@ -186,7 +188,7 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     rates halfway from the tilt range to a finite domain endpoint
     (c1 = (S1 + hi)/2, c2 = -(S2 + lo)/2) and max(1, 1.25 |S|) on infinite
     sides; L and K as the family's grid suprema of mu' and |mu''|/mu' on
-    [S2, S1]; M at its floor.
+    [S2, S1]; M, a property of the instance, is its floor.
 
     A failed check raises a ConfigError whose ``name`` is the argument at fault,
     by ``_named_by``: a derived constant names the argument it comes from.
@@ -217,10 +219,8 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         var_sup, ratio_sup = family.suprema
         K = ratio_sup if K is None else K
         L = max(1.0, var_sup) if L is None else L
-        floors = _m_terms(K, S1, S2, c1, c2)
         return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
-                           S1=S1, S2=S2, L=float(L), K=float(K), M=float(max(floors.values())),
-                           c1=float(c1), c2=float(c2))
+                           S1=S1, S2=S2, L=float(L), K=float(K), c1=float(c1), c2=float(c2))
     except ConfigError as exc:
         exc.name = _named_by(exc.name, given, S1, S2, K, c1, c2)
         raise
@@ -260,7 +260,7 @@ def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
     """gamma_t = sqrt(lam)(1/(2M) + S0) + (4 M d / sqrt(lam)) log(e sqrt(1 + t L/d) v 1/delta)."""
     if not 1 <= t <= T:
         raise InvalidArgumentError(f"need 1 <= t <= T, got t={t}, T={T}")
-    lam = regularizer_schedule(inst, T, delta) if lam is None else float(lam)
+    lam = regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam)
     root = math.sqrt(lam)
     return root * (0.5 / inst.M + inst.S0) + (4.0 * inst.M * inst.d / root) \
         * _log_term(inst.L, inst.d, t, delta)
@@ -474,7 +474,7 @@ def theoretical_regret_bound(inst: GlbInstance, T: int, delta: float,
     with c = 1 + 2 K (S1 - S2) and kappa the inverse variance at the
     best arm.  A zero stretch supremum zeroes the second-order terms.
     """
-    lam = regularizer_schedule(inst, T, delta) if lam is None else float(lam)
+    lam = regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam)
     gamma_T = confidence_radius(inst, T, T, delta, lam=lam)
     star_idx, _ = inst.best_arm()
     mu_dot_star = float(inst.family.base.dmean_at(float(inst.arms[star_idx] @ inst.theta_star)))
@@ -501,8 +501,9 @@ def elliptical_potential_check(vectors, lam: float, A: float) -> dict:
     """sum_t ||a_t||^2 over inv(V_{t-1}) against 2 d max(1, A^2/lam) log(1 + n A^2/(d lam))."""
     vectors = _rows(vectors, "vectors")
     n, d = vectors.shape
-    if lam <= 0 or A <= 0:
-        raise InvalidArgumentError(f"need lam > 0 and A > 0, got {lam}, {A}")
+    lam = _ridge_weight(lam)
+    if A <= 0:
+        raise InvalidArgumentError(f"need A > 0, got {A}")
     if np.linalg.norm(vectors, axis=1).max(initial=0.0) > A + 1e-12:
         raise InvalidArgumentError(f"every vector must have norm at most A={A}")
     V_inv = np.eye(d) / lam

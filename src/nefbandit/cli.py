@@ -359,7 +359,7 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     return 0 if verify["ok"] and tails["ok"] and not aborted else 1
 
 
-_FLAG_POINTERS = {"lo": "/grid-lo", "hi": "/grid-hi", "c1": "/c1", "c2": "/c2"}
+_FLAG_POINTERS = {"lo": "/grid-lo", "hi": "/grid-hi", "c1": "/c1", "c2": "/c2", "lambda": "/lambda"}
 
 
 def main(argv=None) -> int:
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-    except NefBanditError as exc:  # a named DomainError points at its verify/tails flag
+    except NefBanditError as exc:  # a named error points at its flag
         pointer = _FLAG_POINTERS.get(exc.name)
         print(f"config error: {exc} (at {pointer})" if pointer else f"error: {exc}",
               file=sys.stderr)

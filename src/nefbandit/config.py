@@ -20,7 +20,7 @@ Top-level fields (unknown fields are rejected, pointers name the spot):
 
 Every number here, in ``grid``, in the circle generator, in each ``arms`` and
 ``theta_star`` entry and in the distribution's fields (``distributions.check_number``)
-is a JSON number within float range, or a JSON integer where "int" says so (and
+is a JSON number within float range, an integer one where "int" says so (and for
 ``n`` and ``i_max``); a bad one is named by its own pointer, such as /arms/0/1.
 
 Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm;
@@ -214,7 +214,7 @@ def _check_run_constants(inst: GlbInstance, raw: dict) -> None:
     finite (lambda_T too); a ParseError names the field behind the overflow by ``_named_by``."""
     T, delta, lam = raw["horizon"], raw["delta"], raw["lambda"]
     lam_T = regularizer_schedule(inst, T, delta) if lam is None else lam
-    gamma = confidence_radius(inst, T, T, delta, lam=lam_T)  # NaN or inf unless lam_T is finite
+    gamma = confidence_radius(inst, T, T, delta, lam=lam_T) if math.isfinite(lam_T) else math.inf
     c = inst.diameter_factor
     if all(math.isfinite(x * x) for x in (inst.L, gamma, c * gamma)):
         return

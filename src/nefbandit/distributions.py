@@ -764,9 +764,8 @@ def check_number(raw, key, pointer: str, *, integer=False, positive=False, nonne
     v = raw[key]
     if v is None and nullable:
         return None
-    ok = isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
-    if ok and not integer:
-        ok = abs(v) <= sys.float_info.max  # False for NaN, +/-inf and ints beyond float range
+    ok = (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+          and abs(v) <= sys.float_info.max)  # False for NaN, +/-inf and beyond float range
     if ok and positive:
         ok = v > 0
     if ok and nonnegative:

@@ -95,6 +95,15 @@ class Dataset:
 # replicate with the shapes of the 2-D call (X @ theta, X.T @ v, a @ b, A.T @ B), so
 # each slice has the one-replicate bits; the public functions are the R = 1 calls.
 
+def _ridge_weight(lam) -> float:
+    """The ridge-weight rule of every public function: ``lam`` as a float if it is finite and
+    positive, else an InvalidArgumentError named ``lambda``."""
+    if not (float(lam) > 0 and math.isfinite(lam)):
+        raise InvalidArgumentError(f"ridge weight must be finite and positive, got {lam}",
+                                   name="lambda")
+    return float(lam)
+
+
 def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:
     """Mask of the replicates with an inner product outside the guard interval."""
     lo, hi = guard
@@ -156,14 +165,14 @@ def _inner_products(family: NefFamily, data: Dataset, theta, *, op: str):
 
 
 def loss(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> float:
-    if lam <= 0:
-        raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
+    lam = _ridge_weight(lam)
     theta, inner = _inner_products(family, data, theta, op="loss")
     return float(_losses(family, data.rewards[None], lam, theta, inner)[0])
 
 
 def gradient_map(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
     """g(theta) = sum_i mu(x_i' theta) x_i + lam theta (reward terms excluded)."""
+    lam = _ridge_weight(lam)
     theta, inner = _inner_products(family, data, theta, op="gradient_map")
     return _gradient_maps(family, data.arms[None], lam, theta, inner)[0]
 
@@ -174,6 +183,7 @@ def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarra
 
 
 def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
+    lam = _ridge_weight(lam)
     theta, inner = _inner_products(family, data, theta, op="hessian")
     return _hessians(family, data.arms[None], lam * np.eye(theta.shape[1]), inner)[0]
 
@@ -202,6 +212,7 @@ def _alpha(family: NefFamily, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def difference_quotient_matrix(family: NefFamily, data: Dataset, lam: float,
                                theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    lam = _ridge_weight(lam)
     _, inner1 = _inner_products(family, data, theta1, op="difference_quotient_matrix")
     _, inner2 = _inner_products(family, data, theta2, op="difference_quotient_matrix")
     a = _alpha(family, inner1[0], inner2[0])
@@ -213,16 +224,15 @@ class FitResult:
     theta_hat: np.ndarray
     gradient_norm: float
     newton_iters: int
-    converged: bool
     inner_lo: float
     inner_hi: float
     outside_admissible: bool   # any x_i' theta_hat outside [param_lo, param_hi]
     hessian_at_hat: np.ndarray       # hessian(..., theta_hat), bit for bit
     gradient_map_at_hat: np.ndarray  # gradient_map(..., theta_hat), bit for bit
 
-    def __post_init__(self):
-        if self.converged and self.gradient_norm > _GRAD_TOL:
-            raise InvalidArgumentError("converged fit must have gradient norm <= 1e-8")
+    @property
+    def converged(self) -> bool:
+        return self.gradient_norm <= _GRAD_TOL
 
 
 class _Fits(NamedTuple):  # a stacked fit, row r for replicate r
@@ -332,8 +342,7 @@ def fit_mle(family: NefFamily, data: Dataset, lam: float,
             init: np.ndarray | None = None) -> FitResult:
     """Damped Newton minimizer of the ridge-regularized negative log-likelihood:
     the one-replicate call of the stacked solver."""
-    if lam <= 0:
-        raise InvalidArgumentError(f"ridge weight must be positive, got {lam}")
+    lam = _ridge_weight(lam)
     theta, _ = _inner_products(family, data, np.zeros(data.d) if init is None else init,
                                op="fit_mle")  # a start of another dimension or off the domain
     fit = _fit_stack(family, data.arms[None], data.rewards[None], lam, lam * np.eye(data.d), theta)
@@ -342,8 +351,6 @@ def fit_mle(family: NefFamily, data: Dataset, lam: float,
     inner = fit.inner[0]
     lo_i, hi_i = (float(inner.min()), float(inner.max())) if data.n else (0.0, 0.0)
     outside = bool(lo_i < family.param_lo - 1e-12 or hi_i > family.param_hi + 1e-12)
-    gnorm = fit.gnorm[0]
-    return FitResult(theta_hat=fit.theta[0], gradient_norm=gnorm,
-                     newton_iters=fit.iters[0], converged=bool(gnorm <= _GRAD_TOL),
+    return FitResult(theta_hat=fit.theta[0], gradient_norm=fit.gnorm[0], newton_iters=fit.iters[0],
                      inner_lo=lo_i, inner_hi=hi_i, outside_admissible=outside,
                      hessian_at_hat=fit.H[0], gradient_map_at_hat=fit.g[0])

@@ -10,6 +10,9 @@ constants, a support witness ``(a, b, eta)`` with
 the base through the origin, so it carries its own witness taken from
 the mass *above* the mean.
 
+Each function here that reads a base's tails or mass takes any base and centers
+it through ``distributions.centered``: a certificate always belongs to Y - mu(0).
+
 Also here: a linear-plus-constant envelope for subgaussian bases, and
 the doubly-exponential atom construction whose tilted ratio grows
 linearly in the tilt (showing the linear envelope rate is not
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -29,6 +32,7 @@ from .distributions import (
     BaseDistribution,
     CounterexampleSubgaussian,
     NefFamily,
+    centered,
     gamma_ratio,
 )
 from .errors import (
@@ -51,7 +55,6 @@ __all__ = [
     "build_certificate",
     "stretch_bound",
     "stretch_supremum",
-    "subgaussian_envelope",
     "verify_lower_bound",
     "verify_dominance",
     "LowerBoundReport",
@@ -138,20 +141,19 @@ def fit_tail_constants(base: BaseDistribution, c1: float | None = None,
     """Chernoff scales making the centered base a member of both tail classes.
 
     A missing rate is 90% of the distance to a finite domain end, else 1; a rate out of
-    range raises a ``DomainError`` naming it.  With m the mean of the base, ``C1 = E exp(c1
-    (Y - m)) = exp(-c1 m) M(c1)`` bounds the centered right tail as ``C1 exp(-c1 t)``;
-    symmetrically ``C2 = E exp(-c2 (Y - m)) = exp(c2 m) M(-c2)`` bounds the left tail.
+    range raises a ``DomainError`` naming it.  With Y the centered base, ``C1 = E exp(c1 Y)``
+    bounds its right tail as ``C1 exp(-c1 t)`` and ``C2 = E exp(-c2 Y)`` its left tail.
     """
+    base = centered(base)
     a, b = base.mgf_domain
     c1 = (0.9 * b if math.isfinite(b) else 1.0) if c1 is None else float(c1)
     c2 = (-0.9 * a if math.isfinite(a) else 1.0) if c2 is None else float(c2)
     lo, hi = base.interior
-    m = float(base.mean_at(0.0))
     scales = []
     with np.errstate(over="ignore"):  # a log scale C that overflows is rejected below
         for name, c, u, end in (("c1", c1, c1, hi), ("c2", c2, -c2, -lo)):
             ok = 0.0 < c <= end and math.isfinite(c)
-            log_scale = float(base.log_mgf(u)) - u * m if ok else math.nan
+            log_scale = float(base.log_mgf(u)) if ok else math.nan
             if not log_scale <= math.log(sys.float_info.max):
                 raise DomainError(f"tail rate {name} is not finite, positive and in the domain "
                                   "with a finite scale", value=c, interval=(0.0, end), name=name)
@@ -181,18 +183,16 @@ def tilt_range(tail: TailConstants, lo: float | None = None,
 # ---------------------------------------------------------------------------
 
 def witness_mass(base: BaseDistribution, a, b, side: str = "below"):
-    """Mass of the candidate interval, measured on the uncentered base; elementwise."""
-    return _mass_beside(base, float(base.mean_at(0.0)), a, b, side)
+    """Mass of [-b, -a] ("below") or [a, b] ("above") under the centered base; elementwise."""
+    return _mass_beside(centered(base), a, b, side)
 
 
-def _mass_beside(base: BaseDistribution, m: float, a, b, side: str):
-    if side == "below":
-        return base.interval_mass(m - b, m - a)
-    return base.interval_mass(m + a, m + b)
+def _mass_beside(base: BaseDistribution, a, b, side: str):
+    return base.interval_mass(-b, -a) if side == "below" else base.interval_mass(a, b)
 
 
 def find_support_witness(base: BaseDistribution, side: str = "below") -> SupportWitness:
-    """Scan sidewise quantiles for the witness maximizing a^2 * eta.
+    """Scan sidewise quantiles of the centered base for the witness maximizing a^2 * eta.
 
     ``a^2 eta`` divides every polynomial correction term, so it is the
     quality score; among near-optimal candidates the smallest b wins
@@ -201,35 +201,28 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
     """
     if side not in ("below", "above"):
         raise InvalidArgumentError(f"side must be 'below' or 'above', got {side!r}")
+    base = centered(base)
     if float(base.dmean_at(0.0)) <= 0.0:
         raise DegenerateDistributionError(
             "point-mass base has no support witness; the zero stretch function applies")
-    m = float(base.mean_at(0.0))
-    # beta = Q(Y < m) or Q(Y > m), from the u = 0 tails
-    if side == "below":
-        beta = base.tilted_lower_tail(0.0, -m)
-    else:
-        beta = base.tilted_upper_tail(0.0, m)
+    below = side == "below"
+    # beta = Q(Y < 0) or Q(Y > 0), from the u = 0 tails
+    beta = base.tilted_lower_tail(0.0, 0.0) if below else base.tilted_upper_tail(0.0, 0.0)
     if beta <= 0.0:
         raise DegenerateDistributionError("no mass on the requested side of the mean")
 
     lo_sup, hi_sup = base.support_bounds
-    edge = m - lo_sup if side == "below" else hi_sup - m
-
     # every level's point in one quantile call: distance from the mean toward the tail
     levels = np.array(_WITNESS_B_LEVELS + _WITNESS_A_LEVELS) * beta
-    if side == "below":
-        dists = m - base.quantile(levels)
-    else:
-        dists = base.upper_quantile(levels) - m
+    dists = -base.quantile(levels) if below else base.upper_quantile(levels)
     nb = len(_WITNESS_B_LEVELS)
-    bs = np.concatenate(([edge], dists[:nb]))
+    bs = np.concatenate(([-lo_sup if below else hi_sup], dists[:nb]))
     bs = bs[np.isfinite(bs)]
     a_s = dists[nb:][dists[nb:] > 0]
 
     # every (a, b) pair in one mass call, a-major as the ranking reads them
     a_s, bs = np.meshgrid(a_s, bs, indexing="ij")
-    etas = _mass_beside(base, m, a_s, bs, side)
+    etas = _mass_beside(base, a_s, bs, side)
     live = (bs >= a_s) & (etas > 1e-12)
     if not live.any():
         raise DegenerateDistributionError("witness scan found no interval with positive mass")
@@ -313,38 +306,36 @@ class SubgaussianEnvelope:
     """Certified envelope slope * |u| + intercept for a subgaussian base.
 
     ``sigma_proxy`` encodes the two-sided tail ``2 exp(-t^2 / (2 sigma^2))``,
-    i.e. rate c = 1/sigma^2 and scale C = 2 in ``C exp(-c t^2 / 2)``.
+    i.e. rate c = 1/sigma^2 and scale C = 2 in ``C exp(-c t^2 / 2)``; the slope
+    and intercept follow from it and the witness.
     """
 
     sigma_proxy: float
     witness: SupportWitness
-    slope: float
-    intercept: float
+    slope: float = field(init=False)
+    intercept: float = field(init=False)
     note: ClassVar[str] = (
         "envelope reuses the two-sided tail scale C for the lower-tail step and the "
         "exponential-tail variance lower bound a^2 eta e^(-ub)/M(u); recorded as an "
         "interpretation, not a tight constant")
 
+    def __post_init__(self):
+        if not (self.sigma_proxy > 0 and math.isfinite(self.sigma_proxy)):
+            raise InvalidArgumentError(f"sigma_proxy must be positive, got {self.sigma_proxy}")
+        c = 1.0 / self.sigma_proxy**2
+        C = 2.0
+        frak1 = C * (1.0 + math.sqrt(math.pi / c))
+        frak3 = math.sqrt(math.pi / c) * frak1
+        frak4 = C * math.sqrt(math.pi / (2.0 * c))
+        beta1 = 2.0 * (4.0 / c + 1.0)                       # slope of the cutoff B(u)
+        beta0 = 8.0 / c + self.witness.b + frak3            # intercept of the cutoff B(u)
+        front = 6.0 * (frak3 + frak4) / (self.witness.a**2 * self.witness.eta)
+        # B^2 <= 2 beta1^2 u^2 + 2 beta0^2, and w u^2 exp(-4u^2/c) <= w sqrt(c)/2 * u
+        object.__setattr__(self, "slope", 1.5 * beta1 + front * beta1**2 * math.sqrt(c))
+        object.__setattr__(self, "intercept", 1.5 * beta0 + front * (2.0 / c + 2.0 * beta0**2))
+
     def value(self, u: float) -> float:
         return self.slope * abs(float(u)) + self.intercept
-
-
-def subgaussian_envelope(sigma_proxy: float, witness: SupportWitness) -> SubgaussianEnvelope:
-    if not (sigma_proxy > 0 and math.isfinite(sigma_proxy)):
-        raise InvalidArgumentError(f"sigma_proxy must be positive, got {sigma_proxy}")
-    c = 1.0 / sigma_proxy**2
-    C = 2.0
-    frak1 = C * (1.0 + math.sqrt(math.pi / c))
-    frak3 = math.sqrt(math.pi / c) * frak1
-    frak4 = C * math.sqrt(math.pi / (2.0 * c))
-    beta1 = 2.0 * (4.0 / c + 1.0)                       # slope of the cutoff B(u)
-    beta0 = 8.0 / c + witness.b + frak3                 # intercept of the cutoff B(u)
-    front = 6.0 * (frak3 + frak4) / (witness.a**2 * witness.eta)
-    # B^2 <= 2 beta1^2 u^2 + 2 beta0^2, and w u^2 exp(-4u^2/c) <= w sqrt(c)/2 * u
-    slope = 1.5 * beta1 + front * beta1**2 * math.sqrt(c)
-    intercept = 1.5 * beta0 + front * (2.0 / c + 2.0 * beta0**2)
-    return SubgaussianEnvelope(sigma_proxy=sigma_proxy, witness=witness,
-                               slope=slope, intercept=intercept)
 
 
 # ---------------------------------------------------------------------------

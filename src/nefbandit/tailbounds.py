@@ -1,16 +1,17 @@
 """Tail and MGF certificates for centered bases and their tilts.
 
-All inequalities here are grid-checkable with small additive slack:
-an exponential right tail caps the MGF on [0, c1); a finite MGF value
-caps both tails by the Chernoff transform; a bounded stretch supremum
-caps the tilted CGF by a quadratic; and an exponential tail pair caps
-the tails and the mean of every tilt at explicit rates.  Each cap is
-elementwise over its grid arguments and checks every element, so the
-suite runner checks each certificate on its whole grid in one call; only
-the measured tilted MGF, the ratio identity's independent side, is taken
-one (u, eps) at a time, on numpy and the package's own log-sum-exp.
-Violations beyond the slack indicate an implementation bug, never noise,
-so the suite runner returns hard pass/fail certificates.
+The caps that read a base center it through ``distributions.centered`` first, as
+``selfconcordance`` does.  All inequalities here are grid-checkable with small
+additive slack: an exponential right tail caps the MGF on [0, c1); a finite MGF
+value caps both tails by the Chernoff transform; a bounded stretch supremum caps
+the tilted CGF by a quadratic; and an exponential tail pair caps the tails and
+the mean of every tilt at explicit rates.  Each cap is elementwise over its grid
+arguments and checks every element, so the suite runner checks each certificate
+on its whole grid in one call; only the measured tilted MGF, the ratio
+identity's independent side, is taken one (u, eps) at a time, on numpy and the
+package's own log-sum-exp.  Violations beyond the slack indicate an
+implementation bug, never noise, so the suite runner returns hard pass/fail
+certificates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .distributions import (
     _AtomMixin,
     _logsumexp,
     centered,
-    gamma_ratio,
 )
 from .errors import DegenerateDistributionError, DomainError, InvalidArgumentError
 from .selfconcordance import (
@@ -136,15 +136,8 @@ def tilted_cgf_quadratic_bound(family: NefFamily, u, s, K: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + SLACK}
 
 
-def _require_centered(base: BaseDistribution, op: str) -> None:
-    m = float(base.mean_at(0.0))
-    if abs(m) > 1e-9:
-        raise InvalidArgumentError(
-            f"{op} applies to a centered base (wrap with centered()); mean is {m!r}")
-
-
 def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dict:
-    """Tail and mean caps for the tilt Q_u of a centered base in both tail classes.
+    """Tail and mean caps for the tilt Q_u of the centered base in both tail classes.
 
     Right tail: (C1 e / M(u)) (1 + u/(c1-u)) exp(-(c1-u) t);
     left tail:  (C2 / M(u)) exp(-(u+c2) t);
@@ -152,7 +145,7 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
 
     Elementwise over broadcast ``u`` in [0, c1) and ``t`` >= 0.
     """
-    _require_centered(base, "tilted_tail_bounds")
+    base = centered(base)
     u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidArgumentError(f"t must be nonnegative, got {t}")
@@ -170,7 +163,7 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
 
 def variance_lower_bound(base: BaseDistribution, witness: SupportWitness, u):
     """Lower bound a^2 eta exp(-u b) / M(u) on the variance of Q_u, elementwise, u >= 0."""
-    _require_centered(base, "variance_lower_bound")
+    base = centered(base)
     if float(base.dmean_at(0.0)) <= 0.0:
         raise DegenerateDistributionError("variance bound needs a non-degenerate base")
     u = np.asarray(u, dtype=float)
@@ -253,7 +246,7 @@ def run_tail_suite(base: BaseDistribution, c1: float | None = None, c2: float | 
                        f"t in [0, 5], {grid_n} points", sl_l))
 
     # Quadratic CGF cap for tilts in the admissible range
-    K = max(float(np.max(gamma_ratio(cb, np.linspace(*interval, 65)))), 1e-9)
+    K = max(fam.suprema[1], 1e-9)  # make_instance's K rule, on the same family
     lo, hi = _admissible_shift_box(fam, K)
     r = tilted_cgf_quadratic_bound(fam, np.linspace(*interval, 9)[:, None],
                                    np.linspace(0.98 * lo, 0.98 * hi, 9), K)  # u by s

@@ -97,7 +97,7 @@ def test_instance_validation_errors():
         make_instance(Exponential(1.0), ARMS3, THETA3, c1=0.4)
     with pytest.raises(ConfigError, match="variance supremum"):
         make_instance(Exponential(1.0), ARMS3, THETA3, L=1.0)
-    with pytest.raises(ConfigError, match="M >="):
+    with pytest.raises(TypeError, match="M"):  # M is the instance's floor, not an argument
         inst = exp_instance()
         GlbInstance(arms=inst.arms, theta_star=inst.theta_star, family=inst.family,
                     S0=inst.S0, S1=inst.S1, S2=inst.S2, L=inst.L, K=inst.K,
@@ -203,6 +203,16 @@ def test_glb_instance_checks_L_against_the_family_supremum_it_was_built_with(mon
     assert GlbInstance(**{**fields, "L": var_sup}).L == var_sup
 
 
+def test_glb_instance_M_is_its_floor_not_an_argument():
+    inst = exp_instance()  # K / log 2 = 4 / log 2 is the largest floor
+    fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    with pytest.raises(TypeError, match="'M'"):
+        GlbInstance(**{**fields, "M": inst.M})
+    wider = dataclasses.replace(inst, K=2 * inst.K)
+    assert wider.M == max(8.0 / math.log(2.0), 1.0 / (inst.c1 - inst.S1),
+                          1.0 / (inst.c2 + inst.S2)) > inst.M
+
+
 @pytest.mark.parametrize("lo, hi", [(-0.01, 0.01), (-3.0, 2.5), (-2.5, 3.0), (-4.0, 4.0)])
 def test_glb_instance_rejects_a_family_range_other_than_S2_S1(lo, hi):
     fields = poisson_fields()
@@ -231,7 +241,7 @@ def test_regularizer_schedule_clamps_at_one():
     inst = make_instance(Bernoulli(0.5), arms, np.array([1.0, 0.0]))
     small = GlbInstance(arms=inst.arms, theta_star=inst.theta_star, family=inst.family,
                         S0=inst.S0, S1=inst.S1, S2=inst.S2, L=inst.L, K=inst.K,
-                        M=inst.M, c1=inst.c1, c2=inst.c2)
+                        c1=inst.c1, c2=inst.c2)
     # with a huge S0 the prefactor collapses and the clamp at 1 engages
     big_s0 = make_instance(Bernoulli(0.5), 0.05 * circle_arms(8), np.array([40.0, 0.0]),
                            S0=40.0)
@@ -810,6 +820,23 @@ def test_elliptical_potential_empty():
 def test_elliptical_potential_needs_a_dimension(vectors):
     with pytest.raises(InvalidArgumentError, match=r"\(0, d\)"):
         elliptical_potential_check(vectors, 1.0, 1.0)
+
+
+RIDGE_CALLS = {
+    "confidence_radius": lambda lam: confidence_radius(bern_instance(), 5, 10, 0.1, lam=lam),
+    "theoretical_regret_bound": lambda lam: theoretical_regret_bound(bern_instance(), 10, 0.1,
+                                                                     lam=lam),
+    "elliptical_potential_check": lambda lam: elliptical_potential_check(np.eye(2), lam, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", RIDGE_CALLS.values(), ids=RIDGE_CALLS)
+def test_ridge_weight_must_be_finite_and_positive(call):
+    for lam in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="ridge weight") as info:
+            call(lam)
+        assert info.value.name == "lambda"
+    call(0.5)
 
 
 def test_elliptical_potential_single_step_arithmetic():

@@ -1,5 +1,6 @@
 """Loss/gradient/Hessian identities and the damped Newton fitter."""
 
+import dataclasses
 import math
 from contextlib import nullcontext
 
@@ -26,6 +27,7 @@ from nefbandit.distributions import (
 from nefbandit.errors import DomainError, InvalidArgumentError, NefBanditError
 from nefbandit.glm import (
     Dataset,
+    FitResult,
     _cholesky_solves,
     _fit_stack,
     _gradient_maps,
@@ -315,6 +317,37 @@ def test_an_empty_history_still_checks_the_dimension_of_theta(call):
     # a (0, d) history is a history of dimension d: no call may answer for another d
     with pytest.raises(InvalidArgumentError, match=r"theta has dim 2, data has dim 3"):
         call(Dataset(np.zeros((0, 3)), np.zeros(0)), np.ones(2))
+
+
+# each public call that takes a ridge weight, on two rows at theta = 0
+RIDGE_CALLS = {
+    "loss": lambda data, lam: loss(BERN, data, lam, np.zeros(2)),
+    "gradient_map": lambda data, lam: gradient_map(BERN, data, lam, np.zeros(2)),
+    "full_gradient": lambda data, lam: full_gradient(BERN, data, lam, np.zeros(2)),
+    "hessian": lambda data, lam: hessian(BERN, data, lam, np.zeros(2)),
+    "fit_mle": lambda data, lam: fit_mle(BERN, data, lam),
+    "difference_quotient_matrix":
+        lambda data, lam: difference_quotient_matrix(BERN, data, lam, np.zeros(2), np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("call", RIDGE_CALLS.values(), ids=RIDGE_CALLS)
+def test_ridge_weight_must_be_finite_and_positive(call):
+    data = Dataset(np.array([[0.6, 0.0], [0.0, 0.8]]), np.array([1.0, 0.0]))
+    for lam in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="ridge weight") as info:
+            call(data, lam)
+        assert info.value.name == "lambda"
+    call(data, 0.5)
+
+
+def test_fit_result_converged_is_read_from_the_gradient_norm():
+    res = fit_mle(BERN, Dataset(np.array([[0.6, 0.0]]), np.array([1.0])), 1.0)
+    assert res.converged is (res.gradient_norm <= 1e-8) is True
+    fields = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    with pytest.raises(TypeError, match="'converged'"):
+        FitResult(**{**fields, "converged": True})
+    assert not FitResult(**{**fields, "gradient_norm": 1e-3}).converged
 
 
 @pytest.mark.parametrize("arms", [[], np.zeros((2, 0)), np.zeros((0, 0))])

@@ -1,5 +1,6 @@
 """Config schema, CLI subcommands, determinism, exit-status contract."""
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -581,6 +582,17 @@ def test_emit_writes_non_finite_floats_as_null(tmp_path):
     assert payload == {"a": None, "b": [1.5, None, {"c": None}], "d": [None, 2]}
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+def test_cli_fit_rejects_a_ridge_weight_that_is_not_finite_and_positive(tmp_path, capsys, lam):
+    data = tmp_path / "rows.csv"
+    data.write_text("0.5,0.0,1.0\n0.0,0.5,0.0\n")
+    rc = main(["fit", "--data", str(data), "--dist", '{"kind": "bernoulli", "p": 0.5}',
+               "--lambda", lam])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("(at /lambda)\n") and captured.out == "", captured.err
+
+
 @pytest.mark.parametrize("rows", [
     "0.5,0.0,1.0\n0.0,0.5,nan\n", "0.3,x,2\n", "0.5,0.0,1.0\n0.0,1.0\n", "1.0\n0.0\n", None,
 ], ids=["non-finite", "non-numeric", "ragged", "no-arm-column", "missing"])
@@ -725,6 +737,18 @@ POISSON_400 = {"distribution": {"kind": "poisson", "nu": 1.0}, "arms": [[1.0, 0.
 ])
 def test_cli_bad_nested_config_value_exits_2_at_its_pointer(tmp_path, capsys, patch, pointer):
     cfg = _write_cfg(tmp_path, {**SMALL_RUN, **patch})
+    assert main(["bound", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"(at {pointer})\n"), captured.err
+
+
+@pytest.mark.parametrize("patch, pointer", [  # 10**400 fails before anything is allocated
+    ({"horizon": 10**400}, "/horizon"), ({"seed": 10**400}, "/seed"),
+    ({"arms": {"circle": {"n": 10**400, "radius": 0.5}}}, "/arms/circle/n"),
+    ({"distribution": {"kind": "counterexample", "i_max": 10**400}}, "/distribution/i_max"),
+])
+def test_cli_integer_beyond_float_range_exits_2_at_its_pointer(tmp_path, capsys, patch, pointer):
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, **patch})  # json writes the integer digit for digit
     assert main(["bound", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith(f"(at {pointer})\n"), captured.err
@@ -907,6 +931,27 @@ def test_fresh_process_runs_every_command_without_scipy_integrate(tmp_path):
     done = _run_fresh(script, str(cfg))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": False, "quad": 0.5}
+
+
+def _parser_options(parser, words=()):
+    """{subcommand words: option strings} of every leaf parser under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(words): {o for a in parser._actions for o in a.option_strings
+                                  if o not in ("-h", "--help")}}
+    return {key: opts for name, sub in subs[0].choices.items()
+            for key, opts in _parser_options(sub, (*words, name)).items()}
+
+
+def test_readme_cli_synopsis_lists_every_option_of_every_subcommand():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)```", readme, re.S | re.M).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        words = line.split()[1:]  # after "nef-bandit"
+        n = next(i for i, w in enumerate(words) if w.startswith(("-", "[")))
+        synopsis[" ".join(words[:n])] = set(re.findall(r"--[a-z][a-z0-9-]*", line))
+    assert synopsis == _parser_options(build_parser())
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

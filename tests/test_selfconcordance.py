@@ -29,6 +29,7 @@ from nefbandit.errors import (
     PrecisionError,
 )
 from nefbandit.selfconcordance import (
+    SubgaussianEnvelope,
     SupportWitness,
     build_certificate,
     find_support_witness,
@@ -36,7 +37,6 @@ from nefbandit.selfconcordance import (
     g_q_value,
     stretch_bound,
     stretch_supremum,
-    subgaussian_envelope,
     verify_dominance,
     verify_lower_bound,
     witness_mass,
@@ -359,14 +359,14 @@ def test_subgaussian_envelope_gaussian_ratio_is_zero():
     w = find_support_witness(base)
     for u in np.linspace(-5, 5, 11):
         assert gamma_ratio(base, u) == pytest.approx(0.0, abs=1e-12)
-        assert subgaussian_envelope(1.0, w).value(u) > 0
+        assert SubgaussianEnvelope(1.0, w).value(u) > 0
 
 
 def test_subgaussian_envelope_dominates_bernoulli():
     base = Bernoulli(0.5)
     w = find_support_witness(base)
     for u in np.linspace(-10, 10, 81):
-        env = subgaussian_envelope(0.5, w).value(u)  # range 1 => 1/2-subgaussian
+        env = SubgaussianEnvelope(0.5, w).value(u)  # range 1 => 1/2-subgaussian
         assert env >= gamma_ratio(base, u)
         assert gamma_ratio(base, u) <= 1.0 + 1e-12
 
@@ -374,18 +374,27 @@ def test_subgaussian_envelope_dominates_bernoulli():
 def test_subgaussian_envelope_dominates_three_atom_ratio():
     base = DiscreteAtoms(((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3)))
     w = find_support_witness(base)
-    env = subgaussian_envelope(1.0, w)
+    env = SubgaussianEnvelope(1.0, w)
     for u in np.linspace(-8, 8, 65):
         assert env.value(u) >= gamma_ratio(base, u)
     assert "interpretation" in env.note
     with pytest.raises(TypeError):  # a class constant, not a constructor argument
-        type(env)(env.sigma_proxy, w, env.slope, env.intercept, note="tight")
+        type(env)(env.sigma_proxy, w, note="tight")
+
+
+@pytest.mark.parametrize("name", ["slope", "intercept"])
+def test_subgaussian_envelope_computes_its_slope_and_intercept(name):
+    w = find_support_witness(Bernoulli(0.5))
+    env = SubgaussianEnvelope(0.5, w)
+    assert env.value(0.0) == env.intercept and env.value(-1.0) == env.slope + env.intercept
+    with pytest.raises(TypeError, match=name):  # derived, not a constructor argument
+        SubgaussianEnvelope(0.5, w, **{name: getattr(env, name)})
 
 
 def test_subgaussian_envelope_rejects_bad_proxy():
     w = SupportWitness(0.5, 0.5, 0.5)
     with pytest.raises(InvalidArgumentError):
-        subgaussian_envelope(0.0, w)
+        SubgaussianEnvelope(0.0, w)
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,10 @@ def test_tilted_tail_caps_reject_bad_tilt():
     tc = fit_tail_constants(Exponential(1.0), 0.9, 1.0)
     with pytest.raises(DomainError):
         tilted_tail_bounds(cb, tc, 0.95, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        tilted_tail_bounds(Exponential(1.0), tc, 0.1, 0.0)  # not centered
+    us, ts = np.linspace(0.0, 0.8, 5)[:, None], np.linspace(0.0, 4.0, 5)
+    caps, caps_centered = (tilted_tail_bounds(b, tc, us, ts) for b in (Exponential(1.0), cb))
+    for key, cap in caps.items():  # an uncentered base is centered first
+        np.testing.assert_array_equal(cap, caps_centered[key])
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,18 @@ def test_variance_floor_at_zero_is_second_moment_restriction():
     val = variance_lower_bound(cb, w, 0.0)
     assert val == pytest.approx(w.a**2 * w.eta, rel=1e-13)
     assert val <= moments(cb, 0.0).variance
+
+
+@pytest.mark.parametrize("base", [Exponential(1.0), Gamma(2.0, 1.0), Poisson(2.0),
+                                  DiscreteAtoms(((0.0, 0.5), (1.0, 0.5)))],
+                         ids=lambda base: base.kind)
+def test_variance_floor_of_an_uncentered_base_is_that_of_its_centered_form(base):
+    cb = centered(base)
+    w = find_support_witness(base)
+    assert w == find_support_witness(cb)
+    us = np.linspace(0.0, 0.5, 6)
+    np.testing.assert_array_equal(variance_lower_bound(base, w, us),
+                                  variance_lower_bound(cb, w, us))
 
 
 def test_variance_floor_exponential_closed_form_variance():
