@@ -83,6 +83,17 @@ def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, 
     return {"K": K / math.log(2.0), "c1": 1.0 / (c1 - S1), "c2": 1.0 / (c2 + S2)}
 
 
+def _arms_and_theta(arms, theta_star) -> tuple[np.ndarray, np.ndarray]:
+    """Arms as rows and theta_star as a vector, or a ConfigError named ``arms`` or
+    ``theta_star`` for a coordinate that is not finite (NaN passes every comparison)."""
+    arms = np.atleast_2d(np.asarray(arms, dtype=float))
+    theta_star = np.asarray(theta_star, dtype=float).ravel()
+    for name, value in (("arms", arms), ("theta_star", theta_star)):
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} has a coordinate that is not finite", name=name)
+    return arms, theta_star
+
+
 def _named_by(name, given, S1: float, S2: float, K: float, c1: float, c2: float):
     """The argument that a failure of constant ``name`` names: ``name`` itself if given;
     else S1 and S2 come from S0, c1 from S1, c2 from S2, L and K from the wider end of
@@ -122,8 +133,7 @@ class GlbInstance:
     c2: float
 
     def __post_init__(self):
-        arms = np.atleast_2d(np.asarray(self.arms, dtype=float))
-        theta = np.asarray(self.theta_star, dtype=float).ravel()
+        arms, theta = _arms_and_theta(self.arms, self.theta_star)
         if arms.shape[0] == 0:
             raise ConfigError("arm set must be nonempty", name="arms")
         norms = np.linalg.norm(arms, axis=1)
@@ -193,8 +203,7 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
     A failed check raises a ConfigError whose ``name`` is the argument at fault,
     by ``_named_by``: a derived constant names the argument it comes from.
     """
-    arms = np.atleast_2d(np.asarray(arms, dtype=float))
-    theta_star = np.asarray(theta_star, dtype=float).ravel()
+    arms, theta_star = _arms_and_theta(arms, theta_star)  # checked before S0 is derived from them
     given = {name for name, value in (("S1", S1), ("S2", S2), ("c1", c1), ("c2", c2),
                                       ("L", L), ("K", K)) if value is not None}
     if S0 is None:
@@ -387,10 +396,11 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     its own stream and keeps its own fit, so it gets the same bytes in any batch.
     A replicate whose fit fails stops there with the reason ``round t: ...``.
     """
+    lam = (regularizer_schedule(inst, T, delta) if lam_override is None
+           else _ridge_weight(lam_override))
     streams = [replicate_stream(seed, k).random(T) for k in replicates]  # a uniform per round
     R = len(streams)
     uniforms = np.array(streams).reshape(R, T).T.copy()  # row n: round n + 1, contiguous
-    lam = regularizer_schedule(inst, T, delta) if lam_override is None else float(lam_override)
     family, base, arms, d = inst.family, inst.family.base, inst.arms, inst.d
     _, star_mean = inst.best_arm()
     arm_inner = arms @ inst.theta_star
@@ -502,8 +512,8 @@ def elliptical_potential_check(vectors, lam: float, A: float) -> dict:
     vectors = _rows(vectors, "vectors")
     n, d = vectors.shape
     lam = _ridge_weight(lam)
-    if A <= 0:
-        raise InvalidArgumentError(f"need A > 0, got {A}")
+    if not (float(A) > 0 and math.isfinite(A)):  # the ridge weight's rule
+        raise InvalidArgumentError(f"norm cap A must be finite and positive, got {A}", name="A")
     if np.linalg.norm(vectors, axis=1).max(initial=0.0) > A + 1e-12:
         raise InvalidArgumentError(f"every vector must have norm at most A={A}")
     V_inv = np.eye(d) / lam

@@ -166,6 +166,10 @@ class BaseDistribution:
         """Exact conjugate representation of Q_u, where one exists."""
         raise InvalidArgumentError(f"{self.kind} has no closed tilted form among supported kinds")
 
+    def _dmeans(self, u):
+        """(mu'(u), mu''(u)) in one call, each with the bits of its own method."""
+        return self.dmean_at(u), self.d2mean_at(u)
+
 
 # ---------------------------------------------------------------------------
 # Continuous kinds
@@ -447,16 +451,19 @@ class _AtomMixin:
     def mean_at(self, u):
         return (self._tilted_weights(u) * self._locs).sum(axis=-1)
 
-    def _central(self, u, k):
+    def _centrals(self, u, ks):  # the central moments of orders ks, on one set of weights
         q = self._tilted_weights(u)
         d = self._locs - (q * self._locs).sum(axis=-1, keepdims=True)
-        return (q * d**k).sum(axis=-1)
+        return tuple((q * d**k).sum(axis=-1) for k in ks)
 
     def dmean_at(self, u):
-        return self._central(u, 2)
+        return self._centrals(u, (2,))[0]
 
     def d2mean_at(self, u):
-        return self._central(u, 3)
+        return self._centrals(u, (3,))[0]
+
+    def _dmeans(self, u):
+        return self._centrals(u, (2, 3))
 
     def _walk(self, order, p):  # first atom in order whose cumulative mass reaches p - 1e-15
         cum = np.cumsum(np.exp(self._logw)[order])  # the slack: exp(log w) may round a mass up
@@ -514,8 +521,12 @@ class Bernoulli(_AtomMixin, BaseDistribution):
         return m * (1.0 - m)
 
     def d2mean_at(self, u):
+        return self._dmeans(u)[1]
+
+    def _dmeans(self, u):
         m = self.mean_at(u)
-        return m * (1.0 - m) * (1.0 - 2.0 * m)
+        var = m * (1.0 - m)
+        return var, var * (1.0 - 2.0 * m)
 
     # against p itself: the draw compares with expit(logit(p)), which may round
     def quantile(self, p):
@@ -618,6 +629,9 @@ class Shifted(BaseDistribution):
     def d2mean_at(self, u):
         return self.base.d2mean_at(u)
 
+    def _dmeans(self, u):
+        return self.base._dmeans(u)
+
     def quantile(self, p):
         return self.base.quantile(p) + self.offset
 
@@ -689,9 +703,8 @@ class NefFamily:
     @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN supremum fails L's or K's check
     def suprema(self) -> tuple[float, float]:
         """max mu' and max |mu''|/mu' on 513 even tilts of the interval, measured once."""
-        grid = np.linspace(self.param_lo, self.param_hi, 513)
-        var = self.base.dmean_at(grid)
-        return float(np.max(var)), float(np.max(_ratio_given_variance(self.base, grid, var)))
+        var, third = self.base._dmeans(np.linspace(self.param_lo, self.param_hi, 513))
+        return float(np.max(var)), float(np.max(_ratio(var, third)))
 
 
 def _base_of(dist) -> BaseDistribution:
@@ -727,14 +740,13 @@ def gamma_ratio(dist, u):
     """
     base = _base_of(dist)
     grid = base.require_interior(np.atleast_1d(u), op="gamma_ratio")  # scalars take other bits
-    ratio = _ratio_given_variance(base, grid, base.dmean_at(grid))
+    ratio = _ratio(*base._dmeans(grid))
     return float(ratio[0]) if np.ndim(u) == 0 else ratio
 
 
-def _ratio_given_variance(base, grid: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """``gamma_ratio`` on an interior grid whose mu' the caller already holds."""
-    return np.divide(np.abs(base.d2mean_at(grid)), var, out=np.zeros_like(var),
-                     where=var != 0.0)
+def _ratio(var: np.ndarray, third: np.ndarray) -> np.ndarray:
+    """|mu''| / mu' from both on one grid; 0 where mu' is 0."""
+    return np.divide(np.abs(third), var, out=np.zeros_like(var), where=var != 0.0)
 
 
 def sample_tilted(dist, u: float, rng: np.random.Generator, size: int | None = None):

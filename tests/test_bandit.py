@@ -107,6 +107,22 @@ def test_instance_validation_errors():
             make_instance(Bernoulli(0.5), ARMS3, THETA3, K=K)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instance_rejects_a_coordinate_that_is_not_finite(bad):
+    # a NaN coordinate passes every comparison check, so the instance checks finiteness
+    base = Exponential(1.0)
+    consts = dict(S0=0.5, S1=0.5, S2=-0.5, L=4.0, K=10.0, c1=0.75, c2=1.0)
+    for arms, theta, name in ((np.array([[1.0, 0.0], [bad, 0.0]]), np.array([0.5, 0.0]), "arms"),
+                              (np.eye(2), np.array([bad, 0.0]), "theta_star")):
+        with pytest.raises(ConfigError, match="not finite") as info:
+            GlbInstance(arms=arms, theta_star=theta, family=NefFamily(base, -0.5, 0.5), **consts)
+        assert info.value.name == name
+        for kwargs in ({"S0": 0.5}, {}):
+            with pytest.raises(ConfigError, match="not finite") as info:
+                make_instance(base, arms, theta, **kwargs)
+            assert info.value.name == name
+
+
 @pytest.mark.parametrize("base, kwargs, name", [
     (Bernoulli(0.5), {"S0": 0.1}, "S0"),
     (Bernoulli(0.5), {"S1": 0.1}, "S1"),  # below x' theta_star = 0.4
@@ -152,19 +168,19 @@ def test_make_instance_K_from_closed_forms_only(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", README_KINDS, ids=lambda s: s["kind"])
 def test_make_instance_evaluates_the_variance_grid_once(spec, monkeypatch):
-    # L, K and GlbInstance's check of L all read one mu' evaluation on the 513-point grid
+    # L, K and GlbInstance's check of L all read one (mu', mu'') evaluation on the 513-point grid
     base = parse_distribution(spec)
-    original, shapes = type(base).dmean_at, []
+    original, shapes = type(base)._dmeans, []
 
     def counted(self, u):
         shapes.append(np.shape(u))
         return original(self, u)
 
-    monkeypatch.setattr(type(base), "dmean_at", counted)
+    monkeypatch.setattr(type(base), "_dmeans", counted)
     inst = make_instance(base, circle_arms(), np.array([0.5, 0.0]))
     assert shapes == [(513,)]
     grid = np.linspace(inst.S2, inst.S1, 513)
-    assert inst.L == max(1.0, float(np.max(original(base, grid))))
+    assert inst.L == max(1.0, float(np.max(original(base, grid)[0])))
 
 
 def test_glb_instance_built_directly_checks_L_against_the_variance_grid():
@@ -827,6 +843,8 @@ RIDGE_CALLS = {
     "theoretical_regret_bound": lambda lam: theoretical_regret_bound(bern_instance(), 10, 0.1,
                                                                      lam=lam),
     "elliptical_potential_check": lambda lam: elliptical_potential_check(np.eye(2), lam, 1.0),
+    # checked before the first fit: a warning from the fit would fail the test
+    "run_ofu_glb": lambda lam: run_ofu_glb(bern_instance(), 5, 0.1, lam_override=lam),
 }
 
 
@@ -866,6 +884,14 @@ def test_elliptical_potential_brute_force_recursion():
 def test_elliptical_potential_rejects_norm_violation():
     with pytest.raises(InvalidArgumentError):
         elliptical_potential_check(np.array([[2.0, 0.0]]), 1.0, 1.0)
+
+
+def test_elliptical_potential_norm_cap_must_be_finite_and_positive():
+    # NaN passes a bare A <= 0 check and inf makes the right side infinite
+    for A in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="norm cap A") as info:
+            elliptical_potential_check(np.eye(2), 1.0, A)
+        assert info.value.name == "A"
 
 
 def test_self_bounding_equality_at_endpoint():

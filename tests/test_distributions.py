@@ -324,6 +324,17 @@ def test_gamma_ratio_grid_equals_scalar_calls_bitwise(base):
     np.testing.assert_array_equal(gamma_ratio(base, us.reshape(-1, 1)), np.c_[scalars])
 
 
+@pytest.mark.parametrize("base", CLOSED_FORM_BASES + ATOM_BASES, ids=_kind_id)
+def test_moment_pair_is_mu_prime_and_mu_double_prime_bitwise(base):
+    # suprema and gamma_ratio read the pair: it must be the two methods' own values
+    us = interior_grid(base, n=41, frac=0.9)
+    for u in (us, us.reshape(-1, 1), float(us[7])):
+        var, third = base._dmeans(u)
+        np.testing.assert_array_equal(var, base.dmean_at(u))
+        np.testing.assert_array_equal(third, base.d2mean_at(u))
+        assert np.shape(var) == np.shape(third) == np.shape(u)
+
+
 @pytest.mark.parametrize("base", ATOM_BASES, ids=lambda b: f"{b.kind}{len(b.log_atoms[0])}")
 @pytest.mark.parametrize("method", ["log_mgf", "mean_at", "dmean_at", "d2mean_at"])
 def test_atom_methods_over_a_grid_equal_per_tilt_values(base, method):

@@ -1,6 +1,8 @@
 """Tail/MGF certificates: Chernoff caps, tilted-tail caps, variance floor."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from nefbandit import tailbounds
+from nefbandit import cli, tailbounds
 from nefbandit.distributions import (
     Bernoulli,
     CounterexampleSubgaussian,
@@ -19,7 +21,9 @@ from nefbandit.distributions import (
     Laplace,
     NefFamily,
     Poisson,
+    Shifted,
     centered,
+    distribution_config,
     gamma_ratio,
     mean_fn,
 )
@@ -31,6 +35,7 @@ from nefbandit.selfconcordance import (
     find_support_witness,
     fit_tail_constants,
     stretch_supremum,
+    tilt_range,
 )
 from nefbandit.tailbounds import (
     _cert,
@@ -302,13 +307,15 @@ def test_run_tail_suite_rejects_an_empty_grid():
 
 def test_non_finite_slack_fails_its_certificate(monkeypatch):
     # a NaN measured after finite slacks must fail the certificate, not vanish in the max
-    calls = []
+    original = tailbounds._measured_grid
 
     def nan_after_three(*args):
-        calls.append(args)
-        return measured_tilted_mgf(*args) if len(calls) <= 3 else math.nan
+        grid = original(*args)
+        assert grid.shape == (7, 4) and np.isfinite(grid.flat[:3]).all()
+        grid.flat[3] = math.nan
+        return grid
 
-    monkeypatch.setattr(tailbounds, "measured_tilted_mgf", nan_after_three)
+    monkeypatch.setattr(tailbounds, "_measured_grid", nan_after_three)
     certs = {c.name: c for c in run_tail_suite(Exponential(1.0))}
     ident = certs["tilted_mgf_ratio_identity"]
     assert math.isnan(ident.max_slack)
@@ -339,6 +346,48 @@ def test_measured_tilted_mgf_of_laplace_is_infinite_past_its_domain():
     assert measured_tilted_mgf(Laplace(1.0), 0.5, -1.6) == math.inf
 
 
+def suite_ratio_grid(cb):
+    """The tail suite's 7 tilts by 4 shifts of the ratio identity, for a centered base."""
+    tail = fit_tail_constants(cb)
+    us = np.linspace(*tilt_range(tail), 7)[:, None]
+    span = np.minimum(tail.c1 - np.maximum(us, 0.0), tail.c2 + np.minimum(us, 0.0))
+    return us, np.array([-0.5, -0.25, 0.25, 0.5]) * span
+
+
+def per_point_tilted_mgf(base, us, eps):
+    """``measured_tilted_mgf`` taken one (u, eps) at a time over the broadcast grid."""
+    us, eps = np.broadcast_arrays(us, eps)
+    points = [measured_tilted_mgf(base, u, e) for u, e in zip(us.ravel().tolist(),
+                                                              eps.ravel().tolist())]
+    assert all(type(p) is float for p in points)
+    return np.reshape(points, us.shape)
+
+
+@pytest.mark.parametrize("base", SUITE_BASES + [CounterexampleSubgaussian(24),
+                                                Shifted(Gamma(2.0, 1.0), 0.7)],
+                         ids=lambda b: b.kind)
+def test_measured_tilted_mgf_on_the_suite_grid_is_the_per_point_values(base):
+    # the suite measures its whole 7 x 4 grid in one call: that must be the per-point values
+    us, eps = suite_ratio_grid(centered(base))
+    for b in (base, centered(base)):
+        grid = measured_tilted_mgf(b, us, eps)
+        assert grid.shape == (7, 4)
+        np.testing.assert_array_equal(grid, per_point_tilted_mgf(b, us, eps))
+
+
+def test_measured_tilted_mgf_grid_keeps_each_non_finite_point():
+    # Laplace(1)'s Q_u has a finite MGF exactly on -(1 + u) < eps < 1 - u; the tilted
+    # Poisson(1) rate e^400 is past float range
+    us, eps = np.array([[0.0], [0.5]]), np.array([0.49, 0.5, -1.6])
+    grid = measured_tilted_mgf(Laplace(1.0), us, eps)
+    np.testing.assert_array_equal(np.isinf(grid), [[False, False, True], [False, True, True]])
+    np.testing.assert_array_equal(grid, per_point_tilted_mgf(Laplace(1.0), us, eps))
+    us, eps = np.array([[0.0], [400.0], [1.0]]), np.array([-0.5, 0.5])
+    grid = measured_tilted_mgf(Poisson(1.0), us, eps)
+    np.testing.assert_array_equal(np.isnan(grid), [[False, False], [True, True], [False, False]])
+    np.testing.assert_array_equal(grid, per_point_tilted_mgf(Poisson(1.0), us, eps))
+
+
 ATOM_BASES = [DiscreteAtoms(((0.0, 0.5), (1.0, 0.5))), SUITE_BASES[-1],
               DiscreteAtoms(((-1.0, 0.2), (0.5, 0.3), (3.0, 0.5))), CounterexampleSubgaussian(24)]
 
@@ -366,6 +415,37 @@ def test_counterexample_tilted_mgf_matches_scipy_logsumexp_at_large_tilts():
                 assert math.isfinite(got)
                 assert got == pytest.approx(logsumexp_tilted_mgf(base, tilt, eps),
                                             rel=1e-14, abs=0.0)
+
+
+def assert_report_close(ref, got, path=""):
+    """Every number of ``got`` within rel 1e-9 of ``ref``; everything else equal."""
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and set(got) == set(ref), path
+        for key in ref:
+            assert_report_close(ref[key], got[key], f"{path}/{key}")
+    elif isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), path
+        for j, (r, g) in enumerate(zip(ref, got)):
+            assert_report_close(r, g, f"{path}/{j}")
+    elif isinstance(ref, float):
+        assert got == pytest.approx(ref, rel=1e-9), path
+    else:  # bool, str, int, None
+        assert got == ref, path
+
+
+@pytest.mark.parametrize("base", README_BASES[:8], ids=lambda b: b.kind)
+def test_tails_report_matches_the_benchmark_reference(base, capsys, monkeypatch):
+    # reads the tails reports the benchmark pins, so a tails drift shows without a
+    # benchmark run, and at a tighter tolerance than its 1e-6
+    reference = Path(__file__).parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["certify"][base.kind]["tails"]
+    monkeypatch.delenv("NEF_BANDIT_OUT", raising=False)
+    rc = cli.main(["tails", "--dist", json.dumps(distribution_config(base))])
+    got = json.loads(capsys.readouterr().out)
+    assert rc == expected["rc"]
+    assert ([c["ok"] for c in got["certificates"]]
+            == [c["ok"] for c in expected["report"]["certificates"]])
+    assert_report_close(expected["report"], got)
 
 
 @pytest.mark.parametrize("base", README_BASES, ids=lambda b: b.kind)
