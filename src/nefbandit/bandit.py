@@ -15,7 +15,7 @@ The index maximizes x' theta over the ellipsoid
 E_t = { ||theta - theta_hat||_{H_t(theta_hat)} <= c gamma_t }, which
 contains C_t (one-sided secant/Hessian comparison), so optimism over
 the exact set is preserved.  The exact set itself is only evaluated for
-coverage logging.
+coverage logging, after the round loop.
 
 The family owns the tilt range [S2, S1] and measures mu' and |mu''|/mu' on
 it once (``NefFamily.suprema``): L's check and the L and K defaults read those
@@ -26,8 +26,9 @@ least conservative algorithm; a certificate supremum can be passed instead.
 
 ``run_replicates`` plays R replicates in lockstep as one array program over
 (R, T, d) histories, each replicate with its own stream, fit and abort; each
-stacked kernel makes the one-replicate BLAS/LAPACK call per replicate, so a
-replicate's bytes do not depend on its batch.  ``run_ofu_glb`` is R = 1.
+kernel of its round loop makes the one-replicate BLAS/LAPACK call per replicate,
+so a replicate's bytes do not depend on its batch, and one stacked pass after
+the loop gives the cover verdicts, which no choice reads.  ``run_ofu_glb`` is R = 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .glm import _cholesky_solves, _fit_stack, _inner_products, _ridge_weight, _rows
+from .glm import (_cholesky_solves, _fit_stack, _gradient_maps, _hessians, _inner_products,
+                  _ridge_weight, _rows)
 from .rng import replicate_stream
 
 __all__ = [
@@ -275,23 +277,19 @@ def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
         * _log_term(inst.L, inst.d, t, delta)
 
 
-# Stacked forms: row r of theta_hat (R, d), H (R, d, d), g_hat (R, d) and the
-# row counts (R, m) belongs to replicate r; the public functions are their R = 1 calls.
+# Stacked forms, a leading axis per replicate (and round); the public functions are R = 1 calls.
 
-def _exact_norms_sq(rows, counts, mu, dmu, lam: float, lam_eye, theta, g_hat):
-    """||g(theta) - g_hat||^2 in the inverse Hessian at theta, per replicate, from rows x_a
-    (m, d) played n_a times (counts (R, m)) with mean mu_a and derivative dmu_a (m,) at
-    x_a' theta: g = lam theta + sum_a n_a mu_a x_a, H = lam I + sum_a n_a dmu_a x_a x_a'."""
-    w = lam * theta + np.vecmat(counts * mu, rows) - g_hat
-    H = lam_eye + np.matmul(rows.T * (counts * dmu)[:, None, :], rows)
-    sol = np.empty_like(w)
-    for exc in _cholesky_solves(H, w, sol).values():
-        raise exc
-    return np.vecdot(w, sol)
+def _exact_norms_sq(g, H, g_hat):
+    """||g - g_hat||^2 in H^{-1}, g and H the gradient map and Hessian at theta, by one batched
+    solve; an entry that is not finite is an InvalidArgumentError, never a False verdict."""
+    w = g - g_hat
+    if not (np.isfinite(w).all() and np.isfinite(H).all()):
+        raise InvalidArgumentError("array must not contain infs or NaNs")
+    return np.vecdot(w, np.linalg.solve(H, w[..., None])[..., 0])
 
 
 def _relaxed_norms_sq(theta, theta_hat, H):
-    """||theta - theta_hat||^2 in H, per replicate."""
+    """||theta - theta_hat||^2 in H, stacked over the leading axes."""
     gap = theta - theta_hat
     return np.vecdot(np.vecmat(gap, H), gap)
 
@@ -328,10 +326,10 @@ def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> 
     if np.linalg.norm(theta) > inst.S0 + 1e-12:
         return False
     theta, inner = _inner_products(inst.family, data, theta, op="exact_membership")
-    rows, first, counts = np.unique(data.arms, axis=0, return_index=True, return_counts=True)
-    base, lam, u = inst.family.base, state.lambda_T, inner[0, first]
-    q = _exact_norms_sq(rows, counts[None], base.mean_at(u), base.dmean_at(u), lam,
-                        lam * np.eye(theta.shape[1]), theta[0], state.gradient_map_at_hat[None])
+    X, lam = data.arms[None], state.lambda_T
+    q = _exact_norms_sq(_gradient_maps(inst.family, X, lam, theta, inner),
+                        _hessians(inst.family, X, lam * np.eye(inst.d), inner),
+                        state.gradient_map_at_hat[None])
     return float(q[0]) <= state.gamma_t * state.gamma_t
 
 
@@ -367,19 +365,30 @@ class RoundLog(NamedTuple):
     relaxed_cover: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    rounds: tuple[RoundLog, ...]
+    """One replicate's run: ``columns``, a RoundLog of (n,) arrays (n = T unless it aborted),
+    and ``rounds``, its rows, built when first read; equal when rows and abort fields are."""
+
+    columns: RoundLog
     aborted: bool = False
     abort_reason: str = ""
 
+    @cached_property
+    def rounds(self) -> tuple[RoundLog, ...]:
+        return tuple(map(RoundLog, *(c.tolist() for c in self.columns)))
+
     @property
     def cum_regret(self) -> float:
-        return self.rounds[-1].cum_regret if self.rounds else 0.0
+        return float(self.columns.cum_regret[-1]) if len(self.columns.t) else 0.0
 
     @property
     def all_rounds_covered(self) -> bool:
-        return all(r.exact_cover for r in self.rounds)
+        return bool(self.columns.exact_cover.all())
+
+    def __eq__(self, other):
+        return isinstance(other, RunResult) and (self.rounds, self.aborted, self.abort_reason) \
+            == (other.rounds, other.aborted, other.abort_reason)
 
 
 def run_ofu_glb(inst: GlbInstance, T: int, delta: float, seed: int = 0,
@@ -406,13 +415,15 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     arm_inner = arms @ inst.theta_star
     arm_mu, arm_dmu = base.mean_at(arm_inner), base.dmean_at(arm_inner)
     lam_eye = lam * np.eye(d)
-    # per replicate and round: arm, index, reward, exact and relaxed cover
-    arm_col, index_col, reward_col, exact_col, relaxed_col = np.zeros((5, R, T))
+    arm_col, index_col, reward_col = np.zeros((3, R, T))  # per replicate and round
+    gammas = np.zeros(T)
+    # each round's fit, for the cover pass: estimate, gradient map and Hessian
+    thetas, g_hats, Hs = np.zeros((R, T, d)), np.zeros((R, T, d)), np.zeros((R, T, d, d))
     played = np.full(R, T)  # rounds logged: a replicate's columns end there
     reasons: dict[int, str] = {}  # abort reasons by replicate position
     live = np.arange(R)  # positions of the replicates still running
     X, y = np.zeros((R, T, d)), np.zeros((R, T))
-    counts, theta = np.zeros((R, inst.n_arms)), np.zeros((R, d))  # plays per arm, estimates
+    theta, at, rows = np.zeros((R, d)), slice(None), np.arange(R)  # estimates, live rows
     for t in range(1, T + 1):
         n = t - 1
         fit = _fit_stack(family, X[:, :n], y[:, :n], lam, lam_eye, theta)
@@ -421,31 +432,35 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
             reasons.update({int(live[i]): f"round {t}: {exc}" for i, exc in fit.errors.items()})
             played[live[list(fit.errors)]] = n
             keep = [i not in fit.errors for i in range(len(live))]
-            live, X, y, counts, theta, H, g_hat = (
-                a[keep] for a in (live, X, y, counts, theta, H, g_hat))
+            live, X, y, theta, H, g_hat = (a[keep] for a in (live, X, y, theta, H, g_hat))
             if not live.size:
                 break
-        gamma = confidence_radius(inst, t, T, delta, lam=lam)
+            at, rows = live, np.arange(len(live))
+        gammas[n] = gamma = confidence_radius(inst, t, T, delta, lam=lam)
         idx_vals = _optimistic_indices(inst, theta, H, gamma)
-        r = inst.diameter_factor * gamma
-        exact_col[live, n] = _exact_norms_sq(arms, counts, arm_mu, arm_dmu, lam, lam_eye,
-                                             inst.theta_star, g_hat) <= gamma * gamma
-        relaxed_col[live, n] = _relaxed_norms_sq(inst.theta_star, theta, H) <= r * r
+        thetas[at, n], g_hats[at, n], Hs[at, n] = theta, g_hat, H
         chosen = idx_vals.argmax(axis=1)
-        rows = np.arange(len(live))
-        arm_col[live, n] = chosen
-        index_col[live, n] = idx_vals[rows, chosen]
-        y[:, n] = reward_col[live, n] = base.tilted_inverse_cdf(arm_inner[chosen],
-                                                                uniforms[n, live])
+        arm_col[at, n] = chosen
+        index_col[at, n] = idx_vals[rows, chosen]
+        y[:, n] = reward_col[at, n] = base.tilted_inverse_cdf(arm_inner[chosen], uniforms[n, at])
         X[:, n] = arms[chosen]
-        counts[rows, chosen] += 1.0
-    regret_col = (star_mean - arm_mu)[arm_col.astype(int)]
-    cum_col = np.cumsum(regret_col, axis=1) + 0.0  # a running sum from 0.0 never reads -0.0
-    cols = (arm_col.astype(int), index_col, reward_col, regret_col, cum_col, exact_col > 0,
-            relaxed_col > 0)
-    return [RunResult(rounds=tuple(map(RoundLog, range(1, n + 1),
-                                       *(c[k, :n].tolist() for c in cols))),
-                      aborted=k in reasons, abort_reason=reasons.get(k, ""))
+    arm_col = arm_col.astype(int)
+
+    def before(per_arm):  # each round's sum of the per-play terms of the rounds before it
+        return np.cumsum(np.insert(per_arm[arm_col[:, :-1]], 0, 0.0, axis=1), axis=1)
+
+    # at theta_star: g = lam theta + sum_a n_a mu_a x_a, H = lam I + sum_a n_a mu'_a x_a x_a'
+    q = _exact_norms_sq(lam * inst.theta_star + before(arm_mu[:, None] * arms),
+                        lam_eye + before(arm_dmu[:, None, None] * arms[:, :, None] * arms[:, None]),
+                        g_hats)
+    r = inst.diameter_factor * gammas
+    regret_col = (star_mean - arm_mu)[arm_col]
+    cols = (arm_col, index_col, reward_col, regret_col,
+            np.cumsum(regret_col, axis=1) + 0.0,  # a running sum from 0.0 never reads -0.0
+            q <= gammas * gammas, _relaxed_norms_sq(inst.theta_star, thetas, Hs) <= r * r)
+    t_col = np.arange(1, T + 1)
+    return [RunResult(RoundLog(t_col[:n], *(c[k, :n] for c in cols)), aborted=k in reasons,
+                      abort_reason=reasons.get(k, ""))
             for k, n in enumerate(played.tolist())]
 
 

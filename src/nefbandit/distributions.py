@@ -16,14 +16,14 @@ masses of Q itself are these at u = 0.  ``gamma_ratio``, the ratio
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DomainError,
@@ -75,6 +75,10 @@ class _LazyIntegrate:
 
 
 integrate = _LazyIntegrate()
+
+
+# scipy.special, imported at the first call (by Gaussian, Poisson, Gamma and Bernoulli only)
+_special = cache(lambda: importlib.import_module("scipy.special"))
 
 
 def _freeze(obj, **arrays) -> None:
@@ -203,13 +207,13 @@ class Gaussian(BaseDistribution):
         return Shifted(Gaussian(self.sigma), self.sigma**2 * float(u))
 
     def tilted_upper_tail(self, u, t):
-        return special.ndtr((self.sigma**2 * u - t) / self.sigma)
+        return _special().ndtr((self.sigma**2 * u - t) / self.sigma)
 
     def tilted_lower_tail(self, u, t):
-        return special.ndtr((-t - self.sigma**2 * u) / self.sigma)
+        return _special().ndtr((-t - self.sigma**2 * u) / self.sigma)
 
     def tilted_inverse_cdf(self, u, p):
-        return self.sigma**2 * u + self.sigma * special.ndtri(p)
+        return self.sigma**2 * u + self.sigma * _special().ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -273,19 +277,19 @@ class Poisson(BaseDistribution):
     def interval_mass(self, lo, hi):
         lo_k = np.maximum(0.0, np.ceil(np.asarray(lo) - 1e-12))
         hi_k = np.floor(np.asarray(hi) + 1e-12)
-        upper = special.pdtr(hi_k, self.nu)
-        lower = np.where(lo_k > 0, special.pdtr(lo_k - 1, self.nu), 0.0)
+        upper = _special().pdtr(hi_k, self.nu)
+        lower = np.where(lo_k > 0, _special().pdtr(lo_k - 1, self.nu), 0.0)
         return np.where((hi < 0) | (hi_k < lo_k), 0.0, upper - lower)
 
     def tilted(self, u):
         return Poisson(self.nu * math.exp(float(u)))
 
     def tilted_upper_tail(self, u, t):
-        return np.where(t < 0, 1.0, special.pdtrc(np.floor(t), self.nu * np.exp(u)))
+        return np.where(t < 0, 1.0, _special().pdtrc(np.floor(t), self.nu * np.exp(u)))
 
     def tilted_lower_tail(self, u, t):
         k = np.ceil(np.negative(t)) - 1  # largest atom strictly below -t
-        return np.where(k < 0, 0.0, special.pdtr(k, self.nu * np.exp(u)))
+        return np.where(k < 0, 0.0, _special().pdtr(k, self.nu * np.exp(u)))
 
     def tilted_inverse_cdf(self, u, p):
         # per distinct tilt, the least k whose cdf reaches p, on a table of the k within
@@ -299,7 +303,7 @@ class Poisson(BaseDistribution):
             kmin = max(int(m - 40.0 * math.sqrt(m) - 60.0), 0)
             kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
             sel = which == i
-            cdf = special.pdtr(np.arange(kmin, kmax + 1), m)
+            cdf = _special().pdtr(np.arange(kmin, kmax + 1), m)
             out[sel] = kmin + np.minimum(np.searchsorted(cdf, p[sel], side="left"), kmax - kmin)
         return out
 
@@ -361,9 +365,10 @@ class Laplace(BaseDistribution):
                         mass_neg + mass_pos * -np.expm1(-rp * np.maximum(y, 0.0)))
 
     def tilted_inverse_cdf(self, u, p):
+        # near a domain end the rounded masses can sum below p: take the largest draw, not NaN
         rp, rm, c, mass_neg, _ = self._tilted_pieces(u)
         return np.where(p <= mass_neg, np.log(p * rm / c) / rm,
-                        -np.log1p(-(p - mass_neg) * rp / c) / rp)
+                        -np.log1p(np.maximum(-(p - mass_neg) * rp / c, 2.0**-53 - 1.0)) / rp)
 
 
 @dataclass(frozen=True)
@@ -400,13 +405,13 @@ class Gamma(BaseDistribution):
         return Gamma(self.shape, self._tilted_scale(float(u)))
 
     def tilted_upper_tail(self, u, t):
-        return np.where(t <= 0, 1.0, special.gammaincc(self.shape, t / self._tilted_scale(u)))
+        return np.where(t <= 0, 1.0, _special().gammaincc(self.shape, t / self._tilted_scale(u)))
 
     def tilted_lower_tail(self, u, t):
-        return np.where(t >= 0, 0.0, special.gammainc(self.shape, -t / self._tilted_scale(u)))
+        return np.where(t >= 0, 0.0, _special().gammainc(self.shape, -t / self._tilted_scale(u)))
 
     def tilted_inverse_cdf(self, u, p):
-        return self._tilted_scale(u) * special.gammaincinv(self.shape, p)
+        return self._tilted_scale(u) * _special().gammaincinv(self.shape, p)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +519,7 @@ class Bernoulli(_AtomMixin, BaseDistribution):
     def mean_at(self, u):
         # logistic in u + logit(p)
         z = np.asarray(u, dtype=float) + math.log(self.p / (1.0 - self.p))
-        return special.expit(z)
+        return _special().expit(z)
 
     def dmean_at(self, u):
         m = self.mean_at(u)

@@ -45,7 +45,7 @@ from nefbandit.distributions import (
 )
 from nefbandit.errors import ConfigError, DomainError, InvalidArgumentError, NefBanditError
 from nefbandit.config import build_instance, load_config
-from nefbandit.glm import Dataset, fit_mle
+from nefbandit.glm import Dataset, fit_mle, gradient_map, hessian
 from nefbandit.rng import replicate_stream
 
 ARMS3 = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.64]])
@@ -334,8 +334,10 @@ def _weighted_rows(seed, R):
 def _kernel(inst, lam, theta, counts, g_hat):
     u = inst.arms @ theta
     base = inst.family.base
-    return _exact_norms_sq(inst.arms, counts, base.mean_at(u), base.dmean_at(u), lam,
-                           lam * np.eye(inst.d), theta, g_hat)
+    g = lam * theta + np.vecmat(counts * base.mean_at(u), inst.arms)
+    H = lam * np.eye(inst.d) + np.matmul(inst.arms.T * (counts * base.dmean_at(u))[:, None, :],
+                                         inst.arms)
+    return _exact_norms_sq(g, H, g_hat)
 
 
 def test_exact_norms_sq_slices_are_the_one_replicate_calls():
@@ -760,6 +762,91 @@ def test_run_replicates_warm_start_falls_back_per_replicate(monkeypatch):
     inst = make_instance(_Heavy(1.0), circle_arms(8), np.array([0.3, 0.1]))
     _assert_batch_invariant(inst, 60, 4, lam=1.0, replicates=range(6))
     assert sum(fell_back) > 0
+
+
+def _recorded_fits(monkeypatch):
+    """The (rows, rewards, ridge weight, fit) of each ``_fit_stack`` call, in call order."""
+    import nefbandit.bandit as bandit
+
+    calls = []
+    real = bandit._fit_stack
+
+    def recording(family, X, y, lam, lam_eye, init):
+        fits = real(family, X, y, lam, lam_eye, init)
+        calls.append((X.copy(), y.copy(), lam, fits))
+        return fits
+
+    monkeypatch.setattr(bandit, "_fit_stack", recording)
+    return calls
+
+
+VERDICT_CASES = {
+    "exponential": (Exponential(1.0), circle_arms(), [0.5, 0.0], None, range(3)),
+    "bernoulli": (Bernoulli(0.5), ARMS3, THETA3, None, range(3)),
+    "poisson": (Poisson(2.0), 0.8 * circle_arms(5), [0.2, 0.4], None, range(3)),
+    "atoms": (DiscreteAtoms(((0.0, 0.3), (1.0, 0.5), (2.5, 0.2))), circle_arms(4), [0.5, 0.5],
+              None, range(3)),
+    # replicates 1 to 4 abort, at rounds 12, 6, 5 and 10 (see the abort test)
+    "aborted": (_Walled(1.0), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]), [0.2, 0.1], 1.0,
+                range(5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_logged_cover_verdicts_are_the_per_round_membership_verdicts(case, monkeypatch):
+    # each logged verdict is the public membership test on that round's fit and the history
+    # before the round; the pass's statistic is ||g - g_hat||^2 in H^-1 from the public g and
+    # H at theta_star on that history (the round's own play not counted)
+    import nefbandit.bandit as bandit
+
+    base, arms, theta, lam, replicates = VERDICT_CASES[case]
+    inst = make_instance(base, arms, np.array(theta), S0=0.5 if lam else None)
+    calls, stats = _recorded_fits(monkeypatch), []
+    real = bandit._exact_norms_sq
+
+    def recording(g, H, g_hat):
+        stats.append(real(g, H, g_hat))
+        return stats[-1]
+
+    monkeypatch.setattr(bandit, "_exact_norms_sq", recording)
+    batch = run_replicates(inst, 12, 0.1, 1, replicates, lam_override=lam)
+    q = stats[0]  # the pass over every (replicate, round)
+    live, checked = list(range(len(batch))), 0
+    for n, (X, y, lam_n, fits) in enumerate(calls):
+        gamma = confidence_radius(inst, n + 1, 12, 0.1, lam=lam_n)
+        for i, k in enumerate(live):
+            if i in fits.errors:
+                continue
+            state = ConfidenceState(fits.theta[i], fits.H[i], fits.g[i], lam_n, gamma)
+            data, logged = Dataset(X[i], y[i]), batch[k].rounds[n]
+            assert logged.exact_cover == exact_membership(inst, state, data, inst.theta_star)
+            assert logged.relaxed_cover == relaxed_membership(inst, state, inst.theta_star)
+            w = gradient_map(inst.family, data, lam_n, inst.theta_star) - fits.g[i]
+            H = hessian(inst.family, data, lam_n, inst.theta_star)
+            assert q[k, n] == pytest.approx(w @ np.linalg.solve(H, w), rel=1e-9), (k, n)
+            checked += 1
+        live = [k for i, k in enumerate(live) if i not in fits.errors]
+    assert checked == sum(len(r.rounds) for r in batch)
+    assert any(r.aborted for r in batch) == (case == "aborted")
+
+
+def test_cover_pass_rejects_a_gradient_map_that_is_not_finite(monkeypatch):
+    # a NaN g_hat compares False against every radius: the pass must raise, not log False
+    import nefbandit.bandit as bandit
+
+    real = bandit._fit_stack
+    rounds = []
+
+    def poisoned(*args):
+        fits = real(*args)
+        rounds.append(None)
+        if len(rounds) == 7:
+            fits.g[1, 0] = np.nan  # replicate 1, round 7
+        return fits
+
+    monkeypatch.setattr(bandit, "_fit_stack", poisoned)
+    with pytest.raises(InvalidArgumentError, match="infs or NaNs"):
+        run_replicates(exp_instance(), 12, 0.1, 3, range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,35 @@ def test_tilted_inverse_cdf_over_arrays_is_the_per_draw_sampler(base):
         assert np.array_equal(draws.ravel(), [sample_tilted(base, u, rng) for u in tilts.ravel()])
 
 
+def _extreme_tilts(base):
+    """Both interior ends where finite, and -40 and 40 where admissible."""
+    lo, hi = base.interior
+    return [u for u in (lo, hi, -40.0, 40.0) if math.isfinite(u) and lo <= u <= hi]
+
+
+@pytest.mark.parametrize("base", DRAW_BASES, ids=DRAW_IDS)
+def test_tilted_inverse_cdf_at_extreme_tilts_and_uniforms_is_finite_and_monotone(base):
+    # Bernoulli draws 1 below its tilted mean, so its draw is nonincreasing in p; every other
+    # kind's is nondecreasing; a Poisson tilted mean above 2^31 is a PrecisionError
+    p = np.array([1e-300, 0.5, 1.0 - 1e-16])
+    sign = -1.0 if isinstance(base, Bernoulli) else 1.0
+    for u in _extreme_tilts(base):
+        if isinstance(base, Poisson) and base.nu * math.exp(u) > 2.0**31:
+            with pytest.raises(PrecisionError):
+                base.tilted_inverse_cdf(np.full(p.shape, u), p)
+            continue
+        draws = base.tilted_inverse_cdf(np.full(p.shape, u), p)
+        assert np.isfinite(draws).all(), (u, draws)
+        assert (np.diff(sign * draws) >= 0).all(), (u, draws)
+
+
+@pytest.mark.parametrize("nu", [2.0, 10.0])
+def test_poisson_draw_just_above_its_largest_mean_is_a_precision_error(nu):
+    u = np.nextafter(math.log(2.0**31 / nu), math.inf)
+    with pytest.raises(PrecisionError, match="too large"):
+        Poisson(nu).tilted_inverse_cdf(np.array([u]), np.array([0.5]))
+
+
 # off every cumulative mass of the discrete kinds below: there the atom kinds' draw
 # meets its rounded weights (see the exact-mass Bernoulli test below)
 QUANTILE_LEVELS = np.array([1e-4, 0.013, 0.1, 0.27, 0.49, 0.51, 0.73, 0.9, 0.987, 0.9999])

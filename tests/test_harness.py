@@ -33,10 +33,11 @@ from nefbandit.cli import (
     run_suite,
 )
 from nefbandit.config import build_instance, load_config, parse_config
-from nefbandit.distributions import NefFamily, parse_distribution
+from nefbandit.distributions import NefFamily, distribution_config, parse_distribution
 from nefbandit.errors import ParseError
 from nefbandit.selfconcordance import build_certificate
 from nefbandit.tailbounds import run_tail_suite
+from oracle import README_BASES
 
 DATA = Path(__file__).parent / "data"
 
@@ -931,6 +932,32 @@ def test_fresh_process_runs_every_command_without_scipy_integrate(tmp_path):
     done = _run_fresh(script, str(cfg))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": False, "quad": 0.5}
+
+
+README_SPECS = {spec["kind"]: spec for spec in map(distribution_config, README_BASES[:8])}
+# the kinds whose closed forms call scipy.special (ndtr, pdtr, gammainc, expit, ...)
+SPECIAL_KINDS = {"bernoulli", "gaussian", "poisson", "gamma"}
+
+
+@pytest.mark.parametrize("case", ["golden", *README_SPECS])
+def test_fresh_process_loads_scipy_special_only_for_the_kinds_that_call_it(case, tmp_path):
+    if case == "golden":  # the golden instance (Exponential), shortened
+        golden = json.loads((DATA / "golden_config.json").read_text())
+        cfg = _write_cfg(tmp_path, {**golden, "horizon": 20, "replicates": 1})
+        commands = [["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]]
+    else:
+        spec = json.dumps(README_SPECS[case])
+        commands = [[call, "--dist", spec, "--grid-n", "20"] for call in ("verify", "tails")]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from nefbandit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'loaded': 'scipy.special' in sys.modules}))\n")
+    done = _run_fresh(script, json.dumps(commands))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0] * len(commands),
+                                       "loaded": case in SPECIAL_KINDS}
 
 
 def _parser_options(parser, words=()):
