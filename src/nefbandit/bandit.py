@@ -326,9 +326,9 @@ def exact_membership(inst: GlbInstance, state: ConfidenceState, data, theta) -> 
     if np.linalg.norm(theta) > inst.S0 + 1e-12:
         return False
     theta, inner = _inner_products(inst.family, data, theta, op="exact_membership")
-    X, lam = data.arms[None], state.lambda_T
-    q = _exact_norms_sq(_gradient_maps(inst.family, X, lam, theta, inner),
-                        _hessians(inst.family, X, lam * np.eye(inst.d), inner),
+    X, lam, base = data.arms[None], state.lambda_T, inst.family.base
+    q = _exact_norms_sq(_gradient_maps(X, lam, theta, base.mean_at(inner)),
+                        _hessians(X, lam * np.eye(inst.d), base.dmean_at(inner)),
                         state.gradient_map_at_hat[None])
     return float(q[0]) <= state.gamma_t * state.gamma_t
 

@@ -114,7 +114,9 @@ class BaseDistribution:
     - ``mgf_domain``: the open interval on which M is finite;
     - ``support_bounds``: essential infimum and supremum of the support;
     - ``log_mgf``, ``mean_at``, ``dmean_at`` (variance of Q_u) and
-      ``d2mean_at`` (third central moment of Q_u), vectorised over u;
+      ``d2mean_at`` (third central moment of Q_u), vectorised over u; ``_curve``
+      gives (log M, mu, mu') and ``_dmeans`` (mu', mu'') in one call, with the bits of
+      the methods;
     - ``tilted_upper_tail(u, t)`` = Q_u((t, ∞)) and
       ``tilted_lower_tail(u, t)`` = Q_u((-∞, -t)), elementwise over
       broadcast u and t;
@@ -128,7 +130,7 @@ class BaseDistribution:
 
     kind: ClassVar[str] = ""
 
-    @property
+    @cached_property
     def interior(self) -> tuple[float, float]:
         """Admissible tilts: the domain less 1e-9 of its width per end, or of its finite end's
         magnitude when the width is infinite (so u = 0 stays admissible)."""
@@ -169,6 +171,10 @@ class BaseDistribution:
     def tilted(self, u: float) -> "BaseDistribution":
         """Exact conjugate representation of Q_u, where one exists."""
         raise InvalidArgumentError(f"{self.kind} has no closed tilted form among supported kinds")
+
+    def _curve(self, u):
+        """(log M(u), mu(u), mu'(u)) in one call, each with the bits of its own method."""
+        return self.log_mgf(u), self.mean_at(u), self.dmean_at(u)
 
     def _dmeans(self, u):
         """(mu'(u), mu''(u)) in one call, each with the bits of its own method."""
@@ -240,6 +246,10 @@ class Exponential(BaseDistribution):
 
     def d2mean_at(self, u):
         return 2.0 / (self.rate - np.asarray(u, dtype=float)) ** 3
+
+    def _curve(self, u):
+        gap = self.rate - np.asarray(u, dtype=float)
+        return math.log(self.rate) - np.log(gap), 1.0 / gap, 1.0 / gap**2
 
     def tilted(self, u):
         return Exponential(self.rate - float(u))
@@ -527,6 +537,10 @@ class Bernoulli(_AtomMixin, BaseDistribution):
 
     def d2mean_at(self, u):
         return self._dmeans(u)[1]
+
+    def _curve(self, u):
+        m = self.mean_at(u)
+        return self.log_mgf(u), m, m * (1.0 - m)
 
     def _dmeans(self, u):
         m = self.mean_at(u)

@@ -15,17 +15,23 @@ The solver is damped Newton with a hard feasibility guard: a step is
 shortened until every inner product stays strictly inside the natural
 parameter interval before the loss is ever evaluated there, since the
 interval can be bounded (the loss blows up at the boundary), and until the
-loss there is finite (an unbounded interval can still overflow it).
+loss and every curvature weight mu'(x_i' theta) there are finite (an
+unbounded interval can still overflow them).  Each point it evaluates takes
+psi, mu and mu' at its inner products from one ``_curve`` call of the kind,
+and the Hessian of the next step, or of the fit, is built from the weights of
+the accepted point.  The Cholesky solves use LAPACK's ``posv`` from
+``scipy.linalg``, imported at the first solve.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 from .distributions import NefFamily, _freeze
 from .errors import DomainError, InvalidArgumentError, OptimizationError
@@ -47,7 +53,9 @@ _BACKTRACK = 0.5
 _GRAD_TOL = 1e-8
 _MAX_ITERS = 60
 _ALPHA_COINCIDENCE = 1e-8
-_POSV = linalg.get_lapack_funcs("posv", (np.eye(1),))
+# LAPACK's posv, from scipy.linalg imported at the first solve (most of a cold start's time)
+_posv = cache(lambda: importlib.import_module("scipy.linalg").get_lapack_funcs("posv",
+                                                                               (np.eye(1),)))
 
 
 def _rows(a, what: str) -> np.ndarray:
@@ -91,9 +99,10 @@ class Dataset:
 
 
 # Stacked kernels over R replicates: rows X (R, n, d), rewards y (R, n), theta (R, d),
-# inner products (R, n).  np.matvec/vecmat/vecdot/matmul make one BLAS call per
-# replicate with the shapes of the 2-D call (X @ theta, X.T @ v, a @ b, A.T @ B), so
-# each slice has the one-replicate bits; the public functions are the R = 1 calls.
+# inner products (R, n) and the kind's psi, mu or mu' at them (R, n).  np.matvec/vecmat/
+# vecdot/matmul make one BLAS call per replicate with the shapes of the 2-D call (X @ theta,
+# X.T @ v, a @ b, A.T @ B), so each slice has the one-replicate bits; the public functions
+# are the R = 1 calls.
 
 def _ridge_weight(lam) -> float:
     """The ridge-weight rule of every public function: ``lam`` as a float if it is finite and
@@ -114,17 +123,17 @@ def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:
     return (np.maximum.reduce(inner, axis=1) > hi) | (np.minimum.reduce(inner, axis=1) < lo)
 
 
-def _losses(family: NefFamily, y, lam: float, theta, inner) -> np.ndarray:
-    return 0.5 * lam * np.vecdot(theta, theta) \
-        + np.add.reduce(family.base.log_mgf(inner) - y * inner, axis=1)
+def _losses(y, lam: float, theta, inner, log_m) -> np.ndarray:
+    return 0.5 * lam * np.vecdot(theta, theta) + np.add.reduce(log_m - y * inner, axis=1)
 
 
-def _gradient_maps(family: NefFamily, X, lam: float, theta, inner) -> np.ndarray:
-    return lam * theta + np.vecmat(family.base.mean_at(inner), X)
+def _gradient_maps(X, lam: float, theta, mean) -> np.ndarray:
+    return lam * theta + np.vecmat(mean, X)
 
 
-def _hessians(family: NefFamily, X, lam_eye: np.ndarray, inner) -> np.ndarray:
-    return lam_eye + np.matmul((X * family.base.dmean_at(inner)[:, :, None]).mT, X)
+def _hessians(X, lam_eye: np.ndarray, w) -> np.ndarray:
+    """lam I + sum_i w_i x_i x_i' per replicate, from the curvature weights w = mu'(inner)."""
+    return lam_eye + np.matmul((X * w[:, :, None]).mT, X)
 
 
 def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
@@ -132,14 +141,16 @@ def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
     each H_r (its potrf + potrs: scipy's cho_factor(lower=True) + cho_solve bit for bit);
     a one-row B serves every H_r.  Returns {r: LinAlgError} for each H_r not positive
     definite, leaving out[r] as it was; InvalidArgumentError on non-finite input."""
-    if not (np.isfinite(H).all() and np.isfinite(B).all()):
+    if not (np.logical_and.reduce(np.isfinite(H), axis=None)
+            and np.logical_and.reduce(np.isfinite(B), axis=None)):
         raise InvalidArgumentError("array must not contain infs or NaNs")
     failed = {}
     shared = B.shape[0] == 1
+    posv = _posv()
     for r in range(H.shape[0]):
-        _, x, info = _POSV(H[r], B[0] if shared else B[r], lower=1)
+        _, x, info = posv(H[r], B[0] if shared else B[r], lower=1)
         if info > 0:
-            failed[r] = linalg.LinAlgError(
+            failed[r] = np.linalg.LinAlgError(
                 f"{info}-th leading minor of the array is not positive definite")
         elif info:
             raise ValueError(f"LAPACK reported an illegal argument ({info})")
@@ -167,14 +178,14 @@ def _inner_products(family: NefFamily, data: Dataset, theta, *, op: str):
 def loss(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> float:
     lam = _ridge_weight(lam)
     theta, inner = _inner_products(family, data, theta, op="loss")
-    return float(_losses(family, data.rewards[None], lam, theta, inner)[0])
+    return float(_losses(data.rewards[None], lam, theta, inner, family.base.log_mgf(inner))[0])
 
 
 def gradient_map(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
     """g(theta) = sum_i mu(x_i' theta) x_i + lam theta (reward terms excluded)."""
     lam = _ridge_weight(lam)
     theta, inner = _inner_products(family, data, theta, op="gradient_map")
-    return _gradient_maps(family, data.arms[None], lam, theta, inner)[0]
+    return _gradient_maps(data.arms[None], lam, theta, family.base.mean_at(inner))[0]
 
 
 def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
@@ -185,7 +196,7 @@ def full_gradient(family: NefFamily, data: Dataset, lam: float, theta: np.ndarra
 def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> np.ndarray:
     lam = _ridge_weight(lam)
     theta, inner = _inner_products(family, data, theta, op="hessian")
-    return _hessians(family, data.arms[None], lam * np.eye(theta.shape[1]), inner)[0]
+    return _hessians(data.arms[None], lam * np.eye(data.d), family.base.dmean_at(inner))[0]
 
 
 def cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,23 +268,25 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     reward_map = np.vecmat(y, X)
 
     def evaluate(sel, theta):
-        """Outside flags, inner products, losses, gradient maps, gradients, their norms."""
+        """Outside flags, inner products, losses, gradient maps, gradients, their norms and
+        curvature weights, all from one ``_curve`` call."""
         Xs = X[sel]
         inner = np.matvec(Xs, theta)
         bad = _outside(guard, inner)
         out = bad.tolist()
         if True in out:
             inner[bad] = 0.0  # stand-ins, so no kind is evaluated off its domain
-        g = _gradient_maps(family, Xs, lam, theta, inner)
+        log_m, mean, w = family.base._curve(inner)
+        g = _gradient_maps(Xs, lam, theta, mean)
         grad = g - reward_map[sel]
-        return (out, inner, _losses(family, y[sel], lam, theta, inner).tolist(), g, grad,
-                np.sqrt(np.vecdot(grad, grad)).tolist())
+        return (out, inner, _losses(y[sel], lam, theta, inner, log_m).tolist(), g, grad,
+                np.sqrt(np.vecdot(grad, grad)).tolist(), w)
 
     theta = np.array(init, dtype=float)
-    fallback, inner, f, g, grad, gnorm = evaluate(slice(None), theta)
+    fallback, inner, f, g, grad, gnorm, w = evaluate(slice(None), theta)
     if True in fallback:
         theta[fallback] = 0.0
-        _, inner, f, g, grad, gnorm = evaluate(slice(None), theta)
+        _, inner, f, g, grad, gnorm, w = evaluate(slice(None), theta)
     iters = [0] * R
     errors: dict = {}
     while True:
@@ -283,7 +296,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
             break
         sel = slice(None) if len(act) == R else act
         step = np.zeros((len(act), d))  # a failed replicate keeps a zero step: its fit is over
-        failed = _cholesky_solves(_hessians(family, X[sel], lam_eye, inner[sel]), grad[sel], step)
+        failed = _cholesky_solves(_hessians(X[sel], lam_eye, w[sel]), grad[sel], step)
         for i, exc in failed.items():
             errors[act[i]] = OptimizationError(f"Hessian factorization failed: {exc}",
                                                diagnostics={"iter": iters[act[i]],
@@ -296,8 +309,9 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
         while search:
             rows = [act[i] for i in search]
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is infeasible
-                out, inner_t, f_t, g_t, grad_t, gnorm_t = evaluate(
+                out, inner_t, f_t, g_t, grad_t, gnorm_t, w_t = evaluate(
                     slice(None) if len(rows) == R else rows, trial)
+                curved = np.logical_and.reduce(np.isfinite(w_t), axis=1).tolist()
             accept, retry = [], []
             for j, i in enumerate(search):
                 r = act[i]
@@ -305,7 +319,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                 # resolution of the loss; sufficient-decrease tests are pure noise
                 # there, so take the (feasibility-clipped) full step instead
                 fp_noise = 1e-13 * (1.0 + abs(f[r]))
-                if not out[j] and math.isfinite(f_t[j]) and (
+                if not out[j] and math.isfinite(f_t[j]) and curved[j] and (
                         not -slope[i] > fp_noise
                         or f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
                     accept.append(j)
@@ -314,11 +328,11 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                 else:
                     retry.append(j)
             if len(accept) == R:
-                theta, inner, g, grad = trial, inner_t, g_t, grad_t
+                theta, inner, g, grad, w = trial, inner_t, g_t, grad_t, w_t
             elif accept:
                 a = [rows[j] for j in accept]
-                theta[a], inner[a], g[a], grad[a] = (
-                    trial[accept], inner_t[accept], g_t[accept], grad_t[accept])
+                theta[a], inner[a], g[a], grad[a], w[a] = (
+                    trial[accept], inner_t[accept], g_t[accept], grad_t[accept], w_t[accept])
             tried, search = search, []
             for j in retry:
                 i = tried[j]
@@ -334,8 +348,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
             if search:
                 trial = theta[[act[i] for i in search]] \
                     + np.array([t[i] for i in search])[:, None] * step[search]
-    return _Fits(theta, inner, g, _hessians(family, X, lam_eye, inner), gnorm, iters,
-                 fallback, errors)
+    return _Fits(theta, inner, g, _hessians(X, lam_eye, w), gnorm, iters, fallback, errors)
 
 
 def fit_mle(family: NefFamily, data: Dataset, lam: float,

@@ -733,8 +733,8 @@ def test_run_replicates_hessian_factorization_failure_aborts_only_its_replicate(
     clean = run_replicates(inst, 12, 0.1, 3, range(3))
     real = glm._hessians
 
-    def broken(family, X, lam_eye, inner):
-        H = real(family, X, lam_eye, inner)
+    def broken(X, lam_eye, w):
+        H = real(X, lam_eye, w)
         if X.shape[:2] == (3, 5):  # round 6 of all three: replicate 1's Hessian is not PD
             H[1] = -H[1]
         return H

@@ -335,6 +335,26 @@ def test_moment_pair_is_mu_prime_and_mu_double_prime_bitwise(base):
         assert np.shape(var) == np.shape(third) == np.shape(u)
 
 
+CURVE_BASES = {**{_kind_id(b): b for b in README_BASES},
+               "shifted-exponential": Shifted(Exponential(2.0), 0.75),
+               "centered-exponential": centered(Exponential(1.0)),
+               "centered-bernoulli": centered(Bernoulli(0.2)),
+               "reflected-bernoulli": reflected(Bernoulli(0.3)),
+               "reflected-shifted-laplace": reflected(Shifted(Laplace(0.5), 1.5))}
+
+
+@pytest.mark.parametrize("base", CURVE_BASES.values(), ids=CURVE_BASES)
+def test_curve_is_log_mgf_mean_and_variance_bitwise(base):
+    # every Newton point reads its loss, gradient and Hessian weights from one _curve call
+    lo, hi = (u if math.isfinite(u) else math.copysign(40.0, u) for u in base.interior)
+    grid = np.linspace(lo, hi, 12)
+    for u in (lo, hi, float(grid[5]), grid, grid.reshape(3, 4)):
+        for got, method in zip(base._curve(u), (base.log_mgf, base.mean_at, base.dmean_at)):
+            want = method(u)
+            assert np.shape(got) == np.shape(want) == np.shape(u), (method.__name__, u)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (method.__name__, u)
+
+
 @pytest.mark.parametrize("base", ATOM_BASES, ids=lambda b: f"{b.kind}{len(b.log_atoms[0])}")
 @pytest.mark.parametrize("method", ["log_mgf", "mean_at", "dmean_at", "d2mean_at"])
 def test_atom_methods_over_a_grid_equal_per_tilt_values(base, method):

@@ -1,5 +1,6 @@
 """Loss/gradient/Hessian identities and the damped Newton fitter."""
 
+import collections
 import dataclasses
 import math
 from contextlib import nullcontext
@@ -17,6 +18,7 @@ from nefbandit.bandit import (
     make_instance,
 )
 from nefbandit.distributions import (
+    BaseDistribution,
     Bernoulli,
     Exponential,
     Gaussian,
@@ -419,6 +421,68 @@ def test_fit_exponential_respects_domain_guard():
     assert isinstance(res.outside_admissible, bool)
 
 
+class _CliffExponential(Exponential):
+    """Exponential(rate) whose mu' overflows to inf above the tilt 0.3, where its loss and mean
+    stay finite; below it, every method has Exponential's bits."""
+
+    _curve = BaseDistribution._curve  # the three methods, so the stub's mu' is the one read
+
+    def dmean_at(self, u):
+        u = np.asarray(u, dtype=float)
+        return super().dmean_at(u) * np.exp(np.where(u > 0.3, 1e3, 0.0))
+
+
+def test_fit_shortens_a_trial_whose_curvature_weights_are_not_finite():
+    # from the origin the full Newton step lands at 0.3465, past the cliff at 0.3, with a
+    # lower loss; the optimum 1 - 1/1.35 = 0.259 lies below it
+    data = Dataset(np.ones((100, 1)), np.full(100, 1.35))
+    res = fit_mle(NefFamily(_CliffExponential(1.0), -0.5, 0.5), data, 1.0)
+    ref = fit_mle(NefFamily(Exponential(1.0), -0.5, 0.5), data, 1.0)
+    assert res.converged and np.isfinite(res.hessian_at_hat).all()
+    assert res.inner_hi < 0.3
+    assert res.theta_hat == pytest.approx(ref.theta_hat, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [EXP, BERN], ids=["exponential", "bernoulli"])
+def test_fit_stack_evaluates_each_point_by_one_curve_call(family, monkeypatch):
+    # each evaluated point passes the domain guard once; its log-MGF, means and curvature
+    # weights, for the loss, the gradient and every Hessian, come from one _curve call
+    import nefbandit.glm as glm
+
+    cls, calls, depth = type(family.base), collections.Counter(), [0]
+
+    def counting(name):
+        real = getattr(cls, name)
+
+        def counted(self, u):
+            if not depth[0]:  # a method called by _curve itself is part of that call
+                calls[name] += 1
+            depth[0] += 1
+            try:
+                return real(self, u)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for name in ("_curve", "log_mgf", "mean_at", "dmean_at"):
+        monkeypatch.setattr(cls, name, counting(name))
+    real_outside, points = glm._outside, []
+
+    def outside(guard, inner):
+        points.append(len(inner))
+        return real_outside(guard, inner)
+
+    monkeypatch.setattr(glm, "_outside", outside)
+    rng = replicate_stream(92, 0)
+    X = ball_points(rng, 3 * 40, 2).reshape(3, 40, 2)
+    y = rng.exponential(2.5, (3, 40)) if family is EXP else (rng.random((3, 40)) < 0.8) * 1.0
+    init = np.zeros((3, 2))
+    init[1] = [5.0, 5.0]  # infeasible for Exponential(1), which then evaluates the origin too
+    fits = _fit_stack(family, X, y, 1.0, np.eye(2), init)
+    assert fits.errors == {} and len(points) > max(fits.iters)
+    assert calls == {"_curve": len(points)}
+
+
 def test_fit_infeasible_init_raises():
     data = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(DomainError):
@@ -470,9 +534,10 @@ def test_stacked_kernels_match_the_two_dimensional_calls_bit_for_bit(R):
     theta = 0.3 * rng.standard_normal((R, d))
     lam_eye = lam * np.eye(d)
     inner = np.matvec(X, theta)
-    g = _gradient_maps(EXP, X, lam, theta, inner)
-    H = _hessians(EXP, X, lam_eye, inner)
-    f = _losses(EXP, y, lam, theta, inner)
+    log_m, mean, w_all = EXP.base._curve(inner)
+    g = _gradient_maps(X, lam, theta, mean)
+    H = _hessians(X, lam_eye, w_all)
+    f = _losses(y, lam, theta, inner, log_m)
     rhs = rng.standard_normal((R, d, 4))
     sol, shared = np.empty_like(rhs), np.empty_like(rhs)
     assert _cholesky_solves(H, rhs, sol) == {}
