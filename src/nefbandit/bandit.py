@@ -70,14 +70,18 @@ def _wider_end(S1: float, S2: float) -> str:
     return "S1" if abs(S1) >= abs(S2) else "S2"
 
 
-def _check_range(S2: float, S1: float, c1: float, c2: float) -> None:
-    """-c2 < S2 <= S1 < c1 with S1 - S2 finite, or a ConfigError naming the constant of the
-    first failed step (the wider end for the width)."""
+def _check_range(S2: float, S1: float, c1: float, c2: float, domain: tuple[float, float]) -> None:
+    """-c2 < S2 <= S1 < c1 with S1 - S2 finite and both tail tilts -c2 and c1 inside the
+    natural parameter interval ``domain``, or a ConfigError naming the constant of the first
+    failed step (the wider end for the width)."""
+    lo, hi = domain
     for ok, name in ((-c2 < S2, "c2"), (S2 <= S1, "S2"), (S1 < c1, "c1"),
-                     (math.isfinite(S1 - S2), _wider_end(S1, S2))):
+                     (math.isfinite(S1 - S2), _wider_end(S1, S2)), (c1 < hi, "c1"),
+                     (lo < -c2, "c2")):
         if not ok:
             raise ConfigError(f"admissible range must satisfy -c2 < S2 <= S1 < c1 with S1 - S2 "
-                              f"finite, got S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
+                              f"finite and -c2, c1 inside the natural parameter interval "
+                              f"{domain}, got S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
 
 
 def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, float]:
@@ -115,10 +119,10 @@ class GlbInstance:
     """Arm set, true parameter, reward family, and the algorithm constants.
 
     Invariants: arms in the closed unit ball, every x' theta_star inside
-    [S2, S1] strictly inside the natural parameter interval with
-    -c2 < S2 <= S1 < c1, the family's tilt range exactly [S2, S1], L at
-    least 1 and at least the family's variance supremum, K >= 0, and every
-    constant finite, M too.  M is not an argument: it is always its floor
+    [S2, S1], -c2 < S2 <= S1 < c1 with the tail tilts -c2 and c1 inside the
+    natural parameter interval, L at least 1 and at least the family's
+    variance supremum, K >= 0, and every constant finite, M too.  S1 and S2
+    are not arguments: they are the family's tilt range.  Nor is M: it is its floor
     max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A ConfigError's ``name`` is the
     constant (or ``arms``) that fails.
     """
@@ -127,8 +131,6 @@ class GlbInstance:
     theta_star: np.ndarray
     family: NefFamily
     S0: float
-    S1: float
-    S2: float
     L: float
     K: float
     c1: float
@@ -145,7 +147,7 @@ class GlbInstance:
         if np.linalg.norm(theta) > self.S0 + 1e-12:
             raise ConfigError(f"the true parameter has norm {np.linalg.norm(theta):.6g} > "
                               f"S0={self.S0}", name="S0")
-        _check_range(self.S2, self.S1, self.c1, self.c2)
+        _check_range(self.S2, self.S1, self.c1, self.c2, self.family.base.mgf_domain)
         inner = arms @ theta
         if inner.min() < self.S2 - 1e-12 or inner.max() > self.S1 + 1e-12:
             raise ConfigError("x' theta_star must lie in [S2, S1] for every arm",
@@ -157,13 +159,14 @@ class GlbInstance:
         for name in ("S0", "S1", "S2", "c1", "c2", "L", "K", "M"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}={getattr(self, name)} is not finite", name=name)
-        if self.family.interval != (self.S2, self.S1):
-            raise ConfigError(f"family range {self.family.interval} is not [S2, S1]", name="S1")
         sup = self.family.suprema[0]
         if not self.L >= sup * (1 - 1e-9):  # a NaN supremum fails too
             raise ConfigError(f"L={self.L} is below the variance supremum {sup:.6g} on [S2, S1]",
                               name="L")
         _freeze(self, arms=arms, theta_star=theta)
+
+    S1 = property(lambda self: self.family.param_hi, doc="the family's upper tilt end")
+    S2 = property(lambda self: self.family.param_lo, doc="the family's lower tilt end")
 
     @cached_property
     def M(self) -> float:
@@ -222,7 +225,7 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         if not S2 <= S1:
             raise ConfigError(f"need S2 <= S1, got S2={S2}, S1={S1}",
                               name="S2" if "S2" in given else "S1")
-        _check_range(S2, S1, c1, c2)
+        _check_range(S2, S1, c1, c2, (lo, hi))
         try:
             family = NefFamily(base, S2, S1)
         except DomainError as exc:
@@ -231,7 +234,7 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         K = ratio_sup if K is None else K
         L = max(1.0, var_sup) if L is None else L
         return GlbInstance(arms=arms, theta_star=theta_star, family=family, S0=float(S0),
-                           S1=S1, S2=S2, L=float(L), K=float(K), c1=float(c1), c2=float(c2))
+                           L=float(L), K=float(K), c1=float(c1), c2=float(c2))
     except ConfigError as exc:
         exc.name = _named_by(exc.name, given, S1, S2, K, c1, c2)
         raise

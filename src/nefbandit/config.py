@@ -23,10 +23,11 @@ Every number here, in ``grid``, in the circle generator, in each ``arms`` and
 is a JSON number within float range, an integer one where "int" says so (and for
 ``n`` and ``i_max``); a bad one is named by its own pointer, such as /arms/0/1.
 
-Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm;
-the instance invariants are checked eagerly at parse time whenever the
-arm set is present, and a failure exits at the field that ``bandit._named_by``
-names, also when a run constant squares beyond float range.
+Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm.  The tail
+tilts c1 and -c2 lie inside the natural parameter interval, and the instance
+invariants are checked eagerly at parse time whenever the arm set is present; a
+failure exits at the field that ``bandit._named_by`` names, also when a run
+constant squares beyond float range.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ _NUMBER_RULES = (("schema", {"integer": True}), ("delta", {}),
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration; ``raw`` round-trips through json bit-identically."""
+    """Validated configuration.  ``raw`` holds JSON values only, so it round-trips
+    bit-identically: ``parse_config(json.loads(json.dumps(cfg.raw))).raw == cfg.raw``."""
 
     raw: dict = field(repr=False)
     # the instance parse_config built while checking it, so a command builds it once
@@ -115,12 +117,6 @@ class ExperimentConfig:
     @property
     def grid(self) -> dict | None:
         return self.raw.get("grid")
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
-
-    def serialize(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
 def _expand_arms(obj, pointer: str) -> np.ndarray:
@@ -263,6 +259,6 @@ def load_config(path) -> ExperimentConfig:
 def build_instance(cfg: ExperimentConfig) -> GlbInstance:
     """The validated instance of a config with arm data, as parse_config built it."""
     if cfg.instance is None:
-        raise ConfigError("config carries no arm set / true parameter")
+        raise ParseError("config carries no arm set / true parameter", pointer="/arms")
     return cfg.instance
 

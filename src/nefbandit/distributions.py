@@ -357,7 +357,7 @@ class Laplace(BaseDistribution):
         # tilted density ∝ exp(-(1/s - u) y) on y>0 and exp((1/s + u) y) on y<0
         lam = 1.0 / self.scale
         rp, rm = lam - u, lam + u
-        c = 1.0 / (2.0 * self.scale * np.exp(self.log_mgf(u)))  # common density scale at y = 0
+        c = rp * rm / (rp + rm)  # density at y = 0, 1 / (2 scale M(u)): masses sum to 1
         mass_neg = c / rm
         mass_pos = c / rp
         return rp, rm, c, mass_neg, mass_pos

@@ -11,16 +11,16 @@ lam I + sum_i mu'(x_i' theta) x_i x_i', and the secant matrix built
 from difference quotients of mu turns gradient gaps into exact linear
 maps of parameter gaps.
 
-The solver is damped Newton with a hard feasibility guard: a step is
-shortened until every inner product stays strictly inside the natural
-parameter interval before the loss is ever evaluated there, since the
-interval can be bounded (the loss blows up at the boundary), and until the
-loss and every curvature weight mu'(x_i' theta) there are finite (an
-unbounded interval can still overflow them).  Each point it evaluates takes
-psi, mu and mu' at its inner products from one ``_curve`` call of the kind,
-and the Hessian of the next step, or of the fit, is built from the weights of
-the accepted point.  The Cholesky solves use LAPACK's ``posv`` from
-``scipy.linalg``, imported at the first solve.
+The solver is damped Newton with one feasibility rule for its start and every
+trial: a point is infeasible when an inner product leaves the interior of the
+natural parameter interval (checked before the loss is evaluated there, as a
+bounded interval makes the loss blow up at its boundary) or when the loss or a
+curvature weight mu'(x_i' theta) there is not finite (an overflow on an
+unbounded interval).  An infeasible start begins at the origin; an infeasible
+trial is shortened.  Each point takes psi, mu and mu' from one ``_curve`` call
+of the kind, and each Hessian is built from the accepted point's weights.  The
+Cholesky solves use LAPACK's ``posv`` from ``scipy.linalg``, imported at the
+first solve.
 """
 
 from __future__ import annotations
@@ -248,7 +248,6 @@ class FitResult:
 
 class _Fits(NamedTuple):  # a stacked fit, row r for replicate r
     theta: np.ndarray     # (R, d) estimates
-    inner: np.ndarray     # (R, n) inner products at theta
     g: np.ndarray         # (R, d) gradient maps at theta
     H: np.ndarray         # (R, d, d) Hessians at theta
     gnorm: list           # full-gradient norms
@@ -257,6 +256,7 @@ class _Fits(NamedTuple):  # a stacked fit, row r for replicate r
     errors: dict          # {r: OptimizationError} for the replicates whose fit failed
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow makes its point infeasible
 def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                lam_eye: np.ndarray, init: np.ndarray) -> _Fits:
     """Damped Newton for R ridge-regularized likelihoods at once (lam_eye = lam I), each
@@ -268,25 +268,26 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     reward_map = np.vecmat(y, X)
 
     def evaluate(sel, theta):
-        """Outside flags, inner products, losses, gradient maps, gradients, their norms and
-        curvature weights, all from one ``_curve`` call."""
+        """Infeasible flags (by the module's one rule), losses, gradient maps, gradients,
+        their norms and curvature weights, all from one ``_curve`` call."""
         Xs = X[sel]
         inner = np.matvec(Xs, theta)
-        bad = _outside(guard, inner)
-        out = bad.tolist()
-        if True in out:
-            inner[bad] = 0.0  # stand-ins, so no kind is evaluated off its domain
+        out = _outside(guard, inner)
+        if True in out.tolist():
+            inner[out] = 0.0  # stand-ins, so no kind is evaluated off its domain
         log_m, mean, w = family.base._curve(inner)
+        f = _losses(y[sel], lam, theta, inner, log_m)
         g = _gradient_maps(Xs, lam, theta, mean)
         grad = g - reward_map[sel]
-        return (out, inner, _losses(y[sel], lam, theta, inner, log_m).tolist(), g, grad,
-                np.sqrt(np.vecdot(grad, grad)).tolist(), w)
+        # a finite sum of the weights also keeps the Hessian, which adds them up, finite
+        bad = out | ~np.isfinite(f + np.add.reduce(w, axis=1))
+        return bad.tolist(), f.tolist(), g, grad, np.sqrt(np.vecdot(grad, grad)).tolist(), w
 
     theta = np.array(init, dtype=float)
-    fallback, inner, f, g, grad, gnorm, w = evaluate(slice(None), theta)
+    fallback, f, g, grad, gnorm, w = evaluate(slice(None), theta)
     if True in fallback:
         theta[fallback] = 0.0
-        _, inner, f, g, grad, gnorm, w = evaluate(slice(None), theta)
+        _, f, g, grad, gnorm, w = evaluate(slice(None), theta)
     iters = [0] * R
     errors: dict = {}
     while True:
@@ -308,10 +309,8 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
         trial = theta[sel] + step
         while search:
             rows = [act[i] for i in search]
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is infeasible
-                out, inner_t, f_t, g_t, grad_t, gnorm_t, w_t = evaluate(
-                    slice(None) if len(rows) == R else rows, trial)
-                curved = np.logical_and.reduce(np.isfinite(w_t), axis=1).tolist()
+            bad, f_t, g_t, grad_t, gnorm_t, w_t = evaluate(
+                slice(None) if len(rows) == R else rows, trial)
             accept, retry = [], []
             for j, i in enumerate(search):
                 r = act[i]
@@ -319,20 +318,19 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                 # resolution of the loss; sufficient-decrease tests are pure noise
                 # there, so take the (feasibility-clipped) full step instead
                 fp_noise = 1e-13 * (1.0 + abs(f[r]))
-                if not out[j] and math.isfinite(f_t[j]) and curved[j] and (
-                        not -slope[i] > fp_noise
-                        or f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
+                if not bad[j] and (not -slope[i] > fp_noise
+                                   or f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
                     accept.append(j)
                     f[r], gnorm[r] = f_t[j], gnorm_t[j]
                     iters[r] += 1
                 else:
                     retry.append(j)
             if len(accept) == R:
-                theta, inner, g, grad, w = trial, inner_t, g_t, grad_t, w_t
+                theta, g, grad, w = trial, g_t, grad_t, w_t
             elif accept:
                 a = [rows[j] for j in accept]
-                theta[a], inner[a], g[a], grad[a], w[a] = (
-                    trial[accept], inner_t[accept], g_t[accept], grad_t[accept], w_t[accept])
+                theta[a], g[a], grad[a], w[a] = (
+                    trial[accept], g_t[accept], grad_t[accept], w_t[accept])
             tried, search = search, []
             for j in retry:
                 i = tried[j]
@@ -348,7 +346,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
             if search:
                 trial = theta[[act[i] for i in search]] \
                     + np.array([t[i] for i in search])[:, None] * step[search]
-    return _Fits(theta, inner, g, _hessians(X, lam_eye, w), gnorm, iters, fallback, errors)
+    return _Fits(theta, g, _hessians(X, lam_eye, w), gnorm, iters, fallback, errors)
 
 
 def fit_mle(family: NefFamily, data: Dataset, lam: float,
@@ -361,7 +359,7 @@ def fit_mle(family: NefFamily, data: Dataset, lam: float,
     fit = _fit_stack(family, data.arms[None], data.rewards[None], lam, lam * np.eye(data.d), theta)
     if fit.errors:
         raise fit.errors[0]
-    inner = fit.inner[0]
+    inner = np.matvec(data.arms, fit.theta[0])
     lo_i, hi_i = (float(inner.min()), float(inner.max())) if data.n else (0.0, 0.0)
     outside = bool(lo_i < family.param_lo - 1e-12 or hi_i > family.param_hi + 1e-12)
     return FitResult(theta_hat=fit.theta[0], gradient_norm=fit.gnorm[0], newton_iters=fit.iters[0],

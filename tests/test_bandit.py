@@ -38,6 +38,7 @@ from nefbandit.distributions import (
     Exponential,
     Gamma,
     Gaussian,
+    Laplace,
     NefFamily,
     Poisson,
     gamma_ratio,
@@ -100,8 +101,7 @@ def test_instance_validation_errors():
     with pytest.raises(TypeError, match="M"):  # M is the instance's floor, not an argument
         inst = exp_instance()
         GlbInstance(arms=inst.arms, theta_star=inst.theta_star, family=inst.family,
-                    S0=inst.S0, S1=inst.S1, S2=inst.S2, L=inst.L, K=inst.K,
-                    M=1.0, c1=inst.c1, c2=inst.c2)
+                    S0=inst.S0, L=inst.L, K=inst.K, M=1.0, c1=inst.c1, c2=inst.c2)
     for K in (-1.0, math.nan):
         with pytest.raises(ConfigError, match="K must be nonnegative"):
             make_instance(Bernoulli(0.5), ARMS3, THETA3, K=K)
@@ -111,7 +111,7 @@ def test_instance_validation_errors():
 def test_instance_rejects_a_coordinate_that_is_not_finite(bad):
     # a NaN coordinate passes every comparison check, so the instance checks finiteness
     base = Exponential(1.0)
-    consts = dict(S0=0.5, S1=0.5, S2=-0.5, L=4.0, K=10.0, c1=0.75, c2=1.0)
+    consts = dict(S0=0.5, L=4.0, K=10.0, c1=0.75, c2=1.0)
     for arms, theta, name in ((np.array([[1.0, 0.0], [bad, 0.0]]), np.array([0.5, 0.0]), "arms"),
                               (np.eye(2), np.array([bad, 0.0]), "theta_star")):
         with pytest.raises(ConfigError, match="not finite") as info:
@@ -138,6 +138,13 @@ def test_instance_rejects_a_coordinate_that_is_not_finite(bad):
     (Exponential(1.0), {"S1": 1.5}, "S1"),  # beyond the natural parameter interval
     (Exponential(1.0), {"S0": 1.5}, "S0"),  # so is the derived S1
     (Poisson(2.0), {"S0": 710.0}, "S0"),  # mu' = 2 e^u overflows on [S2, S1]: L and K
+    # inside the domain, past the interior: the family's own check, renamed
+    (Exponential(1.0), {"S1": 1 - 1e-10, "c1": 1 - 1e-11}, "S1"),
+    (Laplace(1.0), {"S2": -1 + 1e-10, "c2": 1 - 1e-11}, "S2"),
+    # a tail rate no tail of the base reaches: Exponential(1) decays at rate 1 to the right
+    (Exponential(1.0), {"c1": 5.0}, "c1"), (Exponential(1.0), {"c1": 1.0}, "c1"),
+    (Laplace(1.0), {"c2": 1.5}, "c2"), (Laplace(1.0), {"c1": 1.0}, "c1"),
+    (Gamma(2.0, 1.0), {"c1": 2.0}, "c1"),
 ])
 def test_make_instance_errors_name_the_argument_at_fault(base, kwargs, name):
     with pytest.raises(ConfigError) as info:
@@ -229,12 +236,19 @@ def test_glb_instance_M_is_its_floor_not_an_argument():
                           1.0 / (inst.c2 + inst.S2)) > inst.M
 
 
-@pytest.mark.parametrize("lo, hi", [(-0.01, 0.01), (-3.0, 2.5), (-2.5, 3.0), (-4.0, 4.0)])
-def test_glb_instance_rejects_a_family_range_other_than_S2_S1(lo, hi):
+@pytest.mark.parametrize("lo, hi, name", [(-0.01, 0.01, "S1"), (-3.0, 2.5, "S1"),
+                                          (0.5, 3.0, "S2")])
+def test_glb_instance_takes_its_tilt_range_from_the_family(lo, hi, name):
+    # x' theta_star is 0 and 3 on the two arms; [S2, S1] is the family's range
     fields = poisson_fields()
-    with pytest.raises(ConfigError, match=r"family range .* is not \[S2, S1\]") as info:
+    inst = GlbInstance(**fields)
+    assert (inst.S2, inst.S1) == fields["family"].interval == (-3.0, 3.0)
+    for end in ("S1", "S2"):
+        with pytest.raises(TypeError, match=f"'{end}'"):
+            GlbInstance(**{**fields, end: 3.0})
+    with pytest.raises(ConfigError, match=r"x' theta_star must lie in \[S2, S1\]") as info:
         GlbInstance(**{**fields, "family": NefFamily(Poisson(1.0), lo, hi)})
-    assert info.value.name == "S1"
+    assert info.value.name == name
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +270,7 @@ def test_regularizer_schedule_clamps_at_one():
     arms = 0.5 * circle_arms(8)
     inst = make_instance(Bernoulli(0.5), arms, np.array([1.0, 0.0]))
     small = GlbInstance(arms=inst.arms, theta_star=inst.theta_star, family=inst.family,
-                        S0=inst.S0, S1=inst.S1, S2=inst.S2, L=inst.L, K=inst.K,
-                        c1=inst.c1, c2=inst.c2)
+                        S0=inst.S0, L=inst.L, K=inst.K, c1=inst.c1, c2=inst.c2)
     # with a huge S0 the prefactor collapses and the clamp at 1 engages
     big_s0 = make_instance(Bernoulli(0.5), 0.05 * circle_arms(8), np.array([40.0, 0.0]),
                            S0=40.0)

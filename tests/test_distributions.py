@@ -550,6 +550,15 @@ def _extreme_tilts(base):
     return [u for u in (lo, hi, -40.0, 40.0) if math.isfinite(u) and lo <= u <= hi]
 
 
+@pytest.mark.parametrize("scale", [0.4, 1.0, 3.0])
+def test_laplace_tilted_masses_sum_to_one_at_the_interior_ends(scale):
+    # near a domain end 1/scale + u (or 1/scale - u) cancels; the two masses of the tilted
+    # density, its upper tail at -inf, still sum to 1
+    base = Laplace(scale)
+    for u in base.interior:
+        assert abs(float(base.tilted_upper_tail(u, -math.inf)) - 1.0) <= 4 * np.spacing(1.0)
+
+
 @pytest.mark.parametrize("base", DRAW_BASES, ids=DRAW_IDS)
 def test_tilted_inverse_cdf_at_extreme_tilts_and_uniforms_is_finite_and_monotone(base):
     # Bernoulli draws 1 below its tilted mean, so its draw is nonincreasing in p; every other

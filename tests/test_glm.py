@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -26,7 +27,7 @@ from nefbandit.distributions import (
     gamma_ratio,
     sample_tilted,
 )
-from nefbandit.errors import DomainError, InvalidArgumentError, NefBanditError
+from nefbandit.errors import DomainError, InvalidArgumentError, NefBanditError, OptimizationError
 from nefbandit.glm import (
     Dataset,
     FitResult,
@@ -441,6 +442,50 @@ def test_fit_shortens_a_trial_whose_curvature_weights_are_not_finite():
     assert res.converged and np.isfinite(res.hessian_at_hat).all()
     assert res.inner_hi < 0.3
     assert res.theta_hat == pytest.approx(ref.theta_hat, abs=1e-12)
+
+
+def test_fit_starts_at_the_origin_when_mu_prime_overflows_at_its_start():
+    # the start lies inside the guard, 1e-156 below the rate, where mu' = 1/gap^2 overflows:
+    # one rule judges it infeasible, as it would a trial, and the fit begins at the origin
+    family = NefFamily(Exponential(1e-150), -1e-150, 5e-151)
+    data = Dataset(np.ones((5, 1)), np.full(5, 2e150))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_mle(family, data, 1.0, init=np.array([1e-150 - 1e-156]))
+    ref = fit_mle(family, data, 1.0)
+    assert res.converged and res.theta_hat[0] == pytest.approx(5e-151, rel=1e-12)
+    assert np.array_equal(res.theta_hat, ref.theta_hat) and res.newton_iters == ref.newton_iters
+
+
+def test_fit_stack_restarts_only_the_replicate_whose_start_has_infinite_curvature():
+    # replicate 1 starts at 0.35, past the cliff at 0.3 where mu' is inf; replicate 0 at 0.1
+    family = NefFamily(_CliffExponential(1.0), -0.5, 0.5)
+    X, y, init = np.ones((2, 100, 1)), np.full((2, 100), 1.35), np.array([[0.1], [0.35]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = _fit_stack(family, X, y, 1.0, np.eye(1), init)
+    assert fits.fallback == [False, True] and fits.errors == {}
+    for r, start in enumerate((init[0], None)):
+        ref = fit_mle(family, Dataset(X[r], y[r]), 1.0, init=start)
+        assert np.array_equal(fits.theta[r], ref.theta_hat)
+        assert np.array_equal(fits.H[r], ref.hessian_at_hat)
+        assert (fits.gnorm[r], fits.iters[r]) == (ref.gradient_norm, ref.newton_iters)
+
+
+class _WalledGaussian(Gaussian):
+    """N(u, 1) whose loss term is +inf from u = 1 on, while its mean map knows no wall."""
+
+    def log_mgf(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < 1.0, super().log_mgf(u), np.inf)
+
+
+def test_fit_mle_raises_the_optimization_error_of_its_fit():
+    # the optimum 20 n / (n + lam) = 10 lies past the wall: the fit creeps up to it until
+    # no step length keeps the loss finite
+    data = Dataset(np.ones((1, 1)), np.array([20.0]))
+    with pytest.raises(OptimizationError, match="no domain-feasible descent step found"):
+        fit_mle(NefFamily(_WalledGaussian(1.0), -0.5, 0.5), data, 1.0)
 
 
 @pytest.mark.parametrize("family", [EXP, BERN], ids=["exponential", "bernoulli"])

@@ -91,9 +91,9 @@ def test_config_requires_arms_and_theta_together():
 
 def test_config_round_trips_bit_identically():
     cfg = parse_config(SMALL_RUN)
-    again = parse_config(cfg.to_dict())
-    assert cfg.serialize() == again.serialize()
-    assert json.loads(cfg.serialize()) == cfg.to_dict()
+    again = parse_config(json.loads(json.dumps(cfg.raw)))
+    assert again.raw == cfg.raw
+    assert json.dumps(again.raw, sort_keys=True) == json.dumps(cfg.raw, sort_keys=True)
 
 
 def test_golden_config_snapshot():
@@ -655,6 +655,18 @@ def test_cli_coverage_small(tmp_path, capsys):
     assert 0.0 <= out["coverage_rate"] <= 1.0
 
 
+def test_coverage_commands_match_the_benchmark_reference(capsys):
+    # the coverage twin of the golden sha256 check: the first 8 of the benchmark's 64 seed-0
+    # commands (10 replicates each, seeds 7..14) keep their pinned covered/aborted counts
+    reference = Path(__file__).parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["coverage"]
+    for i in range(8):
+        assert main(["coverage", "--config", str(DATA / "coverage_config.json"),
+                     "--replicates", "10", "--seed", str(7 + i), "--workers", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {"covered": report["covered"], "aborted": report["aborted"]} == expected[i], i
+
+
 def test_cli_coverage_counts_an_overflowing_newton_trial_as_infeasible(tmp_path, capsys):
     # a reward near e^17 sends the first damped-Newton trials past float range in exp;
     # such a trial is shortened like one off the domain, with no RuntimeWarning
@@ -735,6 +747,18 @@ POISSON_400 = {"distribution": {"kind": "poisson", "nu": 1.0}, "arms": [[1.0, 0.
     ({"schema": True}, "/schema"), ({"schema": 1.0}, "/schema"), ({"schema": 2}, "/schema"),
     # L = e^400 squares beyond float range: it comes from the wider end of [S2, S1]
     (POISSON_400, "/S0"), ({**POISSON_400, "S0": 400}, "/S0"), ({**POISSON_400, "S1": 400}, "/S1"),
+    ({"arms": {"circle": {"n": 3, "radius": 0.5}, "n": 3}}, "/arms"),  # a second generator key
+    ({"arms": [[1.0, 0.0], [0.5]]}, "/arms"), ({"arms": 0.5}, "/arms"),  # ragged; no list
+    ({"grid": [0.0, 1.0]}, "/grid"), ({"theta_star": [0.4, -0.3, 0.1]}, "/theta_star"),
+    # a Poisson(1) arm at the tilt 22 has a tilted mean e^22 above 2^31
+    ({"distribution": {"kind": "poisson", "nu": 1.0}, "theta_star": [22.0, 0.0]},
+     "/distribution"),
+    ({"distribution": "poisson"}, "/distribution"),
+    ({"distribution": {"nu": 1.0}}, "/distribution"),  # no kind
+    ({"distribution": {"kind": "atoms", "atoms": []}}, "/distribution/atoms"),
+    # a tail rate that no tail of the base reaches
+    ({"distribution": EXPONENTIAL, "c1": 5.0}, "/c1"),
+    ({"distribution": {"kind": "laplace", "scale": 1.0}, "c2": 1.5}, "/c2"),
 ])
 def test_cli_bad_nested_config_value_exits_2_at_its_pointer(tmp_path, capsys, patch, pointer):
     cfg = _write_cfg(tmp_path, {**SMALL_RUN, **patch})
@@ -779,6 +803,23 @@ def test_cli_bad_config_field_exits_2_at_its_pointer(tmp_path, capsys, command, 
     assert main(_config_command(command, cfg, tmp_path / "o")) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith(f"(at /{field})\n"), captured.err
+
+
+@pytest.mark.parametrize("text, command, pointer", [
+    ("[1, 2]", "bound", "/"), ("{", "bound", "/"),  # not an object; not JSON
+    (json.dumps(SMALL_RUN), "bandit run", "/out"),  # no --out flag, config field or variable
+] + [(json.dumps(MINIMAL), command, "/arms") for command in ("bound", "coverage", "bandit run")])
+def test_cli_config_without_an_object_an_out_or_arms_exits_2_at_its_pointer(
+        tmp_path, capsys, monkeypatch, text, command, pointer):
+    monkeypatch.delenv(cli._OUT_ENV, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = _config_command(command, cfg, tmp_path / "o")
+    if pointer == "/out":
+        argv = argv[:-2]  # without its --out flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"(at {pointer})\n"), captured.err
 
 
 @pytest.mark.parametrize("command", ["coverage", "bandit run"])
