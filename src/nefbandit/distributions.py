@@ -77,7 +77,7 @@ class _LazyIntegrate:
 integrate = _LazyIntegrate()
 
 
-# scipy.special, imported at the first call (by Gaussian, Poisson, Gamma and Bernoulli only)
+# scipy.special, imported at the first call (by Gaussian, Poisson and Gamma only)
 _special = cache(lambda: importlib.import_module("scipy.special"))
 
 
@@ -466,19 +466,18 @@ class _AtomMixin:
     def mean_at(self, u):
         return (self._tilted_weights(u) * self._locs).sum(axis=-1)
 
-    def _centrals(self, u, ks):  # the central moments of orders ks, on one set of weights
+    def _centrals(self, u, ks=(2, 3)):  # the central moments of orders ks, on one set of weights
         q = self._tilted_weights(u)
         d = self._locs - (q * self._locs).sum(axis=-1, keepdims=True)
         return tuple((q * d**k).sum(axis=-1) for k in ks)
 
+    _dmeans = _centrals
+
     def dmean_at(self, u):
         return self._centrals(u, (2,))[0]
 
-    def d2mean_at(self, u):
-        return self._centrals(u, (3,))[0]
-
-    def _dmeans(self, u):
-        return self._centrals(u, (2, 3))
+    def d2mean_at(self, u):  # through _dmeans, so Bernoulli's closed form serves it too
+        return self._dmeans(u)[1]
 
     def _walk(self, order, p):  # first atom in order whose cumulative mass reaches p - 1e-15
         cum = np.cumsum(np.exp(self._logw)[order])  # the slack: exp(log w) may round a mass up
@@ -523,32 +522,33 @@ class Bernoulli(_AtomMixin, BaseDistribution):
             raise InvalidArgumentError(f"Bernoulli p must lie in (0, 1), got {self.p}", name="p")
         _freeze(self, _locs=[0.0, 1.0], _logw=[math.log1p(-self.p), math.log(self.p)])
 
-    def log_mgf(self, u):
-        return np.logaddexp(math.log1p(-self.p), math.log(self.p) + np.asarray(u, dtype=float))
+    def _ze(self, u):  # z = u + logit p and e = exp(-|z|): every moment is elementwise in both
+        z = np.asarray(u, dtype=float) + (self._logw[1] - self._logw[0])
+        return z, np.exp(-np.abs(z))
 
-    def mean_at(self, u):
-        # logistic in u + logit(p)
-        z = np.asarray(u, dtype=float) + math.log(self.p / (1.0 - self.p))
-        return _special().expit(z)
+    def log_mgf(self, u):
+        z, e = self._ze(u)
+        return self._logw[0] + np.maximum(z, 0.0) + np.log1p(e)
+
+    def mean_at(self, u):  # logistic: (1 where z >= 0, else e) / (1 + e), as e <= 1
+        z, e = self._ze(u)
+        return np.maximum(e, z >= 0.0) / (1.0 + e)
 
     def dmean_at(self, u):
-        m = self.mean_at(u)
-        return m * (1.0 - m)
-
-    def d2mean_at(self, u):
-        return self._dmeans(u)[1]
+        e = self._ze(u)[1]
+        return e / (1.0 + e) ** 2
 
     def _curve(self, u):
-        m = self.mean_at(u)
-        return self.log_mgf(u), m, m * (1.0 - m)
+        z, e = self._ze(u)
+        psi, d = self._logw[0] + np.maximum(z, 0.0) + np.log1p(e), 1.0 + e
+        return psi, np.maximum(e, z >= 0.0) / d, e / d**2
 
-    def _dmeans(self, u):
-        m = self.mean_at(u)
-        var = m * (1.0 - m)
-        return var, var * (1.0 - 2.0 * m)
+    def _dmeans(self, u):  # mu'' = mu' (1 - 2 mu) = -sign(z) mu' tanh(|z|/2), by expm1 near 0
+        z, e = self._ze(u)
+        var = e / (1.0 + e) ** 2
+        return var, var * (np.sign(-z) * -np.expm1(-np.abs(z))) / (1.0 + e)
 
-    # against p itself: the draw compares with expit(logit(p)), which may round
-    def quantile(self, p):
+    def quantile(self, p):  # against p itself: the draw's mean_at(0) may round p
         return (p > 1.0 - self.p).astype(float)
 
     def upper_quantile(self, p):

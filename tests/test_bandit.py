@@ -894,9 +894,9 @@ def test_bound_concrete_instance_and_term_formulas():
 
 
 def test_bound_of_a_best_arm_whose_variance_underflows_is_infinite():
-    # mu'(40) is 0.0 in float for Bernoulli(0.5): kappa = 1/mu' is +inf, and so are the
-    # kappa-weighted term2 and the total, with K > 0 as with K = 0
-    inst = make_instance(Bernoulli(0.5), np.eye(2), np.array([40.0, 0.0]))
+    # mu'(750) = e^-750 / (1 + e^-750)^2 is 0.0 in float for Bernoulli(0.5): kappa = 1/mu' is
+    # +inf, and so are the kappa-weighted term2 and the total, with K > 0 as with K = 0
+    inst = make_instance(Bernoulli(0.5), np.eye(2), np.array([750.0, 0.0]))
     b = theoretical_regret_bound(inst, 20, 0.05)
     assert inst.K > 0.0 and b.mu_dot_star == 0.0
     assert b.kappa == b.term2 == b.total == math.inf

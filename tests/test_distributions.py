@@ -282,6 +282,30 @@ def test_gamma_ratio_bernoulli_bounded_by_one():
         assert r <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("p", [0.5, 0.2, 1e-3])
+def test_bernoulli_moments_hold_their_precision_out_to_large_tilts(p):
+    # z = u + logit p on |u| <= 700 and within 1e-300 of z = 0 on both sides, z = 0 too
+    base = Bernoulli(p)
+    logit = math.log(p) - math.log1p(-p)
+    near = np.geomspace(1e-300, 1.0, 301)
+    u = np.concatenate([np.linspace(-700.0, 700.0, 1401), near - logit, -near - logit, [-logit]])
+    z = u + logit
+    var = base.dmean_at(u)
+    assert np.all(var > 0.0)
+    # against the two-atom series, whose exponent log p + u itself rounds by 6e-14 at |u| = 700
+    np.testing.assert_allclose(var, distributions._AtomMixin.dmean_at(base, u), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(np.abs(base.d2mean_at(u) / var), np.tanh(np.abs(z) / 2),
+                               rtol=1e-12, atol=0)
+    # psi = log1p(p expm1(u)) loses no precision anywhere; the closed form sums terms as large
+    # as log(1 - p), so its error is taken relative to that near psi's zero at u = 0
+    psi = np.log1p(p * np.expm1(u))
+    assert np.all(np.abs(base.log_mgf(u) - psi) <= 1e-14 * np.maximum(np.abs(psi), -math.log1p(-p)))
+    # the logistic taken in long double: exp, 1 + e and the quotient each round (float64 expit
+    # is itself up to 2.3 ulp from it), so 1 ulp of float64 expit is not a bound
+    exact = special.expit(z.astype(np.longdouble)).astype(float)
+    assert np.all(np.abs(base.mean_at(u) - exact) <= 2.5 * np.spacing(exact))
+
+
 def test_gamma_moments_of_a_huge_scale_come_from_the_tilted_scale():
     # scale^3 leaves float range, but the tilted scale 1e120 / (1 + 1e120 |u|) does not
     base = Gamma(2.0, 1e120)

@@ -202,6 +202,16 @@ def test_cli_verify_fails_the_points_whose_bound_is_not_finite(capsys):
     assert captured.err == f"violation at u={first['u']}: bound inf is not finite\n"
 
 
+def test_cli_verify_reads_the_bernoulli_ratio_at_large_tilts(capsys):
+    # |mu''|/mu' of Bernoulli(1/2) is tanh(|u|/2): 1 - 8.5e-18 at u = 40, not 0
+    assert main(["verify", "--dist", '{"kind": "bernoulli", "p": 0.5}', "--c1", "100",
+                 "--c2", "100", "--grid-lo", "-80", "--grid-hi", "80", "--grid-n", "9"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [pt["u"] for pt in points] == list(range(-80, 81, 20))
+    for pt in points:
+        assert pt["ratio"] == pytest.approx(abs(math.tanh(pt["u"] / 2)), abs=1e-12), pt
+
+
 def test_cli_verify_corrupted_certificate_fails(tmp_path, monkeypatch):
     import nefbandit.cli as cli_mod
 
@@ -636,9 +646,9 @@ def test_cli_bound_prints_terms(tmp_path, capsys):
 
 
 def test_cli_bound_writes_an_infinite_term_as_null(tmp_path, capsys):
-    # mu'(40) underflows to 0.0, so kappa, term2 and the total are +inf
+    # mu'(750) underflows to 0.0, so kappa, term2 and the total are +inf
     cfg = _write_cfg(tmp_path, {"distribution": {"kind": "bernoulli", "p": 0.5},
-                                "arms": [[1.0, 0.0], [0.0, 1.0]], "theta_star": [40.0, 0.0],
+                                "arms": [[1.0, 0.0], [0.0, 1.0]], "theta_star": [750.0, 0.0],
                                 "horizon": 20})
     assert main(["bound", "--config", str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -656,11 +666,12 @@ def test_cli_coverage_small(tmp_path, capsys):
 
 
 def test_coverage_commands_match_the_benchmark_reference(capsys):
-    # the coverage twin of the golden sha256 check: the first 8 of the benchmark's 64 seed-0
-    # commands (10 replicates each, seeds 7..14) keep their pinned covered/aborted counts
+    # the coverage twin of the golden sha256 check: each of the benchmark's 64 seed-0 commands
+    # (10 replicates each, seeds 7..70) keeps its pinned covered/aborted counts
     reference = Path(__file__).parent.parent / "perfbench" / "reference.json"
     expected = json.loads(reference.read_text())["coverage"]
-    for i in range(8):
+    assert len(expected) == 64
+    for i in range(64):
         assert main(["coverage", "--config", str(DATA / "coverage_config.json"),
                      "--replicates", "10", "--seed", str(7 + i), "--workers", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -976,16 +987,21 @@ def test_fresh_process_runs_every_command_without_scipy_integrate(tmp_path):
 
 
 README_SPECS = {spec["kind"]: spec for spec in map(distribution_config, README_BASES[:8])}
-# the kinds whose closed forms call scipy.special (ndtr, pdtr, gammainc, expit, ...)
-SPECIAL_KINDS = {"bernoulli", "gaussian", "poisson", "gamma"}
+# the kinds whose closed forms call scipy.special (ndtr, pdtr, gammainc, ...)
+SPECIAL_KINDS = {"gaussian", "poisson", "gamma"}
+ROUND_LOOPS = ("golden", "coverage")
 
 
-@pytest.mark.parametrize("case", ["golden", *README_SPECS])
+@pytest.mark.parametrize("case", [*ROUND_LOOPS, *README_SPECS])
 def test_fresh_process_loads_scipy_special_only_for_the_kinds_that_call_it(case, tmp_path):
     if case == "golden":  # the golden instance (Exponential), shortened
         golden = json.loads((DATA / "golden_config.json").read_text())
         cfg = _write_cfg(tmp_path, {**golden, "horizon": 20, "replicates": 1})
         commands = [["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]]
+    elif case == "coverage":  # the coverage instance (Bernoulli), shortened
+        coverage = json.loads((DATA / "coverage_config.json").read_text())
+        cfg = _write_cfg(tmp_path, {**coverage, "horizon": 20, "replicates": 4})
+        commands = [["coverage", "--config", str(cfg), "--workers", "1"]]
     else:
         spec = json.dumps(README_SPECS[case])
         commands = [[call, "--dist", spec, "--grid-n", "20"] for call in ("verify", "tails")]
@@ -1001,7 +1017,7 @@ def test_fresh_process_loads_scipy_special_only_for_the_kinds_that_call_it(case,
     # scipy.linalg holds the posv of the fits, so only the round loop loads it
     assert json.loads(done.stdout) == {"codes": [0] * len(commands),
                                        "loaded": case in SPECIAL_KINDS,
-                                       "linalg": case == "golden"}
+                                       "linalg": case in ROUND_LOOPS}
 
 
 def _parser_options(parser, words=()):
