@@ -42,8 +42,8 @@ import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .glm import (_cholesky_solves, _fit_stack, _gradient_maps, _hessians, _inner_products,
-                  _ridge_weight, _rows)
+from .glm import (_cholesky_solves, _finite, _fit_stack, _gradient_maps, _hessians,
+                  _inner_products, _ridge_weight, _rows)
 from .rng import replicate_stream
 
 __all__ = [
@@ -256,6 +256,8 @@ class ConfidenceState:
         if not (self.gamma_t > 0 and self.lambda_T >= 1.0):
             raise InvalidArgumentError(
                 f"need gamma_t > 0 and lambda_T >= 1, got {self.gamma_t}, {self.lambda_T}")
+        for name in ("theta_hat", "hessian_at_hat", "gradient_map_at_hat"):
+            _finite(getattr(self, name), name=name)
 
 
 def _log_term(L: float, d: int, t: int, delta: float) -> float:
@@ -269,15 +271,19 @@ def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
     return max(1.0, (2.0 * inst.d * inst.M / inst.S0) * _log_term(inst.L, inst.d, T, delta))
 
 
+def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts) -> list[float]:
+    """gamma_t for each t in ts, its two t-independent factors computed (and lam checked) once."""
+    root = math.sqrt(regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam))
+    head, scale, d = root * (0.5 / inst.M + inst.S0), 4.0 * inst.M * inst.d / root, inst.d
+    return [head + scale * _log_term(inst.L, d, t, delta) for t in ts]
+
+
 def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
                       lam: float | None = None) -> float:
     """gamma_t = sqrt(lam)(1/(2M) + S0) + (4 M d / sqrt(lam)) log(e sqrt(1 + t L/d) v 1/delta)."""
     if not 1 <= t <= T:
         raise InvalidArgumentError(f"need 1 <= t <= T, got t={t}, T={T}")
-    lam = regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam)
-    root = math.sqrt(lam)
-    return root * (0.5 / inst.M + inst.S0) + (4.0 * inst.M * inst.d / root) \
-        * _log_term(inst.L, inst.d, t, delta)
+    return _radii(inst, T, delta, lam, (t,))[0]
 
 
 # Stacked forms, a leading axis per replicate (and round); the public functions are R = 1 calls.
@@ -286,8 +292,7 @@ def _exact_norms_sq(g, H, g_hat):
     """||g - g_hat||^2 in H^{-1}, g and H the gradient map and Hessian at theta, by one batched
     solve; an entry that is not finite is an InvalidArgumentError, never a False verdict."""
     w = g - g_hat
-    if not (np.isfinite(w).all() and np.isfinite(H).all()):
-        raise InvalidArgumentError("array must not contain infs or NaNs")
+    _finite(w, H)
     return np.vecdot(w, np.linalg.solve(H, w[..., None])[..., 0])
 
 
@@ -297,14 +302,13 @@ def _relaxed_norms_sq(theta, theta_hat, H):
     return np.vecdot(np.vecmat(gap, H), gap)
 
 
-def _optimistic_indices(inst: GlbInstance, theta_hat, H, gamma: float) -> np.ndarray:
-    """x' theta_hat + c gamma ||x||_{H^-1} for every replicate (row) and arm (column)."""
-    sol_t = np.empty((len(H), inst.n_arms, inst.d))  # replicate r's posv solution, transposed
-    for exc in _cholesky_solves(H, inst.arms.T[None], sol_t.mT).values():
+def _optimistic_indices(theta_hat, H, c_gamma: float, arms, arms_t) -> np.ndarray:
+    """x' theta_hat + c_gamma ||x||_{H^-1} per replicate (row) and arm; arms_t = arms.T[None]."""
+    sol_t = np.empty((len(H), *arms.shape))  # replicate r's posv solution, transposed
+    for exc in _cholesky_solves(H, arms_t, sol_t.mT).values():
         raise exc
-    bonus_sq = np.einsum("ij,rij->ri", inst.arms, sol_t)
-    return np.matvec(inst.arms, theta_hat) \
-        + inst.diameter_factor * gamma * np.sqrt(np.maximum(bonus_sq, 0.0))
+    bonus_sq = np.einsum("ij,rij->ri", arms, sol_t)
+    return np.matvec(arms, theta_hat) + c_gamma * np.sqrt(np.maximum(bonus_sq, 0.0))
 
 
 def _in_dimension(inst: GlbInstance, state: ConfidenceState, theta=None):
@@ -347,8 +351,9 @@ def relaxed_membership(inst: GlbInstance, state: ConfidenceState, theta) -> bool
 def optimistic_choice(inst: GlbInstance, state: ConfidenceState) -> tuple[int, float]:
     """Arm with the largest optimistic index; ties go to the lowest index."""
     _in_dimension(inst, state)
-    idx_vals = _optimistic_indices(inst, state.theta_hat[None], state.hessian_at_hat[None],
-                                   state.gamma_t)[0]
+    idx_vals = _optimistic_indices(state.theta_hat[None], state.hessian_at_hat[None],
+                                   inst.diameter_factor * state.gamma_t, inst.arms,
+                                   inst.arms.T[None])[0]
     best = int(np.argmax(idx_vals))
     return best, float(idx_vals[best])
 
@@ -417,9 +422,10 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     _, star_mean = inst.best_arm()
     arm_inner = arms @ inst.theta_star
     arm_mu, arm_dmu = base.mean_at(arm_inner), base.dmean_at(arm_inner)
-    lam_eye = lam * np.eye(d)
+    lam_eye, arms_t = lam * np.eye(d), arms.T[None]
     arm_col, index_col, reward_col = np.zeros((3, R, T))  # per replicate and round
-    gammas = np.zeros(T)
+    gammas = np.array(_radii(inst, T, delta, lam, range(1, T + 1)))
+    cg = inst.diameter_factor * gammas  # c gamma_t: the index's and E_t's radius
     # each round's fit, for the cover pass: estimate, gradient map and Hessian
     thetas, g_hats, Hs = np.zeros((R, T, d)), np.zeros((R, T, d)), np.zeros((R, T, d, d))
     played = np.full(R, T)  # rounds logged: a replicate's columns end there
@@ -439,8 +445,7 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
             if not live.size:
                 break
             at, rows = live, np.arange(len(live))
-        gammas[n] = gamma = confidence_radius(inst, t, T, delta, lam=lam)
-        idx_vals = _optimistic_indices(inst, theta, H, gamma)
+        idx_vals = _optimistic_indices(theta, H, cg[n], arms, arms_t)
         thetas[at, n], g_hats[at, n], Hs[at, n] = theta, g_hat, H
         chosen = idx_vals.argmax(axis=1)
         arm_col[at, n] = chosen
@@ -452,15 +457,15 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     def before(per_arm):  # each round's sum of the per-play terms of the rounds before it
         return np.cumsum(np.insert(per_arm[arm_col[:, :-1]], 0, 0.0, axis=1), axis=1)
 
+    _finite(thetas, Hs)  # the fits' outputs, unchecked in the loop, before any verdict
     # at theta_star: g = lam theta + sum_a n_a mu_a x_a, H = lam I + sum_a n_a mu'_a x_a x_a'
     q = _exact_norms_sq(lam * inst.theta_star + before(arm_mu[:, None] * arms),
                         lam_eye + before(arm_dmu[:, None, None] * arms[:, :, None] * arms[:, None]),
                         g_hats)
-    r = inst.diameter_factor * gammas
     regret_col = (star_mean - arm_mu)[arm_col]
     cols = (arm_col, index_col, reward_col, regret_col,
             np.cumsum(regret_col, axis=1) + 0.0,  # a running sum from 0.0 never reads -0.0
-            q <= gammas * gammas, _relaxed_norms_sq(inst.theta_star, thetas, Hs) <= r * r)
+            q <= gammas * gammas, _relaxed_norms_sq(inst.theta_star, thetas, Hs) <= cg * cg)
     t_col = np.arange(1, T + 1)
     return [RunResult(RoundLog(t_col[:n], *(c[k, :n] for c in cols)), aborted=k in reasons,
                       abort_reason=reasons.get(k, ""))

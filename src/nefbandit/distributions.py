@@ -466,6 +466,7 @@ class _AtomMixin:
     def mean_at(self, u):
         return (self._tilted_weights(u) * self._locs).sum(axis=-1)
 
+    @np.errstate(over="ignore", invalid="ignore")  # beyond float range: inf, or NaN for inf - inf
     def _centrals(self, u, ks=(2, 3)):  # the central moments of orders ks, on one set of weights
         q = self._tilted_weights(u)
         d = self._locs - (q * self._locs).sum(axis=-1, keepdims=True)
@@ -555,7 +556,9 @@ class Bernoulli(_AtomMixin, BaseDistribution):
         return (p <= self.p).astype(float)
 
     def tilted(self, u):
-        return Bernoulli(float(self.mean_at(u)))
+        if not 0.0 < (m := float(self.mean_at(u))) < 1.0:
+            raise InvalidArgumentError(f"Bernoulli mean tilted by u={u} rounds to {m}", name="u")
+        return Bernoulli(m)
 
     def tilted_inverse_cdf(self, u, p):
         return (p < self.mean_at(u)).astype(float)

@@ -13,14 +13,12 @@ maps of parameter gaps.
 
 The solver is damped Newton with one feasibility rule for its start and every
 trial: a point is infeasible when an inner product leaves the interior of the
-natural parameter interval (checked before the loss is evaluated there, as a
-bounded interval makes the loss blow up at its boundary) or when the loss or a
-curvature weight mu'(x_i' theta) there is not finite (an overflow on an
-unbounded interval).  An infeasible start begins at the origin; an infeasible
-trial is shortened.  Each point takes psi, mu and mu' from one ``_curve`` call
-of the kind, and each Hessian is built from the accepted point's weights.  The
-Cholesky solves use LAPACK's ``posv`` from ``scipy.linalg``, imported at the
-first solve.
+natural parameter interval (checked first, as a bounded interval makes the loss
+blow up at its boundary) or when the loss, a curvature weight mu'(x_i' theta) or
+the squared gradient norm is not finite.  An infeasible start begins at the
+origin; an infeasible trial is shortened.  So every accepted point has a finite
+gradient and Hessian (entries at most lam + sum_i mu', rows in the unit ball),
+which the Cholesky solves take unchecked; the public ``cholesky_solve`` checks.
 """
 
 from __future__ import annotations
@@ -140,10 +138,7 @@ def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
     """Write H_r^{-1} B_r into out[r] by one LAPACK posv call on the lower triangle of
     each H_r (its potrf + potrs: scipy's cho_factor(lower=True) + cho_solve bit for bit);
     a one-row B serves every H_r.  Returns {r: LinAlgError} for each H_r not positive
-    definite, leaving out[r] as it was; InvalidArgumentError on non-finite input."""
-    if not (np.logical_and.reduce(np.isfinite(H), axis=None)
-            and np.logical_and.reduce(np.isfinite(B), axis=None)):
-        raise InvalidArgumentError("array must not contain infs or NaNs")
+    definite, leaving out[r] as it was.  Unchecked: H and B are finite (module docstring)."""
     failed = {}
     shared = B.shape[0] == 1
     posv = _posv()
@@ -199,8 +194,14 @@ def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> 
     return _hessians(data.arms[None], lam * np.eye(data.d), family.base.dmean_at(inner))[0]
 
 
+def _finite(*arrays, name: str | None = None) -> None:  # InvalidArgumentError on inf or NaN
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidArgumentError(f"{name or 'array'} must not contain infs or NaNs", name=name)
+
+
 def cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H x = b (see ``_cholesky_solves``); LinAlgError if H is not positive definite."""
+    """Solve finite H x = b (see ``_cholesky_solves``); LinAlgError if H is not PD."""
+    _finite(H, b)
     b = np.asarray(b, dtype=float)
     x = np.empty_like(b)
     failed = _cholesky_solves(np.asarray(H, dtype=float)[None], b[None], x[None])
@@ -261,8 +262,8 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                lam_eye: np.ndarray, init: np.ndarray) -> _Fits:
     """Damped Newton for R ridge-regularized likelihoods at once (lam_eye = lam I), each
     replicate with its own convergence test, Armijo step length and failure; a
-    replicate whose start is infeasible begins at the origin, which never is (zero
-    inner products)."""
+    replicate whose start is infeasible begins at the origin (zero inner products); every
+    accepted point has a finite loss, gradient and Hessian."""
     R, _, d = X.shape
     guard = family.base.interior
     reward_map = np.vecmat(y, X)
@@ -279,9 +280,10 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
         f = _losses(y[sel], lam, theta, inner, log_m)
         g = _gradient_maps(Xs, lam, theta, mean)
         grad = g - reward_map[sel]
+        gsq = np.vecdot(grad, grad)
         # a finite sum of the weights also keeps the Hessian, which adds them up, finite
-        bad = out | ~np.isfinite(f + np.add.reduce(w, axis=1))
-        return bad.tolist(), f.tolist(), g, grad, np.sqrt(np.vecdot(grad, grad)).tolist(), w
+        bad = out | ~np.isfinite(f + np.add.reduce(w, axis=1) + gsq)
+        return bad.tolist(), f.tolist(), g, grad, np.sqrt(gsq).tolist(), w
 
     theta = np.array(init, dtype=float)
     fallback, f, g, grad, gnorm, w = evaluate(slice(None), theta)

@@ -19,6 +19,7 @@ from nefbandit.bandit import (
     GlbInstance,
     _exact_norms_sq,
     _optimistic_indices,
+    _radii,
     confidence_radius,
     elliptical_potential_check,
     exact_membership,
@@ -300,6 +301,22 @@ def test_confidence_radius_formula_and_monotonicity():
     assert gammas[-1] <= confidence_radius(inst, T, T, delta)
 
 
+@pytest.mark.parametrize("name, lam", [("golden_config.json", None),
+                                       ("coverage_config.json", None),
+                                       ("coverage_config.json", 2.5)],
+                         ids=["golden", "coverage", "lam_override"])
+def test_the_round_loop_radii_are_confidence_radius_bit_for_bit(name, lam):
+    # run_replicates takes every round's gamma_t from _radii, whose t-independent factors
+    # are computed once per run; each must be confidence_radius's float, bit for bit
+    cfg = load_config(Path(__file__).parent / "data" / name)
+    inst, T = build_instance(cfg), cfg.horizon
+    assert cfg.lam is None
+    radii = _radii(inst, T, cfg.delta, lam, range(1, T + 1))
+    assert len(radii) == T
+    for t, gamma in enumerate(radii, start=1):
+        assert gamma.hex() == confidence_radius(inst, t, T, cfg.delta, lam=lam).hex(), t
+
+
 # ---------------------------------------------------------------------------
 # membership and arm choice
 # ---------------------------------------------------------------------------
@@ -433,6 +450,27 @@ def test_confidence_state_needs_a_positive_radius_and_lambda_at_least_one(gamma,
                         gradient_map_at_hat=np.zeros(2), lambda_T=lam, gamma_t=gamma)
 
 
+@pytest.mark.parametrize("field", ["theta_hat", "hessian_at_hat", "gradient_map_at_hat"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_confidence_state_rejects_an_array_that_is_not_finite_by_its_field(field, value):
+    arrays = {"theta_hat": np.zeros(2), "hessian_at_hat": np.eye(2),
+              "gradient_map_at_hat": np.zeros(2)}
+    arrays[field].flat[-1] = value
+    with pytest.raises(InvalidArgumentError, match=f"{field} must not contain infs or NaNs") \
+            as info:
+        ConfidenceState(**arrays, lambda_T=1.0, gamma_t=1.0)
+    assert info.value.name == field
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_optimistic_choice_on_a_hessian_that_is_not_finite_is_an_argument_error(value):
+    inst = bern_instance()
+    H = 2.0 * np.eye(2)
+    H[1, 0] = value
+    with pytest.raises(InvalidArgumentError, match="infs or NaNs"):
+        optimistic_choice(inst, _state(inst, 2.0, gamma=1.0, H=H))
+
+
 def test_array_records_compare_and_hash_by_identity():
     inst = make_instance(Poisson(1.0), ARMS3, THETA3)
     data = Dataset(ARMS3, [0.0, 2.0, 1.0])
@@ -482,7 +520,8 @@ def test_an_exact_index_tie_goes_to_the_lowest_arm(base):
     theta_hat = THETA3 + 0.05 * rng.standard_normal((20, 2))
     A = rng.standard_normal((20, 2, 2))
     H = A @ A.mT + 2.0 * np.eye(2)
-    idx = _optimistic_indices(inst, theta_hat, H, 0.1)
+    idx = _optimistic_indices(theta_hat, H, inst.diameter_factor * 0.1, inst.arms,
+                              inst.arms.T[None])
     assert idx[:, 1].tobytes() == idx[:, 3].tobytes()
     assert (idx.argmax(axis=1) == 1).all()
     for r in range(20):
@@ -843,8 +882,16 @@ def test_logged_cover_verdicts_are_the_per_round_membership_verdicts(case, monke
     assert any(r.aborted for r in batch) == (case == "aborted")
 
 
-def test_cover_pass_rejects_a_gradient_map_that_is_not_finite(monkeypatch):
-    # a NaN g_hat compares False against every radius: the pass must raise, not log False
+@pytest.mark.parametrize("field, at, value", [
+    ("g", (1, 0), math.nan),      # compares False against every radius
+    ("H", (1, 0, 0), math.nan),   # a NaN pivot: the index solve gives NaN indices
+    ("H", (1, 0, 1), math.nan),   # upper triangle, which the solve never reads
+    ("H", (1, 1, 1), math.inf),   # an inf pivot factors, with a meaningless index
+    ("theta", (1, 0), math.nan),  # the index is NaN and the next fit starts at the origin
+], ids=["nan_gradient_map", "nan_diagonal", "nan_upper", "inf_diagonal", "nan_theta"])
+def test_run_replicates_rejects_a_fit_that_is_not_finite(field, at, value, monkeypatch):
+    # the round loop does not check its fits; the pass after it does, so a non-finite
+    # estimate, gradient map or Hessian raises instead of logging a False verdict
     import nefbandit.bandit as bandit
 
     real = bandit._fit_stack
@@ -854,7 +901,7 @@ def test_cover_pass_rejects_a_gradient_map_that_is_not_finite(monkeypatch):
         fits = real(*args)
         rounds.append(None)
         if len(rounds) == 7:
-            fits.g[1, 0] = np.nan  # replicate 1, round 7
+            getattr(fits, field)[at] = value  # replicate 1, round 7
         return fits
 
     monkeypatch.setattr(bandit, "_fit_stack", poisoned)

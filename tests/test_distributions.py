@@ -650,6 +650,27 @@ def test_bernoulli_tails_are_the_logistic_masses_at_any_tilt(p):
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("u", [40.0, 1e300, -math.inf])
+def test_bernoulli_tilted_past_float_range_names_the_tilt(u):
+    # the tilted mean rounds to 1 (or 0): the error names u, never the p the caller did
+    # not pass, and stays an InvalidArgumentError, which the tail suite's grid skips
+    with pytest.raises(InvalidArgumentError, match="tilted by u=.* rounds to [01]") as info:
+        Bernoulli(0.5).tilted(u)
+    assert info.value.name == "u"
+    assert Bernoulli(0.5).tilted(-40.0).p == pytest.approx(math.exp(-40.0), rel=1e-12)
+
+
+def test_atom_central_moments_beyond_float_range_raise_no_warning():
+    # RuntimeWarnings are errors under this suite: a third moment past float range is inf,
+    # or NaN where overflows of both signs meet, as a value and not a warning
+    symmetric = DiscreteAtoms(((0.0, 0.5), (1e110, 0.5)))
+    skewed = DiscreteAtoms(((0.0, 0.99), (1e103, 0.01)))
+    assert symmetric.dmean_at(0.0) == pytest.approx(2.5e219, rel=1e-12)
+    assert math.isnan(symmetric.d2mean_at(0.0))
+    assert skewed.d2mean_at(0.0) == math.inf
+    assert math.isnan(gamma_ratio(symmetric, 0.0)) and gamma_ratio(skewed, 0.0) == math.inf
+
+
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_atom_quantiles_at_an_exact_cumulative_mass(p):
     # F(0) = 1 - p: the quantile at 1 - p is the atom 0 whatever exp(log w) rounds to, as

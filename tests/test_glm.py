@@ -488,6 +488,30 @@ def test_fit_mle_raises_the_optimization_error_of_its_fit():
         fit_mle(NefFamily(_WalledGaussian(1.0), -0.5, 0.5), data, 1.0)
 
 
+class _MeanOverflowGaussian(Gaussian):
+    """N(u, 1) whose mean overflows from u = 0.2 on, while its loss and mu' stay finite."""
+
+    def _curve(self, u):
+        log_m, mean, w = super()._curve(u)
+        return log_m, np.where(u < 0.2, mean, np.inf), w
+
+
+def test_fit_rejects_a_trial_whose_gradient_is_not_finite():
+    # the full Newton step lands on the optimum 0.25, where the loss and the curvature
+    # weight are finite but the gradient is not: the trial is infeasible and shortened,
+    # so the fit stays below 0.2 and never hands the solve a non-finite gradient
+    data = Dataset(np.ones((1, 1)), np.array([0.5]))
+    family = NefFamily(_MeanOverflowGaussian(1.0), -0.5, 0.5)
+    fits = _fit_stack(family, data.arms[None], data.rewards[None], 1.0, np.eye(1), np.zeros((1, 1)))
+    assert fits.errors == {} and not fits.fallback[0] and fits.iters[0] > 1
+    assert 0.0 < fits.theta[0, 0] < 0.2 and math.isfinite(fits.gnorm[0])
+    assert np.isfinite(fits.g).all() and np.isfinite(fits.H).all()
+    # the same rule at the start: an overflowing gradient there falls back to the origin
+    start = _fit_stack(family, data.arms[None], data.rewards[None], 1.0, np.eye(1),
+                       np.full((1, 1), 0.3))
+    assert start.fallback == [True] and start.theta[0, 0] == fits.theta[0, 0]
+
+
 @pytest.mark.parametrize("family", [EXP, BERN], ids=["exponential", "bernoulli"])
 def test_fit_stack_evaluates_each_point_by_one_curve_call(family, monkeypatch):
     # each evaluated point passes the domain guard once; its log-MGF, means and curvature
