@@ -272,7 +272,10 @@ def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
 
 
 def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts) -> list[float]:
-    """gamma_t for each t in ts, its two t-independent factors computed (and lam checked) once."""
+    """gamma_t for each t in ts, its two t-independent factors computed (and lam and delta
+    checked, on regularizer_schedule's rule) once."""
+    if lam is not None and not 0.0 < delta <= 1.0:  # NaN fails too
+        raise InvalidArgumentError(f"need delta in (0, 1], got delta={delta}", name="delta")
     root = math.sqrt(regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam))
     head, scale, d = root * (0.5 / inst.M + inst.S0), 4.0 * inst.M * inst.d / root, inst.d
     return [head + scale * _log_term(inst.L, d, t, delta) for t in ts]

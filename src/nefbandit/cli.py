@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +194,8 @@ def _run_replicates(cfg: ExperimentConfig) -> list[RunResult]:
     workers = min(cfg.workers, os.cpu_count() or 1, replicates)
     if workers <= 1:
         return run(range(replicates))
+    from concurrent.futures import ProcessPoolExecutor  # here: a serial run never loads it
+
     cuts = [replicates * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])

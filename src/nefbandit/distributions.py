@@ -466,11 +466,18 @@ class _AtomMixin:
     def mean_at(self, u):
         return (self._tilted_weights(u) * self._locs).sum(axis=-1)
 
-    @np.errstate(over="ignore", invalid="ignore")  # beyond float range: inf, or NaN for inf - inf
+    @np.errstate(over="ignore", invalid="ignore")  # beyond float range: inf
     def _centrals(self, u, ks=(2, 3)):  # the central moments of orders ks, on one set of weights
         q = self._tilted_weights(u)
         d = self._locs - (q * self._locs).sum(axis=-1, keepdims=True)
-        return tuple((q * d**k).sum(axis=-1) for k in ks)
+        return tuple(self._third(q, d) if k == 3 else (q * d**k).sum(axis=-1) for k in ks)
+
+    @staticmethod
+    def _third(q, d):
+        # s^3 sum q (d/s)^3, s the power of 2 in (max|d|/2, max|d|] per row (1/2 for one atom):
+        # no d^3 overflows, and the exact scaling keeps the bits of an in-range sum q d^3
+        s = np.ldexp(1.0, np.frexp(np.abs(d).max(axis=-1))[1] - 1)
+        return (q * (d / s[..., None]) ** 3).sum(axis=-1) * s * s * s
 
     _dmeans = _centrals
 

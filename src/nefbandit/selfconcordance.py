@@ -149,16 +149,16 @@ def fit_tail_constants(base: BaseDistribution, c1: float | None = None,
     c1 = (0.9 * b if math.isfinite(b) else 1.0) if c1 is None else float(c1)
     c2 = (-0.9 * a if math.isfinite(a) else 1.0) if c2 is None else float(c2)
     lo, hi = base.interior
-    scales = []
-    with np.errstate(over="ignore"):  # a log scale C that overflows is rejected below
-        for name, c, u, end in (("c1", c1, c1, hi), ("c2", c2, -c2, -lo)):
-            ok = 0.0 < c <= end and math.isfinite(c)
-            log_scale = float(base.log_mgf(u)) if ok else math.nan
-            if not log_scale <= math.log(sys.float_info.max):
-                raise DomainError(f"tail rate {name} is not finite, positive and in the domain "
-                                  "with a finite scale", value=c, interval=(0.0, end), name=name)
-            scales.append(math.exp(log_scale))
-    return TailConstants(c1=c1, C1=scales[0], c2=c2, C2=scales[1])
+    ends = {"c1": (c1, hi), "c2": (c2, -lo)}
+    ok = [0.0 < c <= end and math.isfinite(c) for c, end in ends.values()]
+    # both log scales from one call; a rate out of range is taken at the tilt 0 and fails below
+    with np.errstate(over="ignore"):  # as does a log scale C that overflows
+        log_scales = base.log_mgf(np.where(ok, [c1, -c2], 0.0)).tolist()
+    for (name, (c, end)), good, log_scale in zip(ends.items(), ok, log_scales):
+        if not (good and log_scale <= math.log(sys.float_info.max)):
+            raise DomainError(f"tail rate {name} is not finite, positive and in the domain "
+                              "with a finite scale", value=c, interval=(0.0, end), name=name)
+    return TailConstants(c1=c1, C1=math.exp(log_scales[0]), c2=c2, C2=math.exp(log_scales[1]))
 
 
 def tilt_range(tail: TailConstants, lo: float | None = None,
@@ -201,10 +201,20 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
     """
     if side not in ("below", "above"):
         raise InvalidArgumentError(f"side must be 'below' or 'above', got {side!r}")
-    base = centered(base)
-    if float(base.dmean_at(0.0)) <= 0.0:
+    return _witness(_spread_centered(base), side)
+
+
+def _spread_centered(base: BaseDistribution) -> BaseDistribution:
+    """The centered base, unless it is a point mass."""
+    cb = centered(base)
+    if float(cb.dmean_at(0.0)) <= 0.0:
         raise DegenerateDistributionError(
             "point-mass base has no support witness; the zero stretch function applies")
+    return cb
+
+
+def _witness(base: BaseDistribution, side: str) -> SupportWitness:
+    """``find_support_witness``'s scan, of a base already centered and not a point mass."""
     below = side == "below"
     # beta = Q(Y < 0) or Q(Y > 0), from the u = 0 tails
     beta = base.tilted_lower_tail(0.0, 0.0) if below else base.tilted_upper_tail(0.0, 0.0)
@@ -218,19 +228,17 @@ def find_support_witness(base: BaseDistribution, side: str = "below") -> Support
     nb = len(_WITNESS_B_LEVELS)
     bs = np.concatenate(([-lo_sup if below else hi_sup], dists[:nb]))
     bs = bs[np.isfinite(bs)]
-    a_s = dists[nb:][dists[nb:] > 0]
+    a_s = dists[nb:][dists[nb:] > 0][:, None]
 
-    # every (a, b) pair in one mass call, a-major as the ranking reads them
-    a_s, bs = np.meshgrid(a_s, bs, indexing="ij")
+    # every (a, b) pair in one mass call on broadcast ends; a-major scores, a dead pair at -inf
     etas = _mass_beside(base, a_s, bs, side)
-    live = (bs >= a_s) & (etas > 1e-12)
-    if not live.any():
+    scores = np.where((bs >= a_s) & (etas > 1e-12), a_s * a_s * etas, -np.inf)
+    best = scores.max(initial=-np.inf)
+    if best == -np.inf:
         raise DegenerateDistributionError("witness scan found no interval with positive mass")
-    a_s, bs, etas = a_s[live], bs[live], etas[live]
-    scores = a_s * a_s * etas
-    near = np.flatnonzero(scores >= (1 - 1e-3) * scores.max())
-    i = near[np.argmin(bs[near])]  # the first of the smallest b
-    return SupportWitness(a=float(a_s[i]), b=float(bs[i]), eta=float(etas[i]))
+    near = np.flatnonzero(scores >= (1 - 1e-3) * best)
+    i, j = divmod(near[np.argmin(bs[near % len(bs)])], len(bs))  # the first of the smallest b
+    return SupportWitness(a=float(a_s[i, 0]), b=float(bs[j]), eta=float(etas[i, j]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +265,8 @@ def build_certificate(base: BaseDistribution, c1: float | None = None,
                       c2: float | None = None) -> StretchCertificate:
     """Fit tail constants, find both witnesses, and freeze the bound constants."""
     tail = fit_tail_constants(base, c1, c2)
-    w_right = find_support_witness(base, side="below")
-    w_left = find_support_witness(base, side="above")
+    cb = _spread_centered(base)  # one centering and one point-mass check for both witnesses
+    w_right, w_left = _witness(cb, "below"), _witness(cb, "above")
     return StretchCertificate(
         tail=tail,
         witness=w_right,

@@ -1004,6 +1004,24 @@ def test_ridge_weight_must_be_finite_and_positive(call):
     call(0.5)
 
 
+DELTA_CALLS = {
+    "confidence_radius": lambda inst, delta: confidence_radius(inst, 3, 5, delta, lam=1.0),
+    "run_replicates": lambda inst, delta: run_replicates(inst, 5, delta, 0, [0],
+                                                         lam_override=1.0),
+}
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, 2.0, math.nan])
+@pytest.mark.parametrize("call", DELTA_CALLS.values(), ids=DELTA_CALLS)
+def test_an_explicit_ridge_weight_still_needs_delta_in_0_1(call, delta):
+    # regularizer_schedule's rule holds when lam is given and the schedule is skipped
+    inst = make_instance(Bernoulli(0.5), np.eye(2), np.array([0.4, -0.3]))
+    with pytest.raises(InvalidArgumentError, match="delta") as info:
+        call(inst, delta)
+    assert info.value.name == "delta"
+    call(inst, 1.0)
+
+
 def test_elliptical_potential_single_step_arithmetic():
     out = elliptical_potential_check(np.array([[1.0]]), 1.0, 1.0)
     assert out["lhs"] == pytest.approx(1.0, rel=1e-14)

@@ -662,13 +662,23 @@ def test_bernoulli_tilted_past_float_range_names_the_tilt(u):
 
 def test_atom_central_moments_beyond_float_range_raise_no_warning():
     # RuntimeWarnings are errors under this suite: a third moment past float range is inf,
-    # or NaN where overflows of both signs meet, as a value and not a warning
-    symmetric = DiscreteAtoms(((0.0, 0.5), (1e110, 0.5)))
-    skewed = DiscreteAtoms(((0.0, 0.99), (1e103, 0.01)))
-    assert symmetric.dmean_at(0.0) == pytest.approx(2.5e219, rel=1e-12)
-    assert math.isnan(symmetric.d2mean_at(0.0))
-    assert skewed.d2mean_at(0.0) == math.inf
-    assert math.isnan(gamma_ratio(symmetric, 0.0)) and gamma_ratio(skewed, 0.0) == math.inf
+    # as a value and not a warning
+    beyond = DiscreteAtoms(((0.0, 0.99), (1e105, 0.01)))
+    assert beyond.dmean_at(0.0) == pytest.approx(0.99 * 0.01 * 1e210, rel=1e-12)
+    assert beyond.d2mean_at(0.0) == math.inf and gamma_ratio(beyond, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("atoms, third", [
+    (((0.0, 0.5), (1e110, 0.5)), 0.0),
+    (((0.0, 0.99), (1e103, 0.01)), 0.99 * 0.01 * 0.98 * 1e103 * 1e103 * 1e103),
+    (((3.0, 1.0),), 0.0),
+], ids=["symmetric", "skewed", "one-atom"])
+def test_atom_third_moment_is_finite_where_its_cubes_overflow(atoms, third):
+    # two atoms with masses q, 1 - q at distance L: mu'' = q (1 - q) (1 - 2q) L^3, finite
+    # although the cube (L/2)^3 or (0.99 L)^3 alone leaves float range; one atom: mu'' = 0
+    base = DiscreteAtoms(atoms)
+    assert base.d2mean_at(0.0) == pytest.approx(third, rel=1e-12)
+    assert math.isfinite(gamma_ratio(base, 0.0))
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])

@@ -1,6 +1,7 @@
 """Config schema, CLI subcommands, determinism, exit-status contract."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import copy
 import dataclasses
@@ -336,7 +337,7 @@ class _InlinePool:
 def test_cli_workers_capped_at_cpu_count(tmp_path, monkeypatch):
     requested = []
     monkeypatch.setattr(_InlinePool, "sizes", requested)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = _write_cfg(tmp_path, {**SMALL_RUN, "replicates": 3, "horizon": 10})
     rc = main(["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -891,7 +892,7 @@ def test_fuzzed_config_gives_a_run_or_a_pointer(data):
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(_InlinePool, "sizes", [])
-        mp.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         mp.setattr(cli.os, "cpu_count", lambda: 4)  # a pool of up to 4, all in-process
         os.chdir(tmp)  # a relative "out" lands here
         try:
@@ -1011,13 +1012,17 @@ def test_fresh_process_loads_scipy_special_only_for_the_kinds_that_call_it(case,
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps({'codes': codes, 'loaded': 'scipy.special' in sys.modules,\n"
-        "                  'linalg': 'scipy.linalg' in sys.modules}))\n")
+        "                  'linalg': 'scipy.linalg' in sys.modules,\n"
+        "                  'futures': 'concurrent.futures' in sys.modules\n"
+        "                             and 'scipy' not in sys.modules}))\n")
     done = _run_fresh(script, json.dumps(commands))
     assert done.returncode == 0, done.stderr
-    # scipy.linalg holds the posv of the fits, so only the round loop loads it
+    # scipy.linalg holds the posv of the fits, so only the round loop loads it; a serial
+    # run starts no process pool, so concurrent.futures comes only with scipy (whose
+    # numpy.testing import loads it)
     assert json.loads(done.stdout) == {"codes": [0] * len(commands),
                                        "loaded": case in SPECIAL_KINDS,
-                                       "linalg": case in ROUND_LOOPS}
+                                       "linalg": case in ROUND_LOOPS, "futures": False}
 
 
 def _parser_options(parser, words=()):

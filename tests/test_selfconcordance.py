@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from nefbandit.distributions import (
@@ -17,6 +19,8 @@ from nefbandit.distributions import (
     Gaussian,
     Laplace,
     NefFamily,
+    Poisson,
+    centered,
     gamma_ratio,
     mean_fn,
     parse_distribution,
@@ -29,6 +33,8 @@ from nefbandit.errors import (
     PrecisionError,
 )
 from nefbandit.selfconcordance import (
+    _WITNESS_A_LEVELS,
+    _WITNESS_B_LEVELS,
     SubgaussianEnvelope,
     SupportWitness,
     build_certificate,
@@ -118,8 +124,7 @@ def test_find_support_witness_mass_is_measured(base, side):
     assert witness_mass(base, w.a, w.b, side) == pytest.approx(w.eta, abs=1e-9)
 
 
-@pytest.mark.parametrize("side", ["below", "above"])
-def test_find_support_witness_takes_the_mean_once_per_scan(side, monkeypatch):
+def _count_atom_means(monkeypatch) -> list:
     calls = []
     mean_at = DiscreteAtoms.mean_at
 
@@ -128,9 +133,81 @@ def test_find_support_witness_takes_the_mean_once_per_scan(side, monkeypatch):
         return mean_at(self, u)
 
     monkeypatch.setattr(DiscreteAtoms, "mean_at", counting)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_find_support_witness_takes_the_mean_once_per_scan(side, monkeypatch):
+    calls = _count_atom_means(monkeypatch)
     w = find_support_witness(MIX4, side=side)
     assert len(calls) == 1
     assert witness_mass(MIX4, w.a, w.b, side) == w.eta
+
+
+def test_build_certificate_centers_its_base_at_most_twice(monkeypatch):
+    # once for the tail constants, once for both witness scans
+    calls = _count_atom_means(monkeypatch)
+    build_certificate(MIX4)
+    assert len(calls) <= 2
+
+
+def _loop_witness(base, side):
+    """The witness scan as a plain loop: one witness_mass call per (a, b) pair of the scan's
+    level grid, a-major, the first of the smallest b among scores >= (1 - 1e-3) max."""
+    cb, below = centered(base), side == "below"
+    beta = cb.tilted_lower_tail(0.0, 0.0) if below else cb.tilted_upper_tail(0.0, 0.0)
+
+    def distance(level):  # from the mean toward the side's tail, at mass level * beta
+        p = np.array([level * beta])
+        return float((-cb.quantile(p) if below else cb.upper_quantile(p))[0])
+
+    end = -cb.support_bounds[0] if below else cb.support_bounds[1]
+    bs = [b for b in [end] + list(map(distance, _WITNESS_B_LEVELS)) if math.isfinite(b)]
+    a_s = [a for a in map(distance, _WITNESS_A_LEVELS) if a > 0]
+    scored = []
+    for a in a_s:
+        for b in bs:
+            eta = float(witness_mass(base, a, b, side))
+            if b >= a and eta > 1e-12:
+                scored.append((a * a * eta, SupportWitness(a, b, eta)))
+    top = max(score for score, _ in scored)
+    return min((w for score, w in scored if score >= (1 - 1e-3) * top), key=lambda w: w.b)
+
+
+def _assert_scans_match_the_loop(base):
+    cert = build_certificate(base)
+    for side, w in (("below", cert.witness), ("above", cert.witness_left)):
+        assert find_support_witness(base, side) == w == _loop_witness(base, side), side
+
+
+@pytest.mark.parametrize("base", README_BASES, ids=lambda b: b.kind)
+def test_witness_scan_equals_a_plain_loop_over_its_grid(base):
+    _assert_scans_match_the_loop(base)
+
+
+def _normalized_atoms(pairs):
+    total = sum(w for _, w in pairs)
+    return DiscreteAtoms(tuple((loc / 2.0, w / total) for loc, w in pairs))
+
+
+KIND_DRAWS = {
+    "bernoulli": st.floats(0.01, 0.99).map(Bernoulli),
+    "gaussian": st.floats(0.05, 20.0).map(Gaussian),
+    "exponential": st.floats(0.05, 20.0).map(Exponential),
+    "poisson": st.floats(0.05, 50.0).map(Poisson),
+    "laplace": st.floats(0.05, 20.0).map(Laplace),
+    "gamma": st.builds(Gamma, st.floats(0.2, 20.0), st.floats(0.05, 20.0)),
+    "atoms": st.lists(st.tuples(st.integers(-20, 20), st.floats(0.05, 1.0)), min_size=2,
+                      max_size=5, unique_by=lambda pair: pair[0]).map(_normalized_atoms),
+    "counterexample": st.integers(2, 30).map(CounterexampleSubgaussian),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_DRAWS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_witness_scan_equals_a_plain_loop_on_drawn_parameters(kind, data):
+    _assert_scans_match_the_loop(data.draw(KIND_DRAWS[kind], label=kind))
 
 
 def test_find_support_witness_degenerate_base_errors():
