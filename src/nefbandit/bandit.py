@@ -26,9 +26,11 @@ least conservative algorithm; a certificate supremum can be passed instead.
 
 ``run_replicates`` plays R replicates in lockstep as one array program over
 (R, T, d) histories, each replicate with its own stream, fit and abort; each
-kernel of its round loop makes the one-replicate BLAS/LAPACK call per replicate,
-so a replicate's bytes do not depend on its batch, and one stacked pass after
-the loop gives the cover verdicts, which no choice reads.  ``run_ofu_glb`` is R = 1.
+kernel of its round loop gives every replicate the bits of its one-replicate
+BLAS/LAPACK call (the d <= 2 Cholesky solves batch block-diagonally, see
+``glm._cholesky_solves``), so a replicate's bytes do not depend on its batch, and
+one stacked pass after the loop gives the cover verdicts, which no choice reads.
+``run_ofu_glb`` is R = 1.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Instance construction, confidence machinery, the round loop, bound terms."""
 
+import collections
 import hashlib
 import json
 import math
@@ -760,6 +761,42 @@ def test_run_replicates_matches_replicate_by_replicate_runs(kind):
     base, arms, theta = BATCH_CASES[kind]
     batch = _assert_batch_invariant(make_instance(base, arms, np.array(theta)), 60, 3)
     assert all(len(r.rounds) == 60 and not r.aborted for r in batch)
+
+
+ZERO_ARMS = np.array([[1.0, -0.0], [0.0, 0.0], [-0.6, 0.64], [-0.0, -1.0]])
+
+
+@pytest.mark.parametrize("base", [Bernoulli(0.5), Exponential(1.0)], ids=lambda b: b.kind)
+@pytest.mark.parametrize("arms, theta", [(ZERO_ARMS, [0.4, -0.3]),
+                                         (np.array([[1.0], [-0.0], [0.0], [-0.7]]), [0.3])],
+                         ids=["d2", "d1"])
+def test_run_replicates_across_a_solve_chunk_edge_with_signed_zero_arms(base, arms, theta):
+    # 17 replicates cross the edge of the 16-replicate block-diagonal solves
+    batch = _assert_batch_invariant(make_instance(base, arms, np.array(theta)), 40, 5,
+                                    replicates=range(17))
+    assert all(len(r.rounds) == 40 and not r.aborted for r in batch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("replicates", [[0], range(17)], ids=["alone", "batch17"])
+def test_golden_replicate_zero_takes_the_same_newton_path_in_any_batch(replicates, monkeypatch):
+    import nefbandit.bandit as bandit
+
+    iters, fell_back = collections.Counter(), []
+    real = bandit._fit_stack
+
+    def recording(*args):
+        fits = real(*args)
+        iters[fits.iters[0]] += 1
+        fell_back.append(fits.fallback[0])
+        return fits
+
+    monkeypatch.setattr(bandit, "_fit_stack", recording)
+    cfg = load_config(Path(__file__).parent / "data" / "golden_config.json")
+    batch = run_replicates(build_instance(cfg), cfg.horizon, cfg.delta, cfg.seed, replicates,
+                           lam_override=cfg.lam)
+    assert not any(r.aborted for r in batch)
+    assert dict(iters) == {0: 1, 1: 4, 2: 1795, 3: 200} and not any(fell_back)
 
 
 def test_run_replicates_abort_keeps_its_reason_and_spares_the_others():

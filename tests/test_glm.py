@@ -662,6 +662,80 @@ def test_cholesky_solves_fail_only_the_replicate_not_positive_definite():
                                                            rhs[r]))
 
 
+def _scaled_spd(rng, R, d):
+    """R positive definite d x d matrices, each scaled by a power of ten in [1e-5, 1e5], with
+    junk in the upper triangle, which is never read."""
+    A = rng.standard_normal((R, d, d))
+    scale = 10.0 ** rng.uniform(-5, 5, (R, 1, 1))
+    H = scale * (A @ A.mT + 10.0 ** rng.uniform(-3, 0, (R, 1, 1)) * np.eye(d))
+    H[:, 0, 1:] += 1.0
+    return H
+
+
+def _with_zeros(rng, shape, zero):
+    """Entries of magnitude 1e-5 to 1e5, about a fifth of them ``zero`` (0.0 or -0.0)."""
+    b = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    b[rng.random(shape) < 0.2] = zero
+    return b
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("R", [2, 15, 16, 17, 40])
+def test_batched_cholesky_solves_are_the_one_replicate_calls_bit_for_bit(d, R, monkeypatch):
+    # d <= 2 solves go in block-diagonal chunks of _CHUNK replicates; each block must keep
+    # the bits of its own call, the sign of every zero included (d = 3 is solved one by one)
+    import nefbandit.glm as glm
+
+    calls = []
+    real = glm._posv()
+    monkeypatch.setattr(glm, "_posv", lambda: lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = replicate_stream(92, 10 * R + d)
+    H = _scaled_spd(rng, R, d)
+    for zero in (0.0, -0.0):
+        for shape in ((1, d, 4), (R, d), (R, d, 3)):
+            B = _with_zeros(rng, shape, zero)
+            out = np.empty((R, *shape[1:]))
+            calls.clear()
+            assert _cholesky_solves(H, B, out) == {}
+            assert len(calls) == (-(-R // glm._CHUNK) if d <= 2 else R)
+            for r in range(R):
+                Br = B[0] if shape[0] == 1 else B[r]
+                alone = np.empty((1, *shape[1:]))
+                assert _cholesky_solves(H[r:r + 1], Br[None], alone) == {}
+                assert np.array_equal(out[r], alone[0])
+                assert np.array_equal(np.signbit(out[r]), np.signbit(alone[0]))
+                if not np.signbit(Br).any():
+                    assert np.array_equal(out[r], linalg.cho_solve(
+                        linalg.cho_factor(H[r], lower=True), Br))
+
+
+def test_cholesky_solve_reads_a_negative_zero_right_hand_side_as_positive_zero():
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(np.signbit(cholesky_solve(H, np.array([-0.0, -0.0]))), [False, False])
+    assert np.array_equal(np.signbit(cholesky_solve(np.eye(1), np.array([-0.0]))), [False])
+
+
+def test_batched_cholesky_solves_fail_only_the_replicate_not_positive_definite():
+    # the d = 2 twin: the bad replicate sits mid-way through the first chunk, a second
+    # chunk follows, and the first chunk's other replicates are solved one by one
+    from nefbandit.glm import _CHUNK
+
+    rng = replicate_stream(93, 0)
+    R, bad = _CHUNK + 4, _CHUNK // 2
+    H = _scaled_spd(rng, R, 2)
+    H[bad] = np.diag([1.0, -2.0])
+    for rhs in (rng.standard_normal((R, 2)), rng.standard_normal((R, 2, 4)),
+                rng.standard_normal((1, 2, 4))):
+        sol = np.full((R, *rhs.shape[1:]), 7.0)
+        failed = _cholesky_solves(H, rhs, sol)
+        assert list(failed) == [bad] and isinstance(failed[bad], linalg.LinAlgError)
+        assert "2-th leading minor" in str(failed[bad])
+        assert (sol[bad] == 7.0).all()  # a failed replicate's output is left alone
+        for r in set(range(R)) - {bad}:
+            assert np.array_equal(sol[r], linalg.cho_solve(linalg.cho_factor(H[r], lower=True),
+                                                           rhs[0] if len(rhs) == 1 else rhs[r]))
+
+
 def test_cholesky_solve_errors():
     with pytest.raises(linalg.LinAlgError):
         cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
