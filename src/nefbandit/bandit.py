@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze
-from .errors import ConfigError, DomainError, InvalidArgumentError
+from .errors import ConfigError, DomainError, InvalidArgumentError, positive_finite
 from .glm import (_cholesky_solves, _finite, _fit_stack, _gradient_maps, _hessians,
                   _inner_products, _ridge_weight, _rows)
 from .rng import replicate_stream
@@ -72,18 +72,17 @@ def _wider_end(S1: float, S2: float) -> str:
     return "S1" if abs(S1) >= abs(S2) else "S2"
 
 
-def _check_range(S2: float, S1: float, c1: float, c2: float, domain: tuple[float, float]) -> None:
-    """-c2 < S2 <= S1 < c1 with S1 - S2 finite and both tail tilts -c2 and c1 inside the
-    natural parameter interval ``domain``, or a ConfigError naming the constant of the first
-    failed step (the wider end for the width)."""
-    lo, hi = domain
-    for ok, name in ((-c2 < S2, "c2"), (S2 <= S1, "S2"), (S1 < c1, "c1"),
-                     (math.isfinite(S1 - S2), _wider_end(S1, S2)), (c1 < hi, "c1"),
-                     (lo < -c2, "c2")):
+def _check_range(S2: float, S1: float, c1: float, c2: float, base: BaseDistribution) -> None:
+    """lo <= -c2 < S2 and S1 < c1 <= hi for (lo, hi) the base's ``interior`` (the end rule of
+    ``fit_tail_constants``) and S1 - S2 finite, S2 <= S1 being the family's, or a ConfigError
+    naming the constant of the first failed step (the wider end for the width)."""
+    lo, hi = base.interior
+    for ok, name in ((lo <= -c2 < S2, "c2"), (S1 < c1 <= hi, "c1"),
+                     (math.isfinite(S1 - S2), _wider_end(S1, S2))):
         if not ok:
             raise ConfigError(f"admissible range must satisfy -c2 < S2 <= S1 < c1 with S1 - S2 "
-                              f"finite and -c2, c1 inside the natural parameter interval "
-                              f"{domain}, got S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
+                              f"finite and -c2, c1 in the base's interior [{lo}, {hi}], got "
+                              f"S2={S2}, S1={S1}, c1={c1}, c2={c2}", name=name)
 
 
 def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, float]:
@@ -92,10 +91,14 @@ def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, 
 
 
 def _arms_and_theta(arms, theta_star) -> tuple[np.ndarray, np.ndarray]:
-    """Arms as rows and theta_star as a vector, or a ConfigError named ``arms`` or
-    ``theta_star`` for a coordinate that is not finite (NaN passes every comparison)."""
+    """Arms as (n, d) rows with n, d >= 1 and theta_star as a d-vector, all finite (NaN passes
+    every comparison), or a ConfigError named ``arms`` or ``theta_star``: the arm-set rule."""
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     theta_star = np.asarray(theta_star, dtype=float).ravel()
+    if arms.ndim != 2 or not arms.size or theta_star.size != arms.shape[1]:
+        raise ConfigError(f"need (n, d) arms with n, d >= 1 and theta_star of dim d, got shapes "
+                          f"{arms.shape} and {theta_star.shape}",
+                          name="theta_star" if arms.ndim == 2 and arms.size else "arms")
     for name, value in (("arms", arms), ("theta_star", theta_star)):
         if not np.isfinite(value).all():
             raise ConfigError(f"{name} has a coordinate that is not finite", name=name)
@@ -120,13 +123,13 @@ def _named_by(name, given, S1: float, S2: float, K: float, c1: float, c2: float)
 class GlbInstance:
     """Arm set, true parameter, reward family, and the algorithm constants.
 
-    Invariants: arms in the closed unit ball, every x' theta_star inside
-    [S2, S1], -c2 < S2 <= S1 < c1 with the tail tilts -c2 and c1 inside the
-    natural parameter interval, L at least 1 and at least the family's
+    Invariants: the arm-set rule of ``_arms_and_theta``, arms in the closed unit ball,
+    every x' theta_star inside [S2, S1], -c2 < S2 <= S1 < c1 with the tail tilts -c2 and
+    c1 in the base's interior, L at least 1 and at least the family's
     variance supremum, K >= 0, and every constant finite, M too.  S1 and S2
     are not arguments: they are the family's tilt range.  Nor is M: it is its floor
     max(K / log 2, 1/(c1 - S1), 1/(c2 + S2)).  A ConfigError's ``name`` is the
-    constant (or ``arms``) that fails.
+    constant (or ``arms`` or ``theta_star``) that fails.
     """
 
     arms: np.ndarray
@@ -140,8 +143,6 @@ class GlbInstance:
 
     def __post_init__(self):
         arms, theta = _arms_and_theta(self.arms, self.theta_star)
-        if arms.shape[0] == 0:
-            raise ConfigError("arm set must be nonempty", name="arms")
         norms = np.linalg.norm(arms, axis=1)
         if norms.max() > 1.0 + 1e-12:
             raise ConfigError(f"arms must lie in the closed unit ball; max norm {norms.max():.6g}",
@@ -149,7 +150,7 @@ class GlbInstance:
         if np.linalg.norm(theta) > self.S0 + 1e-12:
             raise ConfigError(f"the true parameter has norm {np.linalg.norm(theta):.6g} > "
                               f"S0={self.S0}", name="S0")
-        _check_range(self.S2, self.S1, self.c1, self.c2, self.family.base.mgf_domain)
+        _check_range(self.S2, self.S1, self.c1, self.c2, self.family.base)
         inner = arms @ theta
         if inner.min() < self.S2 - 1e-12 or inner.max() > self.S1 + 1e-12:
             raise ConfigError("x' theta_star must lie in [S2, S1] for every arm",
@@ -227,7 +228,6 @@ def make_instance(base: BaseDistribution, arms, theta_star, S0: float | None = N
         if not S2 <= S1:
             raise ConfigError(f"need S2 <= S1, got S2={S2}, S1={S1}",
                               name="S2" if "S2" in given else "S1")
-        _check_range(S2, S1, c1, c2, (lo, hi))
         try:
             family = NefFamily(base, S2, S1)
         except DomainError as exc:
@@ -267,20 +267,25 @@ def _log_term(L: float, d: int, t: int, delta: float) -> float:
 
 
 def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
-    """lambda_T = 1 v (2 d M / S0) log(e sqrt(1 + T L / d) v 1/delta)."""
-    if T < 1 or not 0.0 < delta <= 1.0:
-        raise InvalidArgumentError(f"need T >= 1 and delta in (0, 1], got T={T}, delta={delta}")
+    """lambda_T = 1 v (2 d M / S0) log(e sqrt(1 + T L / d) v 1/delta), once T and delta pass
+    the run-length rule: T an integer >= 1 and 0 < delta <= 1 (NaN fails), else an
+    InvalidArgumentError named ``T`` or ``delta``."""
+    bad_T = not isinstance(T, (int, np.integer)) or T < 1
+    if bad_T or not 0.0 < delta <= 1.0:
+        raise InvalidArgumentError(f"need an integer T >= 1 and delta in (0, 1], got T={T!r}, "
+                                   f"delta={delta}", name="T" if bad_T else "delta")
     return max(1.0, (2.0 * inst.d * inst.M / inst.S0) * _log_term(inst.L, inst.d, T, delta))
 
 
-def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts) -> list[float]:
-    """gamma_t for each t in ts, its two t-independent factors computed (and lam and delta
-    checked, on regularizer_schedule's rule) once."""
-    if lam is not None and not 0.0 < delta <= 1.0:  # NaN fails too
-        raise InvalidArgumentError(f"need delta in (0, 1], got delta={delta}", name="delta")
-    root = math.sqrt(regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam))
+def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts=None) -> list[float]:
+    """gamma_t for each t in ts (default 1, ..., T), its two t-independent factors computed
+    once, after regularizer_schedule's run-length rule (also when lam is given) and the
+    ridge-weight rule of a given lam."""
+    lam_T = regularizer_schedule(inst, T, delta)
+    root = math.sqrt(lam_T if lam is None else _ridge_weight(lam))
     head, scale, d = root * (0.5 / inst.M + inst.S0), 4.0 * inst.M * inst.d / root, inst.d
-    return [head + scale * _log_term(inst.L, d, t, delta) for t in ts]
+    return [head + scale * _log_term(inst.L, d, t, delta)
+            for t in (range(1, T + 1) if ts is None else ts)]
 
 
 def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
@@ -420,6 +425,7 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     """
     lam = (regularizer_schedule(inst, T, delta) if lam_override is None
            else _ridge_weight(lam_override))
+    gammas = np.array(_radii(inst, T, delta, lam))  # T checked before the first draw
     streams = [replicate_stream(seed, k).random(T) for k in replicates]  # a uniform per round
     R = len(streams)
     uniforms = np.array(streams).reshape(R, T).T.copy()  # row n: round n + 1, contiguous
@@ -429,7 +435,6 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     arm_mu, arm_dmu = base.mean_at(arm_inner), base.dmean_at(arm_inner)
     lam_eye, arms_t = lam * np.eye(d), arms.T[None]
     arm_col, index_col, reward_col = np.zeros((3, R, T))  # per replicate and round
-    gammas = np.array(_radii(inst, T, delta, lam, range(1, T + 1)))
     cg = inst.diameter_factor * gammas  # c gamma_t: the index's and E_t's radius
     # each round's fit, for the cover pass: estimate, gradient map and Hessian
     thetas, g_hats, Hs = np.zeros((R, T, d)), np.zeros((R, T, d)), np.zeros((R, T, d, d))
@@ -513,7 +518,7 @@ def theoretical_regret_bound(inst: GlbInstance, T: int, delta: float,
     best arm.  A zero stretch supremum zeroes the second-order terms.
     """
     lam = regularizer_schedule(inst, T, delta) if lam is None else _ridge_weight(lam)
-    gamma_T = confidence_radius(inst, T, T, delta, lam=lam)
+    gamma_T = _radii(inst, T, delta, lam, (T,))[0]
     star_idx, _ = inst.best_arm()
     mu_dot_star = float(inst.family.base.dmean_at(float(inst.arms[star_idx] @ inst.theta_star)))
     c = inst.diameter_factor
@@ -539,9 +544,7 @@ def elliptical_potential_check(vectors, lam: float, A: float) -> dict:
     """sum_t ||a_t||^2 over inv(V_{t-1}) against 2 d max(1, A^2/lam) log(1 + n A^2/(d lam))."""
     vectors = _rows(vectors, "vectors")
     n, d = vectors.shape
-    lam = _ridge_weight(lam)
-    if not (float(A) > 0 and math.isfinite(A)):  # the ridge weight's rule
-        raise InvalidArgumentError(f"norm cap A must be finite and positive, got {A}", name="A")
+    lam, A = _ridge_weight(lam), positive_finite(A, "A", "norm cap A")
     if np.linalg.norm(vectors, axis=1).max(initial=0.0) > A + 1e-12:
         raise InvalidArgumentError(f"every vector must have norm at most A={A}")
     V_inv = np.eye(d) / lam

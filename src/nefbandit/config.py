@@ -24,7 +24,7 @@ is a JSON number within float range, an integer one where "int" says so (and for
 ``n`` and ``i_max``); a bad one is named by its own pointer, such as /arms/0/1.
 
 Auto-derivations: S0 = ||theta_star||; S1/S2 = +/- S0 * max arm norm.  The tail
-tilts c1 and -c2 lie inside the natural parameter interval, and the instance
+tilts c1 and -c2 lie in the base's interior, and the instance
 invariants are checked eagerly at parse time whenever the arm set is present; a
 failure exits at the field that ``bandit._named_by`` names, also when a run
 constant squares beyond float range.
@@ -136,7 +136,7 @@ def _expand_arms(obj, pointer: str) -> np.ndarray:
         ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         return np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     if isinstance(obj, list):
-        if not obj or not all(isinstance(a, list) and len(a) == len(obj[0]) for a in obj):
+        if not all(isinstance(a, list) and len(a) == len(obj[0]) for a in obj):
             raise ParseError("arms must be a list of equal-length numeric vectors",
                              pointer=pointer)
         return np.array([[check_number(a, j, f"{pointer}/{i}") for j in range(len(a))]
@@ -186,16 +186,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
             raise ParseError("theta_star must be a list of numbers", pointer="/theta_star")
         theta = np.array([check_number(raw["theta_star"], i, "/theta_star")
                           for i in range(len(raw["theta_star"]))])
-        if arms.shape[1] != theta.shape[0]:
-            raise ParseError(f"theta_star has dim {theta.shape[0]} but arms have dim "
-                             f"{arms.shape[1]}", pointer="/theta_star")
         try:
             instance = make_instance(base, arms, theta, S0=raw.get("S0"), S1=raw.get("S1"),
                                      S2=raw.get("S2"), c1=raw.get("c1"), c2=raw.get("c2"),
                                      L=raw.get("L"), K=raw.get("K"))
         except ConfigError as exc:
-            if exc.name is None:
-                raise
             raise ParseError(str(exc), pointer=f"/{exc.name}") from exc
         _check_run_constants(instance, raw)
         try:  # a run draws each arm's reward at its tilt x' theta_star

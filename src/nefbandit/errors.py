@@ -7,6 +7,8 @@ interval, a degenerate (Dirac) base, or a numeric failure.
 
 from __future__ import annotations
 
+import math
+
 
 class NefBanditError(Exception):
     """Base error for this package; ``name`` the argument or field at fault, where one is."""
@@ -68,3 +70,13 @@ class ParseError(ConfigError):
     def __init__(self, message: str, *, pointer: str = ""):
         super().__init__(f"{message} (at {pointer or '/'})")
         self.pointer = pointer
+
+
+def positive_finite(value, name: str, what: str | None = None) -> float:
+    """``value`` as a float if it is positive and finite (NaN fails), else an
+    InvalidArgumentError named ``name`` that calls it ``what`` (default ``name``)."""
+    v = float(value)
+    if not (v > 0 and math.isfinite(v)):
+        raise InvalidArgumentError(f"{what or name} must be finite and positive, got {value}",
+                                   name=name)
+    return v

@@ -26,13 +26,13 @@ from __future__ import annotations
 import importlib
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import NefFamily, _freeze
-from .errors import DomainError, InvalidArgumentError, OptimizationError
+from .errors import DomainError, InvalidArgumentError, OptimizationError, positive_finite
 
 __all__ = [
     "Dataset",
@@ -103,13 +103,8 @@ class Dataset:
 # X.T @ v, a @ b, A.T @ B), so each slice has the one-replicate bits; the public functions
 # are the R = 1 calls.
 
-def _ridge_weight(lam) -> float:
-    """The ridge-weight rule of every public function: ``lam`` as a float if it is finite and
-    positive, else an InvalidArgumentError named ``lambda``."""
-    if not (float(lam) > 0 and math.isfinite(lam)):
-        raise InvalidArgumentError(f"ridge weight must be finite and positive, got {lam}",
-                                   name="lambda")
-    return float(lam)
+# the ridge-weight rule of every public function: lam as a float, named ``lambda``
+_ridge_weight = partial(positive_finite, name="lambda", what="ridge weight")
 
 
 def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:

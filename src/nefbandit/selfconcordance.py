@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     PrecisionError,
+    positive_finite,
 )
 
 __all__ = [
@@ -76,9 +77,7 @@ class TailConstants:
 
     def __post_init__(self):
         for name in ("c1", "C1", "c2", "C2"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise InvalidArgumentError(f"tail constant {name} must be positive and finite, got {v}")
+            positive_finite(getattr(self, name), name, f"tail constant {name}")
 
 
 @dataclass(frozen=True)
@@ -117,13 +116,12 @@ class StretchCertificate:
     def __post_init__(self):
         for name in ("g_q_right", "g_q_left"):
             v = getattr(self, name)
-            if not v > 0:
-                raise InvalidArgumentError(f"{name} must be positive, got {v}")
-            if not math.isfinite(v):  # G grows as C / c^3 per side: name the larger side
+            if v == math.inf:  # G grows as C / c^3 per side: name the larger side
                 t = self.tail
                 right = math.log(t.C1) - 3 * math.log(t.c1) >= math.log(t.C2) - 3 * math.log(t.c2)
                 raise DomainError(f"tail rates c1 = {t.c1}, c2 = {t.c2} overflow {name}",
                                   name="c1" if right else "c2")
+            positive_finite(v, name)
 
     def constants_dict(self) -> dict:
         out = {**vars(self), **vars(self.tail), "witness_right": dict(vars(self.witness)),
@@ -247,10 +245,8 @@ def _witness(base: BaseDistribution, side: str) -> SupportWitness:
 
 def g_q_value(M1: float, M2: float, m1: float, m2: float, witness: SupportWitness) -> float:
     """Polynomial correction shared by both branches of the stretch bound."""
-    for name, v in (("M1", M1), ("M2", M2), ("m1", m1), ("m2", m2)):
-        if not (v > 0 and math.isfinite(v)):
-            raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
-    M1, M2, m1, m2 = map(np.float64, (M1, M2, m1, m2))
+    M1, M2, m1, m2 = (np.float64(positive_finite(v, name))
+                      for name, v in (("M1", M1), ("M2", M2), ("m1", m1), ("m2", m2)))
     a, b, eta = witness.a, witness.b, witness.eta
     e3 = math.e**3
     with np.errstate(all="ignore"):  # a G beyond float range is inf
@@ -328,8 +324,7 @@ class SubgaussianEnvelope:
         "interpretation, not a tight constant")
 
     def __post_init__(self):
-        if not (self.sigma_proxy > 0 and math.isfinite(self.sigma_proxy)):
-            raise InvalidArgumentError(f"sigma_proxy must be positive, got {self.sigma_proxy}")
+        positive_finite(self.sigma_proxy, "sigma_proxy")
         c = 1.0 / self.sigma_proxy**2
         C = 2.0
         frak1 = C * (1.0 + math.sqrt(math.pi / c))

@@ -30,7 +30,8 @@ from .distributions import (
     _logsumexp,
     centered,
 )
-from .errors import DegenerateDistributionError, DomainError, InvalidArgumentError
+from .errors import (DegenerateDistributionError, DomainError, InvalidArgumentError,
+                     positive_finite)
 from .selfconcordance import (
     SupportWitness,
     TailConstants,
@@ -75,8 +76,7 @@ class TailCertificate:
 
 def mgf_from_tail_bound(c1: float, C1: float, lam):
     """MGF cap 1 + C1 lam^2 / (c1 (c1 - lam)) from a right tail C1 exp(-c1 t), elementwise."""
-    if not (c1 > 0 and C1 > 0):
-        raise InvalidArgumentError(f"tail constants must be positive, got c1={c1}, C1={C1}")
+    c1, C1 = positive_finite(c1, "c1", "tail rate c1"), positive_finite(C1, "C1", "tail scale C1")
     lam = np.asarray(lam, dtype=float)
     bad = lam[~((0.0 <= lam) & (lam < c1))]
     if bad.size:
@@ -114,8 +114,7 @@ def tilted_cgf_quadratic_bound(family: NefFamily, u, s, K: float) -> dict:
     [param_lo, param_hi].  Elementwise over broadcast ``u`` and ``s``:
     ``lhs``, ``rhs`` and ``ok`` have their shape.
     """
-    if not (K > 0 and math.isfinite(K)):
-        raise InvalidArgumentError(f"stretch supremum K must be positive and finite, got {K}")
+    K = positive_finite(K, "K", "stretch supremum K")
     u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
     bad = u[~((family.param_lo <= u) & (u <= family.param_hi))]
     if bad.size:

@@ -50,6 +50,7 @@ from nefbandit.errors import ConfigError, DomainError, InvalidArgumentError, Nef
 from nefbandit.config import build_instance, load_config
 from nefbandit.glm import Dataset, fit_mle, gradient_map, hessian
 from nefbandit.rng import replicate_stream
+from nefbandit.selfconcordance import fit_tail_constants
 
 ARMS3 = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.64]])
 THETA3 = np.array([0.4, -0.3])
@@ -1057,6 +1058,94 @@ def test_an_explicit_ridge_weight_still_needs_delta_in_0_1(call, delta):
         call(inst, delta)
     assert info.value.name == "delta"
     call(inst, 1.0)
+
+
+RUN_LENGTH_CALLS = {
+    "regularizer_schedule": lambda inst, T: regularizer_schedule(inst, T, 0.1),
+    "theoretical_regret_bound": lambda inst, T: theoretical_regret_bound(inst, T, 0.1, lam=1.0),
+    "run_replicates": lambda inst, T: run_replicates(inst, T, 0.05, 0, [0], lam_override=1.0),
+}
+
+
+@pytest.mark.parametrize("T", [0, -3, 2.5, math.nan, "5"])
+@pytest.mark.parametrize("call", RUN_LENGTH_CALLS.values(), ids=RUN_LENGTH_CALLS)
+def test_every_run_length_is_an_integer_at_least_one(call, T):
+    # one rule for T, with or without an explicit ridge weight, checked before any draw
+    inst = bern_instance()
+    with pytest.raises(InvalidArgumentError, match="integer T >= 1") as info:
+        call(inst, T)
+    assert info.value.name == "T"
+    call(inst, np.int64(3))
+
+
+def test_confidence_radius_needs_t_in_1_to_T():
+    inst = bern_instance()
+    for t, T in ((0, 5), (6, 5), (-1, 5)):
+        with pytest.raises(InvalidArgumentError, match="1 <= t <= T"):
+            confidence_radius(inst, t, T, 0.1)
+    with pytest.raises(InvalidArgumentError, match="integer T") as info:
+        confidence_radius(inst, 1, 2.5, 0.1, lam=1.0)
+    assert info.value.name == "T"
+
+
+def test_replicate_stream_needs_an_integer_seed_and_a_nonnegative_replicate():
+    for seed in (1.5, "7", True):
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            replicate_stream(seed, 0)
+    for replicate in (-1, 1.0):
+        with pytest.raises(InvalidArgumentError, match="replicate index"):
+            replicate_stream(0, replicate)
+
+
+def test_self_bounding_rejects_an_endpoint_outside_the_range():
+    fam = NefFamily(Bernoulli(0.5), -2.0, 2.0)
+    for b in (2.5, -3.0, math.nan):
+        with pytest.raises(DomainError, match="endpoint"):
+            self_bounding_check(fam, [-2.0], b, K=1.0)
+
+
+SQUARE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("arms, theta, name", [
+    (np.zeros((0, 2)), [0.5, 0.0], "arms"), ([], [0.5, 0.0], "arms"), ([[]], [], "arms"),
+    ([[], []], [], "arms"), (np.zeros((2, 2, 1)), [0.5, 0.0], "arms"),
+    (SQUARE, [0.5, 0.0, 0.0], "theta_star"), (SQUARE, [0.5], "theta_star"),
+    (SQUARE, [], "theta_star"), (SQUARE, [[0.5, 0.0], [0.0, 0.0]], "theta_star"),
+])
+def test_the_arm_set_rule_names_arms_or_theta_star(arms, theta, name):
+    # at least one arm, d >= 1 and theta_star of dimension d, for either constructor
+    with pytest.raises(ConfigError, match=r"n, d >= 1") as info:
+        make_instance(Exponential(1.0), arms, theta)
+    assert info.value.name == name
+    with pytest.raises(ConfigError, match=r"n, d >= 1") as info:
+        GlbInstance(arms=arms, theta_star=theta, family=NefFamily(Exponential(1.0), -0.5, 0.5),
+                    S0=1.0, L=4.0, K=3.0, c1=0.75, c2=1.0)
+    assert info.value.name == name
+
+
+@pytest.mark.parametrize("base, name", [(Exponential(1.0), "c1"), (Gamma(2.0, 1.0), "c1"),
+                                        (Laplace(1.0), "c1"), (Laplace(1.0), "c2")])
+def test_a_tail_rate_lies_in_the_interior_as_fit_tail_constants_asks(base, name):
+    # a rate past the interior but inside the MGF domain: fit_tail_constants rejects it, and
+    # so does make_instance; at the interior's end both accept it
+    (lo, hi), (domain_lo, domain_hi) = base.interior, base.mgf_domain
+    end, past = {"c1": (hi, (hi + domain_hi) / 2), "c2": (-lo, -(lo + domain_lo) / 2)}[name]
+    for rate in (past, float(np.nextafter(end, math.inf))):
+        with pytest.raises(ConfigError) as info:
+            make_instance(base, SQUARE, [0.5, 0.0], **{name: rate})
+        assert info.value.name == name, rate
+        with pytest.raises(DomainError) as info:
+            fit_tail_constants(base, **{name: rate})
+        assert info.value.name == name, rate
+    make_instance(base, SQUARE, [0.5, 0.0], **{name: end})
+    fit_tail_constants(base, **{name: end})
+
+
+def test_exponential_rate_a_hair_below_the_domain_end_is_rejected_at_c1():
+    with pytest.raises(ConfigError) as info:
+        make_instance(Exponential(1.0), SQUARE, [0.5, 0.0], c1=1 - 1e-12)
+    assert info.value.name == "c1"
 
 
 def test_elliptical_potential_single_step_arithmetic():

@@ -755,6 +755,18 @@ def test_family_requires_interval_inside_domain():
     assert fam.interval == (-0.5, 0.5)
 
 
+def test_family_range_needs_lo_at_most_hi():
+    with pytest.raises(InvalidArgumentError, match="must not exceed"):
+        NefFamily(Exponential(1.0), 0.5, -0.5)
+
+
+def test_kinds_without_a_closed_tilt_or_reflection_say_so():
+    with pytest.raises(InvalidArgumentError, match="no closed tilted form"):
+        Laplace(1.0).tilted(0.1)
+    with pytest.raises(InvalidArgumentError, match="not representable"):
+        reflected(Exponential(1.0))
+
+
 def test_parse_distribution_round_trip():
     for base in ALL_BASES + [CounterexampleSubgaussian(8)]:
         cfg = distribution_config(base)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nefbandit
@@ -33,6 +33,7 @@ from nefbandit.cli import (
     rounds_to_csv,
     run_suite,
 )
+from nefbandit.bandit import RoundLog, RunResult
 from nefbandit.config import build_instance, load_config, parse_config
 from nefbandit.distributions import NefFamily, distribution_config, parse_distribution
 from nefbandit.errors import ParseError
@@ -263,6 +264,24 @@ def test_cli_fit_on_csv(tmp_path, capsys):
     assert len(out["theta_hat"]) == 2
 
 
+@pytest.mark.parametrize("lo, hi, outside", [(-0.01, 0.01, True), (-0.5, 5.0, True),
+                                             (-5.0, 5.0, False)])
+def test_cli_fit_reports_inner_products_outside_the_given_range(tmp_path, capsys, lo, hi,
+                                                                outside):
+    # three wins at one arm and two losses at the other: theta_hat leaves [-0.5, 0.5]
+    X = np.array([[0.9, 0.0]] * 3 + [[0.0, 0.9]] * 2)
+    data = tmp_path / "rows.csv"
+    np.savetxt(data, np.column_stack([X, [1.0, 1.0, 1.0, 0.0, 0.0]]), delimiter=",")
+    rc = main(["fit", "--data", str(data), "--dist", '{"kind": "bernoulli", "p": 0.5}',
+               "--param-lo", str(lo), "--param-hi", str(hi)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    inner = X @ np.array(out["theta_hat"])
+    assert out["inner_range"] == [float(inner.min()), float(inner.max())]
+    assert out["outside_admissible"] is outside
+    assert bool(inner.min() < lo or inner.max() > hi) is outside
+
+
 def test_cli_bandit_run_writes_artifacts(tmp_path):
     cfg = _write_cfg(tmp_path, SMALL_RUN)
     out = tmp_path / "out"
@@ -291,6 +310,24 @@ def test_cli_bandit_run_deterministic_bytes(tmp_path):
     assert main(["bandit", "run", "--config", str(cfg), "--seed", "8",
                  "--out", str(out3)]) == 0
     assert (out1 / "rounds.csv").read_bytes() != (out3 / "rounds.csv").read_bytes()
+
+
+def test_cli_bandit_run_reports_an_aborted_replicate(tmp_path, capsys, monkeypatch):
+    # a replicate whose fit fails stops there; the command names the first reason and exits 1
+    run = cli.run_replicates
+
+    def aborting(*args, **kwargs):
+        first, *rest = run(*args, **kwargs)
+        cut = RunResult(RoundLog(*(c[:5] for c in first.columns)), aborted=True,
+                        abort_reason="round 6: forced")
+        return [cut, *rest]
+
+    monkeypatch.setattr(cli, "run_replicates", aborting)
+    cfg = _write_cfg(tmp_path, SMALL_RUN)
+    assert main(["bandit", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "1 replicate(s) aborted; first: round 6: forced\n"
+    assert len((tmp_path / "o" / "rounds.csv").read_text().splitlines()) == 1 + 5
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["aborted"] == 1
 
 
 def test_cli_bandit_run_multi_replicate_files(tmp_path):
@@ -965,6 +1002,71 @@ def test_fuzzed_nested_config_value_gives_a_run_or_a_pointer(data):
                 pointer = re.search(r"\(at (/[^)]*)\)\n\Z", err.getvalue())
                 assert rc == 2 and out.getvalue() == "" and pointer, (config, err.getvalue())
                 assert pointer.group(1) == spot or number, (config, err.getvalue())
+
+
+# arm sets and true parameters of any shape: no rows, rows of no coordinates, ragged rows, and
+# theta_star of any length; coordinates keep every row inside the unit ball
+_COORD = st.sampled_from([0.0, 0.3, -0.4, 0.5])
+
+
+@st.composite
+def _arm_set_shapes(draw):
+    d, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    arms = [draw(st.lists(_COORD, min_size=d, max_size=d)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):  # one row a coordinate short or long
+        arms[-1] = arms[-1][:-1] if d and draw(st.booleans()) else arms[-1] + [0.0]
+    size = draw(st.sampled_from([d, d, max(d - 1, 0), d + 1]))
+    return arms, draw(st.lists(_COORD, min_size=size, max_size=size))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(shape=([], [0.4, -0.3])).via("no arms")
+@example(shape=([[]], [])).via("one arm of dimension 0")
+@example(shape=([[], []], [])).via("two arms of dimension 0")
+@example(shape=([[0.6, 0.0], [0.3]], [0.4, -0.3])).via("ragged")
+@example(shape=([[0.3], [0.6, 0.0]], [0.4])).via("ragged, short first row")
+@example(shape=(SMALL_RUN["arms"], [])).via("theta_star of length 0")
+@example(shape=(SMALL_RUN["arms"], [0.4])).via("theta_star of length d - 1")
+@example(shape=(SMALL_RUN["arms"], [0.4, -0.3, 0.0])).via("theta_star of length d + 1")
+@given(shape=_arm_set_shapes())
+def test_fuzzed_arm_set_shape_gives_a_run_or_a_pointer(shape):
+    # a shape the arm-set rule rejects exits 2 at /arms or /theta_star, never a traceback
+    arms, theta = shape
+    d = len(arms[0]) if arms else 0
+    if not d or any(len(a) != d for a in arms):
+        pointer = "/arms"
+    else:
+        pointer = "/theta_star" if len(theta) != d else None
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps({**SMALL_RUN, "arms": arms, "theta_star": theta}))
+        for command in ("bound", "coverage", "bandit run"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(_config_command(command, cfg, Path(tmp, "run")))
+            assert rc in (0, 1, 2), (command, shape, rc)
+            if pointer is not None or rc == 2:
+                at = re.search(r"\(at (/[^)]*)\)\n\Z", err.getvalue())
+                assert rc == 2 and out.getvalue() == "" and at, (command, err.getvalue())
+                assert pointer in (None, at.group(1)), (command, shape, err.getvalue())
+
+
+def test_cli_bound_on_an_arm_of_no_coordinates_exits_2_at_arms(tmp_path, capsys):
+    # d = 0 would divide by zero in the run check's log term
+    cfg = _write_cfg(tmp_path, {"distribution": EXPONENTIAL, "arms": [[]], "theta_star": []})
+    assert main(["bound", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith("(at /arms)\n"), captured.err
+
+
+@pytest.mark.parametrize("command", ["bound", "coverage", "bandit run"])
+def test_cli_a_ridge_weight_whose_radius_squares_past_float_range_exits_2_at_lambda(
+        tmp_path, capsys, command):
+    # gamma_T's 4 M d / sqrt(lambda) term is about 1e154, so gamma_T squared overflows
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "lambda": 1e-308})
+    assert main(_config_command(command, cfg, tmp_path / "o")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith("(at /lambda)\n"), captured.err
 
 
 def test_fresh_process_runs_every_command_without_scipy_integrate(tmp_path):

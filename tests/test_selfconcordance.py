@@ -1,5 +1,6 @@
 """Stretch certificates: tail fitting, witness search, bound evaluation."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -213,6 +214,27 @@ def test_witness_scan_equals_a_plain_loop_on_drawn_parameters(kind, data):
 def test_find_support_witness_degenerate_base_errors():
     with pytest.raises(DegenerateDistributionError):
         find_support_witness(DiscreteAtoms(((3.0, 1.0),)))
+
+
+def test_find_support_witness_needs_a_known_side():
+    with pytest.raises(InvalidArgumentError, match="'below' or 'above'"):
+        find_support_witness(Exponential(1.0), side="left")
+
+
+@pytest.mark.parametrize("a, b, eta", [(0.0, 1.0, 0.5), (2.0, 1.0, 0.5), (0.1, math.inf, 0.5),
+                                       (0.1, 1.0, 0.0), (0.1, 1.0, 1.5), (0.1, 1.0, math.nan)])
+def test_support_witness_needs_0_lt_a_le_b_finite_and_eta_in_0_1(a, b, eta):
+    with pytest.raises(InvalidArgumentError, match="witness"):
+        SupportWitness(a, b, eta)
+
+
+@pytest.mark.parametrize("g_q", [0.0, -1.0, math.nan])
+def test_stretch_certificate_needs_positive_corrections(g_q):
+    cert = build_certificate(Exponential(1.0))
+    for name in ("g_q_right", "g_q_left"):
+        with pytest.raises(InvalidArgumentError, match=name) as info:
+            dataclasses.replace(cert, **{name: g_q})
+        assert info.value.name == name
 
 
 # ---------------------------------------------------------------------------

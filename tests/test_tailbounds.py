@@ -1,5 +1,6 @@
 """Tail/MGF certificates: Chernoff caps, tilted-tail caps, variance floor."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -27,13 +28,17 @@ from nefbandit.distributions import (
     gamma_ratio,
     mean_fn,
 )
-from nefbandit.errors import DomainError, InvalidArgumentError
+from nefbandit.bandit import elliptical_potential_check
+from nefbandit.errors import DegenerateDistributionError, DomainError, InvalidArgumentError
 from nefbandit.selfconcordance import (
+    StretchCertificate,
+    SubgaussianEnvelope,
     SupportWitness,
     TailConstants,
     build_certificate,
     find_support_witness,
     fit_tail_constants,
+    g_q_value,
     stretch_supremum,
     tilt_range,
 )
@@ -534,3 +539,83 @@ def test_cap_checks_cover_every_grid_point():
         tilted_cgf_quadratic_bound(fam, np.array([0.25, 0.6]), 0.0, K=4.0)
     with pytest.raises(DomainError):
         tilted_cgf_quadratic_bound(fam, 0.25, np.array([0.0, 0.1, -1.0]), K=1.0)
+
+
+
+def test_variance_lower_bound_rejects_a_point_mass():
+    with pytest.raises(DegenerateDistributionError, match="non-degenerate"):
+        variance_lower_bound(DiscreteAtoms(((2.0, 1.0),)), SupportWitness(0.1, 1.0, 0.5), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the positive-and-finite rule of scalar constants
+# ---------------------------------------------------------------------------
+
+_WITNESS = SupportWitness(0.1, 1.0, 0.5)
+_FAMILY = NefFamily(Exponential(1.0), -0.5, 0.5)
+# each scalar constant held to the one rule, by the name its error carries, as a call of one
+# value that 0.5 passes
+POSITIVE_FINITE_CALLS = {
+    "ridge weight": ("lambda", lambda v: elliptical_potential_check([[0.5]], v, 1.0)),
+    "norm cap A": ("A", lambda v: elliptical_potential_check([[0.5]], 1.0, v)),
+    "TailConstants": ("C2", lambda v: TailConstants(c1=1.0, C1=1.0, c2=1.0, C2=v)),
+    "g_q_value": ("m2", lambda v: g_q_value(1.0, 1.0, 1.0, v, _WITNESS)),
+    "SubgaussianEnvelope": ("sigma_proxy", lambda v: SubgaussianEnvelope(v, _WITNESS)),
+    "StretchCertificate": ("g_q_left", lambda v: StretchCertificate(
+        TailConstants(1.0, 1.0, 1.0, 1.0), _WITNESS, _WITNESS, 1.0, v, 1.0, 1.0)),
+    "quadratic CGF cap K": ("K", lambda v: tilted_cgf_quadratic_bound(_FAMILY, 0.25, 0.0, v)),
+    # an infinite rate would make the cap 1 and an infinite scale would make it inf
+    "mgf cap c1": ("c1", lambda v: mgf_from_tail_bound(v, 1.0, 0.25)),
+    "mgf cap C1": ("C1", lambda v: mgf_from_tail_bound(1.0, v, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name, call", POSITIVE_FINITE_CALLS.values(), ids=POSITIVE_FINITE_CALLS)
+def test_every_scalar_constant_is_finite_and_positive(name, call):
+    # a stretch correction of inf is a DomainError naming a tail rate, not this rule
+    bad = (0.0, -1.0, math.nan, -math.inf) + ((math.inf,) if name != "g_q_left" else ())
+    for value in bad:
+        with pytest.raises(InvalidArgumentError, match="must be finite and positive") as info:
+            call(value)
+        assert info.value.name == name, value
+    call(0.5)
+
+
+def _positive_and_finite_tests(tree: ast.AST):
+    """Line of each ``x > 0 and isfinite(x)`` test in ``tree``, in either order and with
+    ``0 < x`` or ``float(x)`` on the comparison side."""
+    def bare(node):
+        is_float = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+        return ast.dump(node.args[0] if is_float else node)
+
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)):
+            continue
+        positive, finite = set(), set()
+        for part in node.values:
+            if isinstance(part, ast.Compare) and len(part.ops) == 1:
+                left, right = part.left, part.comparators[0]
+                zero = [isinstance(n, ast.Constant) and n.value == 0 for n in (left, right)]
+                if isinstance(part.ops[0], ast.Gt) and zero[1]:
+                    positive.add(bare(left))
+                elif isinstance(part.ops[0], ast.Lt) and zero[0]:
+                    positive.add(bare(right))
+            elif isinstance(part, ast.Call) and getattr(part.func, "attr", None) == "isfinite":
+                finite.add(bare(part.args[0]))
+        if positive & finite:
+            yield node.lineno
+
+
+def test_the_positive_and_finite_rule_is_written_once():
+    # errors.positive_finite holds the rule; a second copy anywhere in the package fails here
+    for snippet in ("float(lam) > 0 and math.isfinite(lam)", "np.isfinite(v) and v > 0.0",
+                    "not (0 < self.s and math.isfinite(self.s))"):
+        assert list(_positive_and_finite_tests(ast.parse(snippet))), snippet
+    copies = []
+    for path in sorted(Path(tailbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "positive_finite"]
+        copies += [f"{path.name}:{line}" for line in _positive_and_finite_tests(tree)
+                   if not any(line in lines for lines in helper)]
+    assert copies == []
