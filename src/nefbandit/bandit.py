@@ -36,6 +36,7 @@ one stacked pass after the loop gives the cover verdicts, which no choice reads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -52,6 +53,7 @@ __all__ = [
     "GlbInstance",
     "ConfidenceState",
     "RoundLog",
+    "FitCounts",
     "RunResult",
     "RegretBound",
     "make_instance",
@@ -90,11 +92,20 @@ def _m_terms(K: float, S1: float, S2: float, c1: float, c2: float) -> dict[str, 
     return {"K": K / math.log(2.0), "c1": 1.0 / (c1 - S1), "c2": 1.0 / (c2 + S2)}
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array, or a ConfigError named ``name`` (ragged rows, say)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} is not a rectangular array of numbers: {exc}",
+                          name=name) from exc
+
+
 def _arms_and_theta(arms, theta_star) -> tuple[np.ndarray, np.ndarray]:
     """Arms as (n, d) rows with n, d >= 1 and theta_star as a d-vector, all finite (NaN passes
     every comparison), or a ConfigError named ``arms`` or ``theta_star``: the arm-set rule."""
-    arms = np.atleast_2d(np.asarray(arms, dtype=float))
-    theta_star = np.asarray(theta_star, dtype=float).ravel()
+    arms = np.atleast_2d(_floats(arms, "arms"))
+    theta_star = _floats(theta_star, "theta_star").ravel()
     if arms.ndim != 2 or not arms.size or theta_star.size != arms.shape[1]:
         raise ConfigError(f"need (n, d) arms with n, d >= 1 and theta_star of dim d, got shapes "
                           f"{arms.shape} and {theta_star.shape}",
@@ -266,11 +277,16 @@ def _log_term(L: float, d: int, t: int, delta: float) -> float:
     return math.log(max(math.e * math.sqrt(1.0 + t * L / d), 1.0 / delta))
 
 
+def _not_a_count(value) -> bool:
+    """The run-length rule's integer test: True unless ``value`` is an integer >= 1."""
+    return not isinstance(value, (int, np.integer)) or value < 1
+
+
 def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
     """lambda_T = 1 v (2 d M / S0) log(e sqrt(1 + T L / d) v 1/delta), once T and delta pass
     the run-length rule: T an integer >= 1 and 0 < delta <= 1 (NaN fails), else an
     InvalidArgumentError named ``T`` or ``delta``."""
-    bad_T = not isinstance(T, (int, np.integer)) or T < 1
+    bad_T = _not_a_count(T)
     if bad_T or not 0.0 < delta <= 1.0:
         raise InvalidArgumentError(f"need an integer T >= 1 and delta in (0, 1], got T={T!r}, "
                                    f"delta={delta}", name="T" if bad_T else "delta")
@@ -279,9 +295,14 @@ def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
 
 def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts=None) -> list[float]:
     """gamma_t for each t in ts (default 1, ..., T), its two t-independent factors computed
-    once, after regularizer_schedule's run-length rule (also when lam is given) and the
+    once, after regularizer_schedule's run-length rule (also when lam is given), the same
+    integer rule on each t with t <= T (an InvalidArgumentError named ``t``) and the
     ridge-weight rule of a given lam."""
     lam_T = regularizer_schedule(inst, T, delta)
+    for t in ts or ():
+        if _not_a_count(t) or t > T:
+            raise InvalidArgumentError(f"need an integer t with 1 <= t <= T, got t={t!r}, T={T}",
+                                       name="t")
     root = math.sqrt(lam_T if lam is None else _ridge_weight(lam))
     head, scale, d = root * (0.5 / inst.M + inst.S0), 4.0 * inst.M * inst.d / root, inst.d
     return [head + scale * _log_term(inst.L, d, t, delta)
@@ -291,8 +312,6 @@ def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts=None) 
 def confidence_radius(inst: GlbInstance, t: int, T: int, delta: float,
                       lam: float | None = None) -> float:
     """gamma_t = sqrt(lam)(1/(2M) + S0) + (4 M d / sqrt(lam)) log(e sqrt(1 + t L/d) v 1/delta)."""
-    if not 1 <= t <= T:
-        raise InvalidArgumentError(f"need 1 <= t <= T, got t={t}, T={T}")
     return _radii(inst, T, delta, lam, (t,))[0]
 
 
@@ -372,6 +391,13 @@ def optimistic_choice(inst: GlbInstance, state: ConfidenceState) -> tuple[int, f
 # The round loop
 # ---------------------------------------------------------------------------
 
+class FitCounts(NamedTuple):
+    """A replicate's fits over its logged rounds: how many took each number of Newton
+    iterations, and how many began at the origin because their warm start was infeasible."""
+    newton_iters: dict[int, int]
+    fallbacks: int
+
+
 class RoundLog(NamedTuple):
     t: int
     arm: int
@@ -386,11 +412,13 @@ class RoundLog(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """One replicate's run: ``columns``, a RoundLog of (n,) arrays (n = T unless it aborted),
-    and ``rounds``, its rows, built when first read; equal when rows and abort fields are."""
+    and ``rounds``, its rows, built when first read; equal when rows and abort fields are.
+    ``diagnostics``, the FitCounts of its n fits, is neither compared nor written out."""
 
     columns: RoundLog
     aborted: bool = False
     abort_reason: str = ""
+    diagnostics: FitCounts | None = None
 
     @cached_property
     def rounds(self) -> tuple[RoundLog, ...]:
@@ -421,7 +449,8 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
 
     Result k is a pure function of (seed, replicates[k]): each replicate draws from
     its own stream and keeps its own fit, so it gets the same bytes in any batch.
-    A replicate whose fit fails stops there with the reason ``round t: ...``.
+    A replicate whose fit fails stops there with the reason ``round t: ...``; its
+    diagnostics count the fits of the rounds it logged.
     """
     lam = (regularizer_schedule(inst, T, delta) if lam_override is None
            else _ridge_weight(lam_override))
@@ -438,6 +467,7 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     cg = inst.diameter_factor * gammas  # c gamma_t: the index's and E_t's radius
     # each round's fit, for the cover pass: estimate, gradient map and Hessian
     thetas, g_hats, Hs = np.zeros((R, T, d)), np.zeros((R, T, d)), np.zeros((R, T, d, d))
+    counts = np.zeros((2, R, T), dtype=int)  # each fit's Newton iterations and fallback flag
     played = np.full(R, T)  # rounds logged: a replicate's columns end there
     reasons: dict[int, str] = {}  # abort reasons by replicate position
     live = np.arange(R)  # positions of the replicates still running
@@ -446,17 +476,18 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     for t in range(1, T + 1):
         n = t - 1
         fit = _fit_stack(family, X[:, :n], y[:, :n], lam, lam_eye, theta)
-        theta, H, g_hat = fit.theta, fit.H, fit.g
+        theta, H, g_hat, fit_counts = fit.theta, fit.H, fit.g, (fit.iters, fit.fallback)
         if fit.errors:
             reasons.update({int(live[i]): f"round {t}: {exc}" for i, exc in fit.errors.items()})
             played[live[list(fit.errors)]] = n
             keep = [i not in fit.errors for i in range(len(live))]
             live, X, y, theta, H, g_hat = (a[keep] for a in (live, X, y, theta, H, g_hat))
+            fit_counts = np.array(fit_counts)[:, keep]
             if not live.size:
                 break
             at, rows = live, np.arange(len(live))
         idx_vals = _optimistic_indices(theta, H, cg[n], arms, arms_t)
-        thetas[at, n], g_hats[at, n], Hs[at, n] = theta, g_hat, H
+        thetas[at, n], g_hats[at, n], Hs[at, n], counts[:, at, n] = theta, g_hat, H, fit_counts
         chosen = idx_vals.argmax(axis=1)
         arm_col[at, n] = chosen
         index_col[at, n] = idx_vals[rows, chosen]
@@ -478,8 +509,10 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
             q <= gammas * gammas, _relaxed_norms_sq(inst.theta_star, thetas, Hs) <= cg * cg)
     t_col = np.arange(1, T + 1)
     return [RunResult(RoundLog(t_col[:n], *(c[k, :n] for c in cols)), aborted=k in reasons,
-                      abort_reason=reasons.get(k, ""))
-            for k, n in enumerate(played.tolist())]
+                      abort_reason=reasons.get(k, ""),
+                      diagnostics=FitCounts(dict(sorted(Counter(iters[:n].tolist()).items())),
+                                            int(fell_back[:n].sum())))
+            for k, (n, iters, fell_back) in enumerate(zip(played.tolist(), *counts))]
 
 
 # ---------------------------------------------------------------------------

@@ -546,10 +546,15 @@ class Bernoulli(_AtomMixin, BaseDistribution):
         e = self._ze(u)[1]
         return e / (1.0 + e) ** 2
 
-    def _curve(self, u):
+    def _curve(self, u):  # the methods' operations, each fresh array updated in place
         z, e = self._ze(u)
-        psi, d = self._logw[0] + np.maximum(z, 0.0) + np.log1p(e), 1.0 + e
-        return psi, np.maximum(e, z >= 0.0) / d, e / d**2
+        psi, d, mean = np.maximum(z, 0.0), 1.0 + e, np.maximum(e, z >= 0.0)
+        psi += self._logw[0]
+        psi += np.log1p(e)
+        mean /= d
+        d *= d
+        e /= d
+        return psi, mean, e
 
     def _dmeans(self, u):  # mu'' = mu' (1 - 2 mu) = -sign(z) mu' tanh(|z|/2), by expm1 near 0
         z, e = self._ze(u)

@@ -101,7 +101,10 @@ class Dataset:
 # inner products (R, n) and the kind's psi, mu or mu' at them (R, n).  np.matvec/vecmat/
 # vecdot/matmul make one BLAS call per replicate with the shapes of the 2-D call (X @ theta,
 # X.T @ v, a @ b, A.T @ B), so each slice has the one-replicate bits; the public functions
-# are the R = 1 calls.
+# are the R = 1 calls.  The fit works on one C-contiguous copy of its rows and rewards, so
+# its elementwise passes run as one loop (the round loop's [:, :n] prefixes are strided for
+# R > 1; at R = 1 nothing is copied); each slice is still the C-contiguous (n, d) matrix of
+# the one-replicate call, so every BLAS/LAPACK call, and so every bit, is the same.
 
 # the ridge-weight rule of every public function: lam as a float, named ``lambda``
 _ridge_weight = partial(positive_finite, name="lambda", what="ridge weight")
@@ -118,7 +121,9 @@ def _outside(guard: tuple[float, float], inner: np.ndarray) -> np.ndarray:
 
 
 def _losses(y, lam: float, theta, inner, log_m) -> np.ndarray:
-    return 0.5 * lam * np.vecdot(theta, theta) + np.add.reduce(log_m - y * inner, axis=1)
+    terms = y * inner  # then log_m - terms, in place
+    return 0.5 * lam * np.vecdot(theta, theta) \
+        + np.add.reduce(np.subtract(log_m, terms, out=terms), axis=1)
 
 
 def _gradient_maps(X, lam: float, theta, mean) -> np.ndarray:
@@ -290,6 +295,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     replicate whose start is infeasible begins at the origin (zero inner products); every
     accepted point has a finite loss, gradient and Hessian."""
     R, _, d = X.shape
+    X, y = np.ascontiguousarray(X), np.ascontiguousarray(y)  # see "Stacked kernels" above
     guard = family.base.interior
     reward_map = np.vecmat(y, X)
 

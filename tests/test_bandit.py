@@ -17,6 +17,7 @@ from scipy import integrate
 
 from nefbandit.bandit import (
     ConfidenceState,
+    FitCounts,
     GlbInstance,
     _exact_norms_sq,
     _optimistic_indices,
@@ -800,6 +801,42 @@ def test_golden_replicate_zero_takes_the_same_newton_path_in_any_batch(replicate
     assert dict(iters) == {0: 1, 1: 4, 2: 1795, 3: 200} and not any(fell_back)
 
 
+@pytest.mark.slow
+def test_golden_replicate_zero_diagnostics_alone_and_in_a_batch_of_17():
+    cfg = load_config(Path(__file__).parent / "data" / "golden_config.json")
+    inst, pinned = build_instance(cfg), FitCounts({0: 1, 1: 4, 2: 1795, 3: 200}, 0)
+    alone = run_ofu_glb(inst, cfg.horizon, cfg.delta, seed=cfg.seed, lam_override=cfg.lam)
+    batch = run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, range(17), cfg.lam)
+    assert alone.diagnostics == batch[0].diagnostics == pinned
+    assert all(sum(r.diagnostics.newton_iters.values()) == cfg.horizon for r in batch)
+
+
+@pytest.mark.parametrize("case", ["aborted", "fallback"])
+def test_diagnostics_count_the_fits_of_the_logged_rounds(case, monkeypatch):
+    # each logged round's fit, by its Newton iterations and fallback, in any batch; neither
+    # equality nor rounds.csv reads the record
+    base, arms, theta, S0, replicates = {
+        "aborted": (_Walled(1.0), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [0.2, 0.1], 0.5, range(8)),
+        "fallback": (_Heavy(1.0), circle_arms(8), [0.3, 0.1], None, range(6))}[case]
+    inst, calls = make_instance(base, arms, theta, S0=S0), _recorded_fits(monkeypatch)
+    batch = run_replicates(inst, 12, 0.1, 1, replicates, lam_override=1.0)
+    iters, fell_back = [collections.Counter() for _ in batch], [0] * len(batch)
+    live = list(range(len(batch)))
+    for n, (*_, fits) in enumerate(calls):
+        for i, k in enumerate(live):
+            if n < len(batch[k].rounds):
+                iters[k][fits.iters[i]] += 1
+                fell_back[k] += fits.fallback[i]
+        live = [k for i, k in enumerate(live) if i not in fits.errors]
+    assert any(r.aborted for r in batch) == (case == "aborted")
+    assert (sum(fell_back) > 0) == (case == "fallback")
+    for k, res in enumerate(batch):
+        alone = run_ofu_glb(inst, 12, 0.1, seed=1, replicate=k, lam_override=1.0)
+        assert res.diagnostics == alone.diagnostics == FitCounts(dict(iters[k]), fell_back[k])
+        assert list(res.diagnostics.newton_iters) == sorted(iters[k])
+        assert dataclasses.replace(res, diagnostics=None) == res
+
+
 def test_run_replicates_abort_keeps_its_reason_and_spares_the_others():
     inst = make_instance(_Walled(1.0), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
                          np.array([0.2, 0.1]), S0=0.5)
@@ -918,6 +955,35 @@ def test_logged_cover_verdicts_are_the_per_round_membership_verdicts(case, monke
         live = [k for i, k in enumerate(live) if i not in fits.errors]
     assert checked == sum(len(r.rounds) for r in batch)
     assert any(r.aborted for r in batch) == (case == "aborted")
+
+
+def test_the_fit_reads_contiguous_stacks_in_a_coverage_run(monkeypatch):
+    # the round loop's history prefixes are strided; the fit copies them once, so every
+    # Hessian and curve evaluation of a 10-replicate coverage run gets C-contiguous arrays
+    import nefbandit.glm as glm
+
+    cfg = load_config(Path(__file__).parent / "data" / "coverage_config.json")
+    inst, seen = build_instance(cfg), collections.Counter()
+    real_hessians, real_curve = glm._hessians, Bernoulli._curve
+
+    def check(name, *args):
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        seen[name] += 1
+        assert arrays and all(a.flags.c_contiguous for a in arrays), name
+
+    def hessians(X, lam_eye, w):
+        check("_hessians", X, lam_eye, w)
+        return real_hessians(X, lam_eye, w)
+
+    def curve(self, u):
+        check("_curve", u)
+        return real_curve(self, u)
+
+    monkeypatch.setattr(glm, "_hessians", hessians)
+    monkeypatch.setattr(Bernoulli, "_curve", curve)
+    batch = run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, range(10))
+    assert all(len(r.rounds) == cfg.horizon for r in batch)
+    assert seen["_hessians"] > cfg.horizon and seen["_curve"] > cfg.horizon
 
 
 @pytest.mark.parametrize("field, at, value", [
@@ -1088,6 +1154,16 @@ def test_confidence_radius_needs_t_in_1_to_T():
     assert info.value.name == "T"
 
 
+@pytest.mark.parametrize("t", [1.5, 0, 6, np.float64(2.0)])
+def test_confidence_radius_takes_t_by_the_run_length_rule(t):
+    # the integer rule of T, applied to t, with t <= T
+    with pytest.raises(InvalidArgumentError, match="integer t with 1 <= t <= T") as info:
+        confidence_radius(bern_instance(), t, 5, 0.1)
+    assert info.value.name == "t"
+    assert confidence_radius(bern_instance(), np.int64(5), 5, 0.1) \
+        == confidence_radius(bern_instance(), 5, 5, 0.1)
+
+
 def test_replicate_stream_needs_an_integer_seed_and_a_nonnegative_replicate():
     for seed in (1.5, "7", True):
         with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
@@ -1119,6 +1195,21 @@ def test_the_arm_set_rule_names_arms_or_theta_star(arms, theta, name):
         make_instance(Exponential(1.0), arms, theta)
     assert info.value.name == name
     with pytest.raises(ConfigError, match=r"n, d >= 1") as info:
+        GlbInstance(arms=arms, theta_star=theta, family=NefFamily(Exponential(1.0), -0.5, 0.5),
+                    S0=1.0, L=4.0, K=3.0, c1=0.75, c2=1.0)
+    assert info.value.name == name
+
+
+@pytest.mark.parametrize("arms, theta, name", [
+    ([[1, 0], [0]], [0.5, 0], "arms"), ([[1.0, 0.0], [0.0, 1.0]], [[0.5], [0.0, 1.0]], "theta_star"),
+    ([[1, 0], [0]], [[0.5], [0.0, 1.0]], "arms"),
+])
+def test_ragged_arms_or_theta_star_is_a_config_error(arms, theta, name):
+    # numpy rejects a ragged nested list with a bare ValueError; the arm-set rule names it
+    with pytest.raises(ConfigError, match="rectangular") as info:
+        make_instance(Exponential(1.0), arms, theta)
+    assert info.value.name == name
+    with pytest.raises(ConfigError, match="rectangular") as info:
         GlbInstance(arms=arms, theta_star=theta, family=NefFamily(Exponential(1.0), -0.5, 0.5),
                     S0=1.0, L=4.0, K=3.0, c1=0.75, c2=1.0)
     assert info.value.name == name

@@ -372,7 +372,7 @@ def test_curve_is_log_mgf_mean_and_variance_bitwise(base):
     # every Newton point reads its loss, gradient and Hessian weights from one _curve call
     lo, hi = (u if math.isfinite(u) else math.copysign(40.0, u) for u in base.interior)
     grid = np.linspace(lo, hi, 12)
-    for u in (lo, hi, float(grid[5]), grid, grid.reshape(3, 4)):
+    for u in (lo, hi, float(grid[5]), np.asarray(grid[5]), grid, grid.reshape(3, 4)):
         for got, method in zip(base._curve(u), (base.log_mgf, base.mean_at, base.dmean_at)):
             want = method(u)
             assert np.shape(got) == np.shape(want) == np.shape(u), (method.__name__, u)

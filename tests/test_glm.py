@@ -648,6 +648,31 @@ def test_stacked_fit_rows_are_the_one_replicate_fits(R):
         assert (fits.gnorm[r], fits.iters[r]) == (ref.gradient_norm, ref.newton_iters)
 
 
+def _fit_bytes(fits):
+    return (fits.theta.tobytes(), fits.g.tobytes(), fits.H.tobytes(), fits.gnorm, fits.iters,
+            fits.fallback, {r: str(exc) for r, exc in fits.errors.items()})
+
+
+@pytest.mark.parametrize("family", [EXP, BERN], ids=["exponential", "bernoulli"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("R", [1, 2, 17])
+def test_fit_stack_on_strided_history_prefixes_is_the_fit_on_contiguous_copies(family, d, R):
+    # the round loop hands the fit [:, :n] prefixes of its (R, T, d) buffers; their bytes
+    # must be those of the fit on contiguous copies, an infeasible start included
+    rng = replicate_stream(93, 10 * R + d)
+    T, n, lam = 60, 41, 1.5
+    X = ball_points(rng, R * T, d).reshape(R, T, d)[:, :n]
+    y = (rng.exponential(2.5, (R, T)) if family is EXP else (rng.random((R, T)) < 0.7) * 1.0)
+    y = y[:, :n]
+    init = 0.05 * rng.standard_normal((R, d))
+    init[-1] = 1e200  # infeasible for either kind: its loss overflows
+    assert X.flags.c_contiguous == y.flags.c_contiguous == (R == 1)
+    strided = _fit_stack(family, X, y, lam, lam * np.eye(d), init)
+    contiguous = _fit_stack(family, X.copy(), y.copy(), lam, lam * np.eye(d), init)
+    assert strided.fallback[-1] and strided.errors == {}
+    assert _fit_bytes(strided) == _fit_bytes(contiguous)
+
+
 def test_cholesky_solves_fail_only_the_replicate_not_positive_definite():
     rng = replicate_stream(91, 0)
     H = np.stack([A @ A.T + 0.1 * np.eye(3) for A in rng.standard_normal((3, 3, 3))])
