@@ -282,14 +282,17 @@ def _not_a_count(value) -> bool:
     return not isinstance(value, (int, np.integer)) or value < 1
 
 
-def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
-    """lambda_T = 1 v (2 d M / S0) log(e sqrt(1 + T L / d) v 1/delta), once T and delta pass
-    the run-length rule: T an integer >= 1 and 0 < delta <= 1 (NaN fails), else an
+def _run_length(T, delta) -> None:
+    """The run-length rule: T an integer >= 1 and 0 < delta <= 1 (NaN fails), else an
     InvalidArgumentError named ``T`` or ``delta``."""
-    bad_T = _not_a_count(T)
-    if bad_T or not 0.0 < delta <= 1.0:
+    if (bad_T := _not_a_count(T)) or not 0.0 < delta <= 1.0:
         raise InvalidArgumentError(f"need an integer T >= 1 and delta in (0, 1], got T={T!r}, "
                                    f"delta={delta}", name="T" if bad_T else "delta")
+
+
+def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
+    """lambda_T = 1 v (2 d M / S0) log(e sqrt(1 + T L / d) v 1/delta), after ``_run_length``."""
+    _run_length(T, delta)
     return max(1.0, (2.0 * inst.d * inst.M / inst.S0) * _log_term(inst.L, inst.d, T, delta))
 
 
@@ -476,18 +479,18 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     for t in range(1, T + 1):
         n = t - 1
         fit = _fit_stack(family, X[:, :n], y[:, :n], lam, lam_eye, theta)
-        theta, H, g_hat, fit_counts = fit.theta, fit.H, fit.g, (fit.iters, fit.fallback)
+        theta, H, g_hat = fit.theta, fit.H, fit.g
+        counts[:, at, n] = fit.iters, fit.fallback  # aborts' round n is never logged or read
         if fit.errors:
             reasons.update({int(live[i]): f"round {t}: {exc}" for i, exc in fit.errors.items()})
             played[live[list(fit.errors)]] = n
             keep = [i not in fit.errors for i in range(len(live))]
             live, X, y, theta, H, g_hat = (a[keep] for a in (live, X, y, theta, H, g_hat))
-            fit_counts = np.array(fit_counts)[:, keep]
             if not live.size:
                 break
             at, rows = live, np.arange(len(live))
         idx_vals = _optimistic_indices(theta, H, cg[n], arms, arms_t)
-        thetas[at, n], g_hats[at, n], Hs[at, n], counts[:, at, n] = theta, g_hat, H, fit_counts
+        thetas[at, n], g_hats[at, n], Hs[at, n] = theta, g_hat, H
         chosen = idx_vals.argmax(axis=1)
         arm_col[at, n] = chosen
         index_col[at, n] = idx_vals[rows, chosen]

@@ -122,16 +122,8 @@ def tails_report(base, certs: list[TailCertificate]) -> dict:
             "certificates": [c.as_dict() for c in certs], "ok": all(c.ok for c in certs)}
 
 
-def _base(ns):
-    """Base distribution of a verify/tails command whose grid is nonempty."""
-    if ns.grid_n < 1:
-        raise ParseError(f"--grid-n must be a positive integer, got {ns.grid_n}",
-                         pointer="/grid-n")
-    return parse_distribution(_load_dist(ns.dist))
-
-
 def cmd_verify(ns) -> int:
-    base = _base(ns)
+    base = parse_distribution(_load_dist(ns.dist))
     cert = build_certificate(base, c1=ns.c1, c2=ns.c2)
     family = NefFamily(base, *tilt_range(cert.tail, ns.grid_lo, ns.grid_hi))
     payload = dominance_report(base, family, cert, ns.grid_n)
@@ -146,7 +138,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_tails(ns) -> int:
-    base = _base(ns)
+    base = parse_distribution(_load_dist(ns.dist))
     payload = tails_report(base, run_tail_suite(base, c1=ns.c1, c2=ns.c2, grid_n=ns.grid_n,
                                                 interval=(ns.grid_lo, ns.grid_hi)))
     _emit(payload, Path(ns.report) if ns.report else None)
@@ -360,7 +352,8 @@ def run_suite(cfg: ExperimentConfig, out_dir) -> int:
     return 0 if verify["ok"] and tails["ok"] and not aborted else 1
 
 
-_FLAG_POINTERS = {"lo": "/grid-lo", "hi": "/grid-hi", "c1": "/c1", "c2": "/c2", "lambda": "/lambda"}
+_FLAG_POINTERS = {"lo": "/grid-lo", "hi": "/grid-hi", "grid_n": "/grid-n", "c1": "/c1", "c2": "/c2",
+                  "lambda": "/lambda"}
 
 
 def main(argv=None) -> int:

@@ -39,10 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import (GlbInstance, _log_term, _named_by, _wider_end, confidence_radius,
-                     make_instance, regularizer_schedule)
+from .bandit import (GlbInstance, _log_term, _named_by, _run_length, _wider_end,
+                     confidence_radius, make_instance, regularizer_schedule)
 from .distributions import check_number, parse_distribution
-from .errors import ConfigError, ParseError, PrecisionError
+from .errors import ConfigError, InvalidArgumentError, ParseError, PrecisionError
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "with_flags", "build_instance"]
 
@@ -168,9 +168,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if raw["schema"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {raw['schema']!r}; this build "
                          f"reads version {SCHEMA_VERSION}", pointer="/schema")
-    base = parse_distribution(raw["distribution"], pointer="/distribution")
-    if not 0.0 < raw["delta"] <= 1.0:
-        raise ParseError(f"delta must lie in (0, 1], got {raw['delta']}", pointer="/delta")
+    base = parse_distribution(raw["distribution"])
+    try:  # the run-length rule of every run, also without an instance
+        _run_length(raw["horizon"], raw["delta"])
+    except InvalidArgumentError as exc:
+        raise ParseError(str(exc), pointer="/horizon" if exc.name == "T" else "/delta") from exc
     if "grid" in raw and raw["grid"] is not None:
         g = raw["grid"]
         if not isinstance(g, dict) or set(g) - {"lo", "hi", "n"}:

@@ -834,9 +834,10 @@ def _atom_pairs(atoms, pointer: str) -> tuple:
                  for i, a in enumerate(atoms))
 
 
-def parse_distribution(obj: dict, *, pointer: str = "/distribution") -> BaseDistribution:
+def parse_distribution(obj: dict) -> BaseDistribution:
     """Build a base distribution from the fields of its kind's dataclass (a JSON integer for an
     ``int`` annotation, a string here); unknown fields rejected, a bad value at its pointer."""
+    pointer = "/distribution"  # a config's field; the CLI's --dist reads as that field too
     if not isinstance(obj, dict):
         raise ParseError("distribution spec must be an object", pointer=pointer)
     if "kind" not in obj:

@@ -291,9 +291,9 @@ class _Fits(NamedTuple):  # a stacked fit, row r for replicate r
 def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
                lam_eye: np.ndarray, init: np.ndarray) -> _Fits:
     """Damped Newton for R ridge-regularized likelihoods at once (lam_eye = lam I), each
-    replicate with its own convergence test, Armijo step length and failure; a
-    replicate whose start is infeasible begins at the origin (zero inner products); every
-    accepted point has a finite loss, gradient and Hessian."""
+    replicate with its own convergence test, Armijo step length and failure, all kept by
+    replicate id; a replicate whose start is infeasible begins at the origin (zero inner
+    products); every accepted point has a finite loss, gradient and Hessian."""
     R, _, d = X.shape
     X, y = np.ascontiguousarray(X), np.ascontiguousarray(y)  # see "Stacked kernels" above
     guard = family.base.interior
@@ -321,64 +321,48 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     if True in fallback:
         theta[fallback] = 0.0
         _, f, g, grad, gnorm, w = evaluate(slice(None), theta)
-    iters = [0] * R
-    errors: dict = {}
-    while True:
-        act = [r for r in range(R)
-               if gnorm[r] > _GRAD_TOL and iters[r] < _MAX_ITERS and r not in errors]
-        if not act:
-            break
-        sel = slice(None) if len(act) == R else act
-        step = np.zeros((len(act), d))  # a failed replicate keeps a zero step: its fit is over
-        failed = _cholesky_solves(_hessians(X[sel], lam_eye, w[sel]), grad[sel], step)
+    iters, errors = [0] * R, {}
+    while search := [r for r in range(R)
+                     if gnorm[r] > _GRAD_TOL and iters[r] < _MAX_ITERS and r not in errors]:
+        step = np.zeros((R, d))  # by id; a failed replicate keeps a zero step: its fit is over
+        sel, sol = (slice(None), step) if len(search) == R else (search, step[search])  # positional
+        failed = _cholesky_solves(_hessians(X[sel], lam_eye, w[sel]), grad[sel], sol)
         for i, exc in failed.items():
-            errors[act[i]] = OptimizationError(f"Hessian factorization failed: {exc}",
-                                               diagnostics={"iter": iters[act[i]],
-                                                            "theta": theta[act[i]].tolist()})
-        step = -step
-        slope = np.vecdot(grad[sel], step).tolist()
-        t = [1.0] * len(act)
-        search = list(range(len(act)))
-        trial = theta[sel] + step
+            r = search[i]
+            errors[r] = OptimizationError(f"Hessian factorization failed: {exc}", diagnostics={
+                "iter": iters[r], "theta": theta[r].tolist()})
+        step[sel] = np.negative(sol, out=sol)
+        slope, t = np.vecdot(grad, step).tolist(), [1.0] * R
+        trial = (theta + step)[sel]
         while search:
-            rows = [act[i] for i in search]
-            bad, f_t, g_t, grad_t, gnorm_t, w_t = evaluate(
-                slice(None) if len(rows) == R else rows, trial)
-            accept, retry = [], []
-            for j, i in enumerate(search):
-                r = act[i]
+            bad, f_t, g_t, grad_t, gnorm_t, w_t = evaluate(sel, trial)  # row j: search[j]
+            ok, retry = [], []  # positions in search that pass, ids to shorten
+            for j, r in enumerate(search):
                 # near the optimum the Newton decrement drops below the floating
                 # resolution of the loss; sufficient-decrease tests are pure noise
                 # there, so take the (feasibility-clipped) full step instead
                 fp_noise = 1e-13 * (1.0 + abs(f[r]))
-                if not bad[j] and (not -slope[i] > fp_noise
-                                   or f_t[j] <= f[r] + _ARMIJO * t[i] * slope[i] + fp_noise):
-                    accept.append(j)
+                if not bad[j] and (not -slope[r] > fp_noise
+                                   or f_t[j] <= f[r] + _ARMIJO * t[r] * slope[r] + fp_noise):
+                    ok.append(j)
                     f[r], gnorm[r] = f_t[j], gnorm_t[j]
                     iters[r] += 1
-                else:
-                    retry.append(j)
-            if len(accept) == R:
-                theta, g, grad, w = trial, g_t, grad_t, w_t
-            elif accept:
-                a = [rows[j] for j in accept]
-                theta[a], g[a], grad[a], w[a] = (
-                    trial[accept], g_t[accept], grad_t[accept], w_t[accept])
-            tried, search = search, []
-            for j in retry:
-                i = tried[j]
-                t[i] *= _BACKTRACK
-                if t[i] > 1e-16:
-                    search.append(i)
                     continue
-                r = act[i]
-                errors[r] = OptimizationError(
-                    "no domain-feasible descent step found",
-                    diagnostics={"iter": iters[r], "gradient_norm": gnorm[r],
-                                 "theta": theta[r].tolist(), "step": step[i].tolist()})
+                t[r] *= _BACKTRACK
+                if t[r] > 1e-16:
+                    retry.append(r)
+                    continue
+                errors[r] = OptimizationError("no domain-feasible descent step found", diagnostics={
+                    "iter": iters[r], "gradient_norm": gnorm[r], "theta": theta[r].tolist(),
+                    "step": step[r].tolist()})
+            if len(ok) == R:
+                theta, g, grad, w = trial, g_t, grad_t, w_t
+            elif ok:
+                a = [search[j] for j in ok]
+                theta[a], g[a], grad[a], w[a] = trial[ok], g_t[ok], grad_t[ok], w_t[ok]
+            search = sel = retry
             if search:
-                trial = theta[[act[i] for i in search]] \
-                    + np.array([t[i] for i in search])[:, None] * step[search]
+                trial = theta[search] + np.array([t[r] for r in search])[:, None] * step[search]
     return _Fits(theta, g, _hessians(X, lam_eye, w), gnorm, iters, fallback, errors)
 
 

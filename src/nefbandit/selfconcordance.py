@@ -422,12 +422,17 @@ class DominanceReport:
         return self.violations == 0
 
 
+def _even_grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
+    """grid_n even points on [lo, hi]; fewer than 1 is an InvalidArgumentError named grid_n."""
+    if grid_n < 1:
+        raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}", name="grid_n")
+    return np.linspace(lo, hi, grid_n)
+
+
 def verify_dominance(cert: StretchCertificate, family: NefFamily,
                      grid_n: int = 200) -> DominanceReport:
     """Check a finite bound >= measured ratio on an even grid of grid_n >= 1 tilts."""
-    if grid_n < 1:
-        raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
-    us = np.linspace(*family.interval, grid_n)
+    us = _even_grid(*family.interval, grid_n)
     ratio, bound = gamma_ratio(family, us), stretch_bound(cert, us)
     return DominanceReport(u=us.tolist(), ratio=ratio.tolist(), bound=bound.tolist(),
                            ok=(np.isfinite(bound) & (bound >= ratio)).tolist())

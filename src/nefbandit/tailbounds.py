@@ -35,6 +35,7 @@ from .errors import (DegenerateDistributionError, DomainError, InvalidArgumentEr
 from .selfconcordance import (
     SupportWitness,
     TailConstants,
+    _even_grid,
     find_support_witness,
     fit_tail_constants,
     tilt_range,
@@ -224,8 +225,6 @@ def run_tail_suite(base: BaseDistribution, c1: float | None = None, c2: float | 
     The base is centered internally; missing tail rates and tilt interval ends
     take the ``fit_tail_constants`` and ``tilt_range`` defaults.
     """
-    if grid_n < 1:
-        raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}")
     cb = centered(base)
     tail = fit_tail_constants(cb, c1, c2)
     c1, c2 = tail.c1, tail.c2
@@ -234,13 +233,13 @@ def run_tail_suite(base: BaseDistribution, c1: float | None = None, c2: float | 
     certs: list[TailCertificate] = []
 
     # MGF cap from the fitted right tail, on [0, 0.95 c1)
-    lams = np.linspace(0.0, 0.95 * c1, grid_n)
+    lams = _even_grid(0.0, 0.95 * c1, grid_n)
     slacks = np.exp(cb.log_mgf(lams)) - mgf_from_tail_bound(c1, tail.C1, lams)
     certs.append(_cert("mgf_cap_from_right_tail", "right", c1, tail.C1,
                        f"lam in [0, {0.95 * c1:.3g}], {grid_n} points", slacks))
 
     # Chernoff tails of the centered base, both sides
-    ts = np.linspace(0.0, 5.0, grid_n)
+    ts = _even_grid(0.0, 5.0, grid_n)
     sl_r = cb.tilted_upper_tail(0.0, ts) - tail_from_mgf(np.exp(cb.log_mgf(c1)), c1, ts)
     sl_l = cb.tilted_lower_tail(0.0, ts) - tail_from_mgf(np.exp(cb.log_mgf(-c2)), c2, ts)
     certs.append(_cert("chernoff_tail_right", "right", c1, tail.C1,

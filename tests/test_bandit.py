@@ -780,44 +780,29 @@ def test_run_replicates_across_a_solve_chunk_edge_with_signed_zero_arms(base, ar
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("replicates", [[0], range(17)], ids=["alone", "batch17"])
-def test_golden_replicate_zero_takes_the_same_newton_path_in_any_batch(replicates, monkeypatch):
-    import nefbandit.bandit as bandit
-
-    iters, fell_back = collections.Counter(), []
-    real = bandit._fit_stack
-
-    def recording(*args):
-        fits = real(*args)
-        iters[fits.iters[0]] += 1
-        fell_back.append(fits.fallback[0])
-        return fits
-
-    monkeypatch.setattr(bandit, "_fit_stack", recording)
-    cfg = load_config(Path(__file__).parent / "data" / "golden_config.json")
-    batch = run_replicates(build_instance(cfg), cfg.horizon, cfg.delta, cfg.seed, replicates,
-                           lam_override=cfg.lam)
-    assert not any(r.aborted for r in batch)
-    assert dict(iters) == {0: 1, 1: 4, 2: 1795, 3: 200} and not any(fell_back)
-
-
-@pytest.mark.slow
 def test_golden_replicate_zero_diagnostics_alone_and_in_a_batch_of_17():
     cfg = load_config(Path(__file__).parent / "data" / "golden_config.json")
     inst, pinned = build_instance(cfg), FitCounts({0: 1, 1: 4, 2: 1795, 3: 200}, 0)
     alone = run_ofu_glb(inst, cfg.horizon, cfg.delta, seed=cfg.seed, lam_override=cfg.lam)
     batch = run_replicates(inst, cfg.horizon, cfg.delta, cfg.seed, range(17), cfg.lam)
+    assert not alone.aborted and not any(r.aborted for r in batch)
     assert alone.diagnostics == batch[0].diagnostics == pinned
     assert all(sum(r.diagnostics.newton_iters.values()) == cfg.horizon for r in batch)
 
 
-@pytest.mark.parametrize("case", ["aborted", "fallback"])
+# 12-round runs (seed 1, lam 1) through the damped-Newton branches that no benchmark workload
+# reaches: shortened steps and aborts (_Walled), and starts that fall back to the origin (_Heavy)
+STEP_CASES = {
+    "aborted": (_Walled(1.0), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [0.2, 0.1], 0.5, range(8)),
+    "fallback": (_Heavy(1.0), circle_arms(8), [0.3, 0.1], None, range(6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_diagnostics_count_the_fits_of_the_logged_rounds(case, monkeypatch):
     # each logged round's fit, by its Newton iterations and fallback, in any batch; neither
     # equality nor rounds.csv reads the record
-    base, arms, theta, S0, replicates = {
-        "aborted": (_Walled(1.0), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [0.2, 0.1], 0.5, range(8)),
-        "fallback": (_Heavy(1.0), circle_arms(8), [0.3, 0.1], None, range(6))}[case]
+    base, arms, theta, S0, replicates = STEP_CASES[case]
     inst, calls = make_instance(base, arms, theta, S0=S0), _recorded_fits(monkeypatch)
     batch = run_replicates(inst, 12, 0.1, 1, replicates, lam_override=1.0)
     iters, fell_back = [collections.Counter() for _ in batch], [0] * len(batch)
@@ -835,6 +820,75 @@ def test_diagnostics_count_the_fits_of_the_logged_rounds(case, monkeypatch):
         assert res.diagnostics == alone.diagnostics == FitCounts(dict(iters[k]), fell_back[k])
         assert list(res.diagnostics.newton_iters) == sorted(iters[k])
         assert dataclasses.replace(res, diagnostics=None) == res
+
+
+# each replicate's rounds.csv sha256 (first 16 hex digits), abort reason and FitCounts
+STEP_PINS = {
+    "aborted": [
+        ("4baabba6a2dba3c4", "", FitCounts({0: 1, 1: 11}, 0)),
+        ("9c38f0b5073d44b3", "round 12: no domain-feasible descent step found",
+         FitCounts({0: 1, 1: 3, 60: 7}, 0)),
+        ("4c08861ca59bd09b", "round 6: no domain-feasible descent step found",
+         FitCounts({0: 1, 1: 4}, 0)),
+        ("9cf70e68298048bf", "round 5: no domain-feasible descent step found",
+         FitCounts({0: 1, 1: 3}, 0)),
+        ("98365c2e7092e6cd", "round 10: no domain-feasible descent step found",
+         FitCounts({0: 1, 1: 8}, 0)),
+        ("91d5a5f34a0181a8", "", FitCounts({0: 1, 1: 11}, 0)),
+        ("4b46109ae190e294", "", FitCounts({0: 1, 1: 11}, 0)),
+        ("cb59f12f55b7c8fb", "round 4: no domain-feasible descent step found",
+         FitCounts({0: 1, 1: 2}, 0)),
+    ],
+    "fallback": [
+        ("dde0f179504df38a", "", FitCounts({0: 1, 3: 1, 4: 1, 5: 3, 6: 3, 7: 1, 8: 1, 9: 1}, 1)),
+        ("e54f4ba240ed156c", "", FitCounts({0: 1, 2: 1, 3: 4, 4: 3, 6: 1, 7: 2}, 0)),
+        ("8c6ed83c38a70ea6", "", FitCounts({0: 1, 4: 6, 5: 3, 7: 1, 10: 1}, 0)),
+        ("4e9a4dc6fa7e682d", "", FitCounts({0: 1, 2: 1, 3: 4, 4: 2, 7: 1, 8: 2, 13: 1}, 1)),
+        ("724485a5204d95cd", "", FitCounts({0: 1, 3: 2, 4: 3, 5: 3, 6: 3}, 0)),
+        ("6bcf810db7c324cf", "", FitCounts({0: 1, 3: 3, 4: 3, 5: 2, 7: 1, 8: 1, 9: 1}, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_shortened_steps_aborts_and_fallbacks_keep_their_pinned_bytes(case):
+    base, arms, theta, S0, replicates = STEP_CASES[case]
+    inst = make_instance(base, arms, theta, S0=S0)
+    batch = run_replicates(inst, 12, 0.1, 1, replicates, lam_override=1.0)
+    for k, res in enumerate(batch):
+        alone = run_ofu_glb(inst, 12, 0.1, seed=1, replicate=k, lam_override=1.0)
+        for run in (res, alone):
+            digest = hashlib.sha256(rounds_to_csv(run.rounds).encode()).hexdigest()[:16]
+            assert (digest, run.abort_reason, run.diagnostics) == STEP_PINS[case][k], k
+
+
+def test_no_descent_failures_keep_their_pinned_diagnostics(monkeypatch):
+    # by replicate, in a batch and alone: the round and OptimizationError.diagnostics
+    base, arms, theta, S0, replicates = STEP_CASES["aborted"]
+    inst, calls = make_instance(base, arms, theta, S0=S0), _recorded_fits(monkeypatch)
+    run_replicates(inst, 12, 0.1, 1, replicates, lam_override=1.0)
+    failed = _fit_failures(calls, len(replicates))
+    assert failed == {
+        1: (12, {"iter": 0, "gradient_norm": 19.97178273254052,
+                 "theta": [0.3568731843990632, 0.9823451117007024],
+                 "step": [3.147177186306532, -0.11920043317085195]}),
+        2: (6, {"iter": 27, "gradient_norm": 17.675408791025486,
+                "theta": [0.9999999999999999, -0.6514672604503747],
+                "step": [4.4188521977563715, -7.401486830834379e-17]}),
+        3: (5, {"iter": 24, "gradient_norm": 16.668845114666585,
+                "theta": [0.9999999999999996, -0.38483015909744117],
+                "step": [5.093258229481456, -0.92604695081481]}),
+        4: (10, {"iter": 27, "gradient_norm": 17.43398291296454,
+                 "theta": [0.9999999999999998, 0.2177225883018822],
+                 "step": [2.905663818827424, -0.0]}),
+        7: (4, {"iter": 20, "gradient_norm": 18.615177256871913,
+                "theta": [0.9999999999999999, -0.8778003341617372],
+                "step": [6.205059085623972, -2.2204460492503126e-16]}),
+    }
+    for k in failed:
+        calls.clear()
+        run_ofu_glb(inst, 12, 0.1, seed=1, replicate=k, lam_override=1.0)
+        assert _fit_failures(calls, 1) == {0: failed[k]}
 
 
 def test_run_replicates_abort_keeps_its_reason_and_spares_the_others():
@@ -867,11 +921,14 @@ def test_run_replicates_hessian_factorization_failure_aborts_only_its_replicate(
         return H
 
     monkeypatch.setattr(glm, "_hessians", broken)
+    calls = _recorded_fits(monkeypatch)
     batch = run_replicates(inst, 12, 0.1, 3, range(3))
     assert batch[1].aborted and batch[1].abort_reason.startswith(
         "round 6: Hessian factorization failed")
     assert batch[1].rounds == clean[1].rounds[:5]
     assert [batch[0], batch[2]] == [clean[0], clean[2]]
+    assert _fit_failures(calls, 3) == {
+        1: (6, {"iter": 0, "theta": [0.023929361496221633, 0.004520270202996619]})}
 
 
 def test_run_replicates_warm_start_falls_back_per_replicate(monkeypatch):
@@ -905,6 +962,16 @@ def _recorded_fits(monkeypatch):
 
     monkeypatch.setattr(bandit, "_fit_stack", recording)
     return calls
+
+
+def _fit_failures(calls, R: int) -> dict:
+    """{replicate: (round, OptimizationError.diagnostics)} of the failed fits among the
+    ``_recorded_fits`` calls of one run of R replicates."""
+    live, failed = list(range(R)), {}
+    for n, (*_, fits) in enumerate(calls):
+        failed.update({live[i]: (n + 1, exc.diagnostics) for i, exc in fits.errors.items()})
+        live = [k for i, k in enumerate(live) if i not in fits.errors]
+    return failed
 
 
 VERDICT_CASES = {

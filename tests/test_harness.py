@@ -1,6 +1,8 @@
 """Config schema, CLI subcommands, determinism, exit-status contract."""
 
 import argparse
+import ast
+import collections
 import concurrent.futures
 import contextlib
 import copy
@@ -1221,3 +1223,23 @@ def test_package_namespace_is_the_union_of_the_module_export_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(nefbandit, name) is getattr(module, name), name
+
+
+def test_every_private_name_of_the_package_is_read_somewhere():
+    # each single-underscore name a module binds at top level or as a method appears in src/
+    # once more than it is defined, so a refactor cannot leave a helper without a reader
+    texts = [p.read_text() for p in sorted(Path(nefbandit.__file__).parent.glob("*.py"))]
+    defined = collections.Counter()
+    for tree in map(ast.parse, texts):
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            defined.update(n.name for n in [node, *body]
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+    words = collections.Counter(w for text in texts for w in re.findall(r"\w+", text))
+    private = {name: k for name, k in defined.items() if re.fullmatch(r"_[^_]\w*", name)}
+    assert len(private) > 20
+    assert [name for name, k in private.items() if words[name] <= k] == []
