@@ -44,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze
-from .errors import ConfigError, DomainError, InvalidArgumentError, positive_finite
-from .glm import (_cholesky_solves, _finite, _fit_stack, _gradient_maps, _hessians,
-                  _inner_products, _ridge_weight, _rows)
+from .errors import ConfigError, DomainError, InvalidArgumentError, count, finite, positive_finite
+from .glm import (_cholesky_solves, _fit_stack, _gradient_maps, _hessians, _inner_products,
+                  _ridge_weight, _rows)
 from .rng import replicate_stream
 
 __all__ = [
@@ -270,24 +270,19 @@ class ConfidenceState:
             raise InvalidArgumentError(
                 f"need gamma_t > 0 and lambda_T >= 1, got {self.gamma_t}, {self.lambda_T}")
         for name in ("theta_hat", "hessian_at_hat", "gradient_map_at_hat"):
-            _finite(getattr(self, name), name=name)
+            finite(getattr(self, name), name)
 
 
 def _log_term(L: float, d: int, t: int, delta: float) -> float:
     return math.log(max(math.e * math.sqrt(1.0 + t * L / d), 1.0 / delta))
 
 
-def _not_a_count(value) -> bool:
-    """The run-length rule's integer test: True unless ``value`` is an integer >= 1."""
-    return not isinstance(value, (int, np.integer)) or value < 1
-
-
 def _run_length(T, delta) -> None:
-    """The run-length rule: T an integer >= 1 and 0 < delta <= 1 (NaN fails), else an
-    InvalidArgumentError named ``T`` or ``delta``."""
-    if (bad_T := _not_a_count(T)) or not 0.0 < delta <= 1.0:
-        raise InvalidArgumentError(f"need an integer T >= 1 and delta in (0, 1], got T={T!r}, "
-                                   f"delta={delta}", name="T" if bad_T else "delta")
+    """The run-length rule: T a count (``errors.count``) and 0 < delta <= 1 (NaN fails), else
+    an InvalidArgumentError named ``T`` or ``delta``."""
+    count(T, "T")
+    if not 0.0 < delta <= 1.0:
+        raise InvalidArgumentError(f"need delta in (0, 1], got delta={delta}", name="delta")
 
 
 def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
@@ -298,14 +293,11 @@ def regularizer_schedule(inst: GlbInstance, T: int, delta: float) -> float:
 
 def _radii(inst: GlbInstance, T: int, delta: float, lam: float | None, ts=None) -> list[float]:
     """gamma_t for each t in ts (default 1, ..., T), its two t-independent factors computed
-    once, after regularizer_schedule's run-length rule (also when lam is given), the same
-    integer rule on each t with t <= T (an InvalidArgumentError named ``t``) and the
-    ridge-weight rule of a given lam."""
+    once, after regularizer_schedule's run-length rule (also when lam is given), the count
+    rule on each t with t <= T and the ridge-weight rule of a given lam."""
     lam_T = regularizer_schedule(inst, T, delta)
     for t in ts or ():
-        if _not_a_count(t) or t > T:
-            raise InvalidArgumentError(f"need an integer t with 1 <= t <= T, got t={t!r}, T={T}",
-                                       name="t")
+        count(t, "t", ceiling=T, rule=f"an integer t with 1 <= t <= T = {T}")
     root = math.sqrt(lam_T if lam is None else _ridge_weight(lam))
     head, scale, d = root * (0.5 / inst.M + inst.S0), 4.0 * inst.M * inst.d / root, inst.d
     return [head + scale * _log_term(inst.L, d, t, delta)
@@ -324,7 +316,8 @@ def _exact_norms_sq(g, H, g_hat):
     """||g - g_hat||^2 in H^{-1}, g and H the gradient map and Hessian at theta, by one batched
     solve; an entry that is not finite is an InvalidArgumentError, never a False verdict."""
     w = g - g_hat
-    _finite(w, H)
+    finite(w, "g - g_hat")
+    finite(H, "H")
     return np.vecdot(w, np.linalg.solve(H, w[..., None])[..., 0])
 
 
@@ -501,7 +494,8 @@ def run_replicates(inst: GlbInstance, T: int, delta: float, seed: int, replicate
     def before(per_arm):  # each round's sum of the per-play terms of the rounds before it
         return np.cumsum(np.insert(per_arm[arm_col[:, :-1]], 0, 0.0, axis=1), axis=1)
 
-    _finite(thetas, Hs)  # the fits' outputs, unchecked in the loop, before any verdict
+    finite(thetas, "theta_hat")  # the fits' outputs, unchecked in the loop, before any verdict
+    finite(Hs, "hessian_at_hat")
     # at theta_star: g = lam theta + sum_a n_a mu_a x_a, H = lam I + sum_a n_a mu'_a x_a x_a'
     q = _exact_norms_sq(lam * inst.theta_star + before(arm_mu[:, None] * arms),
                         lam_eye + before(arm_dmu[:, None, None] * arms[:, :, None] * arms[:, None]),

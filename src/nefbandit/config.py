@@ -129,6 +129,9 @@ def _expand_arms(obj, pointer: str) -> np.ndarray:
             raise ParseError("circle generator needs exactly the fields n and radius",
                              pointer=pointer + "/circle")
         n = check_number(spec, "n", pointer + "/circle", integer=True, positive=True)
+        if n > np.iinfo(np.intp).max // 16:  # its (n, 2) float array is beyond numpy's index range
+            raise ParseError(f"a circle of {n} arms exceeds numpy's index range",
+                             pointer=pointer + "/circle/n")
         radius = check_number(spec, "radius", pointer + "/circle", positive=True)
         if radius > 1.0:
             raise ParseError(f"radius must lie in (0, 1], got {radius}",

@@ -25,12 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidArgumentError,
-    ParseError,
-    PrecisionError,
-)
+from .errors import DomainError, InvalidArgumentError, ParseError, PrecisionError, count, finite
 
 __all__ = [
     "BaseDistribution",
@@ -89,13 +84,6 @@ def _freeze(obj, **arrays) -> None:
         object.__setattr__(obj, name, arr)
 
 
-def _require_finite(u, name: str = "u") -> float:
-    u = float(u)
-    if not math.isfinite(u):
-        raise InvalidArgumentError(f"{name} must be finite, got {u!r}")
-    return u
-
-
 def _require_positive(dist, *names: str) -> None:
     """Each named parameter of ``dist`` positive, and its square and reciprocal finite (the
     moments take both), else an InvalidArgumentError."""
@@ -148,7 +136,7 @@ class BaseDistribution:
             raise InvalidArgumentError(f"{op} needs at least one tilt, got an empty array")
         lo, hi = self.interior
         for extreme in (grid.min(), grid.max()):
-            extreme = _require_finite(extreme)
+            finite(extreme, "u")
             if extreme < lo or extreme > hi:
                 raise DomainError(f"{op} requires a tilt strictly inside the natural "
                                   f"parameter interval of {self.kind}",
@@ -614,9 +602,7 @@ class CounterexampleSubgaussian(_AtomMixin, BaseDistribution):
     kind: ClassVar[str] = "counterexample"
 
     def __post_init__(self):
-        if not isinstance(self.i_max, (int, np.integer)) or self.i_max < 2:
-            raise InvalidArgumentError(f"i_max must be an integer >= 2, got {self.i_max!r}",
-                                       name="i_max")
+        count(self.i_max, "i_max", 2)
         ks = np.arange(1, self.i_max + 1)
         locs = np.power(2.0, ks)
         raw = np.where(ks % 2 == 0, -np.power(4.0, ks),
@@ -637,7 +623,7 @@ class Shifted(BaseDistribution):
     kind: ClassVar[str] = "shifted"
 
     def __post_init__(self):
-        _require_finite(self.offset, "offset")
+        finite(self.offset, "offset")
         if isinstance(self.base, Shifted):  # flatten
             object.__setattr__(self, "offset", self.offset + self.base.offset)
             object.__setattr__(self, "base", self.base.base)
@@ -748,7 +734,7 @@ def _base_of(dist) -> BaseDistribution:
 def mgf(dist, u: float) -> float:
     """M(u); +inf outside the natural parameter interval."""
     base = _base_of(dist)
-    u = _require_finite(u)
+    u = float(finite(u, "u"))
     lo, hi = base.mgf_domain
     if u >= hi or u <= lo:
         return math.inf
@@ -784,10 +770,10 @@ def _ratio(var: np.ndarray, third: np.ndarray) -> np.ndarray:
 
 
 def sample_tilted(dist, u: float, rng: np.random.Generator, size: int | None = None):
-    """``size`` draws of Q_u (a float if None), one uniform of ``rng`` each."""
+    """``size`` draws of Q_u (an integer >= 0; None for one float), one uniform of ``rng`` each."""
     base = _base_of(dist)
     u = base.require_interior(u, op="sample_tilted")
-    p = np.atleast_1d(rng.random(size))
+    p = np.atleast_1d(rng.random(None if size is None else count(size, "size", 0)))
     out = base.tilted_inverse_cdf(np.full(p.shape, u), p)
     return out if size is not None else float(out[0])
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class NefBanditError(Exception):
     """Base error for this package; ``name`` the argument or field at fault, where one is."""
@@ -80,3 +82,24 @@ def positive_finite(value, name: str, what: str | None = None) -> float:
         raise InvalidArgumentError(f"{what or name} must be finite and positive, got {value}",
                                    name=name)
     return v
+
+
+def count(value, name: str, floor: float = 1, ceiling: float = math.inf, rule: str | None = None):
+    """``value`` if it is an int or a numpy integer, never a bool, with floor <= value <= ceiling,
+    else an InvalidArgumentError named ``name`` saying it must be ``rule`` (by default "an
+    integer ``name`` >= ``floor``"): the one count rule of every integer argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not floor <= value <= ceiling:
+        raise InvalidArgumentError(f"{name} must be {rule or f'an integer {name} >= {floor}'}, "
+                                   f"got {value!r}", name=name)
+    return value
+
+
+def finite(value, name: str):
+    """``value``, a number or an array, once every entry of it is finite, else an
+    InvalidArgumentError named ``name``: the one finite-value rule (a float, numpy's
+    float64 included, by ``math.isfinite``, about 20x cheaper than numpy on one number)."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise InvalidArgumentError(f"{name} must not contain infs or NaNs (finite values only)",
+                                   name=name)
+    return value

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import NefFamily, _freeze
-from .errors import DomainError, InvalidArgumentError, OptimizationError, positive_finite
+from .errors import DomainError, InvalidArgumentError, OptimizationError, finite, positive_finite
 
 __all__ = [
     "Dataset",
@@ -80,8 +80,8 @@ class Dataset:
         if arms.shape[0] != rewards.shape[0]:
             raise InvalidArgumentError(
                 f"got {arms.shape[0]} arms but {rewards.shape[0]} rewards")
-        if not (np.isfinite(arms).all() and np.isfinite(rewards).all()):
-            raise InvalidArgumentError("arms and rewards must be finite")
+        finite(arms, "arms")
+        finite(rewards, "rewards")
         norm = np.linalg.norm(arms, axis=1).max(initial=0.0)
         if norm > 1.0 + 1e-12:
             raise InvalidArgumentError(
@@ -224,14 +224,10 @@ def hessian(family: NefFamily, data: Dataset, lam: float, theta: np.ndarray) -> 
     return _hessians(data.arms[None], lam * np.eye(data.d), family.base.dmean_at(inner))[0]
 
 
-def _finite(*arrays, name: str | None = None) -> None:  # InvalidArgumentError on inf or NaN
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InvalidArgumentError(f"{name or 'array'} must not contain infs or NaNs", name=name)
-
-
 def cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve finite H x = b (see ``_cholesky_solves``); LinAlgError if H is not PD."""
-    _finite(H, b)
+    finite(H, "H")
+    finite(b, "b")
     b = np.asarray(b, dtype=float)
     x = np.empty_like(b)
     failed = _cholesky_solves(np.asarray(H, dtype=float)[None], b[None], x[None])
@@ -324,7 +320,7 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
     iters, errors = [0] * R, {}
     while search := [r for r in range(R)
                      if gnorm[r] > _GRAD_TOL and iters[r] < _MAX_ITERS and r not in errors]:
-        step = np.zeros((R, d))  # by id; a failed replicate keeps a zero step: its fit is over
+        step = np.zeros((R, d))  # by id
         sel, sol = (slice(None), step) if len(search) == R else (search, step[search])  # positional
         failed = _cholesky_solves(_hessians(X[sel], lam_eye, w[sel]), grad[sel], sol)
         for i, exc in failed.items():
@@ -332,6 +328,8 @@ def _fit_stack(family: NefFamily, X: np.ndarray, y: np.ndarray, lam: float,
             errors[r] = OptimizationError(f"Hessian factorization failed: {exc}", diagnostics={
                 "iter": iters[r], "theta": theta[r].tolist()})
         step[sel] = np.negative(sol, out=sol)
+        if failed:  # a replicate whose Hessian does not factor leaves the search: its fit is over
+            search = sel = [r for r in search if r not in errors]
         slope, t = np.vecdot(grad, step).tolist(), [1.0] * R
         trial = (theta + step)[sel]
         while search:

@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import count
 
 __all__ = ["replicate_stream"]
 
 
 def replicate_stream(seed: int, replicate: int = 0) -> np.random.Generator:
     """Return the Philox stream for one replicate of an experiment."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
-    if not isinstance(replicate, (int, np.integer)) or replicate < 0:
-        raise InvalidArgumentError(f"replicate index must be a nonnegative integer, got {replicate!r}")
+    count(seed, "seed", -np.inf, rule="an integer")
+    count(replicate, "replicate", 0, rule="a nonnegative integer replicate index")
     key = np.array([np.uint64(seed % 2**64), np.uint64(replicate % 2**64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

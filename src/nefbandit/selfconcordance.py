@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     PrecisionError,
+    count,
     positive_finite,
 )
 
@@ -207,7 +208,8 @@ def _spread_centered(base: BaseDistribution) -> BaseDistribution:
     cb = centered(base)
     if float(cb.dmean_at(0.0)) <= 0.0:
         raise DegenerateDistributionError(
-            "point-mass base has no support witness; the zero stretch function applies")
+            "a point-mass base has no support witness, as the witness and the variance bound "
+            "need a non-degenerate base; the zero stretch function applies")
     return cb
 
 
@@ -377,11 +379,10 @@ def verify_lower_bound(i: int, i_max: int | None = None) -> LowerBoundReport:
     ``_LOG_WEIGHT_ULP_MAX`` (from i = 16 on) float64 cannot resolve them,
     and a ``PrecisionError`` is raised instead of a wrong report.
     """
-    if not isinstance(i, (int, np.integer)) or i % 2 != 0 or i < 4:
-        raise InvalidArgumentError(f"i must be an even integer >= 4, got {i!r}")
-    i_max = int(i + 20) if i_max is None else int(i_max)
-    if i_max < i + 20:
-        raise InvalidArgumentError(f"series truncation i_max must be >= i + 20, got {i_max}")
+    if count(i, "i", 4, rule="an even integer i >= 4") % 2:
+        raise InvalidArgumentError(f"i must be an even integer i >= 4, got {i!r}", name="i")
+    i_max = int(count(i + 20 if i_max is None else i_max, "i_max", i + 20,
+                      rule=f"an integer series truncation i_max >= i + 20 = {i + 20}"))
     u = float(2 ** (i + 1))
     if math.ulp(u * u) > _LOG_WEIGHT_ULP_MAX:
         raise PrecisionError(f"float64 log-weights cannot resolve the construction at i = {i}: "
@@ -423,10 +424,8 @@ class DominanceReport:
 
 
 def _even_grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
-    """grid_n even points on [lo, hi]; fewer than 1 is an InvalidArgumentError named grid_n."""
-    if grid_n < 1:
-        raise InvalidArgumentError(f"grid_n must be at least 1, got {grid_n}", name="grid_n")
-    return np.linspace(lo, hi, grid_n)
+    """grid_n even points on [lo, hi], grid_n a count (``errors.count``)."""
+    return np.linspace(lo, hi, count(grid_n, "grid_n"))
 
 
 def verify_dominance(cert: StretchCertificate, family: NefFamily,

@@ -30,12 +30,12 @@ from .distributions import (
     _logsumexp,
     centered,
 )
-from .errors import (DegenerateDistributionError, DomainError, InvalidArgumentError,
-                     positive_finite)
+from .errors import DomainError, InvalidArgumentError, positive_finite
 from .selfconcordance import (
     SupportWitness,
     TailConstants,
     _even_grid,
+    _spread_centered,
     find_support_witness,
     fit_tail_constants,
     tilt_range,
@@ -75,14 +75,20 @@ class TailCertificate:
         return dict(vars(self))
 
 
+def _inside(x, lo: float, hi: float, message: str, *, open_hi: bool = False) -> np.ndarray:
+    """``x`` as a float array once every entry lies in [lo, hi] ([lo, hi) if ``open_hi``; NaN
+    fails), else a DomainError at the first entry outside: each cap's interval rule."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~((lo <= x) & ((x < hi) if open_hi else (x <= hi)))]
+    if bad.size:
+        raise DomainError(message, value=float(bad[0]), interval=(lo, hi))
+    return x
+
+
 def mgf_from_tail_bound(c1: float, C1: float, lam):
     """MGF cap 1 + C1 lam^2 / (c1 (c1 - lam)) from a right tail C1 exp(-c1 t), elementwise."""
     c1, C1 = positive_finite(c1, "c1", "tail rate c1"), positive_finite(C1, "C1", "tail scale C1")
-    lam = np.asarray(lam, dtype=float)
-    bad = lam[~((0.0 <= lam) & (lam < c1))]
-    if bad.size:
-        raise DomainError("the MGF cap holds on 0 <= lam < c1", value=float(bad[0]),
-                          interval=(0.0, c1))
+    lam = _inside(lam, 0.0, c1, "the MGF cap holds on 0 <= lam < c1", open_hi=True)
     with np.errstate(all="ignore"):  # inf or NaN past float range
         return 1.0 + C1 * (lam / c1) * (lam / (c1 - lam))  # no lam^2 to underflow
 
@@ -116,20 +122,12 @@ def tilted_cgf_quadratic_bound(family: NefFamily, u, s, K: float) -> dict:
     ``lhs``, ``rhs`` and ``ok`` have their shape.
     """
     K = positive_finite(K, "K", "stretch supremum K")
-    u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
-    bad = u[~((family.param_lo <= u) & (u <= family.param_hi))]
-    if bad.size:
-        raise DomainError("tilt must lie in the admissible range", value=float(bad[0]),
-                          interval=family.interval)
+    u = _inside(u, *family.interval, "tilt must lie in the admissible range")
     lo, hi = _admissible_shift_box(family, K)
-    bad = s[~((lo <= s) & (s <= hi))]
-    if bad.size:
-        a, b = family.base.mgf_domain
-        raise DomainError(
-            f"shift violates |s| <= log(2)/K = {math.log(2.0) / K:.6g} or the domain "
-            f"constraint s in ({a - family.param_lo:.6g}, {b - family.param_hi:.6g})",
-            value=float(bad[0]), interval=(lo, hi))
     base = family.base
+    a, b = base.mgf_domain
+    s = _inside(s, lo, hi, f"shift violates |s| <= log(2)/K = {math.log(2.0) / K:.6g} or the "
+                f"domain constraint s in ({a - family.param_lo:.6g}, {b - family.param_hi:.6g})")
     base.require_interior(u + s, op="cgf")  # u itself is inside [param_lo, param_hi]
     lhs = np.where(s != 0.0, base.log_mgf(u + s) - base.log_mgf(u), 0.0)
     rhs = s * base.mean_at(u) + s * s * base.dmean_at(u)
@@ -149,10 +147,7 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
     u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidArgumentError(f"t must be nonnegative, got {t}")
-    bad = u[~((0.0 <= u) & (u < tail.c1))]
-    if bad.size:
-        raise DomainError("tilt must satisfy 0 <= u < c1", value=float(bad[0]),
-                          interval=(0.0, tail.c1))
+    u = _inside(u, 0.0, tail.c1, "tilt must satisfy 0 <= u < c1", open_hi=True)
     M_u = np.exp(base.log_mgf(u))
     with np.errstate(all="ignore"):  # inf or NaN past float range
         right = (tail.C1 * math.e / M_u) * np.exp(-(tail.c1 - u) * t) * (1.0 + u / (tail.c1 - u))
@@ -163,13 +158,8 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
 
 def variance_lower_bound(base: BaseDistribution, witness: SupportWitness, u):
     """Lower bound a^2 eta exp(-u b) / M(u) on the variance of Q_u, elementwise, u >= 0."""
-    base = centered(base)
-    if float(base.dmean_at(0.0)) <= 0.0:
-        raise DegenerateDistributionError("variance bound needs a non-degenerate base")
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise DomainError("the variance lower bound is proven for u >= 0",
-                          value=float(u.min()), interval=(0.0, math.inf))
+    base = _spread_centered(base)
+    u = _inside(u, 0.0, math.inf, "the variance lower bound is proven for u >= 0")
     base.require_interior(u, op="variance_lower_bound")
     return witness.a**2 * witness.eta * np.exp(-u * witness.b - base.log_mgf(u))
 

@@ -931,6 +931,27 @@ def test_run_replicates_hessian_factorization_failure_aborts_only_its_replicate(
         1: (6, {"iter": 0, "theta": [0.023929361496221633, 0.004520270202996619]})}
 
 
+def test_a_replicate_whose_hessian_does_not_factor_takes_no_newton_iteration(monkeypatch):
+    # the failed replicate leaves that iteration's line search: its own point is not
+    # evaluated again, accepted and counted as an iteration
+    import nefbandit.glm as glm
+
+    real = glm._hessians
+
+    def broken(X, lam_eye, w):
+        H = real(X, lam_eye, w)
+        if X.shape[:2] == (3, 5):  # round 6 of all three: replicate 1's Hessian is not PD
+            H[1] = -H[1]
+        return H
+
+    monkeypatch.setattr(glm, "_hessians", broken)
+    calls = _recorded_fits(monkeypatch)
+    run_replicates(exp_instance(), 12, 0.1, 3, range(3))
+    failed = [(fits.iters[i], exc.diagnostics["iter"]) for *_, fits in calls
+              for i, exc in fits.errors.items()]
+    assert failed == [(0, 0)]
+
+
 def test_run_replicates_warm_start_falls_back_per_replicate(monkeypatch):
     import nefbandit.bandit as bandit
 
@@ -1238,6 +1259,25 @@ def test_replicate_stream_needs_an_integer_seed_and_a_nonnegative_replicate():
     for replicate in (-1, 1.0):
         with pytest.raises(InvalidArgumentError, match="replicate index"):
             replicate_stream(0, replicate)
+
+
+@pytest.mark.parametrize("call", RUN_LENGTH_CALLS.values(), ids=RUN_LENGTH_CALLS)
+def test_a_bool_run_length_is_not_a_count(call):
+    with pytest.raises(InvalidArgumentError, match="integer T >= 1") as info:
+        call(bern_instance(), True)
+    assert info.value.name == "T"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: confidence_radius(bern_instance(), True, 5, 0.1), "t"),
+    (lambda: replicate_stream(0, True), "replicate"),
+    (lambda: replicate_stream(True, 0), "seed"),
+    (lambda: replicate_stream(0, np.float64(1.0)), "replicate"),
+], ids=["t", "replicate", "seed", "float_replicate"])
+def test_a_bool_or_float_count_is_an_argument_error_named_by_its_argument(call, name):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert info.value.name == name
 
 
 def test_self_bounding_rejects_an_endpoint_outside_the_range():

@@ -473,6 +473,27 @@ def test_centered_base_has_zero_mean():
 # sampling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("size", [2.5, np.float64(3.0), True, -1, "4"])
+def test_sample_tilted_takes_a_count_of_draws(size):
+    with pytest.raises(InvalidArgumentError, match="size") as info:
+        sample_tilted(Exponential(1.0), 0.5, replicate_stream(0, 0), size=size)
+    assert info.value.name == "size"
+    assert sample_tilted(Exponential(1.0), 0.5, replicate_stream(0, 0), size=np.int64(0)).shape \
+        == (0,)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Exponential(1.0).require_interior(math.nan), "u"),
+    (lambda: Exponential(1.0).require_interior(np.array([0.1, -math.inf])), "u"),
+    (lambda: mgf(Exponential(1.0), math.nan), "u"),
+    (lambda: Shifted(Exponential(1.0), math.inf), "offset"),
+], ids=["require_interior", "require_interior_array", "mgf", "shifted_offset"])
+def test_a_value_that_is_not_finite_is_an_argument_error_named_by_its_argument(call, name):
+    with pytest.raises(InvalidArgumentError, match="infs or NaNs") as info:
+        call()
+    assert info.value.name == name
+
+
 def test_sample_tilted_exponential_clt_band():
     rng = replicate_stream(11, 0)
     draws = sample_tilted(Exponential(1.0), 0.5, rng, size=1_000_000)

@@ -777,6 +777,19 @@ def test_cholesky_solve_of_non_finite_input_is_a_package_error(H, b):
         cholesky_solve(H, b)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: Dataset(np.array([[0.5, math.nan]]), np.array([1.0])), "arms"),
+    (lambda: Dataset(np.array([[0.5, 0.0]]), np.array([math.inf])), "rewards"),
+    (lambda: cholesky_solve(np.array([[1.0, 0.0], [0.0, math.nan]]), np.ones(2)), "H"),
+    (lambda: cholesky_solve(np.eye(2), np.array([1.0, math.inf])), "b"),
+], ids=["arms", "rewards", "H", "b"])
+def test_a_non_finite_array_is_an_argument_error_named_by_its_argument(call, name):
+    with pytest.raises(InvalidArgumentError, match=f"{name} must not contain infs or NaNs") \
+            as info:
+        call()
+    assert info.value.name == name
+
+
 def test_dataset_validation():
     with pytest.raises(InvalidArgumentError):
         Dataset(np.array([[1.5, 0.0]]), np.array([1.0]))

@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -830,6 +831,15 @@ def test_cli_integer_beyond_float_range_exits_2_at_its_pointer(tmp_path, capsys,
     assert captured.out == "" and captured.err.endswith(f"(at {pointer})\n"), captured.err
 
 
+def test_cli_circle_beyond_numpy_index_range_exits_2_at_its_size(tmp_path, capsys):
+    # 10**300 lies within float range, and numpy refused it with a bare ValueError
+    cfg = _write_cfg(tmp_path, {**SMALL_RUN, "arms": {"circle": {"n": 10**300, "radius": 0.5}}})
+    for command in ("bound", "coverage"):
+        assert main(_config_command(command, cfg, tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("(at /arms/circle/n)\n"), captured.err
+
+
 def _config_command(command, cfg, out):
     """The argv of ``bound``, a 2-replicate ``coverage`` or ``bandit run`` on config ``cfg``."""
     return {"bound": ["bound", "--config", str(cfg)],
@@ -957,6 +967,56 @@ def test_fuzzed_config_gives_a_run_or_a_pointer(data):
                         (argv, err.getvalue())
         finally:
             os.chdir(home)
+
+
+_EDGE_SHARES = st.sampled_from([0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-8])
+_EDGE_SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3])
+
+
+@st.composite
+def _edge_runs(draw):
+    """A valid 2-replicate, 20-round SMALL_RUN near its kind's domain end: x' theta_star up to
+    a share 1 - 1e-8 of the upper end (rate for Exponential, 1/scale for Gamma), Poisson
+    tilts up to 20 with draw means nu e^u up to 1e5, or Bernoulli with |theta| up to 40."""
+    kind = draw(st.sampled_from(["exponential", "gamma", "poisson", "bernoulli"]))
+    if kind == "bernoulli":
+        dist = {"kind": kind, "p": draw(st.sampled_from([1e-6, 0.5, 1 - 1e-6]))}
+        theta = draw(st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2))
+    else:
+        if kind == "poisson":
+            dist = {"kind": kind, "nu": draw(_EDGE_SCALES)}
+            reach = draw(st.floats(0.0, min(20.0, math.log(1e5 / dist["nu"]))))
+        elif kind == "exponential":
+            dist = {"kind": kind, "rate": draw(_EDGE_SCALES)}
+            reach = draw(_EDGE_SHARES) * dist["rate"]
+        else:
+            dist = {"kind": kind, "shape": draw(_EDGE_SCALES), "scale": draw(_EDGE_SCALES)}
+            reach = draw(_EDGE_SHARES) / dist["scale"]
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        theta = [reach * math.cos(angle), reach * math.sin(angle)]
+    return {**SMALL_RUN, "distribution": dist, "theta_star": theta, "horizon": 20,
+            "replicates": 2, "seed": draw(st.integers(0, 3))}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(config=_edge_runs())
+def test_fuzzed_valid_run_near_its_domain_end_gives_a_coverage_report(config):
+    # pyproject turns every RuntimeWarning into an error; the traced peak stays small
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["coverage", "--config", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc in (0, 1), (config, err.getvalue())
+    report = json.loads(out.getvalue())
+    assert report["replicates"] == 2 and (report["aborted"] > 0) == (rc == 1), report
+    assert peak < 20e6, (config, peak)
 
 
 # each spot below the top level that holds a number, with its config and whether the

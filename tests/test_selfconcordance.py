@@ -434,6 +434,32 @@ def test_verify_dominance_rejects_an_empty_grid():
             verify_dominance(cert, NefFamily(base, -0.5, 0.5), grid_n=n)
 
 
+@pytest.mark.parametrize("n", [2.5, np.float64(3.0), True, "9"])
+def test_verify_dominance_takes_a_count_of_grid_points(n):
+    base = Exponential(1.0)
+    with pytest.raises(InvalidArgumentError, match="grid_n") as info:
+        verify_dominance(build_certificate(base), NefFamily(base, -0.5, 0.5), grid_n=n)
+    assert info.value.name == "grid_n"
+
+
+@pytest.mark.parametrize("i, i_max, name", [(4, 24.7, "i_max"), (4, np.float64(30.0), "i_max"),
+                                             (4, 23, "i_max"), (True, None, "i"), (4.0, None, "i"),
+                                             (5, None, "i")])
+def test_verify_lower_bound_takes_counts(i, i_max, name):
+    # a float truncation is refused, not rounded down (24.7 ran with i_max 24)
+    with pytest.raises(InvalidArgumentError) as info:
+        verify_lower_bound(i, i_max)
+    assert info.value.name == name
+    assert verify_lower_bound(4, np.int64(25)).i_max == 25
+
+
+@pytest.mark.parametrize("i_max", [2.5, True, np.float64(3.0), 1])
+def test_counterexample_takes_a_count_of_atoms(i_max):
+    with pytest.raises(InvalidArgumentError, match="i_max") as info:
+        CounterexampleSubgaussian(i_max)
+    assert info.value.name == "i_max"
+
+
 def _no_quadrature(*args, **kwargs):
     raise AssertionError("the ratio path reached scipy.integrate.quad")
 

@@ -310,6 +310,14 @@ def test_run_tail_suite_rejects_an_empty_grid():
             run_tail_suite(Exponential(1.0), grid_n=n)
 
 
+@pytest.mark.parametrize("n", [2.5, np.float64(3.0), True])
+def test_run_tail_suite_takes_a_count_of_grid_points(n):
+    # True checked one point, labelled "True points"
+    with pytest.raises(InvalidArgumentError, match="grid_n") as info:
+        run_tail_suite(Exponential(1.0), grid_n=n)
+    assert info.value.name == "grid_n"
+
+
 def test_non_finite_slack_fails_its_certificate(monkeypatch):
     # a NaN measured after finite slacks must fail the certificate, not vanish in the max
     original = tailbounds._measured_grid
@@ -547,6 +555,25 @@ def test_variance_lower_bound_rejects_a_point_mass():
         variance_lower_bound(DiscreteAtoms(((2.0, 1.0),)), SupportWitness(0.1, 1.0, 0.5), 0.0)
 
 
+@pytest.mark.parametrize("call, value, interval", [
+    (lambda cb, w, tc: variance_lower_bound(cb, w, np.array([0.0, -0.1, -0.3])), -0.1,
+     (0.0, math.inf)),
+    (lambda cb, w, tc: variance_lower_bound(cb, w, np.array([0.0, math.nan])), math.nan,
+     (0.0, math.inf)),
+    (lambda cb, w, tc: tilted_tail_bounds(cb, tc, np.array([0.1, math.nan, 2.0]), 0.0), math.nan,
+     (0.0, 0.9)),
+    (lambda cb, w, tc: mgf_from_tail_bound(1.0, 1.0, np.array([0.5, -0.5, 2.0])), -0.5,
+     (0.0, 1.0)),
+], ids=["variance_first_below", "variance_nan", "tail_caps_nan", "mgf_cap"])
+def test_each_cap_names_the_first_value_outside_its_interval(call, value, interval):
+    cb = centered(Exponential(1.0))
+    tc = fit_tail_constants(Exponential(1.0), 0.9, 1.0)
+    with pytest.raises(DomainError) as err:
+        call(cb, find_support_witness(cb), tc)
+    assert err.value.value == value or math.isnan(err.value.value) and math.isnan(value)
+    assert err.value.interval == interval
+
+
 # ---------------------------------------------------------------------------
 # the positive-and-finite rule of scalar constants
 # ---------------------------------------------------------------------------
@@ -618,4 +645,53 @@ def test_the_positive_and_finite_rule_is_written_once():
                   if isinstance(f, ast.FunctionDef) and f.name == "positive_finite"]
         copies += [f"{path.name}:{line}" for line in _positive_and_finite_tests(tree)
                    if not any(line in lines for lines in helper)]
+    assert copies == []
+
+
+def _count_tests(tree: ast.AST):
+    """Line of each ``isinstance(x, (int, np.integer))`` type test in ``tree``, in either order."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple):
+            kinds = {getattr(k, "id", None) or getattr(k, "attr", None) for k in node.args[1].elts}
+            if {"int", "integer"} <= kinds:
+                yield node.lineno
+
+
+def _interval_blocks(tree: ast.AST):
+    """Line of each mask of the entries outside an interval, ``x[~((lo <= x) & (x < hi))]``,
+    and of each DomainError raised at the first such entry, ``value=float(bad[0])``."""
+    for node in ast.walk(tree):
+        test = node.slice.operand if isinstance(node, ast.Subscript) \
+            and isinstance(node.slice, ast.UnaryOp) and isinstance(node.slice.op, ast.Invert) \
+            else None
+        if isinstance(test, ast.BinOp) and isinstance(test.op, ast.BitAnd) \
+                and isinstance(test.left, ast.Compare) and isinstance(test.right, ast.Compare):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DomainError":
+            value = [k.value for k in node.keywords if k.arg == "value"]
+            if any(isinstance(n, ast.Subscript) and getattr(n.slice, "value", None) == 0
+                   for v in value for n in ast.walk(v)):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("find, helper, snippets", [
+    (_count_tests, "count",
+     ["not isinstance(i, (int, np.integer)) or i < 4", "isinstance(n, (np.integer, int))"]),
+    (_interval_blocks, "_inside",
+     ["bad = lam[~((0.0 <= lam) & (lam < c1))]",
+      "raise DomainError('x', value=float(bad[0]), interval=(0.0, c1))"]),
+], ids=["count", "interval"])
+def test_the_count_and_interval_rules_are_written_once(find, helper, snippets):
+    # errors.count holds the integer test and tailbounds._inside the interval test; a second
+    # copy anywhere in the package fails here
+    for snippet in snippets:
+        assert list(find(ast.parse(snippet))), snippet
+    copies = []
+    for path in sorted(Path(tailbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == helper]
+        copies += [f"{path.name}:{line}" for line in find(tree)
+                   if not any(line in lines for lines in inside)]
     assert copies == []
