@@ -44,7 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import BaseDistribution, NefFamily, _freeze
-from .errors import ConfigError, DomainError, InvalidArgumentError, count, finite, positive_finite
+from .errors import (ConfigError, DomainError, InvalidArgumentError, count, finite, inside,
+                     positive_finite)
 from .glm import (_cholesky_solves, _fit_stack, _gradient_maps, _hessians, _inner_products,
                   _ridge_weight, _rows)
 from .rng import replicate_stream
@@ -337,8 +338,8 @@ def _optimistic_indices(theta_hat, H, c_gamma: float, arms, arms_t) -> np.ndarra
 
 
 def _in_dimension(inst: GlbInstance, state: ConfidenceState, theta=None):
-    """theta, flattened, once it and the state's estimate, Hessian and gradient map all
-    have the instance's dimension d; InvalidArgumentError otherwise."""
+    """theta, finite and flattened, once it and the state's estimate, Hessian and gradient
+    map all have the instance's dimension d; InvalidArgumentError otherwise."""
     d = inst.d
     shapes = {"theta_hat": (d,), "hessian_at_hat": (d, d), "gradient_map_at_hat": (d,)}
     for name, shape in shapes.items():
@@ -346,7 +347,7 @@ def _in_dimension(inst: GlbInstance, state: ConfidenceState, theta=None):
         if got != shape:
             raise InvalidArgumentError(f"state {name} has shape {got}, the instance needs {shape}")
     if theta is not None:
-        theta = np.asarray(theta, dtype=float).ravel()
+        theta = np.asarray(finite(theta, "theta"), dtype=float).ravel()
         if theta.size != d:
             raise InvalidArgumentError(f"theta has dim {theta.size}, the instance has dim {d}")
     return theta
@@ -572,7 +573,7 @@ def theoretical_regret_bound(inst: GlbInstance, T: int, delta: float,
 
 def elliptical_potential_check(vectors, lam: float, A: float) -> dict:
     """sum_t ||a_t||^2 over inv(V_{t-1}) against 2 d max(1, A^2/lam) log(1 + n A^2/(d lam))."""
-    vectors = _rows(vectors, "vectors")
+    vectors = finite(_rows(vectors, "vectors"), "vectors")
     n, d = vectors.shape
     lam, A = _ridge_weight(lam), positive_finite(A, "A", "norm cap A")
     if np.linalg.norm(vectors, axis=1).max(initial=0.0) > A + 1e-12:
@@ -589,15 +590,11 @@ def elliptical_potential_check(vectors, lam: float, A: float) -> dict:
 
 def self_bounding_check(family: NefFamily, grid_points, endpoint_b: float, K: float) -> dict:
     """sum mu'(a_t) against n mu'(b) + K sum (mu(b) - mu(a_t)) for a_t <= b."""
-    pts = np.asarray(grid_points, dtype=float).ravel()
+    K = finite(K, "K")
     lo, hi = family.interval
-    if not lo <= endpoint_b <= hi:
-        raise DomainError("endpoint must lie in the admissible range", value=endpoint_b,
-                          interval=(lo, hi))
-    if pts.size and (pts.min() < lo - 1e-12 or pts.max() > endpoint_b + 1e-12):
-        raise DomainError("grid points must lie in [param_lo, endpoint_b]",
-                          value=float(pts.min() if pts.min() < lo else pts.max()),
-                          interval=(lo, endpoint_b))
+    endpoint_b = float(inside(endpoint_b, lo, hi, "endpoint must lie in the admissible range"))
+    pts = inside(np.ravel(grid_points), lo - 1e-12, endpoint_b + 1e-12,
+                 "grid points must lie in [param_lo, endpoint_b]", interval=(lo, endpoint_b))
     base = family.base
     lhs = float(np.sum(base.dmean_at(pts)))
     mu_b = float(base.mean_at(endpoint_b))

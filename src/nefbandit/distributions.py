@@ -25,7 +25,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, ParseError, PrecisionError, count, finite
+from .errors import (DomainError, InvalidArgumentError, ParseError, PrecisionError, count, finite,
+                     inside)
 
 __all__ = [
     "BaseDistribution",
@@ -129,18 +130,11 @@ class BaseDistribution:
         return lo + m, hi - m
 
     def require_interior(self, u, *, op: str = "operation"):
-        """u, a float or an array, once every tilt in it lies inside ``interior``; an array
-        is checked through its min and max (the interval is convex; a NaN reaches both)."""
-        grid = np.asarray(u, dtype=float)
+        """u, a float or an array, once every tilt in it is finite and inside ``interior``."""
+        grid = inside(finite(u, "u"), *self.interior, f"{op} requires a tilt strictly inside the "
+                      f"natural parameter interval of {self.kind}", interval=self.mgf_domain)
         if not grid.size:
             raise InvalidArgumentError(f"{op} needs at least one tilt, got an empty array")
-        lo, hi = self.interior
-        for extreme in (grid.min(), grid.max()):
-            finite(extreme, "u")
-            if extreme < lo or extreme > hi:
-                raise DomainError(f"{op} requires a tilt strictly inside the natural "
-                                  f"parameter interval of {self.kind}",
-                                  value=extreme, interval=self.mgf_domain)
         return float(grid) if grid.ndim == 0 else grid
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
@@ -290,8 +284,8 @@ class Poisson(BaseDistribution):
         return np.where(k < 0, 0.0, _special().pdtr(k, self.nu * np.exp(u)))
 
     def tilted_inverse_cdf(self, u, p):
-        # per distinct tilt, the least k whose cdf reaches p, on a table of the k within
-        # 40 sqrt(m) + 60 of the tilted mean m: the cdf below the table is under 1e-300
+        # per tilt, the least k in [kmin, kmax) whose cdf reaches p, else kmax (the cdf is under
+        # 1e-300 below kmin), by bisection in the gaps of a cdf table of all or 256+ counts
         out = np.empty(p.shape)
         tilts, which = np.unique(u, return_inverse=True)
         for i, tilt in enumerate(tilts.tolist()):
@@ -301,8 +295,16 @@ class Poisson(BaseDistribution):
             kmin = max(int(m - 40.0 * math.sqrt(m) - 60.0), 0)
             kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
             sel = which == i
-            cdf = _special().pdtr(np.arange(kmin, kmax + 1), m)
-            out[sel] = kmin + np.minimum(np.searchsorted(cdf, p[sel], side="left"), kmax - kmin)
+            q = p[sel]
+            s = 1 << (max((kmax - kmin) // max(q.size, 256), 1).bit_length() - 1)  # table stride
+            table = np.arange(kmin, kmax + 1, s, dtype=float)  # float: pdtr's own type
+            j = np.searchsorted(_special().pdtr(table, m), q)
+            k = table[np.maximum(j - 1, 0)]
+            while s > 1:  # where j > 0, the answer lies in (k, k + s]
+                s //= 2
+                mid = k + s
+                k = np.where(_special().pdtr(mid, m) < q, mid, k)
+            out[sel] = np.where(j > 0, np.minimum(k + 1, kmax), kmin)
         return out
 
 

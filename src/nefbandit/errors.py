@@ -103,3 +103,16 @@ def finite(value, name: str):
         raise InvalidArgumentError(f"{name} must not contain infs or NaNs (finite values only)",
                                    name=name)
     return value
+
+
+def inside(x, lo: float, hi: float, message: str, *, open_hi=False, interval=None) -> np.ndarray:
+    """``x`` as a float array once every entry lies in [lo, hi] ([lo, hi) if ``open_hi``; NaN
+    fails), else a DomainError at the first entry outside (its flat index for ``{index}`` in
+    ``message``) reporting ``interval``, (lo, hi) by default: the one interval rule of arrays."""
+    x = np.asarray(x, dtype=float)
+    ok = (lo <= x) & ((x < hi) if open_hi else (x <= hi))
+    if not ok.all():
+        i = int(ok.argmin())
+        raise DomainError(message.replace("{index}", str(i)), value=float(x.flat[i]),
+                          interval=interval or (lo, hi))
+    return x

@@ -11,14 +11,15 @@ lam I + sum_i mu'(x_i' theta) x_i x_i', and the secant matrix built
 from difference quotients of mu turns gradient gaps into exact linear
 maps of parameter gaps.
 
-The solver is damped Newton with one feasibility rule for its start and every
-trial: a point is infeasible when an inner product leaves the interior of the
-natural parameter interval (checked first, as a bounded interval makes the loss
-blow up at its boundary) or when the loss, a curvature weight mu'(x_i' theta) or
-the squared gradient norm is not finite.  An infeasible start begins at the
-origin; an infeasible trial is shortened.  So every accepted point has a finite
-gradient and Hessian (entries at most lam + sum_i mu', rows in the unit ball),
-which the Cholesky solves take unchecked; the public ``cholesky_solve`` checks.
+The solver is damped Newton with one feasibility rule for its start and every trial: a
+point is infeasible when an inner product leaves the interior of the natural parameter
+interval (checked first, as a bounded interval makes the loss blow up at its boundary) or
+when the loss, a curvature weight mu'(x_i' theta) or the squared gradient norm is not
+finite.  An infeasible start begins at the origin; an infeasible trial is shortened.  So
+every accepted point has a finite gradient and Hessian (entries at most lam + sum_i mu',
+rows in the unit ball), which the Cholesky solves take unchecked; the public
+``cholesky_solve`` checks.  The public row functions refuse a theta that is not finite and
+name the first row off the interior.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import NefFamily, _freeze
-from .errors import DomainError, InvalidArgumentError, OptimizationError, finite, positive_finite
+from .errors import InvalidArgumentError, OptimizationError, finite, inside, positive_finite
 
 __all__ = [
     "Dataset",
@@ -185,18 +186,14 @@ def _cholesky_solves(H: np.ndarray, B: np.ndarray, out: np.ndarray) -> dict:
 
 
 def _inner_products(family: NefFamily, data: Dataset, theta, *, op: str):
-    """theta and its inner products with the rows, as one-replicate stacks, after
-    the domain check."""
-    theta = np.asarray(theta, dtype=float).reshape(1, -1)
+    """theta and its inner products with the rows, as one-replicate stacks, once theta is
+    finite and every inner product lies in the interior."""
+    theta = np.asarray(finite(theta, "theta"), dtype=float).reshape(1, -1)
     if theta.shape[1] != data.d:
         raise InvalidArgumentError(f"theta has dim {theta.shape[1]}, data has dim {data.d}")
     inner = np.matvec(data.arms[None], theta)
-    guard = family.base.interior
-    if _outside(guard, inner)[0]:
-        row = inner[0]
-        idx = int(np.argmax(row) if row.max() > guard[1] else np.argmin(row))
-        raise DomainError(f"{op}: inner product of row {idx} leaves the natural parameter "
-                          f"interval", value=float(row[idx]), interval=family.base.mgf_domain)
+    inside(inner[0], *family.base.interior, f"{op}: inner product of row {{index}} leaves the "
+           "natural parameter interval", interval=family.base.mgf_domain)
     return theta, inner
 
 

@@ -1,16 +1,16 @@
 """Tail and MGF certificates for centered bases and their tilts.
 
 The caps that read a base center it through ``distributions.centered`` first, as
-``selfconcordance`` does.  All inequalities here are grid-checkable with small
-additive slack: an exponential right tail caps the MGF on [0, c1); a finite MGF
-value caps both tails by the Chernoff transform; a bounded stretch supremum caps
-the tilted CGF by a quadratic; and an exponential tail pair caps the tails and
-the mean of every tilt at explicit rates.  Each cap is elementwise over its grid
-arguments and checks every element, and so is the measured tilted MGF, the ratio
-identity's independent side (numpy and the package's own log-sum-exp), so the
-suite runner checks each certificate on its whole grid in one call.  Violations
-beyond the slack indicate an implementation bug, never noise, so the suite runner
-returns hard pass/fail certificates.
+``selfconcordance`` does.  All inequalities here are grid-checkable with small additive
+slack: an exponential right tail caps the MGF on [0, c1); a finite MGF value caps both
+tails by the Chernoff transform; a bounded stretch supremum caps the tilted CGF by a
+quadratic; and an exponential tail pair caps the tails and the mean of every tilt at
+explicit rates.  Each cap is elementwise over its grid arguments and checks every element
+by ``errors.inside`` (a DomainError at the first entry outside its interval, NaN included),
+and so is the measured tilted MGF, the ratio identity's independent side (numpy and the
+package's own log-sum-exp), so the suite runner checks each certificate on its whole grid
+in one call.  Violations beyond the slack indicate an implementation bug, never noise, so
+the suite runner returns hard pass/fail certificates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .distributions import (
     _logsumexp,
     centered,
 )
-from .errors import DomainError, InvalidArgumentError, positive_finite
+from .errors import DomainError, InvalidArgumentError, inside, positive_finite
 from .selfconcordance import (
     SupportWitness,
     TailConstants,
@@ -75,20 +75,10 @@ class TailCertificate:
         return dict(vars(self))
 
 
-def _inside(x, lo: float, hi: float, message: str, *, open_hi: bool = False) -> np.ndarray:
-    """``x`` as a float array once every entry lies in [lo, hi] ([lo, hi) if ``open_hi``; NaN
-    fails), else a DomainError at the first entry outside: each cap's interval rule."""
-    x = np.asarray(x, dtype=float)
-    bad = x[~((lo <= x) & ((x < hi) if open_hi else (x <= hi)))]
-    if bad.size:
-        raise DomainError(message, value=float(bad[0]), interval=(lo, hi))
-    return x
-
-
 def mgf_from_tail_bound(c1: float, C1: float, lam):
     """MGF cap 1 + C1 lam^2 / (c1 (c1 - lam)) from a right tail C1 exp(-c1 t), elementwise."""
     c1, C1 = positive_finite(c1, "c1", "tail rate c1"), positive_finite(C1, "C1", "tail scale C1")
-    lam = _inside(lam, 0.0, c1, "the MGF cap holds on 0 <= lam < c1", open_hi=True)
+    lam = inside(lam, 0.0, c1, "the MGF cap holds on 0 <= lam < c1", open_hi=True)
     with np.errstate(all="ignore"):  # inf or NaN past float range
         return 1.0 + C1 * (lam / c1) * (lam / (c1 - lam))  # no lam^2 to underflow
 
@@ -122,11 +112,11 @@ def tilted_cgf_quadratic_bound(family: NefFamily, u, s, K: float) -> dict:
     ``lhs``, ``rhs`` and ``ok`` have their shape.
     """
     K = positive_finite(K, "K", "stretch supremum K")
-    u = _inside(u, *family.interval, "tilt must lie in the admissible range")
+    u = inside(u, *family.interval, "tilt must lie in the admissible range")
     lo, hi = _admissible_shift_box(family, K)
     base = family.base
     a, b = base.mgf_domain
-    s = _inside(s, lo, hi, f"shift violates |s| <= log(2)/K = {math.log(2.0) / K:.6g} or the "
+    s = inside(s, lo, hi, f"shift violates |s| <= log(2)/K = {math.log(2.0) / K:.6g} or the "
                 f"domain constraint s in ({a - family.param_lo:.6g}, {b - family.param_hi:.6g})")
     base.require_interior(u + s, op="cgf")  # u itself is inside [param_lo, param_hi]
     lhs = np.where(s != 0.0, base.log_mgf(u + s) - base.log_mgf(u), 0.0)
@@ -147,7 +137,7 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
     u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidArgumentError(f"t must be nonnegative, got {t}")
-    u = _inside(u, 0.0, tail.c1, "tilt must satisfy 0 <= u < c1", open_hi=True)
+    u = inside(u, 0.0, tail.c1, "tilt must satisfy 0 <= u < c1", open_hi=True)
     M_u = np.exp(base.log_mgf(u))
     with np.errstate(all="ignore"):  # inf or NaN past float range
         right = (tail.C1 * math.e / M_u) * np.exp(-(tail.c1 - u) * t) * (1.0 + u / (tail.c1 - u))
@@ -159,7 +149,7 @@ def tilted_tail_bounds(base: BaseDistribution, tail: TailConstants, u, t) -> dic
 def variance_lower_bound(base: BaseDistribution, witness: SupportWitness, u):
     """Lower bound a^2 eta exp(-u b) / M(u) on the variance of Q_u, elementwise, u >= 0."""
     base = _spread_centered(base)
-    u = _inside(u, 0.0, math.inf, "the variance lower bound is proven for u >= 0")
+    u = inside(u, 0.0, math.inf, "the variance lower bound is proven for u >= 0")
     base.require_interior(u, op="variance_lower_bound")
     return witness.a**2 * witness.eta * np.exp(-u * witness.b - base.log_mgf(u))
 

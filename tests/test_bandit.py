@@ -1411,3 +1411,37 @@ def test_self_bounding_rejects_point_past_endpoint():
     fam = NefFamily(Bernoulli(0.5), -2.0, 2.0)
     with pytest.raises(DomainError):
         self_bounding_check(fam, [0.0, 1.5], 1.0, K=1.0)
+
+
+def test_self_bounding_names_the_first_grid_point_outside_and_a_nan_one():
+    # a NaN grid point passed the min/max test and the check said ok: False
+    fam = NefFamily(Bernoulli(0.5), -2.0, 2.0)
+    for pts, value in (([0.0, 1.5, -3.0], 1.5), ([0.0, math.nan], math.nan)):
+        with pytest.raises(DomainError, match="grid points") as info:
+            self_bounding_check(fam, pts, 1.0, K=1.0)
+        assert info.value.value == value or math.isnan(info.value.value) and math.isnan(value)
+        assert info.value.interval == (-2.0, 1.0)
+
+
+NOT_FINITE_CALLS = {
+    # a NaN theta was "not a member"; exact membership named g - g_hat
+    "relaxed_membership": ("theta", lambda inst, state, v: relaxed_membership(inst, state,
+                                                                             [v, 0.0])),
+    "exact_membership": ("theta", lambda inst, state, v: exact_membership(
+        inst, state, Dataset(inst.arms[:2], np.ones(2)), [v, 0.0])),
+    # each check said ok: False
+    "elliptical_potential_check": ("vectors", lambda inst, state, v: elliptical_potential_check(
+        [[0.5, 0.0], [v, 0.0]], 1.0, 1.0)),
+    "self_bounding_check": ("K", lambda inst, state, v: self_bounding_check(
+        inst.family, [0.0], 0.5, v)),
+}
+
+
+@pytest.mark.parametrize("name, call", NOT_FINITE_CALLS.values(), ids=NOT_FINITE_CALLS)
+def test_a_value_that_is_not_finite_gives_no_verdict(name, call):
+    inst = exp_instance()
+    state = _state(inst, 2.0, gamma=1.0)
+    with pytest.raises(InvalidArgumentError, match="infs or NaNs") as info:
+        call(inst, state, math.nan)
+    assert info.value.name == name
+    assert isinstance(call(inst, state, 0.1), (bool, dict))

@@ -523,6 +523,47 @@ def test_poisson_draw_on_its_table_around_the_mean_is_the_full_table_draw(nu, u)
     np.testing.assert_array_equal(got, _poisson_draw_on_the_full_table(nu, u, p))
 
 
+def _least_counts_reaching(nu, u, p):
+    """Brute force: per uniform q, the least k in the draw's window [kmin, kmax] whose tilted
+    cdf reaches q, or kmax where none does, by scanning every count of the window."""
+    m = nu * math.exp(u)
+    kmin = max(int(m - 40.0 * math.sqrt(m) - 60.0), 0)
+    kmax = int(m + 40.0 * math.sqrt(m) + 60.0)
+    cdf = special.pdtr(np.arange(kmin, kmax + 1), m)
+    return [kmin + hits[0] if (hits := np.flatnonzero(cdf >= q)).size else kmax for q in p]
+
+
+@pytest.mark.parametrize("nu", [0.01, 1.0, 2.0, 10.0, 1000.0])
+def test_poisson_draw_is_the_least_count_whose_cdf_reaches_the_uniform(nu):
+    # tilted means from nu e^-5 to 1e6, every tilt in one call: 205 uniforms per tilt, then
+    # one per tilt, so the cdf table's stride runs from 1 count to 1/256 of the window
+    p = np.concatenate([[0.0, 1e-300, 1e-16, 0.5, 1.0 - 1e-16], replicate_stream(6, 0).random(200)])
+    tilts = [-5.0, 0.0, 2.0, math.log(1e6 / nu)]
+    want = np.array([_least_counts_reaching(nu, u, p) for u in tilts])
+    got = Poisson(nu).tilted_inverse_cdf(np.repeat(tilts, p.size), np.tile(p, len(tilts)))
+    np.testing.assert_array_equal(got, want.ravel())
+    for j in range(5):
+        got = Poisson(nu).tilted_inverse_cdf(np.array(tilts), np.full(len(tilts), p[j]))
+        np.testing.assert_array_equal(got, want[:, j])
+
+
+def test_poisson_draw_at_a_mean_of_1_6e9_evaluates_a_few_cdf_entries(monkeypatch):
+    # a table of a few hundred counts and a bisection of its gaps, where a table of every
+    # count of the window evaluated all 3.2e6
+    sizes = []
+
+    def pdtr(k, m):
+        sizes.append(np.size(k))
+        return special.pdtr(k, m)
+
+    monkeypatch.setattr(distributions, "_special", lambda: type("S", (), {"pdtr": pdtr}))
+    u, p = math.log(1.6e9), np.array([1e-16, 0.3, 0.7])
+    k = Poisson(1.0).tilted_inverse_cdf(np.full(p.shape, u), p)
+    assert len(sizes) <= 25 and sum(sizes) <= 1000, sizes
+    m = math.exp(u)
+    assert (special.pdtr(k - 1, m) < p).all() and (p <= special.pdtr(k, m)).all(), k
+
+
 def test_poisson_draw_at_a_large_mean_holds_a_small_table():
     rng = replicate_stream(5, 0)
     tracemalloc.start()

@@ -558,6 +558,28 @@ def test_fit_infeasible_init_raises():
         fit_mle(EXP, data, 1.0, init=np.array([2.0, 0.0]))
 
 
+THETA_CALLS = {
+    "loss": lambda data, theta: loss(EXP, data, 1.0, theta),
+    "gradient_map": lambda data, theta: gradient_map(EXP, data, 1.0, theta),
+    "full_gradient": lambda data, theta: full_gradient(EXP, data, 1.0, theta),
+    "hessian": lambda data, theta: hessian(EXP, data, 1.0, theta),
+    "difference_quotient_matrix": lambda data, theta: difference_quotient_matrix(
+        EXP, data, 1.0, np.zeros(2), theta),
+    "fit_mle_init": lambda data, theta: fit_mle(EXP, data, 1.0, init=theta),
+}
+
+
+@pytest.mark.parametrize("call", THETA_CALLS.values(), ids=THETA_CALLS)
+@pytest.mark.parametrize("theta", [[math.nan, 0.0], [0.0, math.inf]], ids=["nan", "inf"])
+def test_a_theta_that_is_not_finite_is_an_argument_error_named_theta(call, theta):
+    # a NaN inner product passed the min/max domain test: loss gave nan, fit_mle's start fell
+    # back to the origin
+    data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(InvalidArgumentError, match="infs or NaNs") as info:
+        call(data, np.array(theta))
+    assert info.value.name == "theta"
+
+
 def test_fit_warm_start_is_fast():
     data, _ = random_instance(85, BERN, n=150, d=3)
     res = fit_mle(BERN, data, 1.0)

@@ -977,7 +977,7 @@ _EDGE_SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3])
 def _edge_runs(draw):
     """A valid 2-replicate, 20-round SMALL_RUN near its kind's domain end: x' theta_star up to
     a share 1 - 1e-8 of the upper end (rate for Exponential, 1/scale for Gamma), Poisson
-    tilts up to 20 with draw means nu e^u up to 1e5, or Bernoulli with |theta| up to 40."""
+    draw means nu e^u up to 2e9 (the draw's cap is 2^31), or Bernoulli with |theta| up to 40."""
     kind = draw(st.sampled_from(["exponential", "gamma", "poisson", "bernoulli"]))
     if kind == "bernoulli":
         dist = {"kind": kind, "p": draw(st.sampled_from([1e-6, 0.5, 1 - 1e-6]))}
@@ -985,7 +985,7 @@ def _edge_runs(draw):
     else:
         if kind == "poisson":
             dist = {"kind": kind, "nu": draw(_EDGE_SCALES)}
-            reach = draw(st.floats(0.0, min(20.0, math.log(1e5 / dist["nu"]))))
+            reach = draw(st.floats(0.0, math.log(2e9 / dist["nu"])))
         elif kind == "exponential":
             dist = {"kind": kind, "rate": draw(_EDGE_SCALES)}
             reach = draw(_EDGE_SHARES) * dist["rate"]
@@ -1000,6 +1000,9 @@ def _edge_runs(draw):
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(config=_edge_runs())
+# a Poisson(1000) draw at the arm [0, 1], at mean 1.6e9 near the draw's 2^31 cap
+@example(config={**SMALL_RUN, "distribution": {"kind": "poisson", "nu": 1000.0},
+                 "theta_star": [-13.73, 14.28], "horizon": 20, "replicates": 2, "seed": 0})
 def test_fuzzed_valid_run_near_its_domain_end_gives_a_coverage_report(config):
     # pyproject turns every RuntimeWarning into an error; the traced peak stays small
     with tempfile.TemporaryDirectory() as tmp:

@@ -660,38 +660,61 @@ def _count_tests(tree: ast.AST):
 
 def _interval_blocks(tree: ast.AST):
     """Line of each mask of the entries outside an interval, ``x[~((lo <= x) & (x < hi))]``,
-    and of each DomainError raised at the first such entry, ``value=float(bad[0])``."""
+    of each DomainError raised at the first such entry, ``value=float(bad[0])``, and of each
+    DomainError raised in an ``if`` or ``for`` block that reads an extreme of an array
+    (``x.min()``, ``x.max()``, ``np.argmin`` or ``np.argmax``)."""
+    def is_domain_error(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DomainError"
+
+    lines = set()
     for node in ast.walk(tree):
         test = node.slice.operand if isinstance(node, ast.Subscript) \
             and isinstance(node.slice, ast.UnaryOp) and isinstance(node.slice.op, ast.Invert) \
             else None
         if isinstance(test, ast.BinOp) and isinstance(test.op, ast.BitAnd) \
                 and isinstance(test.left, ast.Compare) and isinstance(test.right, ast.Compare):
-            yield node.lineno
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DomainError":
+            lines.add(node.lineno)
+        elif is_domain_error(node):
             value = [k.value for k in node.keywords if k.arg == "value"]
             if any(isinstance(n, ast.Subscript) and getattr(n.slice, "value", None) == 0
                    for v in value for n in ast.walk(v)):
-                yield node.lineno
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.If, ast.For)) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "attr", None)
+                in ("min", "max", "argmin", "argmax") for n in ast.walk(node)):
+            lines.update(n.lineno for n in ast.walk(node) if is_domain_error(n))
+    yield from sorted(lines)
 
 
 @pytest.mark.parametrize("find, helper, snippets", [
-    (_count_tests, "count",
+    (_count_tests, "errors.count",
      ["not isinstance(i, (int, np.integer)) or i < 4", "isinstance(n, (np.integer, int))"]),
-    (_interval_blocks, "_inside",
+    (_interval_blocks, "errors.inside",
      ["bad = lam[~((0.0 <= lam) & (lam < c1))]",
-      "raise DomainError('x', value=float(bad[0]), interval=(0.0, c1))"]),
+      "raise DomainError('x', value=float(bad[0]), interval=(0.0, c1))",
+      # the hand-written blocks the rule replaced: BaseDistribution.require_interior's,
+      # glm._inner_products' and bandit.self_bounding_check's
+      "for extreme in (grid.min(), grid.max()):\n"
+      "    if extreme < lo or extreme > hi:\n"
+      "        raise DomainError('x', value=extreme, interval=self.mgf_domain)",
+      "if _outside(guard, inner)[0]:\n"
+      "    idx = int(np.argmax(row) if row.max() > guard[1] else np.argmin(row))\n"
+      "    raise DomainError('x', value=float(row[idx]), interval=family.base.mgf_domain)",
+      "if pts.size and (pts.min() < lo - 1e-12 or pts.max() > endpoint_b + 1e-12):\n"
+      "    raise DomainError('x', value=float(pts.min() if pts.min() < lo else pts.max()),\n"
+      "                      interval=(lo, endpoint_b))"]),
 ], ids=["count", "interval"])
 def test_the_count_and_interval_rules_are_written_once(find, helper, snippets):
-    # errors.count holds the integer test and tailbounds._inside the interval test; a second
-    # copy anywhere in the package fails here
+    # errors.count holds the integer test and errors.inside the interval test over arrays; a
+    # second copy anywhere in the package fails here
     for snippet in snippets:
         assert list(find(ast.parse(snippet))), snippet
+    module, name = helper.split(".")
     copies = []
     for path in sorted(Path(tailbounds.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         inside = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(tree)
-                  if isinstance(f, ast.FunctionDef) and f.name == helper]
+                  if isinstance(f, ast.FunctionDef) and f.name == name and path.stem == module]
         copies += [f"{path.name}:{line}" for line in find(tree)
                    if not any(line in lines for lines in inside)]
     assert copies == []
